@@ -14,10 +14,12 @@ from .kparity import Edge, KParityConstraint, from_intersection
 from .matroid import GraphicMatroid, PartitionMatroid, UniformMatroid
 from .nonmonotone import RepetitionsConfig, repetitions_with_trace
 from .objective import CoverageObjective, CutObjective, ModularObjective
-from .solver import SolverConfig, run_efficient, run_reference
+from .solver import RunTrace, SolverConfig, best_addition, run_efficient, run_reference
 
 BRUTE_FORCE_CAP = 20
 OPT_COLUMN_CAP = 12
+
+MODES = ("greedy", "hybrid", "hybrid-reference", "nonmonotone")
 
 GENERATOR_KINDS = (
     "k-partition-intersection",
@@ -46,17 +48,10 @@ def greedy_baseline(f, cons):
     (ties to the smaller id); stop when none remains."""
     chosen = frozenset()
     while True:
-        f_cur = f.value(chosen)
-        best_gain, best_edge = 0.0, None
-        for e in cons.edge_ids:
-            if e in chosen or not cons.feasible(chosen | {e}):
-                continue
-            gain = f.value(chosen | {e}) - f_cur
-            if gain > best_gain:
-                best_gain, best_edge = gain, e
-        if best_edge is None:
+        gain, edge = best_addition(f, cons, chosen)
+        if gain is None or gain <= 0:
             return chosen
-        chosen = chosen | {best_edge}
+        chosen = chosen | {edge}
 
 
 def brute_force_opt(f, cons):
@@ -119,19 +114,18 @@ def _gen_partition_intersection(params, rng):
     n = int(params.get("n_elements", 6))
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n_elements >= 1")
-    matroids = []
-    for _ in range(k):
-        n_blocks = int(rng.integers(2, max(3, n // 2 + 1)))
-        labels = rng.integers(0, n_blocks, size=n)
-        blocks = [
-            [x for x in range(n) if labels[x] == b]
-            for b in range(n_blocks)
-        ]
-        blocks = [b for b in blocks if b]
-        # re-densify: blocks must cover 0..n-1, which they do by construction
-        caps = [int(rng.integers(1, 3)) for _ in blocks]
-        matroids.append(PartitionMatroid(blocks, caps))
-    return from_intersection(matroids)
+    return from_intersection([_random_partition_matroid(n, rng) for _ in range(k)])
+
+
+def _random_partition_matroid(n, rng):
+    """Random labels of 0..n-1 into blocks (empty ones dropped, so the
+    blocks still cover 0..n-1), each with capacity 1 or 2."""
+    n_blocks = int(rng.integers(2, max(3, n // 2 + 1)))
+    labels = rng.integers(0, n_blocks, size=n)
+    blocks = [[x for x in range(n) if labels[x] == b] for b in range(n_blocks)]
+    blocks = [b for b in blocks if b]
+    caps = [int(rng.integers(1, 3)) for _ in blocks]
+    return PartitionMatroid(blocks, caps)
 
 
 def _gen_set_packing(params, rng):
@@ -179,14 +173,7 @@ def _gen_random_parity(params, rng):
         rank = int(params.get("rank", rng.integers(1, max(2, n_vertices // 2 + 1))))
         matroid = UniformMatroid(n_vertices, min(rank, n_vertices))
     elif matroid_kind == "partition":
-        n_blocks = int(rng.integers(2, max(3, n_vertices // 2 + 1)))
-        labels = rng.integers(0, n_blocks, size=n_vertices)
-        blocks = [
-            [x for x in range(n_vertices) if labels[x] == b] for b in range(n_blocks)
-        ]
-        blocks = [b for b in blocks if b]
-        caps = [int(rng.integers(1, 3)) for _ in blocks]
-        matroid = PartitionMatroid(blocks, caps)
+        matroid = _random_partition_matroid(n_vertices, rng)
     elif matroid_kind == "graphic":
         # one graph link per matroid vertex; rank is bounded by nodes - 1
         n_nodes = int(params.get("n_nodes", max(3, n_vertices // 2)))
@@ -248,7 +235,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.mode not in ("greedy", "hybrid", "hybrid-reference", "nonmonotone"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown solver mode {self.mode!r}")
 
 
@@ -291,8 +278,18 @@ def run_experiment(spec: ExperimentSpec):
         for trial in range(spec.trials):
             seed = _trial_seed(spec.seed, idx, trial + 1)
             started = time.perf_counter()
-            value, alpha, improvements, calls, chosen = _run_mode(spec, cons, f, seed)
+            calls_before = f.calls + cons.feasibility_calls
+            chosen, trace = solve(
+                spec.mode, f, cons, epsilon=spec.epsilon, seed=seed, ell=spec.ell
+            )
+            calls = f.calls + cons.feasibility_calls - calls_before
+            value = f.value(chosen)
             millis = (time.perf_counter() - started) * 1000.0
+            alpha, improvements = None, 0
+            if isinstance(trace, RunTrace):
+                alpha, improvements = trace.alpha, trace.improvement_count
+            elif trace is not None and trace.rounds:  # nonmonotone
+                alpha = trace.rounds[0].alpha
             if not cons.feasible(chosen):
                 raise RuntimeError(f"solver {spec.mode} returned an infeasible set")
             ratio = None
@@ -336,22 +333,20 @@ def run_experiment(spec: ExperimentSpec):
     return result
 
 
-def _run_mode(spec, cons, f, seed):
-    calls_before = f.calls + cons.feasibility_calls
-    if spec.mode == "greedy":
-        chosen = greedy_baseline(f, cons)
-        alpha, improvements = None, 0
-    elif spec.mode == "nonmonotone":
-        config = RepetitionsConfig(ell=spec.ell, epsilon=spec.epsilon, seed=seed)
-        chosen, trace = repetitions_with_trace(f, cons, config)
-        alpha = trace.rounds[0].alpha if trace.rounds else None
-        improvements = 0
-    else:
-        runner = run_efficient if spec.mode == "hybrid" else run_reference
-        chosen, trace = runner(f, cons, SolverConfig(epsilon=spec.epsilon, seed=seed))
-        alpha, improvements = trace.alpha, trace.improvement_count
-    calls = f.calls + cons.feasibility_calls - calls_before
-    return f.value(chosen), alpha, improvements, calls, chosen
+def solve(mode, f, cons, *, epsilon, seed, ell=0):
+    """Run one solver mode; the single dispatch behind ``parityls solve``
+    and ``bench``. Returns (chosen, trace): the RunTrace of a hybrid
+    mode, the RepetitionsTrace of ``nonmonotone``, None for ``greedy``.
+    ``ell`` is the nonmonotone round count (0 derives it from k)."""
+    if mode == "greedy":
+        return greedy_baseline(f, cons), None
+    if mode == "nonmonotone":
+        config = RepetitionsConfig(ell=ell, epsilon=epsilon, seed=seed)
+        return repetitions_with_trace(f, cons, config)
+    if mode not in MODES:
+        raise ValueError(f"unknown solver mode {mode!r}")
+    runner = run_efficient if mode == "hybrid" else run_reference
+    return runner(f, cons, SolverConfig(epsilon=epsilon, seed=seed))
 
 
 def rows_to_csv(rows):

@@ -9,11 +9,12 @@ import sys
 
 from .analysis import prune_down_monotone, verify_run
 from .bench import (
+    MODES,
     ExperimentSpec,
     brute_force_opt,
     generate_instance,
-    greedy_baseline,
     run_experiment,
+    solve,
 )
 from .instances import (
     instance_to_json,
@@ -22,8 +23,7 @@ from .instances import (
     save_instance,
     save_trace,
 )
-from .nonmonotone import RepetitionsConfig, repetitions_with_trace
-from .solver import SolverConfig, run_efficient, run_reference
+from .solver import RunTrace
 
 
 def build_parser():
@@ -38,11 +38,7 @@ def build_parser():
 
     solve = sub.add_parser("solve", help="run a solver on an instance file")
     solve.add_argument("--instance", required=True)
-    solve.add_argument(
-        "--mode",
-        default="hybrid",
-        choices=["greedy", "hybrid", "hybrid-reference", "nonmonotone"],
-    )
+    solve.add_argument("--mode", default="hybrid", choices=MODES)
     solve.add_argument("--epsilon", type=float, default=0.5)
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--ell", type=int, default=0)
@@ -65,11 +61,7 @@ def build_parser():
     bench.add_argument("--instance", default="")
     bench.add_argument("--generator", default="", help="generator kind")
     bench.add_argument("--params", default="{}", help="generator params as JSON")
-    bench.add_argument(
-        "--mode",
-        default="hybrid",
-        choices=["greedy", "hybrid", "hybrid-reference", "nonmonotone"],
-    )
+    bench.add_argument("--mode", default="hybrid", choices=MODES)
     bench.add_argument("--trials", type=int, default=1)
     bench.add_argument("--epsilon", type=float, default=0.5)
     bench.add_argument("--seed", type=int, default=0)
@@ -85,24 +77,33 @@ def build_parser():
     return parser
 
 
+def _load(loader, path):
+    """``loader(path)``; a file that cannot be read or parsed (a
+    json.JSONDecodeError is a ValueError) ends the command with one line
+    on stderr and exit status 2 instead of a traceback."""
+    try:
+        return loader(path)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        print(f"error: {path}: {reason}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
+def _read_ids(path):
+    with open(path, encoding="utf-8") as fh:
+        return frozenset(json.load(fh))
+
+
 def _cmd_solve(args):
-    cons, f = load_instance(args.instance)
-    if args.mode == "greedy":
-        chosen = greedy_baseline(f, cons)
-        trace = None
-    elif args.mode == "nonmonotone":
-        config = RepetitionsConfig(ell=args.ell, epsilon=args.epsilon, seed=args.seed)
-        chosen, rep_trace = repetitions_with_trace(f, cons, config)
-        trace = None
-        print(f"rounds: {len(rep_trace.rounds)}")
-    else:
-        runner = run_efficient if args.mode == "hybrid" else run_reference
-        chosen, trace = runner(
-            f, cons, SolverConfig(epsilon=args.epsilon, seed=args.seed)
-        )
+    cons, f = _load(load_instance, args.instance)
+    chosen, trace = solve(
+        args.mode, f, cons, epsilon=args.epsilon, seed=args.seed, ell=args.ell
+    )
+    if args.mode == "nonmonotone":
+        print(f"rounds: {len(trace.rounds)}")
     print(f"selected: {sorted(chosen)}")
     print(f"value: {f.value(chosen):.12g}")
-    if trace is not None:
+    if isinstance(trace, RunTrace):
         print(f"alpha: {trace.alpha:.12g}")
         print(f"improvements: {trace.improvement_count}")
         if args.out:
@@ -112,15 +113,13 @@ def _cmd_solve(args):
 
 
 def _cmd_verify(args):
-    cons, f = load_instance(args.instance)
-    trace = load_trace(args.trace)
+    cons, f = _load(load_instance, args.instance)
+    trace = _load(load_trace, args.trace)
     if args.reference:
-        with open(args.reference, encoding="utf-8") as fh:
-            reference = frozenset(json.load(fh))
-        reference = prune_down_monotone(f, reference)
+        reference = _load(_read_ids, args.reference)
     else:
-        best_set, _ = brute_force_opt(f, cons)
-        reference = prune_down_monotone(f, best_set)
+        reference, _ = brute_force_opt(f, cons)
+    reference = prune_down_monotone(f, reference)
     d = args.d if args.d > 0 else 2.0 * math.sqrt(cons.k)
     report = verify_run(trace, f, cons, reference, d=d)
     payload = report.to_json()
@@ -141,6 +140,8 @@ def _cmd_verify(args):
 def _cmd_bench(args):
     if bool(args.instance) == bool(args.generator):
         raise SystemExit("bench needs exactly one of --instance / --generator")
+    if args.instance:
+        _load(load_instance, args.instance)  # fail cleanly before the batch starts
     source = ("file", args.instance) if args.instance else ("gen", args.generator)
     spec = ExperimentSpec(
         source=source,

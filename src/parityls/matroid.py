@@ -40,15 +40,8 @@ class MatroidOracle:
 
     def rank(self, vertices=None) -> int:
         """Largest independent subset size, by greedy augmentation in id order."""
-        s = self.ground if vertices is None else frozenset(vertices)
-        if not s <= self.ground:
-            raise ValueError(f"vertices {sorted(s - self.ground)} outside ground set")
-        picked = frozenset()
-        for v in sorted(s):
-            grown = picked | {v}
-            if self._independent(grown):
-                picked = grown
-        return len(picked)
+        s = self.ground if vertices is None else vertices
+        return len(self.max_independent_subset(s))
 
     def restrict(self, keep) -> "RestrictedMatroid":
         return RestrictedMatroid(self, keep)

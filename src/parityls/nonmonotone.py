@@ -46,8 +46,8 @@ def double_greedy(f, edge_set, rng):
     chosen = frozenset()
     remaining = frozenset(edge_set)
     for e in sorted(edge_set):
-        p = _inclusion_probability(f, e, chosen, remaining)
-        if rng.random() < p:
+        a, b = _clipped_gains(f, e, chosen, remaining)
+        if rng.random() < (1.0 if a + b == 0 else a / (a + b)):
             chosen = chosen | {e}
         else:
             remaining = remaining - {e}
@@ -58,13 +58,6 @@ def _clipped_gains(f, e, chosen, remaining):
     add_gain = f.value(chosen | {e}) - f.value(chosen)
     drop_gain = f.value(remaining - {e}) - f.value(remaining)
     return max(add_gain, 0.0), max(drop_gain, 0.0)
-
-
-def _inclusion_probability(f, e, chosen, remaining):
-    a, b = _clipped_gains(f, e, chosen, remaining)
-    if a + b == 0:
-        return 1.0
-    return a / (a + b)
 
 
 def double_greedy_exact_expectation(f, edge_set, as_fraction=False):
@@ -136,6 +129,8 @@ def repetitions_with_trace(f, cons, config: RepetitionsConfig):
         selected, run_trace = run_efficient(
             f, restricted, SolverConfig(epsilon=config.epsilon), rng=solver_rng
         )
+        # the restricted copy counts its own queries; charge them to cons
+        cons.feasibility_calls += restricted.feasibility_calls
         refined = double_greedy(f, selected, coin_rng)
         trace.rounds.append(
             RoundRecord(i, run_trace.alpha, selected, refined, ground)

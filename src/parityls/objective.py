@@ -3,6 +3,7 @@ submodularity/monotonicity checkers and the concrete test families
 (modular, coverage, cut).
 """
 
+import math
 from dataclasses import dataclass, field
 
 CHECK_CAP = 14
@@ -35,10 +36,6 @@ class ValueOracle:
         s = frozenset(edge_set)
         return self.value(s | {e}) - self.value(s)
 
-    def marginal_set(self, added, edge_set) -> float:
-        s = frozenset(edge_set)
-        return self.value(s | frozenset(added)) - self.value(s)
-
 
 class ModularObjective(ValueOracle):
     """f(S) = w0 + sum of per-edge weights; marginals are constant, so the
@@ -48,10 +45,13 @@ class ModularObjective(ValueOracle):
 
     def __init__(self, weights, w0=0.0):
         super().__init__()
-        if w0 < 0:
-            raise ValueError("w0 must be non-negative")
+        if not 0 <= w0 < math.inf:
+            raise ValueError("w0 must be finite and non-negative")
         self.w0 = float(w0)
         self.weights = dict(weights)
+        for e, w in self.weights.items():
+            if not math.isfinite(w):
+                raise ValueError(f"edge {e} has non-finite weight {w}")
 
     def _value(self, s):
         return self.w0 + sum(self.weights[e] for e in s)
@@ -66,8 +66,9 @@ class CoverageObjective(ValueOracle):
     def __init__(self, item_weights, edge_items):
         super().__init__()
         self.item_weights = [float(w) for w in item_weights]
-        if any(w < 0 for w in self.item_weights):
-            raise ValueError("item weights must be non-negative")
+        for i, w in enumerate(self.item_weights):
+            if not 0 <= w < math.inf:
+                raise ValueError(f"item {i} weight {w} is negative or not finite")
         self.edge_items = {e: frozenset(items) for e, items in edge_items.items()}
         for e, items in self.edge_items.items():
             if any(not 0 <= i < len(self.item_weights) for i in items):
@@ -90,8 +91,9 @@ class CutObjective(ValueOracle):
     def __init__(self, weighted_links):
         super().__init__()
         self.links = [(u, v, float(w)) for u, v, w in weighted_links]
-        if any(w < 0 for _, _, w in self.links):
-            raise ValueError("cut weights must be non-negative")
+        for u, v, w in self.links:
+            if not 0 <= w < math.inf:
+                raise ValueError(f"link ({u}, {v}) weight {w} is negative or not finite")
 
     def _value(self, s):
         total = 0.0
@@ -114,12 +116,17 @@ class CheckReport:
         return not self.violations
 
 
-def _value_fn(f):
-    return f.value if hasattr(f, "value") else f
-
-
 def _subset(elems, mask):
     return frozenset(elems[i] for i in range(len(elems)) if mask >> i & 1)
+
+
+def _value_table(f, ground, check):
+    """Sorted ground plus f of every subset, indexed by bit mask."""
+    elems = sorted(ground)
+    if len(elems) > CHECK_CAP:
+        raise ValueError(f"{check} check capped at {CHECK_CAP} elements")
+    fn = f.value if hasattr(f, "value") else f
+    return elems, [fn(_subset(elems, mask)) for mask in range(1 << len(elems))]
 
 
 def check_submodular(f, ground) -> CheckReport:
@@ -129,13 +136,8 @@ def check_submodular(f, ground) -> CheckReport:
     any violation of the general definition yields a single-step one.
     Refuses grounds larger than 14 elements.
     """
-    elems = sorted(ground)
+    elems, table = _value_table(f, ground, "submodularity")
     n = len(elems)
-    if n > CHECK_CAP:
-        raise ValueError(f"submodularity check capped at {CHECK_CAP} elements")
-    fn = _value_fn(f)
-    table = [fn(_subset(elems, mask)) for mask in range(1 << n)]
-
     report = CheckReport(property="submodular", ground=tuple(elems))
     for i in range(n):
         for j in range(n):
@@ -158,13 +160,8 @@ def check_submodular(f, ground) -> CheckReport:
 
 def check_monotone(f, ground) -> CheckReport:
     """Exhaustively verify f(e | S) >= 0 for every S and e outside S."""
-    elems = sorted(ground)
+    elems, table = _value_table(f, ground, "monotonicity")
     n = len(elems)
-    if n > CHECK_CAP:
-        raise ValueError(f"monotonicity check capped at {CHECK_CAP} elements")
-    fn = _value_fn(f)
-    table = [fn(_subset(elems, mask)) for mask in range(1 << n)]
-
     report = CheckReport(property="monotone", ground=tuple(elems))
     for i in range(n):
         bi = 1 << i

@@ -5,10 +5,15 @@ geometrically decreasing thresholds m_i = W * 2^(alpha - i) from the
 largest singleton marginal W, and builds its solution in threshold
 levels: within level i it applies constant-size improving moves whose
 added elements gain at least m_i, removing only elements added at the
-current level. Two equivalent drivers are provided: a stepwise one that
-walks every level index literally, and a fast one that jumps straight to
-the next level that can accept an element. With the same seed both
-return identical solutions and apply identical move sequences.
+current level.
+
+One level loop, ``_drive``, owns the draw, the per-level search, the
+move budget and the trace. The two drivers differ only in the rule that
+picks the next level: ``run_reference`` walks every level index
+literally, and ``run_efficient`` jumps straight to the next level that
+can accept an element. With the same seed both return identical
+solutions and apply identical move sequences. ``bench.solve`` dispatches
+on the solver modes in ``bench.MODES``.
 """
 
 import math
@@ -16,9 +21,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-
-FIRST_SCAN = "first-scan"
-
 
 @dataclass(frozen=True)
 class Thresholds:
@@ -53,26 +55,15 @@ class Improvement:
     added: tuple
     removed: tuple
 
-    @property
-    def add_set(self):
-        return frozenset(self.added)
-
-    @property
-    def remove_set(self):
-        return frozenset(self.removed)
-
 
 @dataclass(frozen=True)
 class SolverConfig:
     epsilon: float
     seed: int = 0
-    policy: str = FIRST_SCAN
 
     def __post_init__(self):
         if not 0 < self.epsilon < 1:
             raise ValueError("epsilon must lie in (0, 1)")
-        if self.policy != FIRST_SCAN:
-            raise ValueError(f"unknown improvement policy {self.policy!r}")
 
 
 @dataclass
@@ -118,10 +109,27 @@ def max_singleton_marginal(f, edge_ids):
     return max(f.marginal(e, frozenset()) for e in sorted(ids))
 
 
+def best_addition(f, cons, chosen):
+    """Largest marginal among feasible additions to ``chosen`` and its
+    edge (ties to the smaller id); (None, None) when nothing fits. Scans
+    ascending ids, checking feasibility before value."""
+    best_gain, best_edge = None, None
+    f_chosen = f.value(chosen)
+    for e in cons.edge_ids:
+        if e in chosen or not cons.feasible(chosen | {e}):
+            continue
+        gain = f.value(chosen | {e}) - f_chosen
+        if best_gain is None or gain > best_gain:
+            best_gain, best_edge = gain, e
+    return best_gain, best_edge
+
+
 def sample_alpha(seed_or_rng):
     """Draw the shift exponent: alpha = 1 - U with U uniform on [0, 1),
     so alpha lands in (0, 1]. Returns (alpha, 2^alpha)."""
-    rng = _as_generator(seed_or_rng)
+    rng = seed_or_rng
+    if not callable(getattr(rng, "random", None)):
+        rng = np.random.Generator(np.random.PCG64(rng))
     alpha = 1.0 - rng.random()
     return alpha, 2.0 ** alpha
 
@@ -198,158 +206,110 @@ def find_improvement(f, cons, settled, current, theta, epsilon):
     return None
 
 
-class _RunState:
-    """Shared bookkeeping for both drivers: current solution, insertion
-    order (by last addition), move budget, and the trace."""
+def _drive(f, cons, config, rng, next_level):
+    """The level loop both drivers share.
 
-    def __init__(self, f, cons, epsilon, thresholds):
-        self.f = f
-        self.cons = cons
-        self.epsilon = epsilon
-        self.trace = RunTrace(
-            scale=thresholds.scale,
-            alpha=thresholds.alpha,
-            shift=thresholds.shift,
-            epsilon=epsilon,
+    Draws the scale and alpha, then asks ``next_level(settled, index,
+    thresholds)`` for the next level index (None ends the run) and runs
+    the first-improvement local search there until no move is left. The
+    applied moves are capped at (1 + 2/eps)|E|. Returns the final edge
+    set and the full trace.
+    """
+    scale = max_singleton_marginal(f, cons.edge_ids)
+    alpha, shift = sample_alpha(config.seed if rng is None else rng)
+    trace = RunTrace(scale=scale, alpha=alpha, shift=shift, epsilon=config.epsilon)
+    if math.isnan(scale) or scale == math.inf:
+        raise ValueError(
+            f"largest singleton marginal is {scale}; value oracle is not finite"
         )
-        self.thresholds = thresholds
-        self.settled = frozenset()
-        self.budget = (1.0 + 2.0 / epsilon) * len(cons.edge_ids)
-        self.applied = 0
-        self._value_calls_0 = f.calls
-        self._feas_calls_0 = cons.feasibility_calls
-
-    def run_level(self, index):
-        """Local search at one level; returns the finalized level content."""
-        theta = self.thresholds.level(index)
+    if scale <= 0:  # -inf for an empty ground
+        return frozenset(), trace
+    thresholds = Thresholds(scale, alpha)
+    budget = (1.0 + 2.0 / config.epsilon) * len(cons.edge_ids)
+    value_calls_0, feas_calls_0 = f.calls, cons.feasibility_calls
+    settled = frozenset()
+    applied = 0
+    index = 0
+    while (index := next_level(settled, index, thresholds)) is not None:
+        theta = thresholds.level(index)
         current = set()
         moves = []
         while True:
-            imp = find_improvement(
-                self.f, self.cons, self.settled, current, theta, self.epsilon
-            )
+            imp = find_improvement(f, cons, settled, current, theta, config.epsilon)
             if imp is None:
                 break
             for y in imp.removed:
                 current.remove(y)
-                self.trace.insertion_order.remove(y)
+                trace.insertion_order.remove(y)
             for x in imp.added:
                 current.add(x)
-                self.trace.insertion_order.append(x)
+                trace.insertion_order.append(x)
             moves.append(imp)
-            self.applied += 1
-            if self.applied > self.budget:
+            applied += 1
+            if applied > budget:
                 raise RuntimeError(
                     "improvement budget (1 + 2/eps)|E| exceeded; "
                     "value oracle is inconsistent"
                 )
-        self.trace.iterations.append(
+        trace.iterations.append(
             IterationRecord(index, theta, moves, tuple(sorted(current)))
         )
-        self.settled = self.settled | current
-        return current
-
-    def finish(self):
-        self.trace.final = self.settled
-        self.trace.value_calls = self.f.calls - self._value_calls_0
-        self.trace.feasibility_calls = (
-            self.cons.feasibility_calls - self._feas_calls_0
-        )
-        return self.settled, self.trace
-
-
-def _as_generator(seed_or_rng):
-    if callable(getattr(seed_or_rng, "random", None)):
-        return seed_or_rng
-    return np.random.Generator(np.random.PCG64(seed_or_rng))
+        settled = settled | current
+    trace.final = settled
+    trace.value_calls = f.calls - value_calls_0
+    trace.feasibility_calls = cons.feasibility_calls - feas_calls_0
+    return settled, trace
 
 
 def run_reference(f, cons, config, rng=None):
     """Stepwise driver: walks level indices one by one, including levels
-    that accept nothing, exactly as the hybrid scheme is defined.
+    that accept nothing, exactly as the hybrid scheme is defined. The
+    walk goes on while some feasible addition has a positive gain (first
+    such edge in ascending ids).
 
     A provable cap on the level index (never binding for a consistent
-    value oracle) turns an endless walk into a loud failure. Returns the
-    final edge set and the full trace.
+    value oracle) turns an endless walk into a loud failure.
     """
-    rng = _as_generator(config.seed if rng is None else rng)
-    scale = max_singleton_marginal(f, cons.edge_ids)
-    alpha, _ = sample_alpha(rng)
-    if not math.isfinite(scale) or scale <= 0:
-        return _empty_run(f, cons, config.epsilon, scale, alpha)
-    thresholds = Thresholds(scale, alpha)
-    state = _RunState(f, cons, config.epsilon, thresholds)
+    min_positive = math.inf
 
-    index = 0
-    min_positive = scale
-    while True:
-        found = _positive_feasible_gain(f, cons, state.settled)
-        if found is None:
-            break
-        min_positive = min(min_positive, found)
-        cap = math.ceil(math.log2(scale) - math.log2(min_positive)) + 2
+    def step(settled, index, thresholds):
+        nonlocal min_positive
+        f_settled = f.value(settled)
+        for e in cons.edge_ids:
+            if e in settled:
+                continue
+            gain = f.value(settled | {e}) - f_settled
+            if gain > 0 and cons.feasible(settled | {e}):
+                break
+        else:
+            return None
+        min_positive = min(min_positive, gain, thresholds.scale)
+        cap = math.ceil(math.log2(thresholds.scale) - math.log2(min_positive)) + 2
         if index + 1 > cap:
             raise RuntimeError(
                 "level index exceeded its provable cap; value oracle is inconsistent"
             )
-        index += 1
-        state.run_level(index)
-    return state.finish()
+        return index + 1
+
+    return _drive(f, cons, config, rng, step)
 
 
 def run_efficient(f, cons, config, rng=None):
-    """Fast driver: computes the best feasible singleton gain, jumps
-    straight to the first level whose threshold admits it, and runs the
-    same local search there. Produces the same output and the same move
-    sequence as the stepwise driver for the same seed.
+    """Fast driver: computes the best feasible singleton gain and jumps
+    straight to the first level whose threshold admits it. Produces the
+    same output and the same move sequence as the stepwise driver for
+    the same seed.
     """
-    rng = _as_generator(config.seed if rng is None else rng)
-    scale = max_singleton_marginal(f, cons.edge_ids)
-    alpha, _ = sample_alpha(rng)
-    if not math.isfinite(scale) or scale <= 0:
-        return _empty_run(f, cons, config.epsilon, scale, alpha)
-    thresholds = Thresholds(scale, alpha)
-    state = _RunState(f, cons, config.epsilon, thresholds)
 
-    index = 0
-    while True:
-        best = None
-        f_settled = f.value(state.settled)
-        for e in cons.edge_ids:
-            if e in state.settled:
-                continue
-            if not cons.feasible(state.settled | {e}):
-                continue
-            gain = f.value(state.settled | {e}) - f_settled
-            if best is None or gain > best:
-                best = gain
+    def jump(settled, index, thresholds):
+        best, _ = best_addition(f, cons, settled)
         if best is None or best <= 0:
-            break
-        nxt = fast_forward(scale, thresholds.shift, best)
+            return None
+        nxt = fast_forward(thresholds.scale, thresholds.shift, best)
         if nxt <= index:
             raise RuntimeError(
                 "fast forward failed to advance; value oracle is inconsistent"
             )
-        index = nxt
-        state.run_level(index)
-    return state.finish()
+        return nxt
 
-
-def _positive_feasible_gain(f, cons, settled):
-    """First positive marginal among feasible additions (ascending ids);
-    None when the run is done."""
-    f_settled = f.value(settled)
-    for e in cons.edge_ids:
-        if e in settled:
-            continue
-        gain = f.value(settled | {e}) - f_settled
-        if gain > 0 and cons.feasible(settled | {e}):
-            return gain
-    return None
-
-
-def _empty_run(f, cons, epsilon, scale, alpha):
-    trace = RunTrace(
-        scale=scale, alpha=alpha, shift=2.0 ** alpha, epsilon=epsilon
-    )
-    return frozenset(), trace
+    return _drive(f, cons, config, rng, jump)

@@ -5,17 +5,19 @@ import json
 import pytest
 
 from parityls.bench import (
+    MODES,
     ExperimentSpec,
     brute_force_opt,
     generate_instance,
     greedy_baseline,
     run_experiment,
     rows_to_csv,
+    solve,
 )
-from parityls.instances import instance_to_json, save_instance
+from parityls.instances import instance_to_json, load_instance, save_instance
 from parityls.kparity import KParityConstraint, from_intersection
 from parityls.matroid import PartitionMatroid, UniformMatroid
-from parityls.objective import ModularObjective
+from parityls.objective import ModularObjective, ValueOracle
 from util import solver_instance, subsets
 
 
@@ -222,3 +224,36 @@ def test_spec_validation():
         ExperimentSpec(source=("gen", "random-parity"), mode="hybrid", trials=0)
     with pytest.raises(ValueError):
         ExperimentSpec(source=("gen", "random-parity"), mode="annealing")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_oracle_calls_column_counts_every_query(mode, tmp_path, monkeypatch):
+    # graphic + cut with 20 edges: nonmonotone runs several rounds on
+    # restricted copies of the constraint, whose queries must count too
+    path = tmp_path / "inst.json"
+    params = {"k": 2, "n_vertices": 30, "n_edges": 20, "matroid": "graphic",
+              "objective": "cut"}
+    save_instance(path, *generate_instance("random-parity", params, seed=4))
+    spec = ExperimentSpec(source=("file", str(path)), mode=mode, seed=9)
+    (row,) = run_experiment(spec)["rows"]
+
+    counted = [0]
+
+    def counting(method):
+        def wrapped(*args):
+            counted[0] += 1
+            return method(*args)
+
+        return wrapped
+
+    cons, f = load_instance(path)
+    monkeypatch.setattr(ValueOracle, "value", counting(ValueOracle.value))
+    monkeypatch.setattr(KParityConstraint, "feasible", counting(KParityConstraint.feasible))
+    solve(mode, f, cons, epsilon=spec.epsilon, seed=row["seed"], ell=spec.ell)
+    assert row["oracle_calls"] == counted[0] > 0
+
+
+def test_solve_rejects_unknown_mode():
+    cons, f = generate_instance("random-parity", {}, seed=1)
+    with pytest.raises(ValueError):
+        solve("annealing", f, cons, epsilon=0.5, seed=0)

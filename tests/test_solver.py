@@ -11,10 +11,13 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from parityls.bench import generate_instance
 from parityls.kparity import KParityConstraint
 from parityls.matroid import UniformMatroid
-from parityls.objective import ModularObjective
+from parityls.objective import CoverageObjective, ModularObjective
 from parityls.solver import (
     Improvement,
     SolverConfig,
@@ -134,7 +137,7 @@ def explore_terminal_sets(f, cons, eps, alpha, limit=200000):
             outer(settled | current, index)
             return
         for imp in moves:
-            inner(settled, (current - imp.remove_set) | imp.add_set, index)
+            inner(settled, (current - frozenset(imp.removed)) | frozenset(imp.added), index)
 
     outer(frozenset(), 0)
     return terminals
@@ -367,7 +370,7 @@ def replay_trace(trace, f, cons):
         for imp in rec.improvements:
             before_size = len(current)
             before_value = f.value(settled | current)
-            current = (current - imp.remove_set) | imp.add_set
+            current = (current - frozenset(imp.removed)) | frozenset(imp.added)
             for y in imp.removed:
                 order.remove(y)
             for x in imp.added:
@@ -444,3 +447,66 @@ def test_budget_guard_trips_on_inconsistent_oracle():
     cons = singleton_parity(UniformMatroid(2, 1))
     with pytest.raises(RuntimeError):
         run_efficient(Clock(), cons, SolverConfig(epsilon=0.5, seed=0))
+
+
+def test_non_finite_scale_raises_and_empty_ground_is_empty():
+    from parityls.objective import ValueOracle
+
+    class Constant(ValueOracle):
+        def __init__(self, nonempty):
+            super().__init__()
+            self.nonempty = nonempty
+
+        def _value(self, s):
+            return self.nonempty if s else 0.0
+
+    cons = singleton_parity(UniformMatroid(2, 1))
+    config = SolverConfig(epsilon=0.5, seed=0)
+    for runner in (run_reference, run_efficient):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="not finite"):
+                runner(Constant(bad), cons, config)
+        empty = KParityConstraint(UniformMatroid(2, 1), [], 1)
+        out, trace = runner(Constant(1.0), empty, config)
+        assert out == frozenset() and trace.scale == -math.inf
+        assert trace.iterations == []
+
+
+# float weights drawn from a small pool, so equal gains and gains that hit
+# a power-of-two threshold exactly (alpha = 1, dyadic weights) are common
+WEIGHT_POOL = (0.1, 0.25, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 4.0)
+
+
+@st.composite
+def float_weight_instances(draw):
+    params = {
+        "k": draw(st.integers(1, 3)),
+        "n_vertices": draw(st.integers(3, 9)),
+        "n_edges": draw(st.integers(2, 7)),
+        "matroid": draw(st.sampled_from(["uniform", "partition", "graphic"])),
+    }
+    cons, _ = generate_instance("random-parity", params, draw(st.integers(0, 2**31)))
+    weight = st.sampled_from(WEIGHT_POOL)
+    if draw(st.booleans()):
+        return cons, ModularObjective({e: draw(weight) for e in cons.edge_ids})
+    n_items = draw(st.integers(1, 6))
+    items = st.frozensets(st.integers(0, n_items - 1), min_size=1)
+    covers = {e: draw(items) for e in cons.edge_ids}
+    return cons, CoverageObjective([draw(weight) for _ in range(n_items)], covers)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    instance=float_weight_instances(),
+    u=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.999)),
+    eps=st.sampled_from([0.1, 0.5]),
+)
+def test_drivers_agree_on_float_weights_and_ties(instance, u, eps):
+    cons, f = instance
+    config = SolverConfig(epsilon=eps, seed=0)
+    ref_out, ref_trace = run_reference(f, cons, config, rng=FixedDraw(u))
+    eff_out, eff_trace = run_efficient(f, cons, config, rng=FixedDraw(u))
+    assert ref_out == eff_out
+    assert ref_trace.applied_sequence() == eff_trace.applied_sequence()
+    replay_trace(ref_trace, f, cons)
+    replay_trace(eff_trace, f, cons)
