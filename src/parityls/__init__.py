@@ -1,31 +1,17 @@
 """Hybrid greedy/local-search maximization of submodular functions under
 matroid k-parity constraints, with exchange machinery, baselines, and
 per-run verification of the charging structure.
+
+The package root re-exports what callers use; everything else is
+imported from its submodule.
 """
 
-from .analysis import (
-    ChargingReport,
-    charge_ratios,
-    insertion_weights,
-    partition_reference,
-    prune_down_monotone,
-    reference_weights,
-    residual_weights,
-    shift_log_ratio,
-    simulate_ratios,
-    verify_run,
-)
-from .bench import (
-    ExperimentSpec,
-    brute_force_opt,
-    generate_instance,
-    greedy_baseline,
-    run_experiment,
-)
-from .exchange import exchange_claim_violations, exchange_structure, greene_magnanti
-from .kparity import Edge, KParityConstraint, ProductMatroid, from_intersection
+from types import ModuleType as _ModuleType
+
+from .analysis import prune_down_monotone, verify_run
+from .bench import MODES, brute_force_opt, generate_instance, greedy_baseline, solve
+from .kparity import Edge, KParityConstraint, from_intersection
 from .matroid import (
-    AxiomReport,
     ExplicitMatroid,
     GraphicMatroid,
     MatroidOracle,
@@ -33,13 +19,7 @@ from .matroid import (
     UniformMatroid,
     axiom_check,
 )
-from .nonmonotone import (
-    RepetitionsConfig,
-    double_greedy,
-    double_greedy_exact_expectation,
-    repetitions,
-    repetitions_with_trace,
-)
+from .nonmonotone import RepetitionsConfig, repetitions_with_trace
 from .objective import (
     CoverageObjective,
     CutObjective,
@@ -48,70 +28,13 @@ from .objective import (
     check_monotone,
     check_submodular,
 )
-from .solver import (
-    Improvement,
-    RunTrace,
-    SolverConfig,
-    Thresholds,
-    fast_forward,
-    find_improvement,
-    max_singleton_marginal,
-    run_efficient,
-    run_reference,
-    sample_alpha,
-)
+from .solver import SolverConfig, run_efficient, run_reference
 
-__all__ = [
-    "AxiomReport",
-    "ChargingReport",
-    "CoverageObjective",
-    "CutObjective",
-    "Edge",
-    "ExperimentSpec",
-    "ExplicitMatroid",
-    "GraphicMatroid",
-    "Improvement",
-    "KParityConstraint",
-    "MatroidOracle",
-    "ModularObjective",
-    "PartitionMatroid",
-    "ProductMatroid",
-    "RepetitionsConfig",
-    "RunTrace",
-    "SolverConfig",
-    "Thresholds",
-    "UniformMatroid",
-    "ValueOracle",
-    "axiom_check",
-    "brute_force_opt",
-    "charge_ratios",
-    "check_monotone",
-    "check_submodular",
-    "double_greedy",
-    "double_greedy_exact_expectation",
-    "exchange_claim_violations",
-    "exchange_structure",
-    "fast_forward",
-    "find_improvement",
-    "from_intersection",
-    "generate_instance",
-    "greedy_baseline",
-    "greene_magnanti",
-    "insertion_weights",
-    "max_singleton_marginal",
-    "partition_reference",
-    "prune_down_monotone",
-    "reference_weights",
-    "repetitions",
-    "repetitions_with_trace",
-    "residual_weights",
-    "run_efficient",
-    "run_experiment",
-    "run_reference",
-    "sample_alpha",
-    "shift_log_ratio",
-    "simulate_ratios",
-    "verify_run",
-]
+# every name imported above, minus the submodules the imports bind
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)
 
 __version__ = "0.1.0"

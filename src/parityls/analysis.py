@@ -42,24 +42,24 @@ def prune_down_monotone(f, reference):
             return frozenset(current)
 
 
-def insertion_weights(trace, f):
-    """Marginal value of each output element along the insertion order."""
+def _prefix_marginals(f, order):
+    """Telescoping marginals: each element's gain over those before it."""
     weights = {}
     prefix = frozenset()
-    for a in trace.insertion_order:
-        weights[a] = f.value(prefix | {a}) - f.value(prefix)
-        prefix = prefix | {a}
+    for x in order:
+        weights[x] = f.value(prefix | {x}) - f.value(prefix)
+        prefix = prefix | {x}
     return weights
+
+
+def insertion_weights(trace, f):
+    """Marginal value of each output element along the insertion order."""
+    return _prefix_marginals(f, trace.insertion_order)
 
 
 def reference_weights(f, reference):
     """Marginal value of each reference element along ascending ids."""
-    weights = {}
-    prefix = frozenset()
-    for o in sorted(reference):
-        weights[o] = f.value(prefix | {o}) - f.value(prefix)
-        prefix = prefix | {o}
-    return weights
+    return _prefix_marginals(f, sorted(reference))
 
 
 def residual_weights(f, solution, reference):
@@ -134,9 +134,14 @@ def charge_ratios(u_value, thresholds: Thresholds, d, linear=False):
         return bracket, ratio, ratio
     if d < 2:
         raise ValueError("the submodular charge ratio requires d >= 2")
+    return bracket, ratio, min(ratio, _ratio_cap(ratio, d))
+
+
+def _ratio_cap(ratio, d):
+    """(1 - (1 - 1/d)/2) / (1 - (1 - 1/d)/r), the submodular cap on the
+    charge ratio r; works elementwise on arrays."""
     keep = 1.0 - 1.0 / d
-    capped = min(ratio, (1.0 - keep / 2.0) / (1.0 - keep / ratio))
-    return bracket, ratio, capped
+    return (1.0 - keep / 2.0) / (1.0 - keep / ratio)
 
 
 def shift_log_ratio(scale, u_value, alpha):
@@ -152,23 +157,16 @@ def shift_log_ratio(scale, u_value, alpha):
     gap = math.log2(scale) - math.log2(u_value)
     i_star = math.floor(gap) + 1
     alpha_star = i_star - gap
-    if alpha < alpha_star:
-        return alpha - alpha_star + 1.0
-    return alpha - alpha_star
+    # below a* the exponent wraps around by one; the boolean adds 0 or 1,
+    # so ``alpha`` may also be an array
+    return alpha - alpha_star + (alpha < alpha_star)
 
 
 def simulate_ratios(scale, u_value, alphas, d):
     """Vectorized charge ratios over an array of shift draws; returns
     (r, rho) arrays. Matches charge_ratios pointwise."""
-    alphas = np.asarray(alphas, dtype=float)
-    gap = math.log2(scale) - math.log2(u_value)
-    i_star = math.floor(gap) + 1
-    alpha_star = i_star - gap
-    beta = np.where(alphas < alpha_star, alphas - alpha_star + 1.0, alphas - alpha_star)
-    r = 2.0 ** beta
-    keep = 1.0 - 1.0 / d
-    rho = np.minimum(r, (1.0 - keep / 2.0) / (1.0 - keep / r))
-    return r, rho
+    r = 2.0 ** shift_log_ratio(scale, u_value, np.asarray(alphas, dtype=float))
+    return r, np.minimum(r, _ratio_cap(r, d))
 
 
 @dataclass

@@ -5,18 +5,21 @@ Instance files look like::
     {"constraint": {"k": 2, "matroid": {...}, "edges": [[vertex ids], ...]},
      "objective": {"modular": {"w0": 0.0, "weights": [[edge id, w], ...]}}}
 
-or, for an intersection-of-matroids constraint::
+or, for an intersection-of-matroids constraint over elements 0..n-1::
 
     {"constraint": {"intersection": [{...matroid...}, ...]},
      "objective": {...}}
 
 Edges listed positionally get ids 0, 1, ...; a parallel "edge_ids" list
-overrides that (needed after ground restrictions).
+overrides that (needed after ground restrictions). Next to
+"intersection", an "edge_ids" list names the elements a restriction kept.
+Loading rejects an objective that names an edge id the constraint lacks,
+or a modular or coverage objective that leaves an edge out.
 """
 
 import json
 
-from .kparity import Edge, KParityConstraint, from_intersection
+from .kparity import Edge, KParityConstraint, ProductMatroid, from_intersection
 from .matroid import (
     ExplicitMatroid,
     GraphicMatroid,
@@ -60,27 +63,41 @@ def matroid_from_json(obj):
     raise ValueError(f"unknown matroid type {kind!r}")
 
 
+def _is_intersection(cons):
+    """True when ``cons`` has from_intersection's encoding: a product
+    matroid, and each edge x made of the vertex copies {x*k + i | i < k}."""
+    m = cons.matroid
+    return (
+        isinstance(m, ProductMatroid)
+        and cons.k == m.k
+        and all(
+            cons.edges[x].vertices == {x * m.k + i for i in range(m.k)}
+            for x in cons.edge_ids
+        )
+    )
+
+
 def constraint_to_json(cons):
-    if cons.intersection_matroids is not None and set(cons.edge_ids) == set(
-        range(len(cons.edge_ids))
-    ):
-        return {
-            "intersection": [matroid_to_json(m) for m in cons.intersection_matroids]
-        }
     ids = list(cons.edge_ids)
-    out = {
-        "k": cons.k,
-        "matroid": matroid_to_json(cons.matroid),
-        "edges": [sorted(cons.edges[i].vertices) for i in ids],
-    }
-    if ids != list(range(len(ids))):
+    if _is_intersection(cons):
+        out = {"intersection": [matroid_to_json(m) for m in cons.matroid.matroids]}
+        dense = range(cons.matroid.n_elements)
+    else:
+        out = {
+            "k": cons.k,
+            "matroid": matroid_to_json(cons.matroid),
+            "edges": [sorted(cons.edges[i].vertices) for i in ids],
+        }
+        dense = range(len(ids))
+    if ids != list(dense):
         out["edge_ids"] = ids
     return out
 
 
 def constraint_from_json(obj):
     if "intersection" in obj:
-        return from_intersection([matroid_from_json(m) for m in obj["intersection"]])
+        cons = from_intersection([matroid_from_json(m) for m in obj["intersection"]])
+        return cons.restrict_ground(obj["edge_ids"]) if "edge_ids" in obj else cons
     matroid = matroid_from_json(obj["matroid"])
     vertex_lists = obj["edges"]
     ids = obj.get("edge_ids", list(range(len(vertex_lists))))
@@ -127,7 +144,24 @@ def instance_to_json(cons, f):
 
 
 def instance_from_json(obj):
-    return constraint_from_json(obj["constraint"]), objective_from_json(obj["objective"])
+    """Rebuild (constraint, objective); raises ValueError when the
+    objective names an edge id the constraint lacks, or when a modular
+    or coverage objective leaves one of the constraint's edges out."""
+    cons = constraint_from_json(obj["constraint"])
+    f = objective_from_json(obj["objective"])
+    if isinstance(f, ModularObjective):
+        field, named, total = "modular weights", set(f.weights), True
+    elif isinstance(f, CoverageObjective):
+        field, named, total = "coverage covers", set(f.edge_items), True
+    else:
+        field, total = "cut weights", False
+        named = {x for u, v, _ in f.links for x in (u, v)}
+    ids = set(cons.edge_ids)
+    if named - ids:
+        raise ValueError(f"objective {field}: unknown edge ids {sorted(named - ids)}")
+    if total and ids - named:
+        raise ValueError(f"objective {field}: missing edge ids {sorted(ids - named)}")
+    return cons, f
 
 
 def save_instance(path, cons, f):

@@ -54,7 +54,6 @@ class KParityConstraint:
         self.edges = {e.id: e for e in edges}
         self.edge_ids = tuple(sorted(self.edges))
         self.feasibility_calls = 0
-        self.intersection_matroids = None  # set by from_intersection
 
     def vertices_of(self, edge_set) -> frozenset:
         out = set()
@@ -74,11 +73,9 @@ class KParityConstraint:
         unknown = keep - set(self.edges)
         if unknown:
             raise ValueError(f"unknown edge ids {sorted(unknown)}")
-        sub = KParityConstraint(
+        return KParityConstraint(
             self.matroid, [self.edges[i] for i in sorted(keep)], self.k
         )
-        sub.intersection_matroids = self.intersection_matroids
-        return sub
 
 
 class ProductMatroid(MatroidOracle):
@@ -121,6 +118,4 @@ def from_intersection(matroids) -> KParityConstraint:
     k = len(matroids)
     product = ProductMatroid(matroids, n)
     edges = [Edge(x, frozenset(x * k + i for i in range(k))) for x in range(n)]
-    cons = KParityConstraint(product, edges, k)
-    cons.intersection_matroids = matroids
-    return cons
+    return KParityConstraint(product, edges, k)

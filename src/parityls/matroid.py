@@ -7,7 +7,6 @@ predicate, so they work for any oracle, including other views.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 AXIOM_CHECK_CAP = 16
 EXPLICIT_CAP = 20
@@ -46,8 +45,8 @@ class MatroidOracle:
     def restrict(self, keep) -> "RestrictedMatroid":
         return RestrictedMatroid(self, keep)
 
-    def contract(self, removed, basis=None) -> "ContractedMatroid":
-        return ContractedMatroid(self, removed, basis)
+    def contract(self, removed) -> "ContractedMatroid":
+        return ContractedMatroid(self, removed)
 
     def truncate(self, new_rank) -> "TruncatedMatroid":
         return TruncatedMatroid(self, new_rank)
@@ -189,28 +188,17 @@ class ContractedMatroid(MatroidOracle):
     A set T is independent iff T together with a fixed maximal
     independent subset of ``removed`` is independent in the base. The
     resulting matroid does not depend on which maximal subset is chosen;
-    the default is picked greedily in ascending id order.
+    this one is picked greedily in ascending id order.
     """
 
-    def __init__(self, base, removed, basis=None):
+    def __init__(self, base, removed):
         removed = frozenset(removed)
         if not removed <= base.ground:
             raise ValueError("contraction set outside base ground")
         super().__init__(base.ground - removed)
         self.base = base
         self.removed = removed
-        if basis is None:
-            basis = base.max_independent_subset(removed)
-        else:
-            basis = frozenset(basis)
-            if not basis <= removed:
-                raise ValueError("basis must be a subset of the contracted set")
-            if not base.is_independent(basis):
-                raise ValueError("basis must be independent in the base matroid")
-            for v in removed - basis:
-                if base._independent(basis | {v}):
-                    raise ValueError("basis must be maximal within the contracted set")
-        self.basis = basis
+        self.basis = base.max_independent_subset(removed)
 
     def _independent(self, s):
         return self.base._independent(s | self.basis)
@@ -299,17 +287,3 @@ def axiom_check(matroid) -> AxiomReport:
                         (tuple(sorted(s)), tuple(sorted(t)))
                     )
     return report
-
-
-def all_independent_sets(matroid):
-    """Every independent set of a desk-scale matroid, as frozensets."""
-    elems = sorted(matroid.ground)
-    if len(elems) > AXIOM_CHECK_CAP:
-        raise ValueError(f"enumeration capped at ground size {AXIOM_CHECK_CAP}")
-    out = []
-    for r in range(len(elems) + 1):
-        for combo in combinations(elems, r):
-            s = frozenset(combo)
-            if matroid.is_independent(s):
-                out.append(s)
-    return out

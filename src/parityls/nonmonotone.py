@@ -60,12 +60,13 @@ def _clipped_gains(f, e, chosen, remaining):
     return max(add_gain, 0.0), max(drop_gain, 0.0)
 
 
-def double_greedy_exact_expectation(f, edge_set, as_fraction=False):
+def double_greedy_exact_expectation(f, edge_set):
     """Exact E[f(T)] of double greedy by branching over every coin flip.
 
     Probabilities and the expectation are carried as exact rationals
     (clipped gains converted exactly, then divided in Fraction space);
-    zero-probability branches are skipped. Capped at 14 elements.
+    zero-probability branches are skipped. Returns a Fraction. Capped
+    at 14 elements.
     """
     elems = sorted(edge_set)
     if len(elems) > EXPECTATION_CAP:
@@ -85,8 +86,7 @@ def double_greedy_exact_expectation(f, edge_set, as_fraction=False):
             total += (1 - p) * walk(pos + 1, chosen, remaining - {e})
         return total
 
-    result = walk(0, frozenset(), frozenset(elems))
-    return result if as_fraction else float(result)
+    return walk(0, frozenset(), frozenset(elems))
 
 
 @dataclass
@@ -144,9 +144,3 @@ def repetitions_with_trace(f, cons, config: RepetitionsConfig):
     trace.best = frozenset() if best is None else best
     trace.best_value = f.value(trace.best) if best is None else best_value
     return trace.best, trace
-
-
-def repetitions(f, cons, config: RepetitionsConfig):
-    """Best of all round outputs and refinements; see repetitions_with_trace."""
-    best, _ = repetitions_with_trace(f, cons, config)
-    return best

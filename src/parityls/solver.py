@@ -11,9 +11,10 @@ One level loop, ``_drive``, owns the draw, the per-level search, the
 move budget and the trace. The two drivers differ only in the rule that
 picks the next level: ``run_reference`` walks every level index
 literally, and ``run_efficient`` jumps straight to the next level that
-can accept an element. With the same seed both return identical
-solutions and apply identical move sequences. ``bench.solve`` dispatches
-on the solver modes in ``bench.MODES``.
+can accept an element (``Thresholds.index_at_most``). With the same
+seed both return identical solutions and apply identical move
+sequences. ``bench.solve`` dispatches on the solver modes in
+``bench.MODES``.
 """
 
 import math
@@ -38,11 +39,26 @@ class Thresholds:
         return 2.0 ** self.alpha
 
     def level(self, i):
-        # same arithmetic as fast_forward, so brackets are bit-exact;
         # scaling by 2^-i is exact, hence level(i-1) == 2 * level(i)
         if i < 0:
             raise ValueError("threshold index must be non-negative")
         return self.scale * self.shift * 2.0 ** (-i)
+
+    def index_at_most(self, gain):
+        """Smallest level index whose threshold is at most ``gain``.
+
+        Computed as ceil(log2(scale * shift) - log2(gain)) and then
+        nudged by one step if floating error left gain outside the
+        bracket m_i <= gain < m_{i-1}.
+        """
+        if gain <= 0:
+            raise ValueError("the level bracket requires a positive gain")
+        i = max(math.ceil(math.log2(self.scale * self.shift) - math.log2(gain)), 0)
+        if self.level(i) > gain:
+            i += 1
+        elif i >= 1 and self.level(i - 1) <= gain:
+            i -= 1
+        return i
 
 
 @dataclass(frozen=True)
@@ -132,28 +148,6 @@ def sample_alpha(seed_or_rng):
         rng = np.random.Generator(np.random.PCG64(rng))
     alpha = 1.0 - rng.random()
     return alpha, 2.0 ** alpha
-
-
-def fast_forward(scale, shift, best_gain):
-    """Smallest level index whose threshold is at most ``best_gain``.
-
-    Computed as ceil(log2(scale * shift) - log2(best_gain)) and then
-    nudged by one step if floating error left best_gain outside the
-    bracket m_i <= best_gain < m_{i-1}.
-    """
-    if best_gain <= 0:
-        raise ValueError("fast forward requires a positive gain")
-    i = math.ceil(math.log2(scale * shift) - math.log2(best_gain))
-    i = max(i, 0)
-
-    def level(j):
-        return scale * shift * 2.0 ** (-j)
-
-    if level(i) > best_gain:
-        i += 1
-    elif i >= 1 and level(i - 1) <= best_gain:
-        i -= 1
-    return i
 
 
 def find_improvement(f, cons, settled, current, theta, epsilon):
@@ -296,16 +290,16 @@ def run_reference(f, cons, config, rng=None):
 
 def run_efficient(f, cons, config, rng=None):
     """Fast driver: computes the best feasible singleton gain and jumps
-    straight to the first level whose threshold admits it. Produces the
-    same output and the same move sequence as the stepwise driver for
-    the same seed.
+    straight to the first level whose threshold admits it
+    (``Thresholds.index_at_most``). Produces the same output and the
+    same move sequence as the stepwise driver for the same seed.
     """
 
     def jump(settled, index, thresholds):
         best, _ = best_addition(f, cons, settled)
         if best is None or best <= 0:
             return None
-        nxt = fast_forward(thresholds.scale, thresholds.shift, best)
+        nxt = thresholds.index_at_most(best)
         if nxt <= index:
             raise RuntimeError(
                 "fast forward failed to advance; value oracle is inconsistent"

@@ -202,7 +202,7 @@ def test_criterion_7_double_greedy_guarantee():
     worst = None
     for f, ground in cases:
         assert len(list(ground)) <= 12
-        exact = double_greedy_exact_expectation(f, ground, as_fraction=True)
+        exact = double_greedy_exact_expectation(f, ground)
         best = max(Fraction(f.value(s)) for s in subsets(ground))
         assert exact >= best / 2  # exact rational comparison, no tolerance
         slack = float(exact - best / 2)

@@ -15,7 +15,7 @@ from parityls.bench import (
     solve,
 )
 from parityls.instances import instance_to_json, load_instance, save_instance
-from parityls.kparity import KParityConstraint, from_intersection
+from parityls.kparity import KParityConstraint, ProductMatroid, from_intersection
 from parityls.matroid import PartitionMatroid, UniformMatroid
 from parityls.objective import ModularObjective, ValueOracle
 from util import solver_instance, subsets
@@ -119,8 +119,8 @@ def test_partition_intersection_is_bipartite_matching_shape():
     cons, _ = generate_instance("k-partition-intersection", {"k": 2, "n_elements": 4}, 3)
     assert cons.k == 2
     assert len(cons.edge_ids) == 4
-    assert cons.intersection_matroids is not None
-    assert len(cons.intersection_matroids) == 2
+    assert isinstance(cons.matroid, ProductMatroid)
+    assert len(cons.matroid.matroids) == 2
 
 
 def test_same_seed_identical_instance_bytes():

@@ -132,6 +132,9 @@ def test_gen_prints_to_stdout_without_out(capsys):
         ('{"constraint": {"k": 2, "matroid": {"type": "uniform", "ground": 2, '
          '"rank": 1}, "edges": [[0]]}, "objective": {"modular": {"weights": '
          '[[0, NaN]]}}}', "non-finite weight"),
+        ('{"constraint": {"k": 1, "matroid": {"type": "uniform", "ground": 2, '
+         '"rank": 1}, "edges": [[0], [1]]}, "objective": {"modular": {"weights": '
+         '[[0, 1.0]]}}}', "objective modular weights: missing edge ids [1]"),
     ],
 )
 def test_malformed_instance_is_one_line_error(tmp_path, capsys, text, reason):

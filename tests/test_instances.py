@@ -6,6 +6,8 @@ from parityls.bench import generate_instance
 from parityls.instances import (
     constraint_from_json,
     constraint_to_json,
+    instance_from_json,
+    instance_to_json,
     load_instance,
     load_trace,
     matroid_from_json,
@@ -15,13 +17,14 @@ from parityls.instances import (
     trace_from_json,
     trace_to_json,
 )
+from parityls.kparity import KParityConstraint, ProductMatroid, from_intersection
 from parityls.matroid import (
     ExplicitMatroid,
     GraphicMatroid,
     PartitionMatroid,
     UniformMatroid,
 )
-from parityls.objective import ModularObjective
+from parityls.objective import CutObjective, ModularObjective
 from parityls.solver import SolverConfig, run_efficient
 from util import solver_instance, subsets
 
@@ -65,6 +68,63 @@ def test_restricted_constraint_keeps_edge_ids():
     assert back.edge_ids == tuple(sorted(keep))
     for s in subsets(keep):
         assert back.feasible(s) == sub.feasible(s)
+
+
+def test_restricted_intersection_round_trip_keeps_edge_ids():
+    matroids = [PartitionMatroid([[0, 1], [2, 3, 4]], [1, 2]), UniformMatroid(5, 2)]
+    cons = from_intersection(matroids)
+    # dense ids: only the matroids are written
+    assert constraint_to_json(cons) == {
+        "intersection": [matroid_to_json(m) for m in matroids]
+    }
+    sub = cons.restrict_ground([1, 3, 4])
+    f = ModularObjective({1: 2.0, 3: 1.0, 4: 5.0})
+    payload = instance_to_json(sub, f)
+    assert payload["constraint"]["edge_ids"] == [1, 3, 4]
+    assert "intersection" in payload["constraint"]
+    back, _ = instance_from_json(payload)
+    assert back.k == 2
+    assert back.edge_ids == (1, 3, 4)
+    for s in subsets(sub.edge_ids):
+        assert back.feasible(s) == sub.feasible(s)
+
+
+def test_product_matroid_outside_the_encoding_cannot_be_saved():
+    product = ProductMatroid([UniformMatroid(3, 1), UniformMatroid(3, 2)], 3)
+    cons = KParityConstraint(product, [[0, 3], [1], [2]], 2)
+    with pytest.raises(ValueError, match="cannot serialize"):
+        constraint_to_json(cons)
+
+
+def _two_edge_instance(objective):
+    constraint = {"k": 1, "matroid": {"type": "uniform", "ground": 2, "rank": 1},
+                  "edges": [[0], [1]]}
+    return {"constraint": constraint, "objective": objective}
+
+
+@pytest.mark.parametrize(
+    "objective, message",
+    [
+        ({"modular": {"weights": [[0, 1.0]]}},
+         "objective modular weights: missing edge ids [1]"),
+        ({"modular": {"weights": [[0, 1.0], [1, 2.0], [5, 1.0]]}},
+         "objective modular weights: unknown edge ids [5]"),
+        ({"coverage": {"item_weights": [1.0], "covers": [[1, [0]]]}},
+         "objective coverage covers: missing edge ids [0]"),
+        ({"cut": {"weights": [[0, 3, 1.0], [1, 2, 1.0]]}},
+         "objective cut weights: unknown edge ids [2, 3]"),
+    ],
+)
+def test_objective_ids_must_match_the_constraint(objective, message):
+    with pytest.raises(ValueError) as info:
+        instance_from_json(_two_edge_instance(objective))
+    assert str(info.value) == message
+
+
+def test_cut_may_leave_edges_unlinked():
+    cons, f = instance_from_json(_two_edge_instance({"cut": {"weights": []}}))
+    assert cons.edge_ids == (0, 1)
+    assert isinstance(f, CutObjective)
 
 
 def test_instance_file_round_trip(tmp_path):

@@ -11,7 +11,6 @@ from parityls.nonmonotone import (
     RepetitionsConfig,
     double_greedy,
     double_greedy_exact_expectation,
-    repetitions,
     repetitions_with_trace,
 )
 from parityls.objective import CutObjective, ModularObjective, ValueOracle
@@ -52,7 +51,7 @@ def test_constant_function():
 
 def test_single_cut_link_expectation():
     f = CutObjective([(0, 1, 1.0)])
-    exact = double_greedy_exact_expectation(f, {0, 1}, as_fraction=True)
+    exact = double_greedy_exact_expectation(f, {0, 1})
     assert exact == Fraction(1)
     assert exact >= Fraction(brute_force_subset_max(f, {0, 1})) / 2
 
@@ -74,7 +73,7 @@ def test_half_guarantee_on_desk_instances():
         cases.append(f)
         grounds.append(cons.edge_ids)
     for f, ground in zip(cases, grounds):
-        exact = double_greedy_exact_expectation(f, ground, as_fraction=True)
+        exact = double_greedy_exact_expectation(f, ground)
         best = max(Fraction(f.value(s)) for s in subsets(ground))
         assert exact >= best / 2
 
@@ -103,7 +102,7 @@ def test_repetitions_single_round_keeps_solver_output():
 
 def test_repetitions_zero_function():
     cons = singleton_parity(UniformMatroid(3, 2))
-    best = repetitions(Constant(0.0), cons, RepetitionsConfig(seed=2))
+    best, _ = repetitions_with_trace(Constant(0.0), cons, RepetitionsConfig(seed=2))
     assert best == frozenset()
 
 

@@ -22,7 +22,6 @@ from parityls.solver import (
     Improvement,
     SolverConfig,
     Thresholds,
-    fast_forward,
     find_improvement,
     max_singleton_marginal,
     run_efficient,
@@ -121,7 +120,7 @@ def explore_terminal_sets(f, cons, eps, alpha, limit=200000):
         if gain is None or gain <= 0:
             terminals.add(settled)
             return
-        nxt = fast_forward(scale, thresholds.shift, gain)
+        nxt = thresholds.index_at_most(gain)
         assert nxt > index
         inner(settled, frozenset(), nxt)
 
@@ -211,20 +210,22 @@ def bracket_by_scan(scale, shift, gain):
 
 
 def test_fast_forward_examples():
-    assert fast_forward(1.0, 2.0, 1.0) == 1
-    assert fast_forward(1.0, 2.0, 0.3) == bracket_by_scan(1.0, 2.0, 0.3) == 3
-    assert fast_forward(1.0, 2.0, 0.5) == bracket_by_scan(1.0, 2.0, 0.5) == 2
+    t = Thresholds(1.0, 1.0)  # shift 2
+    assert t.index_at_most(1.0) == 1
+    assert t.index_at_most(0.3) == bracket_by_scan(1.0, 2.0, 0.3) == 3
+    assert t.index_at_most(0.5) == bracket_by_scan(1.0, 2.0, 0.5) == 2
     with pytest.raises(ValueError):
-        fast_forward(1.0, 2.0, 0.0)
+        t.index_at_most(0.0)
 
 
 def test_fast_forward_brackets_random_inputs():
     rng = rng_for(11)
     for _ in range(500):
         scale = float(rng.uniform(0.1, 50.0))
-        shift = 2.0 ** (1.0 - rng.random())
+        alpha = 1.0 - rng.random()
+        shift = 2.0 ** alpha
         gain = float(rng.uniform(1e-6, 1.0)) * scale
-        i = fast_forward(scale, shift, gain)
+        i = Thresholds(scale, alpha).index_at_most(gain)
         assert i == bracket_by_scan(scale, shift, gain)
         assert scale * shift * 2.0 ** (-i) <= gain
         if i >= 1:
@@ -447,6 +448,28 @@ def test_budget_guard_trips_on_inconsistent_oracle():
     cons = singleton_parity(UniformMatroid(2, 1))
     with pytest.raises(RuntimeError):
         run_efficient(Clock(), cons, SolverConfig(epsilon=0.5, seed=0))
+
+
+@pytest.mark.parametrize(
+    "runner, message",
+    [
+        (run_reference, "level index exceeded its provable cap"),
+        (run_efficient, "fast forward failed to advance"),
+    ],
+)
+def test_level_guards_trip_on_inconsistent_oracle(runner, message):
+    # weights scaled by 1000 on every other pair of queries: the next-level
+    # search sees gains that disagree with the scale and the level scans
+    from parityls.objective import ValueOracle
+
+    class Flipping(ValueOracle):
+        def _value(self, s):
+            total = sum({0: 1.0, 1: 0.01}[e] for e in s)
+            return total * 1000 if (self.calls // 2) % 2 == 1 else total
+
+    cons = KParityConstraint(UniformMatroid(2, 2), [[0], [1]], 1)
+    with pytest.raises(RuntimeError, match=message):
+        runner(Flipping(), cons, SolverConfig(epsilon=0.5, seed=0))
 
 
 def test_non_finite_scale_raises_and_empty_ground_is_empty():
