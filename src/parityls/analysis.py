@@ -124,11 +124,8 @@ def charge_ratios(u_value, thresholds: Thresholds, d, linear=False):
         raise ValueError("reference weight must be positive")
     if thresholds.level(0) < u_value:
         raise ValueError("reference weight exceeds the top threshold")
-    i = 0
-    bracket = thresholds.level(0)
-    while thresholds.level(i + 1) >= u_value:
-        i += 1
-        bracket = thresholds.level(i)
+    j = thresholds.index_at_most(u_value)
+    bracket = thresholds.level(j if thresholds.level(j) == u_value else j - 1)
     ratio = bracket / u_value
     if linear:
         return bracket, ratio, ratio
@@ -145,9 +142,9 @@ def _ratio_cap(ratio, d):
 
 
 def shift_log_ratio(scale, u_value, alpha):
-    """log2 of the threshold/weight ratio as a function of the shift.
+    """log2 of the threshold/weight ratio as a function of alpha.
 
-    Piecewise linear in alpha: with a* the unique shift making some
+    Piecewise linear in alpha: with a* the unique alpha making some
     threshold hit u exactly, the ratio is 2^(alpha - a* + 1) below a*
     and 2^(alpha - a*) from a* on; the result is uniform on [0, 1) when
     alpha is uniform on (0, 1].
@@ -163,7 +160,7 @@ def shift_log_ratio(scale, u_value, alpha):
 
 
 def simulate_ratios(scale, u_value, alphas, d):
-    """Vectorized charge ratios over an array of shift draws; returns
+    """Vectorized charge ratios over an array of alpha draws; returns
     (r, rho) arrays. Matches charge_ratios pointwise."""
     r = 2.0 ** shift_log_ratio(scale, u_value, np.asarray(alphas, dtype=float))
     return r, np.minimum(r, _ratio_cap(r, d))
@@ -354,7 +351,7 @@ def verify_run(trace, f, cons, reference, d=None):
         [] if _leq(singly_total, f_sol - f_empty) else [(singly_total, f_sol - f_empty)],
     )
 
-    thresholds = Thresholds(trace.scale, trace.alpha) if trace.scale > 0 else None
+    thresholds = trace.thresholds if trace.scale > 0 else None
     rho = {}
     if reference and thresholds is None:
         raise RuntimeError("non-empty reference requires a positive scale")

@@ -4,11 +4,11 @@ charging inequalities, run experiment batches, or generate instances.
 
 import argparse
 import json
-import math
 import sys
 
 from .analysis import prune_down_monotone, verify_run
 from .bench import (
+    GENERATOR_KINDS,
     MODES,
     ExperimentSpec,
     brute_force_opt,
@@ -26,8 +26,35 @@ from .instances import (
 from .solver import RunTrace
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A bad command line ends with one line on stderr and exit
+        status 2, like a bad input file."""
+        self.exit(2, f"error: {message}\n")
+
+
+def _checked(convert, ok, rule):
+    """argparse type: ``convert`` the text, then require ``ok(value)``."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {rule}")
+
+    return parse
+
+
+_EPSILON = _checked(float, lambda x: 0 < x < 1, "a number in (0, 1)")
+_ELL = _checked(int, lambda x: x >= 0, "an integer >= 0")
+_PARAMS = _checked(json.loads, lambda x: isinstance(x, dict), "a JSON object")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="parityls",
         description=(
             "Hybrid greedy/local-search maximization of submodular functions "
@@ -39,16 +66,20 @@ def build_parser():
     solve = sub.add_parser("solve", help="run a solver on an instance file")
     solve.add_argument("--instance", required=True)
     solve.add_argument("--mode", default="hybrid", choices=MODES)
-    solve.add_argument("--epsilon", type=float, default=0.5)
+    solve.add_argument("--epsilon", type=_EPSILON, default=0.5)
     solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--ell", type=int, default=0)
-    solve.add_argument("--out", default="", help="write the run trace here (JSON)")
+    solve.add_argument("--ell", type=_ELL, default=0)
+    solve.add_argument(
+        "--out", default="", help="write the run trace here (JSON; hybrid modes only)"
+    )
 
     verify = sub.add_parser("verify", help="check a trace against an instance")
     verify.add_argument("--instance", required=True)
     verify.add_argument("--trace", required=True)
     verify.add_argument(
-        "--d", type=float, default=0.0, help="discrepancy weight (default 2*sqrt(k))"
+        "--d",
+        type=_checked(float, lambda x: x >= 2, "a number >= 2"),
+        help="discrepancy weight, at least 2 (default 2*sqrt(k))",
     )
     verify.add_argument(
         "--reference",
@@ -59,22 +90,29 @@ def build_parser():
 
     bench = sub.add_parser("bench", help="run a batch of trials, write CSV + JSON")
     bench.add_argument("--instance", default="")
-    bench.add_argument("--generator", default="", help="generator kind")
-    bench.add_argument("--params", default="{}", help="generator params as JSON")
+    bench.add_argument("--generator", default="", choices=GENERATOR_KINDS)
+    bench.add_argument("--params", type=_PARAMS, default="{}", help="generator params as JSON")
     bench.add_argument("--mode", default="hybrid", choices=MODES)
-    bench.add_argument("--trials", type=int, default=1)
-    bench.add_argument("--epsilon", type=float, default=0.5)
+    bench.add_argument(
+        "--trials", type=_checked(int, lambda x: x >= 1, "an integer >= 1"), default=1
+    )
+    bench.add_argument("--epsilon", type=_EPSILON, default=0.5)
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--ell", type=int, default=0)
+    bench.add_argument("--ell", type=_ELL, default=0)
     bench.add_argument("--out", required=True)
 
     gen = sub.add_parser("gen", help="generate a seeded instance file")
-    gen.add_argument("--kind", required=True)
-    gen.add_argument("--params", default="{}", help="generator params as JSON")
+    gen.add_argument("--kind", required=True, choices=GENERATOR_KINDS)
+    gen.add_argument("--params", type=_PARAMS, default="{}", help="generator params as JSON")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", default="", help="output path (default stdout)")
 
     return parser
+
+
+def _fail(where, reason):
+    print(f"error: {where}: {reason}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _load(loader, path):
@@ -84,9 +122,7 @@ def _load(loader, path):
     try:
         return loader(path)
     except (OSError, KeyError, TypeError, ValueError) as exc:
-        reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-        print(f"error: {path}: {reason}", file=sys.stderr)
-        raise SystemExit(2) from None
+        _fail(path, f"missing key {exc}" if isinstance(exc, KeyError) else exc)
 
 
 def _read_ids(path):
@@ -95,6 +131,8 @@ def _read_ids(path):
 
 
 def _cmd_solve(args):
+    if args.out and args.mode in ("greedy", "nonmonotone"):
+        _fail("--out", f"mode {args.mode} keeps no run trace to write")
     cons, f = _load(load_instance, args.instance)
     chosen, trace = solve(
         args.mode, f, cons, epsilon=args.epsilon, seed=args.seed, ell=args.ell
@@ -115,13 +153,15 @@ def _cmd_solve(args):
 def _cmd_verify(args):
     cons, f = _load(load_instance, args.instance)
     trace = _load(load_trace, args.trace)
+    unknown = {x for _, imp in trace.applied_sequence() for x in imp.added} - set(cons.edge_ids)
+    if unknown:
+        _fail(args.trace, f"unknown edge ids {sorted(unknown)}")
     if args.reference:
         reference = _load(_read_ids, args.reference)
     else:
         reference, _ = brute_force_opt(f, cons)
     reference = prune_down_monotone(f, reference)
-    d = args.d if args.d > 0 else 2.0 * math.sqrt(cons.k)
-    report = verify_run(trace, f, cons, reference, d=d)
+    report = verify_run(trace, f, cons, reference, d=args.d)
     payload = report.to_json()
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
@@ -150,7 +190,7 @@ def _cmd_bench(args):
         trials=args.trials,
         epsilon=args.epsilon,
         ell=args.ell,
-        params=json.loads(args.params),
+        params=args.params,
         out=args.out,
     )
     result = run_experiment(spec)
@@ -159,7 +199,7 @@ def _cmd_bench(args):
 
 
 def _cmd_gen(args):
-    cons, f = generate_instance(args.kind, json.loads(args.params), args.seed)
+    cons, f = generate_instance(args.kind, args.params, args.seed)
     if args.out:
         save_instance(args.out, cons, f)
         print(f"instance written to {args.out}")

@@ -18,6 +18,7 @@ or a modular or coverage objective that leaves an edge out.
 """
 
 import json
+from dataclasses import asdict
 
 from .kparity import Edge, KParityConstraint, ProductMatroid, from_intersection
 from .matroid import (
@@ -27,7 +28,7 @@ from .matroid import (
     UniformMatroid,
 )
 from .objective import CoverageObjective, CutObjective, ModularObjective
-from .solver import Improvement, IterationRecord, RunTrace
+from .solver import Improvement, RunTrace
 
 
 def matroid_to_json(m):
@@ -175,54 +176,42 @@ def load_instance(path):
         return instance_from_json(json.load(fh))
 
 
+# what a trace stores besides its levels; everything else is derived
+_TRACE_KEYS = ("scale", "alpha", "epsilon", "value_calls", "feasibility_calls")
+
+
 def trace_to_json(trace):
-    return {
-        "scale": trace.scale,
-        "alpha": trace.alpha,
-        "shift": trace.shift,
-        "epsilon": trace.epsilon,
-        "iterations": [
-            {
-                "index": rec.index,
-                "threshold": rec.threshold,
-                "improvements": [
-                    {"kind": imp.kind, "added": list(imp.added), "removed": list(imp.removed)}
-                    for imp in rec.improvements
-                ],
-                "selected": list(rec.selected),
-            }
-            for rec in trace.iterations
-        ],
-        "insertion_order": list(trace.insertion_order),
-        "final": sorted(trace.final),
-        "value_calls": trace.value_calls,
-        "feasibility_calls": trace.feasibility_calls,
-    }
+    out = {key: getattr(trace, key) for key in _TRACE_KEYS}
+    out["iterations"] = [
+        {"index": rec.index, "improvements": [asdict(imp) for imp in rec.improvements]}
+        for rec in trace.iterations
+    ]
+    return out
 
 
 def trace_from_json(obj):
-    trace = RunTrace(
-        scale=obj["scale"],
-        alpha=obj["alpha"],
-        shift=obj["shift"],
-        epsilon=obj["epsilon"],
-    )
+    """Rebuild a trace by replaying each level's moves (``add_level``).
+    Keys of the older format hold derived values (``shift``, ``final``,
+    ``insertion_order``, per-level ``threshold`` and ``selected``); each
+    one present must equal the derived value, or ValueError names it."""
+    trace = RunTrace(**{key: obj[key] for key in _TRACE_KEYS})
+    derived = []
     for rec in obj["iterations"]:
-        trace.iterations.append(
-            IterationRecord(
-                rec["index"],
-                rec["threshold"],
-                [
-                    Improvement(i["kind"], tuple(i["added"]), tuple(i["removed"]))
-                    for i in rec["improvements"]
-                ],
-                tuple(rec["selected"]),
-            )
+        raw = rec["improvements"]
+        trace.add_level(
+            rec["index"],
+            [Improvement(m["kind"], tuple(m["added"]), tuple(m["removed"])) for m in raw],
         )
-    trace.insertion_order = list(obj["insertion_order"])
-    trace.final = frozenset(obj["final"])
-    trace.value_calls = obj["value_calls"]
-    trace.feasibility_calls = obj["feasibility_calls"]
+        level = trace.iterations[-1]
+        derived += [(rec, "threshold", level.threshold), (rec, "selected", list(level.selected))]
+    derived += [
+        (obj, "shift", 2.0 ** trace.alpha),
+        (obj, "final", sorted(trace.final)),
+        (obj, "insertion_order", trace.insertion_order),
+    ]
+    for source, key, value in derived:
+        if key in source and source[key] != value:
+            raise ValueError(f"trace key {key!r} is {source[key]}, but the replay gives {value}")
     return trace
 
 

@@ -145,13 +145,10 @@ class GraphicMatroid(MatroidOracle):
 
 
 class ExplicitMatroid(MatroidOracle):
-    """Matroid given by the full list of independent sets (ground <= 20).
+    """Matroid given by the full list of independent sets (ground <= 20);
+    construction validates the matroid axioms."""
 
-    Construction validates the matroid axioms unless ``validate=False``,
-    which exists so axiom_check can be exercised on broken set systems.
-    """
-
-    def __init__(self, n, independent_sets, validate=True):
+    def __init__(self, n, independent_sets):
         if n > EXPLICIT_CAP:
             raise ValueError(f"explicit matroid capped at ground size {EXPLICIT_CAP}")
         super().__init__(range(n))
@@ -159,10 +156,9 @@ class ExplicitMatroid(MatroidOracle):
         for s in self.independent_sets:
             if not s <= self.ground:
                 raise ValueError("independent set contains out-of-range vertex")
-        if validate:
-            report = axiom_check(self)
-            if not report.ok:
-                raise ValueError(f"not a matroid: {report.summary()}")
+        report = axiom_check(self)
+        if not report.ok:
+            raise ValueError(f"not a matroid: {report.summary()}")
 
     def _independent(self, s):
         return s in self.independent_sets

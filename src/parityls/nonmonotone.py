@@ -111,7 +111,7 @@ def repetitions_with_trace(f, cons, config: RepetitionsConfig):
 
     Round i removes its solver output from the ground before round i+1,
     so the per-round outputs are disjoint. Each round consumes its own
-    pair of child RNG streams (solver shift draw, double-greedy coins),
+    pair of child RNG streams (solver alpha draw, double-greedy coins),
     making rounds individually reproducible.
     """
     ell = config.rounds_for(cons.k)

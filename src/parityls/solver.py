@@ -1,20 +1,20 @@
 """Hybrid greedy/local-search solver for matroid k-parity constraints.
 
-A run draws one random shift exponent alpha in (0, 1], defines
+A run draws one random exponent alpha in (0, 1], defines
 geometrically decreasing thresholds m_i = W * 2^(alpha - i) from the
 largest singleton marginal W, and builds its solution in threshold
 levels: within level i it applies constant-size improving moves whose
 added elements gain at least m_i, removing only elements added at the
 current level.
 
-One level loop, ``_drive``, owns the draw, the per-level search, the
-move budget and the trace. The two drivers differ only in the rule that
-picks the next level: ``run_reference`` walks every level index
-literally, and ``run_efficient`` jumps straight to the next level that
-can accept an element (``Thresholds.index_at_most``). With the same
-seed both return identical solutions and apply identical move
-sequences. ``bench.solve`` dispatches on the solver modes in
-``bench.MODES``.
+One level loop, ``_drive``, owns the draw, the per-level search and the
+move budget; ``RunTrace.add_level`` derives each level's facts from its
+moves. The two drivers differ only in the rule that picks the next
+level: ``run_reference`` walks every level index literally, and
+``run_efficient`` jumps straight to the next level that can accept an
+element (``Thresholds.index_at_most``). With the same seed both return
+identical solutions and apply identical move sequences. ``bench.solve``
+dispatches on the solver modes in ``bench.MODES``.
 """
 
 import math
@@ -34,26 +34,22 @@ class Thresholds:
         if not 0 < self.alpha <= 1:
             raise ValueError("alpha must lie in (0, 1]")
 
-    @property
-    def shift(self):
-        return 2.0 ** self.alpha
-
     def level(self, i):
         # scaling by 2^-i is exact, hence level(i-1) == 2 * level(i)
         if i < 0:
             raise ValueError("threshold index must be non-negative")
-        return self.scale * self.shift * 2.0 ** (-i)
+        return self.scale * 2.0 ** self.alpha * 2.0 ** (-i)
 
     def index_at_most(self, gain):
         """Smallest level index whose threshold is at most ``gain``.
 
-        Computed as ceil(log2(scale * shift) - log2(gain)) and then
-        nudged by one step if floating error left gain outside the
-        bracket m_i <= gain < m_{i-1}.
+        Computed as ceil(log2(m_0) - log2(gain)) and then nudged by one
+        step if floating error left gain outside the bracket
+        m_i <= gain < m_{i-1}.
         """
         if gain <= 0:
             raise ValueError("the level bracket requires a positive gain")
-        i = max(math.ceil(math.log2(self.scale * self.shift) - math.log2(gain)), 0)
+        i = max(math.ceil(math.log2(self.level(0)) - math.log2(gain)), 0)
         if self.level(i) > gain:
             i += 1
         elif i >= 1 and self.level(i - 1) <= gain:
@@ -92,17 +88,47 @@ class IterationRecord:
 
 @dataclass
 class RunTrace:
-    """Full history of one run, sufficient to replay the analysis."""
+    """One run as its draw (scale, alpha, epsilon), each level's index
+    with its applied moves, and its query counts. ``thresholds`` is the
+    draw's threshold family; ``add_level`` derives the rest: level
+    thresholds and contents, insertion order, final set."""
 
     scale: float
     alpha: float
-    shift: float
     epsilon: float
-    iterations: list = field(default_factory=list)
-    insertion_order: list = field(default_factory=list)
-    final: frozenset = frozenset()
     value_calls: int = 0
     feasibility_calls: int = 0
+    iterations: list = field(default_factory=list, init=False)
+    insertion_order: list = field(default_factory=list, init=False)
+    final: frozenset = field(default=frozenset(), init=False)
+    thresholds: Thresholds = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.thresholds = Thresholds(self.scale, self.alpha)
+
+    def add_level(self, index, moves):
+        """Append level ``index`` by replaying its ``moves`` (a list of
+        Improvement) from an empty level. Raises ValueError, leaving the
+        trace as it was, unless the index exceeds the last one, each
+        removed edge is held by the level and each added edge is not yet
+        chosen."""
+        if self.iterations and index <= self.iterations[-1].index:
+            raise ValueError(f"level index {index} does not exceed the previous one")
+        threshold = self.thresholds.level(index)
+        current = {}  # the level's content in insertion order
+        for imp in moves:
+            for y in imp.removed:
+                if y not in current:
+                    raise ValueError(f"level {index}: removes edge {y}, which it does not hold")
+                del current[y]
+            for x in imp.added:
+                if x in current or x in self.final:
+                    raise ValueError(f"level {index}: adds edge {x}, which is already chosen")
+                current[x] = None
+        selected = tuple(sorted(current))
+        self.iterations.append(IterationRecord(index, threshold, moves, selected))
+        self.insertion_order.extend(current)
+        self.final = self.final.union(current)
 
     @property
     def improvement_count(self):
@@ -141,13 +167,12 @@ def best_addition(f, cons, chosen):
 
 
 def sample_alpha(seed_or_rng):
-    """Draw the shift exponent: alpha = 1 - U with U uniform on [0, 1),
-    so alpha lands in (0, 1]. Returns (alpha, 2^alpha)."""
+    """Draw the threshold exponent: alpha = 1 - U with U uniform on
+    [0, 1), so alpha lands in (0, 1]."""
     rng = seed_or_rng
     if not callable(getattr(rng, "random", None)):
         rng = np.random.Generator(np.random.PCG64(rng))
-    alpha = 1.0 - rng.random()
-    return alpha, 2.0 ** alpha
+    return 1.0 - rng.random()
 
 
 def find_improvement(f, cons, settled, current, theta, epsilon):
@@ -207,52 +232,36 @@ def _drive(f, cons, config, rng, next_level):
     thresholds)`` for the next level index (None ends the run) and runs
     the first-improvement local search there until no move is left. The
     applied moves are capped at (1 + 2/eps)|E|. Returns the final edge
-    set and the full trace.
+    set and the trace.
     """
     scale = max_singleton_marginal(f, cons.edge_ids)
-    alpha, shift = sample_alpha(config.seed if rng is None else rng)
-    trace = RunTrace(scale=scale, alpha=alpha, shift=shift, epsilon=config.epsilon)
+    alpha = sample_alpha(config.seed if rng is None else rng)
+    trace = RunTrace(scale=scale, alpha=alpha, epsilon=config.epsilon)
     if math.isnan(scale) or scale == math.inf:
-        raise ValueError(
-            f"largest singleton marginal is {scale}; value oracle is not finite"
-        )
+        raise ValueError(f"largest singleton marginal is {scale}; value oracle is not finite")
     if scale <= 0:  # -inf for an empty ground
         return frozenset(), trace
-    thresholds = Thresholds(scale, alpha)
     budget = (1.0 + 2.0 / config.epsilon) * len(cons.edge_ids)
     value_calls_0, feas_calls_0 = f.calls, cons.feasibility_calls
-    settled = frozenset()
     applied = 0
     index = 0
-    while (index := next_level(settled, index, thresholds)) is not None:
-        theta = thresholds.level(index)
+    while (index := next_level(trace.final, index, trace.thresholds)) is not None:
+        theta = trace.thresholds.level(index)
         current = set()
         moves = []
-        while True:
-            imp = find_improvement(f, cons, settled, current, theta, config.epsilon)
-            if imp is None:
-                break
-            for y in imp.removed:
-                current.remove(y)
-                trace.insertion_order.remove(y)
-            for x in imp.added:
-                current.add(x)
-                trace.insertion_order.append(x)
+        while imp := find_improvement(f, cons, trace.final, current, theta, config.epsilon):
+            current.difference_update(imp.removed)
+            current.update(imp.added)
             moves.append(imp)
             applied += 1
             if applied > budget:
                 raise RuntimeError(
-                    "improvement budget (1 + 2/eps)|E| exceeded; "
-                    "value oracle is inconsistent"
+                    "improvement budget (1 + 2/eps)|E| exceeded; value oracle is inconsistent"
                 )
-        trace.iterations.append(
-            IterationRecord(index, theta, moves, tuple(sorted(current)))
-        )
-        settled = settled | current
-    trace.final = settled
+        trace.add_level(index, moves)
     trace.value_calls = f.calls - value_calls_0
     trace.feasibility_calls = cons.feasibility_calls - feas_calls_0
-    return settled, trace
+    return trace.final, trace
 
 
 def run_reference(f, cons, config, rng=None):

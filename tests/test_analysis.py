@@ -21,7 +21,7 @@ from parityls.kparity import KParityConstraint
 from parityls.matroid import UniformMatroid
 from parityls.objective import CoverageObjective, ModularObjective
 from parityls.solver import SolverConfig, Thresholds, run_efficient
-from util import analysis_instance, rng_for
+from util import SetSystem, analysis_instance, rng_for
 
 
 def singleton_parity(matroid):
@@ -179,6 +179,23 @@ def test_charge_ratio_errors():
         charge_ratios(0.3, thresholds, 1.5)  # submodular branch needs d >= 2
 
 
+def test_charge_ratio_bracket_matches_level_walk():
+    # the bracket comes from Thresholds.index_at_most; the walk down the
+    # levels is the definition: the smallest threshold >= u. Odd draws put
+    # u exactly on a threshold.
+    rng = rng_for(4242)
+    for n in range(20_000):
+        t = Thresholds(float(rng.uniform(0.1, 50.0)), 1.0 - rng.random())
+        if n % 2:
+            u = t.level(int(rng.integers(0, 40)))
+        else:
+            u = float(rng.uniform(1e-9, 1.0)) * t.level(0)
+        i = 0
+        while t.level(i + 1) >= u:
+            i += 1
+        assert charge_ratios(u, t, 2.0)[0] == t.level(i)
+
+
 def test_shift_log_ratio_examples():
     gap = math.log2(1.0) - math.log2(0.3)
     alpha_star = 2 - gap
@@ -275,14 +292,13 @@ def test_verify_run_empty_ground():
 def test_verify_run_reports_tampered_trace():
     # recorded weight sits below its level threshold; the bracket check
     # must flag it
-    from parityls.solver import IterationRecord, RunTrace
+    from parityls.solver import Improvement, RunTrace
 
     cons = singleton_parity(UniformMatroid(3, 2))
     f = ModularObjective({0: 4, 1: 3, 2: 2})
-    fake = RunTrace(scale=4.0, alpha=1.0, shift=2.0, epsilon=0.5)
-    fake.iterations = [IterationRecord(1, 4.0, [], (0, 1))]
-    fake.insertion_order = [0, 1]
-    fake.final = frozenset({0, 1})
+    fake = RunTrace(scale=4.0, alpha=1.0, epsilon=0.5)
+    fake.add_level(1, [Improvement(1, (0,), ()), Improvement(1, (1,), ())])
+    assert fake.iterations[0].threshold == 4.0
     report = verify_run(fake, f, cons, frozenset({2}), d=2.0)
     assert not report.ok
     assert "level-weight-bracket" in [c.name for c in report.failed()]
@@ -292,16 +308,13 @@ def test_verify_run_reports_broken_partition():
     # non-matroid oracle: neither of the reference vertices can augment
     # the recorded solution, so the partition's feasibility invariant
     # breaks and must land in the report, not escape as an exception
-    from parityls.matroid import ExplicitMatroid
-    from parityls.solver import Improvement, IterationRecord, RunTrace
+    from parityls.solver import Improvement, RunTrace
 
-    broken = ExplicitMatroid(3, [[], [0], [1], [2], [1, 2]], validate=False)
+    broken = SetSystem(3, [[], [0], [1], [2], [1, 2]])
     cons = KParityConstraint(broken, [[0], [1], [2]], 1)
     f = ModularObjective({0: 4, 1: 3, 2: 2})
-    fake = RunTrace(scale=4.0, alpha=1.0, shift=2.0, epsilon=0.5)
-    fake.iterations = [IterationRecord(1, 4.0, [Improvement(1, (0,), ())], (0,))]
-    fake.insertion_order = [0]
-    fake.final = frozenset({0})
+    fake = RunTrace(scale=4.0, alpha=1.0, epsilon=0.5)
+    fake.add_level(1, [Improvement(1, (0,), ())])
     report = verify_run(fake, f, cons, frozenset({1, 2}), d=2.0)
     assert not report.ok
     assert [c.name for c in report.failed()] == ["partition-feasible"]

@@ -1,10 +1,12 @@
 """End-to-end CLI flows: gen, solve, verify, bench."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from parityls.cli import main
+from parityls.instances import load_trace, trace_to_json
 
 
 def test_gen_solve_verify_roundtrip(tmp_path, capsys):
@@ -164,3 +166,62 @@ def test_malformed_trace_is_one_line_error(tmp_path, capsys):
         main(["verify", "--instance", str(instance), "--trace", str(trace)])
     assert exit_info.value.code == 2
     assert capsys.readouterr().err == f"error: {trace}: missing key 'alpha'\n"
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["solve", "--epsilon", "1.5"], "argument --epsilon: '1.5' is not a number in (0, 1)"),
+        (["solve", "--epsilon", "nan"], "argument --epsilon: 'nan' is not a number in (0, 1)"),
+        (["solve", "--ell", "-1"], "argument --ell: '-1' is not an integer >= 0"),
+        (["verify", "--trace", "t.json", "--d", "1"], "argument --d: '1' is not a number >= 2"),
+        (["verify", "--trace", "t.json", "--d", "-5"], "argument --d: '-5' is not a number >= 2"),
+        (["bench", "--out", "x", "--trials", "0"], "argument --trials: '0' is not an integer >= 1"),
+        (["bench", "--out", "x", "--params", "{bad"], "argument --params: '{bad' is not a JSON"),
+        (["gen", "--kind", "bogus"], "argument --kind: invalid choice: 'bogus'"),
+        (["gen", "--kind", "random-parity", "--params", "[1]"], "is not a JSON object"),
+    ],
+)
+def test_bad_option_is_one_line_error(capsys, argv, reason):
+    if argv[0] in ("solve", "verify"):
+        argv = argv + ["--instance", str(DATA / "instance.json")]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and reason in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mode", ["greedy", "nonmonotone"])
+def test_solve_out_needs_a_run_trace(tmp_path, capsys, mode):
+    out = tmp_path / "trace.json"
+    argv = ["solve", "--instance", str(DATA / "instance.json"), "--mode", mode, "--out", str(out)]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == f"error: --out: mode {mode} keeps no run trace to write\n"
+    assert not out.exists()
+
+
+def test_verify_checks_trace_edges_and_legacy_keys(tmp_path, capsys):
+    instance = str(DATA / "instance.json")
+    assert main(["verify", "--instance", instance, "--trace", str(DATA / "trace.json")]) == 0
+    capsys.readouterr()
+    unknown = trace_to_json(load_trace(DATA / "trace.json"))
+    unknown["iterations"][2]["improvements"][0]["added"] = [99]
+    tampered = dict(json.loads((DATA / "trace.json").read_text()), shift=1.0)
+    for payload, reason in [
+        (unknown, "unknown edge ids [99]"),
+        (tampered, "trace key 'shift' is 1.0"),
+    ]:
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "--instance", instance, "--trace", str(path)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {reason}") and err.count("\n") == 1

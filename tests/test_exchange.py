@@ -9,7 +9,7 @@ from parityls.exchange import (
 )
 from parityls.kparity import KParityConstraint, from_intersection
 from parityls.matroid import GraphicMatroid, PartitionMatroid, UniformMatroid
-from util import exchange_scale_instance, random_feasible_set, rng_for
+from util import SetSystem, exchange_scale_instance, random_feasible_set, rng_for
 
 
 def is_base(matroid, vertices):
@@ -133,10 +133,6 @@ def test_claim_checker_catches_bad_witness():
 def test_partition_search_exhaustion_flags_broken_oracle():
     # not a matroid: {1} cannot augment into {2, 3}, so no valid partition
     # of T exists and the search must fail loudly
-    from parityls.matroid import ExplicitMatroid
-
-    broken = ExplicitMatroid(
-        4, [[], [0], [1], [2], [3], [0, 1], [2, 3]], validate=False
-    )
+    broken = SetSystem(4, [[], [0], [1], [2], [3], [0, 1], [2, 3]])
     with pytest.raises(RuntimeError):
         greene_magnanti(broken, {0, 1}, {2, 3}, [{0}, {1}])

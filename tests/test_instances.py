@@ -1,5 +1,8 @@
 """JSON round-trips for matroids, constraints, objectives, and traces."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from parityls.bench import generate_instance
@@ -24,9 +27,16 @@ from parityls.matroid import (
     PartitionMatroid,
     UniformMatroid,
 )
+from parityls.analysis import prune_down_monotone, verify_run
+from parityls.bench import brute_force_opt
 from parityls.objective import CutObjective, ModularObjective
 from parityls.solver import SolverConfig, run_efficient
 from util import solver_instance, subsets
+
+# written by `parityls solve --mode hybrid --seed 3 --out` in the older trace
+# format, which also stored shift, final, insertion_order and each level's
+# threshold and selected content
+DATA = Path(__file__).parent / "data"
 
 
 def test_matroid_round_trip():
@@ -142,11 +152,13 @@ def test_instance_file_round_trip(tmp_path):
 def test_trace_round_trip(tmp_path):
     cons, f = solver_instance(5)
     out, trace = run_efficient(f, cons, SolverConfig(epsilon=0.5, seed=5))
-    back = trace_from_json(trace_to_json(trace))
-    assert back.final == trace.final
-    assert back.insertion_order == trace.insertion_order
-    assert back.applied_sequence() == trace.applied_sequence()
-    assert back.alpha == trace.alpha and back.scale == trace.scale
+    payload = trace_to_json(trace)
+    assert set(payload) == {
+        "scale", "alpha", "epsilon", "iterations", "value_calls", "feasibility_calls"
+    }
+    assert all(set(rec) == {"index", "improvements"} for rec in payload["iterations"])
+    back = trace_from_json(payload)
+    assert back == trace
 
     path = tmp_path / "trace.json"
     save_trace(path, trace)
@@ -160,3 +172,59 @@ def test_modular_w0_survives_round_trip():
     back = objective_from_json(objective_to_json(f))
     assert back.w0 == 1.5
     assert back.value({0, 3}) == 2.5
+
+
+def legacy_trace():
+    return json.loads((DATA / "trace.json").read_text())
+
+
+def test_legacy_trace_replays_to_a_fresh_run():
+    cons, f = load_instance(DATA / "instance.json")
+    out, fresh = run_efficient(f, cons, SolverConfig(epsilon=0.5, seed=3))
+    loaded = load_trace(DATA / "trace.json")
+    assert loaded.applied_sequence() == fresh.applied_sequence()
+    assert loaded.final == fresh.final == out
+    assert loaded.insertion_order == fresh.insertion_order
+    assert [rec.threshold for rec in loaded.iterations] == [
+        rec.threshold for rec in fresh.iterations
+    ]
+    assert loaded == fresh
+    # the fixture exercises a swap, so the insertion order is not sorted
+    assert loaded.insertion_order != sorted(loaded.final)
+    reference = prune_down_monotone(f, brute_force_opt(f, cons)[0])
+    assert verify_run(loaded, f, cons, reference).ok
+
+
+@pytest.mark.parametrize(
+    "key, tamper",
+    [
+        ("shift", lambda t: t.update(shift=t["shift"] * 2)),
+        ("final", lambda t: t["final"].pop()),
+        ("insertion_order", lambda t: t["insertion_order"].reverse()),
+        ("threshold", lambda t: t["iterations"][1].update(threshold=1.0)),
+        ("selected", lambda t: t["iterations"][2].update(selected=[2])),
+    ],
+)
+def test_tampered_legacy_key_is_rejected(key, tamper):
+    obj = legacy_trace()
+    tamper(obj)
+    with pytest.raises(ValueError, match=f"trace key '{key}'"):
+        trace_from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "level, move, change, message",
+    [
+        (1, None, {"index": 1}, "level index 1 does not exceed"),
+        (0, None, {"index": -1}, "non-negative"),
+        (1, 1, {"removed": [3]}, "removes edge 3"),
+        (2, 0, {"added": [3]}, "adds edge 3"),
+        (1, 1, {"added": [2], "removed": []}, "adds edge 2"),
+    ],
+)
+def test_inconsistent_moves_are_rejected(level, move, change, message):
+    obj = trace_to_json(trace_from_json(legacy_trace()))
+    rec = obj["iterations"][level]
+    (rec if move is None else rec["improvements"][move]).update(change)
+    with pytest.raises(ValueError, match=message):
+        trace_from_json(obj)

@@ -15,6 +15,7 @@ from parityls.matroid import (
     axiom_check,
 )
 from parityls.objective import check_monotone, check_submodular
+from util import SetSystem
 
 
 def subsets(elems):
@@ -163,19 +164,19 @@ def test_axiom_check_passes_for_families():
 
 
 def test_axiom_check_same_size_antichain_passes():
-    m = ExplicitMatroid(2, [[], [0], [1]], validate=False)
+    m = SetSystem(2, [[], [0], [1]])
     assert axiom_check(m).ok
 
 
 def test_axiom_check_flags_down_closedness():
-    m = ExplicitMatroid(2, [[], [0, 1]], validate=False)
+    m = SetSystem(2, [[], [0, 1]])
     report = axiom_check(m)
     assert not report.ok
     assert report.down_closed_violations
 
 
 def test_axiom_check_flags_augmentation():
-    m = ExplicitMatroid(3, [[], [0], [1], [2], [1, 2]], validate=False)
+    m = SetSystem(3, [[], [0], [1], [2], [1, 2]])
     report = axiom_check(m)
     assert not report.ok
     assert report.augmentation_violations

@@ -6,6 +6,7 @@ branching explorer of every possible improvement sequence (checked
 against the drivers' outputs).
 """
 
+import copy
 import math
 from itertools import combinations
 
@@ -20,6 +21,7 @@ from parityls.matroid import UniformMatroid
 from parityls.objective import CoverageObjective, ModularObjective
 from parityls.solver import (
     Improvement,
+    RunTrace,
     SolverConfig,
     Thresholds,
     find_improvement,
@@ -169,11 +171,9 @@ def test_all_negative_weights_solve_to_empty():
 
 
 def test_sample_alpha_boundaries():
-    alpha, shift = sample_alpha(np.random.Generator(np.random.PCG64(0)))
-    assert 0 < alpha <= 1 and shift == 2.0 ** alpha
-    assert sample_alpha(FixedDraw(0.0)) == (1.0, 2.0)
-    a, s = sample_alpha(FixedDraw(0.5))
-    assert a == 0.5 and abs(s - math.sqrt(2)) < 1e-15
+    assert 0 < sample_alpha(np.random.Generator(np.random.PCG64(0))) <= 1
+    assert sample_alpha(FixedDraw(0.0)) == 1.0
+    assert sample_alpha(FixedDraw(0.5)) == 0.5
 
 
 def test_sample_alpha_uniformity():
@@ -434,6 +434,27 @@ def test_trace_insertion_order_tracks_last_addition():
         out, trace = run_efficient(f, cons, SolverConfig(epsilon=0.1, seed=seed))
         assert frozenset(trace.insertion_order) == out
         assert len(trace.insertion_order) == len(out)
+
+
+def test_add_level_derives_level_facts_and_rejects_bad_moves():
+    trace = RunTrace(scale=4.0, alpha=1.0, epsilon=0.5)
+    trace.add_level(1, [Improvement(1, (0,), ()), Improvement(2, (2,), (0,))])
+    trace.add_level(3, [Improvement(1, (1,), ())])
+    assert [(rec.threshold, rec.selected) for rec in trace.iterations] == [
+        (4.0, (2,)),
+        (1.0, (1,)),
+    ]
+    assert trace.insertion_order == [2, 1] and trace.final == {1, 2}
+    before = copy.deepcopy(trace)
+    for index, moves in [
+        (3, []),  # indices must strictly increase
+        (4, [Improvement(1, (3,), ()), Improvement(2, (4,), (1,))]),  # 1 is settled
+        (4, [Improvement(1, (3,), ()), Improvement(1, (3,), ())]),  # 3 is held
+        (4, [Improvement(1, (2,), ())]),  # 2 is settled
+    ]:
+        with pytest.raises(ValueError):
+            trace.add_level(index, moves)
+        assert trace == before
 
 
 def test_budget_guard_trips_on_inconsistent_oracle():

@@ -1,11 +1,13 @@
 """Shared helpers for the test suite: subset enumeration, random feasible
-sets, and the seeded desk-scale instance batteries."""
+sets, a set system that need not be a matroid, and the seeded
+desk-scale instance batteries."""
 
 from itertools import combinations
 
 import numpy as np
 
 from parityls.bench import generate_instance
+from parityls.matroid import MatroidOracle
 
 
 def subsets(elems):
@@ -13,6 +15,18 @@ def subsets(elems):
     for r in range(len(elems) + 1):
         for combo in combinations(elems, r):
             yield frozenset(combo)
+
+
+class SetSystem(MatroidOracle):
+    """Independence oracle over 0..n-1 listing its independent sets, with
+    no axiom check: stands in for a broken (non-matroid) oracle."""
+
+    def __init__(self, n, independent_sets):
+        super().__init__(range(n))
+        self.independent_sets = frozenset(frozenset(s) for s in independent_sets)
+
+    def _independent(self, s):
+        return s in self.independent_sets
 
 
 def rng_for(seed):
