@@ -161,6 +161,8 @@ def _gen_random_parity(params, rng):
     n_vertices = int(params.get("n_vertices", 8))
     n_edges = int(params.get("n_edges", 4))
     matroid_kind = params.get("matroid", "uniform")
+    if k < 1 or n_vertices < 0 or n_edges < 0:
+        raise ValueError("need k >= 1, n_vertices >= 0, n_edges >= 0")
     order = rng.permutation(n_vertices).tolist()
     edges = []
     pos = 0
@@ -177,6 +179,8 @@ def _gen_random_parity(params, rng):
     elif matroid_kind == "graphic":
         # one graph link per matroid vertex; rank is bounded by nodes - 1
         n_nodes = int(params.get("n_nodes", max(3, n_vertices // 2)))
+        if n_nodes < 2:
+            raise ValueError("need n_nodes >= 2 for a graphic matroid")
         links = [
             tuple(sorted(rng.choice(n_nodes, size=2, replace=False).tolist()))
             for _ in range(n_vertices)

@@ -125,6 +125,15 @@ def _load(loader, path):
         _fail(path, f"missing key {exc}" if isinstance(exc, KeyError) else exc)
 
 
+def _generate(kind, params, seed):
+    """``generate_instance``; generator parameters it rejects end the
+    command with one line on stderr and exit status 2."""
+    try:
+        return generate_instance(kind, params, seed)
+    except ValueError as exc:
+        _fail("--params", exc)
+
+
 def _read_ids(path):
     with open(path, encoding="utf-8") as fh:
         return frozenset(json.load(fh))
@@ -180,8 +189,11 @@ def _cmd_verify(args):
 def _cmd_bench(args):
     if bool(args.instance) == bool(args.generator):
         raise SystemExit("bench needs exactly one of --instance / --generator")
+    # fail cleanly before the batch starts
     if args.instance:
-        _load(load_instance, args.instance)  # fail cleanly before the batch starts
+        _load(load_instance, args.instance)
+    else:
+        _generate(args.generator, args.params, args.seed)
     source = ("file", args.instance) if args.instance else ("gen", args.generator)
     spec = ExperimentSpec(
         source=source,
@@ -199,7 +211,7 @@ def _cmd_bench(args):
 
 
 def _cmd_gen(args):
-    cons, f = generate_instance(args.kind, args.params, args.seed)
+    cons, f = _generate(args.kind, args.params, args.seed)
     if args.out:
         save_instance(args.out, cons, f)
         print(f"instance written to {args.out}")

@@ -4,11 +4,15 @@ An edge is a group of at most k matroid vertices; a set of edges is
 feasible when the union of their vertex groups is independent in the
 underlying matroid. Matroid k-intersection reduces to this form via one
 vertex copy per (element, matroid) pair.
+
+``KParityConstraint.context`` answers feasibility queries around one
+fixed edge set, the way the solver's scans ask them: what if these
+edges were added and those removed.
 """
 
 from dataclasses import dataclass
 
-from .matroid import MatroidOracle
+from .matroid import EMPTY, MatroidContext, MatroidOracle
 
 
 @dataclass(frozen=True)
@@ -29,7 +33,8 @@ class KParityConstraint:
 
     Edges carry stable integer ids; every deterministic scan elsewhere in
     the package walks them in ascending id order. ``feasibility_calls``
-    counts oracle queries and is the only mutable state.
+    counts oracle queries, one per ``feasible`` call here or on one of
+    its contexts, and is the only mutable state.
     """
 
     def __init__(self, matroid: MatroidOracle, edges, k: int):
@@ -56,16 +61,32 @@ class KParityConstraint:
         self.feasibility_calls = 0
 
     def vertices_of(self, edge_set) -> frozenset:
-        out = set()
-        for eid in edge_set:
-            if eid not in self.edges:
-                raise ValueError(f"unknown edge id {eid}")
-            out |= self.edges[eid].vertices
+        """Union of the vertex groups of the edge ids in ``edge_set``.
+        Contexts ask about one or two edges at a time; those sizes take
+        a short path."""
+        edges = self.edges
+        try:
+            if len(edge_set) == 1:
+                for eid in edge_set:
+                    return edges[eid].vertices
+            if len(edge_set) == 2:
+                a, b = edge_set
+                return edges[a].vertices | edges[b].vertices
+            out = set()
+            for eid in edge_set:
+                out |= edges[eid].vertices
+        except KeyError as exc:
+            raise ValueError(f"unknown edge id {exc.args[0]}") from None
         return frozenset(out)
 
     def feasible(self, edge_set) -> bool:
         self.feasibility_calls += 1
         return self.matroid.is_independent(self.vertices_of(edge_set))
+
+    def context(self, edge_set) -> "FeasibilityContext":
+        """Feasibility queries around the fixed edge set ``edge_set``;
+        see FeasibilityContext."""
+        return FeasibilityContext(self, edge_set)
 
     def restrict_ground(self, keep_ids) -> "KParityConstraint":
         """Same matroid, edge list cut down to ``keep_ids``."""
@@ -75,6 +96,35 @@ class KParityConstraint:
             raise ValueError(f"unknown edge ids {sorted(unknown)}")
         return KParityConstraint(
             self.matroid, [self.edges[i] for i in sorted(keep)], self.k
+        )
+
+
+class FeasibilityContext:
+    """Feasibility queries around one fixed edge set of a constraint.
+
+    ``feasible(add, remove)`` answers ``cons.feasible((edge_set - remove)
+    | add)`` and counts one query on the constraint, like that call. The
+    matroid context of the edge set's vertices is built at the first
+    query, so a context nobody asks costs nothing; an unknown edge id
+    raises ValueError then.
+    """
+
+    def __init__(self, cons, edge_set):
+        self.cons = cons
+        self.edge_set = frozenset(edge_set)
+        self._matroid_context = None
+
+    def feasible(self, add, remove=()) -> bool:
+        cons = self.cons
+        cons.feasibility_calls += 1
+        around = self._matroid_context
+        if around is None:
+            # edge vertices were checked against the ground at construction
+            around = self._matroid_context = cons.matroid._context(
+                cons.vertices_of(self.edge_set)
+            )
+        return around.independent_with(
+            cons.vertices_of(add), cons.vertices_of(remove) if remove else EMPTY
         )
 
 
@@ -92,11 +142,36 @@ class ProductMatroid(MatroidOracle):
         super().__init__(range(n_elements * self.k))
 
     def _independent(self, s):
+        return all(
+            m.is_independent(sl) for m, sl in zip(self.matroids, self._slices(s))
+        )
+
+    def _slices(self, s):
+        """Per-matroid slices {x | x * k + i in s}, i < k."""
         slices = [set() for _ in range(self.k)]
         for v in s:
             slices[v % self.k].add(v // self.k)
+        return [frozenset(sl) for sl in slices]
+
+    def _context(self, s):
+        return _ProductContext(self, s)
+
+
+class _ProductContext(MatroidContext):
+    """One context per slice matroid; a query splits its sets into
+    slices and asks each slice's context."""
+
+    def __init__(self, matroid, base):
+        super().__init__(matroid, base)
+        self.slices = [
+            m.context(sl) for m, sl in zip(matroid.matroids, matroid._slices(base))
+        ]
+
+    def independent_with(self, add=EMPTY, remove=EMPTY):
+        m = self.matroid
         return all(
-            m.is_independent(sl) for m, sl in zip(self.matroids, slices)
+            ctx.independent_with(a, r)
+            for ctx, a, r in zip(self.slices, m._slices(add), m._slices(remove))
         )
 
 

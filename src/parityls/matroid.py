@@ -4,6 +4,10 @@ Vertices are integer ids (dense 0..n-1 for the concrete families). A
 matroid is exposed purely through its independence predicate; rank and
 the restriction/contraction/truncation views are built on top of that
 predicate, so they work for any oracle, including other views.
+
+A context (``MatroidOracle.context``) answers independence queries
+around one fixed vertex set: each family keeps what it needs about that
+set, so a query costs about the size of the change, not of the set.
 """
 
 from dataclasses import dataclass, field
@@ -36,6 +40,19 @@ class MatroidOracle:
 
     def _independent(self, s: frozenset) -> bool:
         raise NotImplementedError
+
+    def context(self, base) -> "MatroidContext":
+        """Independence queries around the fixed vertex set ``base``;
+        see MatroidContext."""
+        s = frozenset(base)
+        if not s <= self.ground:
+            raise ValueError(
+                f"vertices {sorted(s - self.ground)} outside ground set"
+            )
+        return self._context(s)
+
+    def _context(self, s: frozenset) -> "MatroidContext":
+        return MatroidContext(self, s)
 
     def rank(self, vertices=None) -> int:
         """Largest independent subset size, by greedy augmentation in id order."""
@@ -76,6 +93,9 @@ class UniformMatroid(MatroidOracle):
     def _independent(self, s):
         return len(s) <= self.rank_cap
 
+    def _context(self, s):
+        return _SizeContext(self, s, self.rank_cap)
+
 
 class PartitionMatroid(MatroidOracle):
     """At most ``capacities[i]`` vertices from each block; blocks cover 0..n-1."""
@@ -109,6 +129,9 @@ class PartitionMatroid(MatroidOracle):
                 return False
         return True
 
+    def _context(self, s):
+        return _BlockContext(self, s)
+
 
 class GraphicMatroid(MatroidOracle):
     """Forests of an undirected multigraph; matroid vertices are graph edges.
@@ -127,6 +150,11 @@ class GraphicMatroid(MatroidOracle):
         self.links = links
 
     def _independent(self, s):
+        return self._forest(s) is not None
+
+    def _forest(self, s):
+        """Union-find parent array of the nodes after joining the links
+        in ``s``, or None when one of them closes a cycle."""
         parent = list(range(self.n_nodes))
 
         def find(x):
@@ -135,13 +163,19 @@ class GraphicMatroid(MatroidOracle):
                 x = parent[x]
             return x
 
-        for i in sorted(s):
+        for i in s:
             u, v = self.links[i]
             ru, rv = find(u), find(v)
             if ru == rv:
-                return False
+                return None
             parent[ru] = rv
-        return True
+        return parent
+
+    def _context(self, s):
+        parent = self._forest(s)
+        if parent is None:
+            return MatroidContext(self, s)
+        return _ForestContext(self, s, _flatten(parent))
 
 
 class ExplicitMatroid(MatroidOracle):
@@ -177,6 +211,9 @@ class RestrictedMatroid(MatroidOracle):
     def _independent(self, s):
         return self.base._independent(s)
 
+    def _context(self, s):
+        return self.base._context(s)
+
 
 class ContractedMatroid(MatroidOracle):
     """View of ``base`` after contracting ``removed``.
@@ -199,6 +236,10 @@ class ContractedMatroid(MatroidOracle):
     def _independent(self, s):
         return self.base._independent(s | self.basis)
 
+    def _context(self, s):
+        # queries stay inside this ground, which is disjoint from the basis
+        return self.base._context(s | self.basis)
+
 
 class TruncatedMatroid(MatroidOracle):
     """View of ``base`` with rank capped at ``new_rank``."""
@@ -213,6 +254,125 @@ class TruncatedMatroid(MatroidOracle):
 
     def _independent(self, s):
         return len(s) <= self.new_rank and self.base._independent(s)
+
+    def _context(self, s):
+        return _SizeContext(self, s, self.new_rank, self.base._context(s))
+
+
+EMPTY = frozenset()
+
+
+class MatroidContext:
+    """Independence queries around one fixed vertex set ``base``.
+
+    ``independent_with(add, remove)`` answers whether
+    ``(base - remove) | add`` is independent. ``add`` and ``remove`` are
+    frozensets of ground vertices and are not checked, as for
+    ``_independent``. This generic form evaluates that set; the
+    concrete families keep what they need about ``base`` instead.
+    """
+
+    def __init__(self, matroid, base):
+        self.matroid = matroid
+        self.base = base
+
+    def independent_with(self, add=EMPTY, remove=EMPTY):
+        return self.matroid._independent((self.base - remove) | add)
+
+
+class _SizeContext(MatroidContext):
+    """At most ``cap`` vertices, and independent in ``inner`` if given
+    (uniform matroids and truncations)."""
+
+    def __init__(self, matroid, base, cap, inner=None):
+        super().__init__(matroid, base)
+        self.cap = cap
+        self.inner = inner
+
+    def independent_with(self, add=EMPTY, remove=EMPTY):
+        base = self.base
+        size = len(base) + len(add - base) - (len((remove & base) - add) if remove else 0)
+        return size <= self.cap and (
+            self.inner is None or self.inner.independent_with(add, remove)
+        )
+
+
+class _BlockContext(MatroidContext):
+    """Partition matroids: the room the base leaves in each block
+    (negative when the base is over capacity there), and the blocks
+    where it is over."""
+
+    def __init__(self, matroid, base):
+        super().__init__(matroid, base)
+        room = self.room = list(matroid.capacities)
+        over = self.over = []
+        block_of = matroid._block_of
+        for v in base:
+            b = block_of[v]
+            room[b] -= 1
+            if room[b] == -1:
+                over.append(b)
+
+    def independent_with(self, add=EMPTY, remove=EMPTY):
+        base, block_of = self.base, self.matroid._block_of
+        use = {}  # net vertices the query puts into each block it touches
+        for v in add - base:
+            b = block_of[v]
+            use[b] = use.get(b, 0) + 1
+        if remove:
+            for v in (remove & base) - add:
+                b = block_of[v]
+                use[b] = use.get(b, 0) - 1
+        for b in self.over:
+            if b not in use:
+                return False
+        room = self.room
+        for b, n in use.items():
+            if n > room[b]:
+                return False
+        return True
+
+
+class _ForestContext(MatroidContext):
+    """Graphic matroids whose base is a forest: the component label of
+    every node in the base forest, and, built on first use, in the
+    forest ``base - removed`` for each removed set asked about. An
+    addition is independent iff its links join distinct components
+    without closing a cycle among themselves."""
+
+    def __init__(self, matroid, base, labels):
+        super().__init__(matroid, base)
+        self.labels = {EMPTY: labels}
+
+    def independent_with(self, add=EMPTY, remove=EMPTY):
+        base = self.base
+        removed = (remove & base) - add if remove else EMPTY
+        labels = self.labels.get(removed)
+        if labels is None:
+            labels = self.labels[removed] = _flatten(self.matroid._forest(base - removed))
+        links = self.matroid.links
+        joined = {}
+        for v in add - base:
+            u, w = links[v]
+            a, b = labels[u], labels[w]
+            while a in joined:
+                a = joined[a]
+            while b in joined:
+                b = joined[b]
+            if a == b:
+                return False
+            joined[a] = b
+        return True
+
+
+def _flatten(parent):
+    """Point every node of a union-find parent array at its root, in
+    place; the roots then label the components."""
+    for x, r in enumerate(parent):
+        while parent[r] != r:
+            r = parent[r]
+        parent[x] = r
+    return parent
 
 
 @dataclass

@@ -68,6 +68,10 @@ class Improvement:
     removed: tuple
 
 
+# (kind, edges added, edges removed) of each move kind
+MOVE_SHAPES = ((1, 1, 0), (2, 1, 1), (3, 2, 1))
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     epsilon: float
@@ -109,9 +113,12 @@ class RunTrace:
     def add_level(self, index, moves):
         """Append level ``index`` by replaying its ``moves`` (a list of
         Improvement) from an empty level. Raises ValueError, leaving the
-        trace as it was, unless the index exceeds the last one, each
-        removed edge is held by the level and each added edge is not yet
-        chosen."""
+        trace as it was, unless the index is an int >= 0 that exceeds
+        the last one, each removed edge is held by the level, each added
+        edge is not yet chosen and each move has its kind's shape
+        (MOVE_SHAPES)."""
+        if not isinstance(index, int) or isinstance(index, bool):
+            raise ValueError(f"level index {index!r} is not an integer")
         if self.iterations and index <= self.iterations[-1].index:
             raise ValueError(f"level index {index} does not exceed the previous one")
         threshold = self.thresholds.level(index)
@@ -125,6 +132,11 @@ class RunTrace:
                 if x in current or x in self.final:
                     raise ValueError(f"level {index}: adds edge {x}, which is already chosen")
                 current[x] = None
+            if (imp.kind, len(imp.added), len(imp.removed)) not in MOVE_SHAPES:
+                raise ValueError(
+                    f"level {index}: move of kind {imp.kind!r} adding {len(imp.added)} and "
+                    f"removing {len(imp.removed)} edges is not a move of the solver"
+                )
         selected = tuple(sorted(current))
         self.iterations.append(IterationRecord(index, threshold, moves, selected))
         self.insertion_order.extend(current)
@@ -157,8 +169,9 @@ def best_addition(f, cons, chosen):
     ascending ids, checking feasibility before value."""
     best_gain, best_edge = None, None
     f_chosen = f.value(chosen)
+    fits = cons.context(chosen)
     for e in cons.edge_ids:
-        if e in chosen or not cons.feasible(chosen | {e}):
+        if e in chosen or not fits.feasible((e,)):
             continue
         gain = f.value(chosen | {e}) - f_chosen
         if best_gain is None or gain > best_gain:
@@ -183,43 +196,41 @@ def find_improvement(f, cons, settled, current, theta, epsilon):
     ``current``; then two-for-one moves over unordered pairs {x1, x2}
     lexicographic with y from ``current``, trying the smaller id as the
     first-inserted element before the other labeling. All feasibility
-    checks are on (A | S) \\ N. Returns None at a local optimum.
+    checks are on (A | S) \\ N, asked of one context around the base.
+    Returns None at a local optimum.
     """
     base = frozenset(settled) | frozenset(current)
     outside = [e for e in cons.edge_ids if e not in base]
     removable = sorted(current)
     f_base = f.value(base)
-    marg = {}
-
-    def gain(x):
-        if x not in marg:
-            marg[x] = f.value(base | {x}) - f_base
-        return marg[x]
-
+    fits = cons.context(base)
+    gain = {}
     for x in outside:
-        if gain(x) >= theta and cons.feasible(base | {x}):
+        gain[x] = f.value(base | {x}) - f_base
+        if gain[x] >= theta and fits.feasible((x,)):
             return Improvement(1, (x,), ())
 
+    # from here on the gain of every outside edge is known
     for x in outside:
-        if gain(x) < theta:
+        if gain[x] < theta:
             continue
-        with_x = base | {x}
         for y in removable:
-            swapped = with_x - {y}
-            if cons.feasible(swapped) and f.value(swapped) >= f_base + epsilon * theta:
+            if not fits.feasible((x,), (y,)):
+                continue
+            if f.value((base | {x}) - {y}) >= f_base + epsilon * theta:
                 return Improvement(2, (x,), (y,))
 
     for p, q in combinations(outside, 2):
-        if gain(p) < theta and gain(q) < theta:
+        gain_p, gain_q = gain[p], gain[q]
+        if gain_p < theta and gain_q < theta:
             continue
-        with_pair = base | {p, q}
         for y in removable:
-            if not cons.feasible(with_pair - {y}):
+            if not fits.feasible((p, q), (y,)):
                 continue
-            f_pair = f.value(with_pair)
-            if gain(p) >= theta and f_pair - (f_base + gain(p)) >= theta:
+            f_pair = f.value(base | {p, q})
+            if gain_p >= theta and f_pair - (f_base + gain_p) >= theta:
                 return Improvement(3, (p, q), (y,))
-            if gain(q) >= theta and f_pair - (f_base + gain(q)) >= theta:
+            if gain_q >= theta and f_pair - (f_base + gain_q) >= theta:
                 return Improvement(3, (q, p), (y,))
             break  # labelings do not depend on y; this pair is dead
     return None
@@ -278,11 +289,12 @@ def run_reference(f, cons, config, rng=None):
     def step(settled, index, thresholds):
         nonlocal min_positive
         f_settled = f.value(settled)
+        fits = cons.context(settled)
         for e in cons.edge_ids:
             if e in settled:
                 continue
             gain = f.value(settled | {e}) - f_settled
-            if gain > 0 and cons.feasible(settled | {e}):
+            if gain > 0 and fits.feasible((e,)):
                 break
         else:
             return None

@@ -15,7 +15,12 @@ from parityls.bench import (
     solve,
 )
 from parityls.instances import instance_to_json, load_instance, save_instance
-from parityls.kparity import KParityConstraint, ProductMatroid, from_intersection
+from parityls.kparity import (
+    FeasibilityContext,
+    KParityConstraint,
+    ProductMatroid,
+    from_intersection,
+)
 from parityls.matroid import PartitionMatroid, UniformMatroid
 from parityls.objective import ModularObjective, ValueOracle
 from util import solver_instance, subsets
@@ -144,6 +149,14 @@ def test_generator_rejects_bad_input():
         generate_instance("k-partition-intersection", {"k": 0}, 1)
     with pytest.raises(ValueError):
         generate_instance("random-parity", {"objective": "nope"}, 1)
+    for params, rule in [
+        ({"k": 0}, "need k >= 1, n_vertices >= 0, n_edges >= 0"),
+        ({"n_vertices": -1}, "need k >= 1, n_vertices >= 0, n_edges >= 0"),
+        ({"n_edges": -2}, "need k >= 1, n_vertices >= 0, n_edges >= 0"),
+        ({"matroid": "graphic", "n_nodes": 1}, "need n_nodes >= 2 for a graphic matroid"),
+    ]:
+        with pytest.raises(ValueError, match=rule):
+            generate_instance("random-parity", params, 1)
 
 
 def test_experiment_deterministic_rows_and_csv(tmp_path):
@@ -249,6 +262,7 @@ def test_oracle_calls_column_counts_every_query(mode, tmp_path, monkeypatch):
     cons, f = load_instance(path)
     monkeypatch.setattr(ValueOracle, "value", counting(ValueOracle.value))
     monkeypatch.setattr(KParityConstraint, "feasible", counting(KParityConstraint.feasible))
+    monkeypatch.setattr(FeasibilityContext, "feasible", counting(FeasibilityContext.feasible))
     solve(mode, f, cons, epsilon=spec.epsilon, seed=row["seed"], ell=spec.ell)
     assert row["oracle_calls"] == counted[0] > 0
 

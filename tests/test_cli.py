@@ -225,3 +225,50 @@ def test_verify_checks_trace_edges_and_legacy_keys(tmp_path, capsys):
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: {reason}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "params, rule",
+    [
+        ('{"k": 0}', "need k >= 1, n_vertices >= 0, n_edges >= 0"),
+        ('{"n_edges": -1}', "need k >= 1, n_vertices >= 0, n_edges >= 0"),
+        ('{"matroid": "graphic", "n_nodes": 1}', "need n_nodes >= 2 for a graphic matroid"),
+        ('{"objective": "nope"}', "unknown objective family 'nope'"),
+    ],
+)
+def test_bad_generator_params_are_one_line_error(tmp_path, capsys, params, rule):
+    for argv in (
+        ["gen", "--kind", "random-parity", "--params", params],
+        ["bench", "--generator", "random-parity", "--params", params,
+         "--out", str(tmp_path / "out")],
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == f"error: --params: {rule}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (lambda t: t["iterations"][1].update(index=3.5), "level index 3.5 is not an integer"),
+        (lambda t: t["iterations"][0].update(index=True), "level index True is not an integer"),
+        (lambda t: t["iterations"][0]["improvements"][0].update(kind=7),
+         "level 1: move of kind 7 adding 1 and removing 0 edges is not a move"),
+        (lambda t: t["iterations"][1]["improvements"][1].update(removed=[]),
+         "level 3: move of kind 2 adding 1 and removing 0 edges is not a move"),
+    ],
+)
+def test_trace_off_the_lattice_or_with_a_foreign_move_is_one_line_error(
+    tmp_path, capsys, edit, reason
+):
+    payload = json.loads((DATA / "trace.json").read_text())
+    edit(payload)
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--instance", str(DATA / "instance.json"), "--trace", str(path)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {reason}") and err.count("\n") == 1

@@ -451,6 +451,12 @@ def test_add_level_derives_level_facts_and_rejects_bad_moves():
         (4, [Improvement(1, (3,), ()), Improvement(2, (4,), (1,))]),  # 1 is settled
         (4, [Improvement(1, (3,), ()), Improvement(1, (3,), ())]),  # 3 is held
         (4, [Improvement(1, (2,), ())]),  # 2 is settled
+        (4.5, []),  # off the threshold lattice
+        (True, []),  # a bool is not a level index
+        (4, [Improvement(7, (3,), ())]),  # no such move kind
+        (4, [Improvement(1, (3, 4), ())]),  # kind 1 adds one edge
+        (4, [Improvement(1, (3,), ()), Improvement(2, (4,), ())]),  # a swap removes one
+        (4, [Improvement(1, (3,), ()), Improvement(3, (4,), (3,))]),  # kind 3 adds two
     ]:
         with pytest.raises(ValueError):
             trace.add_level(index, moves)
