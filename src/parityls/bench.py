@@ -14,12 +14,17 @@ from .kparity import Edge, KParityConstraint, from_intersection
 from .matroid import GraphicMatroid, PartitionMatroid, UniformMatroid
 from .nonmonotone import RepetitionsConfig, repetitions_with_trace
 from .objective import CoverageObjective, CutObjective, ModularObjective
-from .solver import RunTrace, SolverConfig, best_addition, run_efficient, run_reference
+from .solver import RunTrace, SolverConfig, run_efficient, run_reference
 
 BRUTE_FORCE_CAP = 20
 OPT_COLUMN_CAP = 12
 
 MODES = ("greedy", "hybrid", "hybrid-reference", "nonmonotone")
+
+# numeric generator parameters and the type each is read as
+_NUMERIC_PARAMS = {"link_prob": float, "w0": float} | dict.fromkeys((
+    "k", "n_elements", "n_universe", "n_edges", "n_vertices", "rank", "n_nodes",
+    "weight_lo", "weight_hi", "n_items"), int)
 
 GENERATOR_KINDS = (
     "k-partition-intersection",
@@ -48,10 +53,18 @@ def greedy_baseline(f, cons):
     (ties to the smaller id); stop when none remains."""
     chosen = frozenset()
     while True:
-        gain, edge = best_addition(f, cons, chosen)
-        if gain is None or gain <= 0:
+        best_gain, best_edge = 0.0, None
+        f_chosen = f.value(chosen)
+        fits = cons.context(chosen)
+        for e in cons.edge_ids:
+            if e in chosen or not fits.feasible((e,)):
+                continue
+            gain = f.value(chosen | {e}) - f_chosen
+            if gain > best_gain:
+                best_gain, best_edge = gain, e
+        if best_edge is None:
             return chosen
-        chosen = chosen | {edge}
+        chosen = chosen | {best_edge}
 
 
 def brute_force_opt(f, cons):
@@ -89,13 +102,31 @@ def generate_instance(kind, params, seed):
       k-uniform-set-packing-via-parity - vertex-disjoint selection of random
                                        k-element subsets of a universe;
       random-parity                  - random disjoint edges of size <= k
-                                       over a uniform or partition matroid.
+                                       over a uniform, partition or graphic
+                                       matroid.
     Objectives come from the modular/coverage/cut families with integer
-    weights, so all solver comparisons are exact.
+    weights, so all solver comparisons are exact. A bad parameter is a
+    ValueError naming its rule, raised before any random draw, so valid
+    parameters draw as they would without the checks.
     """
     if kind not in GENERATOR_KINDS:
         raise ValueError(f"unknown generator kind {kind!r}")
     params = dict(params or {})
+    for name, cast in _NUMERIC_PARAMS.items():
+        if name in params:
+            try:
+                params[name] = cast(params[name])
+            except (TypeError, ValueError, OverflowError):
+                got = params[name]
+                raise ValueError(f"need {name} of type {cast.__name__}, got {got!r}") from None
+    family = params.get("objective", "modular")
+    hi = params.get("weight_hi", 10)
+    if family == "modular" and params.get("weight_lo", 1) > hi:
+        raise ValueError("need weight_lo <= weight_hi")
+    if family in ("coverage", "cut") and hi < 1:
+        raise ValueError(f"need weight_hi >= 1 for a {family} objective")
+    if family == "coverage" and params.get("n_items", 1) < 1:
+        raise ValueError("need n_items >= 1 for a coverage objective")
     rng = np.random.Generator(np.random.PCG64(seed))
 
     if kind == "k-partition-intersection":
@@ -110,8 +141,8 @@ def generate_instance(kind, params, seed):
 
 
 def _gen_partition_intersection(params, rng):
-    k = int(params.get("k", 2))
-    n = int(params.get("n_elements", 6))
+    k = params.get("k", 2)
+    n = params.get("n_elements", 6)
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n_elements >= 1")
     return from_intersection([_random_partition_matroid(n, rng) for _ in range(k)])
@@ -129,9 +160,9 @@ def _random_partition_matroid(n, rng):
 
 
 def _gen_set_packing(params, rng):
-    k = int(params.get("k", 3))
-    n_universe = int(params.get("n_universe", 8))
-    n_edges = int(params.get("n_edges", 5))
+    k = params.get("k", 3)
+    n_universe = params.get("n_universe", 8)
+    n_edges = params.get("n_edges", 5)
     if k < 1 or n_universe < k or n_edges < 1:
         raise ValueError("need k >= 1, n_universe >= k, n_edges >= 1")
     hyperedges = [
@@ -157,9 +188,9 @@ def _gen_set_packing(params, rng):
 
 
 def _gen_random_parity(params, rng):
-    k = int(params.get("k", 2))
-    n_vertices = int(params.get("n_vertices", 8))
-    n_edges = int(params.get("n_edges", 4))
+    k = params.get("k", 2)
+    n_vertices = params.get("n_vertices", 8)
+    n_edges = params.get("n_edges", 4)
     matroid_kind = params.get("matroid", "uniform")
     if k < 1 or n_vertices < 0 or n_edges < 0:
         raise ValueError("need k >= 1, n_vertices >= 0, n_edges >= 0")
@@ -178,7 +209,7 @@ def _gen_random_parity(params, rng):
         matroid = _random_partition_matroid(n_vertices, rng)
     elif matroid_kind == "graphic":
         # one graph link per matroid vertex; rank is bounded by nodes - 1
-        n_nodes = int(params.get("n_nodes", max(3, n_vertices // 2)))
+        n_nodes = params.get("n_nodes", max(3, n_vertices // 2))
         if n_nodes < 2:
             raise ValueError("need n_nodes >= 2 for a graphic matroid")
         links = [
@@ -194,13 +225,13 @@ def _gen_random_parity(params, rng):
 def _gen_objective(params, cons, rng):
     family = params.get("objective", "modular")
     ids = cons.edge_ids
-    lo = int(params.get("weight_lo", 1))
-    hi = int(params.get("weight_hi", 10))
+    lo = params.get("weight_lo", 1)
+    hi = params.get("weight_hi", 10)
     if family == "modular":
         weights = {e: int(rng.integers(lo, hi + 1)) for e in ids}
-        return ModularObjective(weights, w0=float(params.get("w0", 0.0)))
+        return ModularObjective(weights, w0=params.get("w0", 0.0))
     if family == "coverage":
-        n_items = int(params.get("n_items", max(4, 2 * len(ids))))
+        n_items = params.get("n_items", max(4, 2 * len(ids)))
         item_weights = [int(rng.integers(1, hi + 1)) for _ in range(n_items)]
         edge_items = {}
         for e in ids:
@@ -213,7 +244,7 @@ def _gen_objective(params, cons, rng):
         links = []
         for i, u in enumerate(ids):
             for v in ids[i + 1 :]:
-                if rng.random() < float(params.get("link_prob", 0.5)):
+                if rng.random() < params.get("link_prob", 0.5):
                     links.append((u, v, int(rng.integers(1, hi + 1))))
         return CutObjective(links)
     raise ValueError(f"unknown objective family {family!r}")

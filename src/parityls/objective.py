@@ -1,6 +1,5 @@
-"""Set-function value oracles with marginal helpers, plus desk-scale
-submodularity/monotonicity checkers and the concrete test families
-(modular, coverage, cut).
+"""Set-function value oracles, desk-scale submodularity/monotonicity
+checkers and the concrete test families (modular, coverage, cut).
 """
 
 import math
@@ -31,10 +30,6 @@ class ValueOracle:
 
     def _value(self, s: frozenset) -> float:
         raise NotImplementedError
-
-    def marginal(self, e, edge_set) -> float:
-        s = frozenset(edge_set)
-        return self.value(s | {e}) - self.value(s)
 
 
 class ModularObjective(ValueOracle):

@@ -9,12 +9,13 @@ current level.
 
 One level loop, ``_drive``, owns the draw, the per-level search and the
 move budget; ``RunTrace.add_level`` derives each level's facts from its
-moves. The two drivers differ only in the rule that picks the next
-level: ``run_reference`` walks every level index literally, and
-``run_efficient`` jumps straight to the next level that can accept an
-element (``Thresholds.index_at_most``). With the same seed both return
-identical solutions and apply identical move sequences. ``bench.solve``
-dispatches on the solver modes in ``bench.MODES``.
+moves. The two drivers differ only in the next-level rule, and both
+rules read the gains of the scan that ended the last level:
+``run_reference`` walks every level index literally, and
+``run_efficient`` jumps to the next level that can accept an element
+(``Thresholds.index_at_most``). With the same seed both return identical
+solutions and move sequences. ``bench.solve`` dispatches on the solver
+modes in ``bench.MODES``.
 """
 
 import math
@@ -93,15 +94,15 @@ class IterationRecord:
 @dataclass
 class RunTrace:
     """One run as its draw (scale, alpha, epsilon), each level's index
-    with its applied moves, and its query counts. ``thresholds`` is the
-    draw's threshold family; ``add_level`` derives the rest: level
-    thresholds and contents, insertion order, final set."""
+    with its applied moves, and its query counts (equality ignores them).
+    ``thresholds`` is the draw's threshold family; ``add_level`` derives
+    the rest: level thresholds and contents, insertion order, final set."""
 
     scale: float
     alpha: float
     epsilon: float
-    value_calls: int = 0
-    feasibility_calls: int = 0
+    value_calls: int = field(default=0, compare=False)
+    feasibility_calls: int = field(default=0, compare=False)
     iterations: list = field(default_factory=list, init=False)
     insertion_order: list = field(default_factory=list, init=False)
     final: frozenset = field(default=frozenset(), init=False)
@@ -155,28 +156,12 @@ class RunTrace:
 
 
 def max_singleton_marginal(f, edge_ids):
-    """Largest f(e | empty) over the ground set; feasibility is not
-    consulted. Empty grounds give -inf, which shuts the run down."""
-    ids = list(edge_ids)
-    if not ids:
-        return float("-inf")
-    return max(f.marginal(e, frozenset()) for e in sorted(ids))
-
-
-def best_addition(f, cons, chosen):
-    """Largest marginal among feasible additions to ``chosen`` and its
-    edge (ties to the smaller id); (None, None) when nothing fits. Scans
-    ascending ids, checking feasibility before value."""
-    best_gain, best_edge = None, None
-    f_chosen = f.value(chosen)
-    fits = cons.context(chosen)
-    for e in cons.edge_ids:
-        if e in chosen or not fits.feasible((e,)):
-            continue
-        gain = f.value(chosen | {e}) - f_chosen
-        if best_gain is None or gain > best_gain:
-            best_gain, best_edge = gain, e
-    return best_gain, best_edge
+    """The scale W = largest f({e}) - f(empty) over the ground set, and
+    that gain for every edge (ascending ids); feasibility is not
+    consulted. Empty grounds give (-inf, {}), which shuts the run down."""
+    f_empty = f.value(frozenset())
+    gain = {e: f.value({e}) - f_empty for e in sorted(edge_ids)}
+    return max(gain.values(), default=float("-inf")), gain
 
 
 def sample_alpha(seed_or_rng):
@@ -188,7 +173,7 @@ def sample_alpha(seed_or_rng):
     return 1.0 - rng.random()
 
 
-def find_improvement(f, cons, settled, current, theta, epsilon):
+def find_improvement(f, cons, settled, current, theta, epsilon, gain):
     """First improving move for ``settled | current`` at level theta.
 
     Deterministic first-improvement scan: single additions over x
@@ -197,14 +182,16 @@ def find_improvement(f, cons, settled, current, theta, epsilon):
     lexicographic with y from ``current``, trying the smaller id as the
     first-inserted element before the other labeling. All feasibility
     checks are on (A | S) \\ N, asked of one context around the base.
-    Returns None at a local optimum.
+    Returns None at a local optimum. ``gain`` is emptied, then filled
+    with f(base + x) - f(base) for each outside edge x the scan
+    evaluates, in ascending ids: all of them when it returns None.
     """
     base = frozenset(settled) | frozenset(current)
     outside = [e for e in cons.edge_ids if e not in base]
     removable = sorted(current)
     f_base = f.value(base)
     fits = cons.context(base)
-    gain = {}
+    gain.clear()
     for x in outside:
         gain[x] = f.value(base | {x}) - f_base
         if gain[x] >= theta and fits.feasible((x,)):
@@ -239,13 +226,15 @@ def find_improvement(f, cons, settled, current, theta, epsilon):
 def _drive(f, cons, config, rng, next_level):
     """The level loop both drivers share.
 
-    Draws the scale and alpha, then asks ``next_level(settled, index,
-    thresholds)`` for the next level index (None ends the run) and runs
-    the first-improvement local search there until no move is left. The
+    Draws the scale and alpha, then asks ``next_level(settled, gain,
+    index, thresholds)`` for the next level index (None ends the run)
+    and runs the first-improvement local search there until no move is
+    left. ``gain`` holds each outside edge's gain against ``settled``,
+    from the singleton scan or the scan that ended the last level. The
     applied moves are capped at (1 + 2/eps)|E|. Returns the final edge
     set and the trace.
     """
-    scale = max_singleton_marginal(f, cons.edge_ids)
+    scale, gain = max_singleton_marginal(f, cons.edge_ids)
     alpha = sample_alpha(config.seed if rng is None else rng)
     trace = RunTrace(scale=scale, alpha=alpha, epsilon=config.epsilon)
     if math.isnan(scale) or scale == math.inf:
@@ -256,11 +245,11 @@ def _drive(f, cons, config, rng, next_level):
     value_calls_0, feas_calls_0 = f.calls, cons.feasibility_calls
     applied = 0
     index = 0
-    while (index := next_level(trace.final, index, trace.thresholds)) is not None:
+    while (index := next_level(trace.final, gain, index, trace.thresholds)) is not None:
         theta = trace.thresholds.level(index)
         current = set()
         moves = []
-        while imp := find_improvement(f, cons, trace.final, current, theta, config.epsilon):
+        while imp := find_improvement(f, cons, trace.final, current, theta, config.epsilon, gain):
             current.difference_update(imp.removed)
             current.update(imp.added)
             moves.append(imp)
@@ -278,53 +267,35 @@ def _drive(f, cons, config, rng, next_level):
 def run_reference(f, cons, config, rng=None):
     """Stepwise driver: walks level indices one by one, including levels
     that accept nothing, exactly as the hybrid scheme is defined. The
-    walk goes on while some feasible addition has a positive gain (first
-    such edge in ascending ids).
-
-    A provable cap on the level index (never binding for a consistent
-    value oracle) turns an endless walk into a loud failure.
+    walk goes on while some edge with a positive gain in the last scan
+    is feasible (checked in ascending ids); it makes no value query.
     """
-    min_positive = math.inf
 
-    def step(settled, index, thresholds):
-        nonlocal min_positive
-        f_settled = f.value(settled)
+    def step(settled, gain, index, thresholds):
         fits = cons.context(settled)
-        for e in cons.edge_ids:
-            if e in settled:
-                continue
-            gain = f.value(settled | {e}) - f_settled
-            if gain > 0 and fits.feasible((e,)):
-                break
-        else:
-            return None
-        min_positive = min(min_positive, gain, thresholds.scale)
-        cap = math.ceil(math.log2(thresholds.scale) - math.log2(min_positive)) + 2
-        if index + 1 > cap:
-            raise RuntimeError(
-                "level index exceeded its provable cap; value oracle is inconsistent"
-            )
-        return index + 1
+        if any(g > 0 and fits.feasible((e,)) for e, g in gain.items()):
+            return index + 1
+        return None
 
     return _drive(f, cons, config, rng, step)
 
 
 def run_efficient(f, cons, config, rng=None):
-    """Fast driver: computes the best feasible singleton gain and jumps
-    straight to the first level whose threshold admits it
-    (``Thresholds.index_at_most``). Produces the same output and the
-    same move sequence as the stepwise driver for the same seed.
+    """Fast driver: jumps straight to the first level whose threshold
+    admits the gain of the first feasible edge in (-gain, id) order
+    (``Thresholds.index_at_most``), and at least one level on, since
+    2^alpha can round to 1 and let W equal m_0. It makes no value query
+    and gives the same output and move sequence as the stepwise driver
+    for the same seed.
     """
 
-    def jump(settled, index, thresholds):
-        best, _ = best_addition(f, cons, settled)
-        if best is None or best <= 0:
-            return None
-        nxt = thresholds.index_at_most(best)
-        if nxt <= index:
-            raise RuntimeError(
-                "fast forward failed to advance; value oracle is inconsistent"
-            )
-        return nxt
+    def jump(settled, gain, index, thresholds):
+        fits = cons.context(settled)
+        for e in sorted(gain, key=lambda e: (-gain[e], e)):
+            if gain[e] <= 0:
+                return None
+            if fits.feasible((e,)):
+                return max(thresholds.index_at_most(gain[e]), index + 1)
+        return None
 
     return _drive(f, cons, config, rng, jump)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from parityls.bench import (
+    GENERATOR_KINDS,
     MODES,
     ExperimentSpec,
     brute_force_opt,
@@ -154,9 +155,21 @@ def test_generator_rejects_bad_input():
         ({"n_vertices": -1}, "need k >= 1, n_vertices >= 0, n_edges >= 0"),
         ({"n_edges": -2}, "need k >= 1, n_vertices >= 0, n_edges >= 0"),
         ({"matroid": "graphic", "n_nodes": 1}, "need n_nodes >= 2 for a graphic matroid"),
+        ({"k": None}, "need k of type int, got None"),
     ]:
         with pytest.raises(ValueError, match=rule):
             generate_instance("random-parity", params, 1)
+    # objective parameters are checked the same way for every kind
+    for params, rule in [
+        ({"weight_lo": 5, "weight_hi": 1}, "need weight_lo <= weight_hi"),
+        ({"objective": "coverage", "weight_hi": 0}, "need weight_hi >= 1 for a coverage objective"),
+        ({"objective": "cut", "weight_hi": 0}, "need weight_hi >= 1 for a cut objective"),
+        ({"objective": "coverage", "n_items": 0}, "need n_items >= 1 for a coverage objective"),
+        ({"objective": "cut", "link_prob": None}, "need link_prob of type float, got None"),
+    ]:
+        for kind in GENERATOR_KINDS:
+            with pytest.raises(ValueError, match=rule):
+                generate_instance(kind, params, 1)
 
 
 def test_experiment_deterministic_rows_and_csv(tmp_path):

@@ -234,6 +234,11 @@ def test_verify_checks_trace_edges_and_legacy_keys(tmp_path, capsys):
         ('{"n_edges": -1}', "need k >= 1, n_vertices >= 0, n_edges >= 0"),
         ('{"matroid": "graphic", "n_nodes": 1}', "need n_nodes >= 2 for a graphic matroid"),
         ('{"objective": "nope"}', "unknown objective family 'nope'"),
+        ('{"weight_lo": 5, "weight_hi": 1}', "need weight_lo <= weight_hi"),
+        ('{"objective": "cut", "weight_hi": 0}', "need weight_hi >= 1 for a cut objective"),
+        ('{"objective": "coverage", "n_items": 0}', "need n_items >= 1 for a coverage objective"),
+        ('{"k": null}', "need k of type int, got None"),
+        ('{"objective": "cut", "link_prob": null}', "need link_prob of type float, got None"),
     ],
 )
 def test_bad_generator_params_are_one_line_error(tmp_path, capsys, params, rule):

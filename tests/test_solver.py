@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from parityls.bench import generate_instance
 from parityls.kparity import KParityConstraint
 from parityls.matroid import UniformMatroid
-from parityls.objective import CoverageObjective, ModularObjective
+from parityls.objective import CoverageObjective, ModularObjective, ValueOracle
 from parityls.solver import (
     Improvement,
     RunTrace,
@@ -96,7 +96,7 @@ def explore_terminal_sets(f, cons, eps, alpha, limit=200000):
     feasible gain admit no move: additions need gain >= threshold, and
     removals need a non-empty current level).
     """
-    scale = max_singleton_marginal(f, cons.edge_ids)
+    scale, _ = max_singleton_marginal(f, cons.edge_ids)
     if not math.isfinite(scale) or scale <= 0:
         return {frozenset()}
     thresholds = Thresholds(scale, alpha)
@@ -149,8 +149,9 @@ def explore_terminal_sets(f, cons, eps, alpha, limit=200000):
 
 def test_max_singleton_marginal():
     f, cons = weights_531()
-    assert max_singleton_marginal(f, cons.edge_ids) == 5
-    assert max_singleton_marginal(f, []) == float("-inf")
+    assert max_singleton_marginal(f, cons.edge_ids) == (5, {0: 5, 1: 3, 2: 1})
+    assert f.calls == 4  # f(empty) once, then one query per edge
+    assert max_singleton_marginal(f, []) == (float("-inf"), {})
 
 
 def test_max_singleton_marginal_coverage():
@@ -158,7 +159,7 @@ def test_max_singleton_marginal_coverage():
 
     f = CoverageObjective([2, 3, 5], {0: {0, 1}, 1: {2}, 2: {0, 2}})
     # direct scan: edge 2 covers items worth 2 + 5
-    assert max_singleton_marginal(f, [0, 1, 2]) == 7
+    assert max_singleton_marginal(f, [0, 1, 2]) == (7, {0: 5, 1: 5, 2: 7})
 
 
 def test_all_negative_weights_solve_to_empty():
@@ -237,14 +238,14 @@ def test_fast_forward_brackets_random_inputs():
 
 def test_kind1_found_on_empty_solution():
     f, cons = weights_531()
-    imp = find_improvement(f, cons, frozenset(), frozenset(), 1.0, 0.5)
+    imp = find_improvement(f, cons, frozenset(), frozenset(), 1.0, 0.5, {})
     assert imp == Improvement(1, (0,), ())
 
 
 def test_kind2_swap_example():
     f = ModularObjective({0: 1.0, 1: 1.2})
     cons = singleton_parity(UniformMatroid(2, 1))
-    imp = find_improvement(f, cons, frozenset(), {0}, 1.0, 0.1)
+    imp = find_improvement(f, cons, frozenset(), {0}, 1.0, 0.1, {})
     assert imp == Improvement(2, (1,), (0,))
     oracle = enumerate_improvements(f, cons, frozenset(), {0}, 1.0, 0.1)
     assert oracle == [Improvement(2, (1,), (0,))]
@@ -252,7 +253,9 @@ def test_kind2_swap_example():
 
 def test_no_improvement_at_local_optimum():
     f, cons = weights_531()
-    assert find_improvement(f, cons, frozenset(), {0, 1}, 3.0, 0.5) is None
+    gain = {0: 99.0}  # emptied by the scan
+    assert find_improvement(f, cons, frozenset(), {0, 1}, 3.0, 0.5, gain) is None
+    assert gain == {2: 1}
 
 
 def test_kind3_labeling_tiebreak():
@@ -268,7 +271,7 @@ def test_kind3_labeling_tiebreak():
         matroid, [Edge(0, {0, 1}), Edge(1, {2}), Edge(2, {3})], 2
     )
     f = ModularObjective({0: 2.0, 1: 2.0, 2: 2.0})
-    imp = find_improvement(f, cons, frozenset(), {0}, 2.0, 0.5)
+    imp = find_improvement(f, cons, frozenset(), {0}, 2.0, 0.5, {})
     assert imp == Improvement(3, (1, 2), (0,))
     oracle = enumerate_improvements(f, cons, frozenset(), {0}, 2.0, 0.5)
     assert oracle[0] == Improvement(3, (1, 2), (0,))
@@ -287,9 +290,15 @@ def test_scan_matches_enumeration_on_random_states():
         )
         theta = float(rng.uniform(0.5, 8.0))
         eps = float(rng.choice([0.1, 0.5]))
-        got = find_improvement(f, cons, chosen - split, split, theta, eps)
+        gain = {}
+        got = find_improvement(f, cons, chosen - split, split, theta, eps, gain)
         oracle = enumerate_improvements(f, cons, chosen - split, split, theta, eps)
         assert got == (oracle[0] if oracle else None)
+        if got is None:  # a failed scan leaves the gain of every outside edge
+            assert gain == {
+                x: f.value(chosen | {x}) - f.value(chosen)
+                for x in cons.edge_ids if x not in chosen
+            }
 
 
 # ------------------------------------------------------------------ runs
@@ -465,43 +474,18 @@ def test_add_level_derives_level_facts_and_rejects_bad_moves():
 
 def test_budget_guard_trips_on_inconsistent_oracle():
     # every later evaluation looks bigger, so swaps "gain" forever; the
-    # move budget must convert that into a loud failure
-    from parityls.objective import ValueOracle
-
+    # move budget must convert that into a loud failure in both drivers
     class Clock(ValueOracle):
         def _value(self, s):
-            return float(self.calls) if s else 0.0
+            return float(self.calls) ** 2 if s else 0.0
 
     cons = singleton_parity(UniformMatroid(2, 1))
-    with pytest.raises(RuntimeError):
-        run_efficient(Clock(), cons, SolverConfig(epsilon=0.5, seed=0))
-
-
-@pytest.mark.parametrize(
-    "runner, message",
-    [
-        (run_reference, "level index exceeded its provable cap"),
-        (run_efficient, "fast forward failed to advance"),
-    ],
-)
-def test_level_guards_trip_on_inconsistent_oracle(runner, message):
-    # weights scaled by 1000 on every other pair of queries: the next-level
-    # search sees gains that disagree with the scale and the level scans
-    from parityls.objective import ValueOracle
-
-    class Flipping(ValueOracle):
-        def _value(self, s):
-            total = sum({0: 1.0, 1: 0.01}[e] for e in s)
-            return total * 1000 if (self.calls // 2) % 2 == 1 else total
-
-    cons = KParityConstraint(UniformMatroid(2, 2), [[0], [1]], 1)
-    with pytest.raises(RuntimeError, match=message):
-        runner(Flipping(), cons, SolverConfig(epsilon=0.5, seed=0))
+    for runner in (run_reference, run_efficient):
+        with pytest.raises(RuntimeError, match="improvement budget"):
+            runner(Clock(), cons, SolverConfig(epsilon=0.5, seed=0))
 
 
 def test_non_finite_scale_raises_and_empty_ground_is_empty():
-    from parityls.objective import ValueOracle
-
     class Constant(ValueOracle):
         def __init__(self, nonempty):
             super().__init__()
@@ -548,7 +532,7 @@ def float_weight_instances(draw):
 @settings(max_examples=200, deadline=None)
 @given(
     instance=float_weight_instances(),
-    u=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.999)),
+    u=st.one_of(st.sampled_from([0.0, 0.5, 1.0 - 2.0**-53]), st.floats(0.0, 0.999)),
     eps=st.sampled_from([0.1, 0.5]),
 )
 def test_drivers_agree_on_float_weights_and_ties(instance, u, eps):
@@ -560,3 +544,64 @@ def test_drivers_agree_on_float_weights_and_ties(instance, u, eps):
     assert ref_trace.applied_sequence() == eff_trace.applied_sequence()
     replay_trace(ref_trace, f, cons)
     replay_trace(eff_trace, f, cons)
+
+
+class RandomValues(ValueOracle):
+    """Lying oracle: every query, the empty set's too, draws a fresh value."""
+
+    def __init__(self, seed):
+        super().__init__()
+        self.rng = rng_for(seed)
+
+    def _value(self, s):
+        return float(self.rng.uniform(-1.0, 10.0))
+
+
+class ShrinkingGains(ValueOracle):
+    """Lying oracle: modular weights scaled down by ``decay`` on every
+    query, so a set looks worth less each time it is asked about."""
+
+    def __init__(self, weights, decay):
+        super().__init__()
+        self.weights = weights
+        self.decay = decay
+
+    def _value(self, s):
+        return sum(self.weights[e] for e in s) * self.decay**self.calls
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    params=st.fixed_dictionaries({
+        "k": st.integers(1, 3),
+        "n_vertices": st.integers(3, 9),
+        "n_edges": st.integers(2, 7),
+        "matroid": st.sampled_from(["uniform", "partition", "graphic"]),
+    }),
+    seed=st.integers(0, 2**31),
+    shrink=st.one_of(st.none(), st.floats(0.5, 0.999)),
+    u=st.one_of(st.sampled_from([0.0, 1.0 - 2.0**-53]), st.floats(0.0, 0.999)),
+    eps=st.sampled_from([0.1, 0.5]),
+)
+def test_lying_value_oracles_end_loudly_or_with_a_consistent_trace(
+    params, seed, shrink, u, eps
+):
+    # neither next-level rule asks the oracle again, so an inconsistent
+    # oracle can only make a run end: with a feasible set whose moves
+    # replay, or with the budget error
+    cons, weights = generate_instance("random-parity", params, seed)
+    for runner in (run_reference, run_efficient):
+        if shrink is None:
+            f = RandomValues(seed)
+        else:
+            f = ShrinkingGains(weights.weights, shrink)
+        try:
+            out, trace = runner(f, cons, SolverConfig(epsilon=eps, seed=0), rng=FixedDraw(u))
+        except RuntimeError as exc:
+            assert "improvement budget" in str(exc)
+            continue
+        assert cons.feasible(out)
+        replay = RunTrace(trace.scale, trace.alpha, trace.epsilon)
+        for rec in trace.iterations:
+            replay.add_level(rec.index, rec.improvements)
+        assert replay == trace and replay.final == out
