@@ -21,10 +21,11 @@ OPT_COLUMN_CAP = 12
 
 MODES = ("greedy", "hybrid", "hybrid-reference", "nonmonotone")
 
-# numeric generator parameters and the type each is read as
+# numeric generator parameters and the type each is read as; "count" is
+# the batch size bench reads, not a generator's
 _NUMERIC_PARAMS = {"link_prob": float, "w0": float} | dict.fromkeys((
     "k", "n_elements", "n_universe", "n_edges", "n_vertices", "rank", "n_nodes",
-    "weight_lo", "weight_hi", "n_items"), int)
+    "weight_lo", "weight_hi", "n_items", "count"), int)
 
 GENERATOR_KINDS = (
     "k-partition-intersection",

@@ -8,6 +8,7 @@ import sys
 
 from .analysis import prune_down_monotone, verify_run
 from .bench import (
+    BRUTE_FORCE_CAP,
     GENERATOR_KINDS,
     MODES,
     ExperimentSpec,
@@ -136,7 +137,10 @@ def _generate(kind, params, seed):
 
 def _read_ids(path):
     with open(path, encoding="utf-8") as fh:
-        return frozenset(json.load(fh))
+        ids = json.load(fh)
+    if not isinstance(ids, list) or not all(type(x) is int for x in ids):
+        raise ValueError("need a JSON list of edge ids")
+    return frozenset(ids)
 
 
 def _cmd_solve(args):
@@ -167,6 +171,14 @@ def _cmd_verify(args):
         _fail(args.trace, f"unknown edge ids {sorted(unknown)}")
     if args.reference:
         reference = _load(_read_ids, args.reference)
+        unknown = reference - set(cons.edge_ids)
+        if unknown:
+            _fail(args.reference, f"unknown edge ids {sorted(unknown)}")
+        if not cons.feasible(reference):
+            _fail(args.reference, "reference set is not feasible")
+    elif len(cons.edge_ids) > BRUTE_FORCE_CAP:
+        _fail(args.instance, f"{len(cons.edge_ids)} edges, more than brute force "
+              f"reaches ({BRUTE_FORCE_CAP}); pass --reference ids.json")
     else:
         reference, _ = brute_force_opt(f, cons)
     reference = prune_down_monotone(f, reference)
@@ -194,6 +206,8 @@ def _cmd_bench(args):
         _load(load_instance, args.instance)
     else:
         _generate(args.generator, args.params, args.seed)
+        if int(args.params.get("count", 1)) < 1:
+            _fail("--params", "need count >= 1")
     source = ("file", args.instance) if args.instance else ("gen", args.generator)
     spec = ExperimentSpec(
         source=source,

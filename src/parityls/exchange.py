@@ -1,85 +1,94 @@
-"""Constructive, desk-scale exchange machinery for matroid k-parity.
+"""Constructive exchange machinery for matroid k-parity.
 
-Two pieces: the Greene-Magnanti base partition (given bases S, T and a
-partition of S, find a matching partition of T so every one-part swap
-stays a base), and, built on it, the per-edge exchange-witness sets N_b
-used by the run verifier. Neither is called by the solver itself.
+Two pieces: the Greene-Magnanti base partition (given independent sets
+S, T of one size and a partition of S, find a matching partition of T so
+every one-part swap stays independent), and, built on it, the per-edge
+exchange-witness sets N_b used by the run verifier. Neither is called by
+the solver itself.
 """
 
 from .kparity import KParityConstraint
 
-PART_CAP = 10
-TARGET_CAP = 10
-SUPPORT_CAP = 10
-
 
 def greene_magnanti(matroid, base_s, base_t, s_parts):
-    """Partition base T so that (S \\ S_i) | T_i is a base for every part.
+    """Partition T into pieces T_i, one per part S_i of S, so that every
+    (S \\ S_i) | T_i is independent with |T_i| = |S_i|.
 
-    Backtracking search over assignments of T's elements (ascending id)
-    to part indices, returning the lexicographically first valid
-    assignment. Parts may be empty; they then receive nothing. Caps:
-    |T| <= 10 and at most 10 parts.
+    S and T are independent sets of equal size; parts may be empty and
+    then receive nothing. T_i must be independent in the matroid
+    M / (S \\ S_i) truncated to |S_i|, so this is a matroid partition of
+    T, solved by shortest augmenting paths (Edmonds 1965, Knuth 1973):
+    each element of T, in ascending id order, enters along a shortest
+    path that ends in a part with room, every element on the path moving
+    into the part of the element it displaces.
 
-    A valid partition always exists for genuine matroids, so search
-    exhaustion signals a broken independence oracle and raises.
+    A valid partition always exists for genuine matroids (Greene and
+    Magnanti 1975), so a missing path signals a broken independence
+    oracle and raises.
     """
     base_s = frozenset(base_s)
     base_t = frozenset(base_t)
     s_parts = [frozenset(p) for p in s_parts]
-    rank = matroid.rank()
     for name, b in (("S", base_s), ("T", base_t)):
-        if not matroid.is_independent(b) or len(b) != rank:
-            raise ValueError(f"{name} is not a base")
+        if not matroid.is_independent(b):
+            raise ValueError(f"{name} is not independent")
+    if len(base_s) != len(base_t):
+        raise ValueError("S and T differ in size")
     covered = frozenset().union(*s_parts) if s_parts else frozenset()
     if covered != base_s or sum(len(p) for p in s_parts) != len(base_s):
         raise ValueError("parts must partition S")
-    if len(base_t) > TARGET_CAP:
-        raise ValueError(f"search capped at |T| <= {TARGET_CAP}")
-    if len(s_parts) > PART_CAP:
-        raise ValueError(f"search capped at {PART_CAP} parts")
 
-    t_elems = sorted(base_t)
-    n_parts = len(s_parts)
-    complements = [base_s - p for p in s_parts]
-    assigned = [set() for _ in range(n_parts)]
+    rest = [base_s - p for p in s_parts]
+    pieces = [set() for _ in s_parts]
 
-    def valid_partial(i):
-        # supersets of dependent sets stay dependent, so prune early
-        return matroid.is_independent(complements[i] | assigned[i])
+    def fits(i, add, drop=None):
+        """Whether piece i, with ``add`` in and ``drop`` out, stays within
+        |S_i| and independent in M / rest[i], where rest[i] are loops."""
+        if add in rest[i] or len(pieces[i]) + (drop is None) > len(s_parts[i]):
+            return False
+        return matroid.is_independent(rest[i] | (pieces[i] - {drop}) | {add})
 
-    def search(pos):
-        if pos == len(t_elems):
-            for i in range(n_parts):
-                full = complements[i] | assigned[i]
-                if len(full) != rank or not matroid.is_independent(full):
-                    return False
-            return True
-        t = t_elems[pos]
-        for i in range(n_parts):
-            if len(assigned[i]) >= len(s_parts[i]):
-                continue
-            assigned[i].add(t)
-            if valid_partial(i) and search(pos + 1):
-                return True
-            assigned[i].remove(t)
-        return False
+    for t in sorted(base_t):
+        came_from = {t: None}  # z: (y, i), y enters part i in place of z
+        queue = [t]
+        for y in queue:  # breadth first; the queue grows as it is read
+            outside = [i for i, piece in enumerate(pieces) if y not in piece]
+            i = next((j for j in outside if fits(j, y)), None)
+            if i is not None:
+                break
+            for j in outside:
+                for z in sorted(pieces[j] - came_from.keys()):
+                    if fits(j, y, z):
+                        came_from[z] = (y, j)
+                        queue.append(z)
+        else:
+            raise RuntimeError(
+                "no valid base partition exists; independence oracle violates the matroid axioms"
+            )
+        while True:  # y enters part i; walk the path back to t
+            pieces[i].add(y)
+            if came_from[y] is None:
+                break
+            z = y
+            y, i = came_from[z]
+            pieces[i].remove(z)
 
-    if not search(0):
-        raise RuntimeError(
-            "no valid base partition exists; independence oracle violates the matroid axioms"
-        )
-    return [frozenset(a) for a in assigned]
+    for r, piece in zip(rest, pieces):
+        if not matroid.is_independent(r | piece):
+            raise RuntimeError(
+                "augmenting path broke a part; independence oracle violates the matroid axioms"
+            )
+    return [frozenset(p) for p in pieces]
 
 
 def exchange_structure(cons: KParityConstraint, set_a, set_b):
     """Witness sets {N_b <= A | b in B} for two feasible edge sets.
 
     Construction: common edges get N_b = {b} and are contracted away;
-    for the disjoint remainder, pad the smaller vertex support, build the
-    restricted/contracted/truncated matroid in which both supports are
-    bases, split B's support along A's per-edge partition, and let N_b
-    collect the edges of A whose part touches b's support.
+    for the disjoint remainder, pad the smaller vertex support, contract
+    the padding so both supports are independent sets of one size, split
+    B's support along A's per-edge partition, and let N_b collect the
+    edges of A whose part touches b's support.
 
     The output satisfies, for every genuine matroid:
       1. N_b = {b} on A & B, and N_b <= A \\ B off it;
@@ -92,9 +101,6 @@ def exchange_structure(cons: KParityConstraint, set_a, set_b):
     for name, s in (("A", a_ids), ("B", b_ids)):
         if not cons.feasible(s):
             raise ValueError(f"{name} is not feasible")
-    support = cons.vertices_of(a_ids | b_ids)
-    if len(support) > SUPPORT_CAP:
-        raise ValueError(f"combined vertex support capped at {SUPPORT_CAP}")
 
     common = a_ids & b_ids
     if common:
@@ -126,14 +132,9 @@ def _exchange_disjoint(cons, a_ids, b_ids):
     else:
         padding = _augment(matroid, vb, va - vb, len(va) - len(vb))
 
-    bar_rank = len(va - padding)
-    reduced = matroid.restrict(va | vb).contract(padding).truncate(bar_rank)
-    bar_a = va - padding
-    bar_b = vb - padding
-
     a_order = sorted(a_ids)
     parts = [cons.edges[a].vertices - padding for a in a_order]
-    assigned = greene_magnanti(reduced, bar_a, bar_b, parts)
+    assigned = greene_magnanti(matroid.contract(padding), va - padding, vb - padding, parts)
 
     out = {}
     for b in b_ids:

@@ -1,9 +1,9 @@
-"""Matroid independence oracles, concrete families, and derived views.
+"""Matroid independence oracles, concrete families, and a contraction view.
 
 Vertices are integer ids (dense 0..n-1 for the concrete families). A
 matroid is exposed purely through its independence predicate; rank and
-the restriction/contraction/truncation views are built on top of that
-predicate, so they work for any oracle, including other views.
+the contraction view are built on top of that predicate, so they work
+for any oracle, including other views.
 
 A context (``MatroidOracle.context``) answers independence queries
 around one fixed vertex set: each family keeps what it needs about that
@@ -59,14 +59,8 @@ class MatroidOracle:
         s = self.ground if vertices is None else vertices
         return len(self.max_independent_subset(s))
 
-    def restrict(self, keep) -> "RestrictedMatroid":
-        return RestrictedMatroid(self, keep)
-
     def contract(self, removed) -> "ContractedMatroid":
         return ContractedMatroid(self, removed)
-
-    def truncate(self, new_rank) -> "TruncatedMatroid":
-        return TruncatedMatroid(self, new_rank)
 
     def max_independent_subset(self, vertices) -> frozenset:
         """Greedy (ascending id) maximal independent subset of ``vertices``."""
@@ -198,23 +192,6 @@ class ExplicitMatroid(MatroidOracle):
         return s in self.independent_sets
 
 
-class RestrictedMatroid(MatroidOracle):
-    """View of ``base`` with ground set cut down to ``keep``."""
-
-    def __init__(self, base, keep):
-        keep = frozenset(keep)
-        if not keep <= base.ground:
-            raise ValueError("restriction set outside base ground")
-        super().__init__(keep)
-        self.base = base
-
-    def _independent(self, s):
-        return self.base._independent(s)
-
-    def _context(self, s):
-        return self.base._context(s)
-
-
 class ContractedMatroid(MatroidOracle):
     """View of ``base`` after contracting ``removed``.
 
@@ -235,28 +212,6 @@ class ContractedMatroid(MatroidOracle):
 
     def _independent(self, s):
         return self.base._independent(s | self.basis)
-
-    def _context(self, s):
-        # queries stay inside this ground, which is disjoint from the basis
-        return self.base._context(s | self.basis)
-
-
-class TruncatedMatroid(MatroidOracle):
-    """View of ``base`` with rank capped at ``new_rank``."""
-
-    def __init__(self, base, new_rank):
-        full = base.rank()
-        if not 0 <= new_rank <= full:
-            raise ValueError(f"truncation rank {new_rank} outside [0, {full}]")
-        super().__init__(base.ground)
-        self.base = base
-        self.new_rank = new_rank
-
-    def _independent(self, s):
-        return len(s) <= self.new_rank and self.base._independent(s)
-
-    def _context(self, s):
-        return _SizeContext(self, s, self.new_rank, self.base._context(s))
 
 
 EMPTY = frozenset()
@@ -281,20 +236,16 @@ class MatroidContext:
 
 
 class _SizeContext(MatroidContext):
-    """At most ``cap`` vertices, and independent in ``inner`` if given
-    (uniform matroids and truncations)."""
+    """Uniform matroids: at most ``cap`` vertices."""
 
-    def __init__(self, matroid, base, cap, inner=None):
+    def __init__(self, matroid, base, cap):
         super().__init__(matroid, base)
         self.cap = cap
-        self.inner = inner
 
     def independent_with(self, add=EMPTY, remove=EMPTY):
         base = self.base
         size = len(base) + len(add - base) - (len((remove & base) - add) if remove else 0)
-        return size <= self.cap and (
-            self.inner is None or self.inner.independent_with(add, remove)
-        )
+        return size <= self.cap
 
 
 class _BlockContext(MatroidContext):

@@ -16,7 +16,8 @@ from parityls.analysis import (
     simulate_ratios,
     verify_run,
 )
-from parityls.bench import brute_force_opt
+from parityls.bench import brute_force_opt, generate_instance, greedy_baseline
+from parityls.exchange import exchange_claim_violations, exchange_structure
 from parityls.kparity import KParityConstraint
 from parityls.matroid import UniformMatroid
 from parityls.objective import CoverageObjective, ModularObjective
@@ -251,6 +252,32 @@ def test_verify_run_battery():
         for d in (2.0, 2.0 * math.sqrt(cons.k)):
             report = verify_run(trace, f, cons, reference, d=d)
             assert report.ok, (seed, d, [c.name for c in report.failed()])
+
+
+LADDER = (
+    ("random-parity", {"k": 2, "n_vertices": 56, "n_edges": 32,
+                       "matroid": "graphic", "objective": "modular"}),
+    ("random-parity", {"k": 2, "n_vertices": 105, "n_edges": 70,
+                       "matroid": "partition", "objective": "coverage"}),
+    ("k-partition-intersection", {"k": 3, "n_elements": 40, "objective": "cut"}),
+)
+
+
+def test_verify_run_at_ladder_scale_against_greedy():
+    # brute force cannot reach 32-70 edges; any feasible, strictly
+    # down-monotone reference will do, here the pruned greedy answer
+    runs = 0
+    for kind, params in LADDER:
+        for seed in range(8):
+            cons, f = generate_instance(kind, params, seed)
+            out, trace = solved(f, cons, seed=seed)
+            reference = prune_down_monotone(f, greedy_baseline(f, cons))
+            report = verify_run(trace, f, cons, reference)
+            assert report.ok, (kind, seed, [c.name for c in report.failed()])
+            witness = exchange_structure(cons, out, reference)
+            assert exchange_claim_violations(cons, out, reference, witness) == []
+            runs += 1
+    assert runs >= 20
 
 
 def test_verify_run_accepts_stepwise_traces():

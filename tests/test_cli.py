@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from parityls.analysis import prune_down_monotone
+from parityls.bench import greedy_baseline
 from parityls.cli import main
-from parityls.instances import load_trace, trace_to_json
+from parityls.instances import load_instance, load_trace, trace_to_json
 
 
 def test_gen_solve_verify_roundtrip(tmp_path, capsys):
@@ -277,3 +279,53 @@ def test_trace_off_the_lattice_or_with_a_foreign_move_is_one_line_error(
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: {reason}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "ids, reason",
+    [
+        ("[999]", "unknown edge ids [999]"),
+        ('{"a": 1}', "need a JSON list of edge ids"),
+        ("[0, 1, 2, 3, 4, 5]", "reference set is not feasible"),
+    ],
+)
+def test_bad_reference_is_one_line_error(tmp_path, capsys, ids, reason):
+    reference = tmp_path / "ids.json"
+    reference.write_text(ids)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--instance", str(DATA / "instance.json"),
+              "--trace", str(DATA / "trace.json"), "--reference", str(reference)])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == f"error: {reference}: {reason}\n"
+
+
+def test_verify_beyond_brute_force_needs_a_reference(tmp_path, capsys):
+    instance, trace, reference = (tmp_path / name for name in ("i.json", "t.json", "r.json"))
+    params = '{"k": 2, "n_vertices": 56, "n_edges": 32, "matroid": "graphic"}'
+    main(["gen", "--kind", "random-parity", "--params", params, "--out", str(instance)])
+    main(["solve", "--instance", str(instance), "--out", str(trace)])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--instance", str(instance), "--trace", str(trace)])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == (
+        f"error: {instance}: 32 edges, more than brute force reaches (20); "
+        "pass --reference ids.json\n"
+    )
+    cons, f = load_instance(instance)
+    reference.write_text(json.dumps(sorted(prune_down_monotone(f, greedy_baseline(f, cons)))))
+    assert main(["verify", "--instance", str(instance), "--trace", str(trace),
+                 "--reference", str(reference), "--out", str(tmp_path / "report.json")]) == 0
+
+
+@pytest.mark.parametrize(
+    "params, rule",
+    [('{"count": null}', "need count of type int, got None"), ('{"count": 0}', "need count >= 1")],
+)
+def test_bad_bench_count_is_one_line_error(tmp_path, capsys, params, rule):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", "--generator", "random-parity", "--params", params,
+              "--out", str(tmp_path / "out")])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == f"error: --params: {rule}\n"
+    assert not list(tmp_path.iterdir())

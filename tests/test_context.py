@@ -5,63 +5,9 @@ including around dependent bases, and count one query per question."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parityls.kparity import Edge, KParityConstraint, ProductMatroid
-from parityls.matroid import (
-    ExplicitMatroid,
-    GraphicMatroid,
-    PartitionMatroid,
-    UniformMatroid,
-)
-from util import subsets
-
-
-@st.composite
-def uniform(draw, n):
-    return UniformMatroid(n, draw(st.integers(0, n)))
-
-
-@st.composite
-def partition(draw, n):
-    labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    blocks = [[v for v in range(n) if labels[v] == b] for b in range(3)]
-    blocks = [b for b in blocks if b]
-    caps = draw(st.lists(st.integers(0, 2), min_size=len(blocks), max_size=len(blocks)))
-    return PartitionMatroid(blocks, caps)
-
-
-@st.composite
-def graphic(draw, n):
-    # few nodes for many links, so parallel links, self-loops and cycles are common
-    n_nodes = draw(st.integers(1, 4))
-    node = st.integers(0, n_nodes - 1)
-    return GraphicMatroid(n_nodes, draw(st.lists(st.tuples(node, node), min_size=n, max_size=n)))
-
-
-@st.composite
-def explicit(draw, n):
-    source = draw(st.one_of(uniform(n), partition(n), graphic(n)))
-    return ExplicitMatroid(n, [s for s in subsets(range(n)) if source.is_independent(s)])
-
-
-def concrete(n):
-    return st.one_of(uniform(n), partition(n), graphic(n), explicit(n))
-
-
-@st.composite
-def matroids(draw):
-    n = draw(st.integers(0, 6))
-    kind = draw(st.sampled_from(["concrete", "restricted", "contracted", "truncated", "product"]))
-    if kind == "product":
-        slices = draw(st.lists(partition(n), min_size=1, max_size=3))
-        return ProductMatroid(slices, n)
-    m = draw(concrete(n))
-    if kind == "restricted":
-        return m.restrict(draw(st.sets(st.sampled_from(range(n)))) if n else ())
-    if kind == "contracted":
-        return m.contract(draw(st.sets(st.sampled_from(range(n)))) if n else ())
-    if kind == "truncated":
-        return m.truncate(draw(st.integers(0, m.rank())))
-    return m
+from parityls.kparity import Edge, KParityConstraint
+from parityls.matroid import GraphicMatroid
+from util import matroids, subsets
 
 
 def ground_subsets(ground):

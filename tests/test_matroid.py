@@ -1,4 +1,4 @@
-"""Matroid oracles: concrete families, derived views, axiom checking."""
+"""Matroid oracles: concrete families, the contraction view, axiom checking."""
 
 from itertools import combinations
 
@@ -87,19 +87,6 @@ def test_rank_matches_brute_force_everywhere():
             assert m.rank(s) == brute_force_rank(m, s)
 
 
-def test_restrict_behaves_like_uniform():
-    small = UniformMatroid(4, 2).restrict({0, 1})
-    for s in subsets({0, 1}):
-        assert small.is_independent(s)
-    with pytest.raises(ValueError):
-        small.is_independent({0, 2})
-
-
-def test_restrict_graphic_two_edges():
-    m = GraphicMatroid(3, [(0, 1), (1, 2), (2, 0)]).restrict({0, 1})
-    assert m.is_independent({0, 1})
-
-
 def test_contract_single_element_of_uniform():
     contracted = UniformMatroid(4, 2).contract({0})
     # definition oracle: T independent iff T + basis independent in the base
@@ -136,21 +123,6 @@ def test_contract_agrees_for_every_maximal_basis():
         # definition oracle: T independent iff T + basis independent in the base
         for s in subsets(m.ground - removed):
             assert default.is_independent(s) == m.is_independent(s | basis)
-
-
-def test_truncate_examples():
-    m = UniformMatroid(4, 3).truncate(2)
-    ref = UniformMatroid(4, 2)
-    for s in subsets(range(4)):
-        assert m.is_independent(s) == ref.is_independent(s)
-
-    part = PartitionMatroid([[0, 1], [2, 3]], [1, 1])
-    identity = part.truncate(part.rank())
-    for s in subsets(part.ground):
-        assert identity.is_independent(s) == part.is_independent(s)
-    assert not part.truncate(1).is_independent({0, 2})
-    with pytest.raises(ValueError):
-        part.truncate(part.rank() + 1)
 
 
 def test_axiom_check_passes_for_families():
@@ -196,10 +168,9 @@ def test_explicit_constructor_validates():
 
 def test_derived_views_pass_axiom_check():
     m = GraphicMatroid(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
-    assert axiom_check(m.restrict({0, 1, 2})).ok
     assert axiom_check(m.contract({0})).ok
-    assert axiom_check(m.truncate(2)).ok
-    assert axiom_check(m.restrict({0, 1, 3, 4}).truncate(1).contract({3})).ok
+    assert axiom_check(m.contract({0, 1, 4})).ok  # a triangle
+    assert axiom_check(m.contract({3}).contract({4})).ok
 
 
 def test_rank_is_monotone_submodular():

@@ -1,13 +1,21 @@
 """Shared helpers for the test suite: subset enumeration, random feasible
-sets, a set system that need not be a matroid, and the seeded
-desk-scale instance batteries."""
+sets, a set system that need not be a matroid, hypothesis strategies for
+matroids, and the seeded desk-scale instance batteries."""
 
 from itertools import combinations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from parityls.bench import generate_instance
-from parityls.matroid import MatroidOracle
+from parityls.kparity import ProductMatroid
+from parityls.matroid import (
+    ExplicitMatroid,
+    GraphicMatroid,
+    MatroidOracle,
+    PartitionMatroid,
+    UniformMatroid,
+)
 
 
 def subsets(elems):
@@ -29,6 +37,53 @@ class SetSystem(MatroidOracle):
         return s in self.independent_sets
 
 
+@st.composite
+def uniform(draw, n):
+    return UniformMatroid(n, draw(st.integers(0, n)))
+
+
+@st.composite
+def partition(draw, n):
+    labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    blocks = [[v for v in range(n) if labels[v] == b] for b in range(3)]
+    blocks = [b for b in blocks if b]
+    caps = draw(st.lists(st.integers(0, 2), min_size=len(blocks), max_size=len(blocks)))
+    return PartitionMatroid(blocks, caps)
+
+
+@st.composite
+def graphic(draw, n):
+    # few nodes for many links, so parallel links, self-loops and cycles are common
+    n_nodes = draw(st.integers(1, 4))
+    node = st.integers(0, n_nodes - 1)
+    return GraphicMatroid(n_nodes, draw(st.lists(st.tuples(node, node), min_size=n, max_size=n)))
+
+
+@st.composite
+def explicit(draw, n):
+    source = draw(st.one_of(uniform(n), partition(n), graphic(n)))
+    return ExplicitMatroid(n, [s for s in subsets(range(n)) if source.is_independent(s)])
+
+
+def concrete(n):
+    return st.one_of(uniform(n), partition(n), graphic(n), explicit(n))
+
+
+@st.composite
+def matroids(draw, max_n=6):
+    """A concrete matroid, a contraction of one, or a ProductMatroid of
+    partition matroids, over at most ``max_n`` elements."""
+    n = draw(st.integers(0, max_n))
+    kind = draw(st.sampled_from(["concrete", "contracted", "product"]))
+    if kind == "product":
+        slices = draw(st.lists(partition(n), min_size=1, max_size=3))
+        return ProductMatroid(slices, n)
+    m = draw(concrete(n))
+    if kind == "contracted":
+        return m.contract(draw(st.sets(st.sampled_from(range(n)))) if n else ())
+    return m
+
+
 def rng_for(seed):
     return np.random.Generator(np.random.PCG64(seed))
 
@@ -44,8 +99,8 @@ def random_feasible_set(cons, rng, keep_prob=0.7):
 
 
 def exchange_scale_instance(seed):
-    """Small constraint whose feasible pairs stay within the exchange
-    module's vertex-support cap (rank <= 5, so |v(A | B)| <= 10)."""
+    """Small constraint for exchange checks: rank <= 5, so feasible pairs
+    have |v(A | B)| <= 10 unless the edges pack k vertices."""
     rng = rng_for(seed)
     kind = ["random-parity", "k-uniform-set-packing-via-parity"][int(rng.integers(2))]
     if kind == "random-parity":
@@ -69,8 +124,7 @@ def exchange_scale_instance(seed):
 
 def analysis_instance(seed, families=("modular", "coverage", "cut")):
     """Instance suitable for full trace verification: k in 1..3, few
-    edges, and a matroid rank small enough that feasible unions stay
-    within the exchange support cap."""
+    edges (brute force finds the reference) and a small matroid rank."""
     rng = rng_for(seed)
     family = families[int(rng.integers(len(families)))]
     k = int(rng.integers(1, 4))
