@@ -81,8 +81,10 @@ def partition_reference(trace, cons, reference):
     Level i receives the still-unassigned reference elements whose
     witness set against the solution-so-far is non-empty. Returns
     (parts by level index, witness set per assigned element, leftover
-    elements never assigned). Verifies along the way that the settled
-    solution plus the unassigned reference stays feasible and disjoint.
+    elements never assigned). Verifies along the way that each level
+    keeps the settled solution feasible and that the settled solution
+    plus the unassigned reference stays feasible and disjoint; a
+    failure raises RuntimeError.
     """
     reference = frozenset(reference)
     settled = frozenset()
@@ -97,6 +99,8 @@ def partition_reference(trace, cons, reference):
         if not rec.selected:
             continue
         grown = settled | set(rec.selected)
+        if not cons.feasible(grown):
+            raise RuntimeError(f"settled solution plus level {rec.index} infeasible")
         other = settled | remaining
         sets = exchange_structure(cons, grown, other)
         assigned = {o for o in remaining if sets[o]}

@@ -200,7 +200,7 @@ def _cmd_verify(args):
 
 def _cmd_bench(args):
     if bool(args.instance) == bool(args.generator):
-        raise SystemExit("bench needs exactly one of --instance / --generator")
+        _fail("bench", "needs exactly one of --instance / --generator")
     # fail cleanly before the batch starts
     if args.instance:
         _load(load_instance, args.instance)

@@ -7,8 +7,6 @@ exchange-witness sets N_b used by the run verifier. Neither is called by
 the solver itself.
 """
 
-from .kparity import KParityConstraint
-
 
 def greene_magnanti(matroid, base_s, base_t, s_parts):
     """Partition T into pieces T_i, one per part S_i of S, so that every
@@ -17,10 +15,15 @@ def greene_magnanti(matroid, base_s, base_t, s_parts):
     S and T are independent sets of equal size; parts may be empty and
     then receive nothing. T_i must be independent in the matroid
     M / (S \\ S_i) truncated to |S_i|, so this is a matroid partition of
-    T, solved by shortest augmenting paths (Edmonds 1965, Knuth 1973):
-    each element of T, in ascending id order, enters along a shortest
-    path that ends in a part with room, every element on the path moving
-    into the part of the element it displaces.
+    T, solved by augmenting paths (Edmonds 1965, Knuth 1973): each
+    element of T, in ascending id order, enters along a path that ends
+    in a part with room, every element on the path moving into the part
+    of the element it displaces. The exchange lemma behind a path swap
+    needs the path free of shortcuts (no arc from one node to a later,
+    non-adjacent one). A node's predecessor is fixed when the node is
+    first discovered, so every search-tree path is shortcut-free; the
+    search is breadth first, giving shortest paths, but a depth-first
+    order would be as correct.
 
     A valid partition always exists for genuine matroids (Greene and
     Magnanti 1975), so a missing path signals a broken independence
@@ -49,7 +52,9 @@ def greene_magnanti(matroid, base_s, base_t, s_parts):
         return matroid.is_independent(rest[i] | (pieces[i] - {drop}) | {add})
 
     for t in sorted(base_t):
-        came_from = {t: None}  # z: (y, i), y enters part i in place of z
+        # z: (y, i), y enters part i in place of z; set once, when z is first
+        # found, so no path the walk back follows holds a shortcut arc
+        came_from = {t: None}
         queue = [t]
         for y in queue:  # breadth first; the queue grows as it is read
             outside = [i for i, piece in enumerate(pieces) if y not in piece]
@@ -81,14 +86,17 @@ def greene_magnanti(matroid, base_s, base_t, s_parts):
     return [frozenset(p) for p in pieces]
 
 
-def exchange_structure(cons: KParityConstraint, set_a, set_b):
-    """Witness sets {N_b <= A | b in B} for two feasible edge sets.
+def exchange_structure(cons, set_a, set_b):
+    """Witness sets {N_b <= A | b in B} for two feasible edge sets of the
+    k-parity constraint ``cons``.
 
-    Construction: common edges get N_b = {b} and are contracted away;
-    for the disjoint remainder, pad the smaller vertex support, contract
-    the padding so both supports are independent sets of one size, split
-    B's support along A's per-edge partition, and let N_b collect the
-    edges of A whose part touches b's support.
+    Construction, all in one contraction of ``cons.matroid``: with C the
+    vertices of the shared edges and V_A, V_B those of the edges only A
+    or only B has, pad the smaller of V_A, V_B from the larger until
+    both have one size (C is independent, so this augments in M / C),
+    contract C and the padding, split V_B along the vertex sets of A's
+    own edges (``greene_magnanti``), and let N_b collect the edges of A
+    whose piece touches b's vertices. Shared edges get N_b = {b}.
 
     The output satisfies, for every genuine matroid:
       1. N_b = {b} on A & B, and N_b <= A \\ B off it;
@@ -102,46 +110,21 @@ def exchange_structure(cons: KParityConstraint, set_a, set_b):
         if not cons.feasible(s):
             raise ValueError(f"{name} is not feasible")
 
-    common = a_ids & b_ids
-    if common:
-        inner = KParityConstraint(
-            cons.matroid.contract(cons.vertices_of(common)),
-            [cons.edges[i] for i in sorted((a_ids | b_ids) - common)],
-            cons.k,
-        )
-        out = _exchange_disjoint(inner, a_ids - b_ids, b_ids - a_ids)
-        for b in common:
-            out[b] = frozenset({b})
-        return out
-    return _exchange_disjoint(
-        KParityConstraint(
-            cons.matroid, [cons.edges[i] for i in sorted(a_ids | b_ids)], cons.k
-        ),
-        a_ids,
-        b_ids,
+    common = cons.vertices_of(a_ids & b_ids)
+    a_own = sorted(a_ids - b_ids)
+    va = cons.vertices_of(a_own)
+    vb = cons.vertices_of(b_ids - a_ids)
+    small, large = (va, vb) if len(va) <= len(vb) else (vb, va)
+    padding = _augment(cons.matroid, common | small, large, len(large) - len(small))
+
+    parts = [cons.edges[a].vertices - padding for a in a_own]
+    pieces = greene_magnanti(
+        cons.matroid.contract(common | padding), va - padding, vb - padding, parts
     )
-
-
-def _exchange_disjoint(cons, a_ids, b_ids):
-    matroid = cons.matroid
-    va = cons.vertices_of(a_ids)
-    vb = cons.vertices_of(b_ids)
-
-    if len(va) <= len(vb):
-        padding = _augment(matroid, va, vb - va, len(vb) - len(va))
-    else:
-        padding = _augment(matroid, vb, va - vb, len(va) - len(vb))
-
-    a_order = sorted(a_ids)
-    parts = [cons.edges[a].vertices - padding for a in a_order]
-    assigned = greene_magnanti(matroid.contract(padding), va - padding, vb - padding, parts)
-
-    out = {}
-    for b in b_ids:
-        bv = cons.edges[b].vertices - padding
-        out[b] = frozenset(
-            a for a, piece in zip(a_order, assigned) if piece & bv
-        )
+    out = {b: frozenset({b}) for b in a_ids & b_ids}
+    for b in b_ids - a_ids:
+        bv = cons.edges[b].vertices
+        out[b] = frozenset(a for a, piece in zip(a_own, pieces) if piece & bv)
     return out
 
 

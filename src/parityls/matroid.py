@@ -13,7 +13,6 @@ set, so a query costs about the size of the change, not of the set.
 from dataclasses import dataclass, field
 
 AXIOM_CHECK_CAP = 16
-EXPLICIT_CAP = 20
 
 
 class MatroidOracle:
@@ -173,12 +172,12 @@ class GraphicMatroid(MatroidOracle):
 
 
 class ExplicitMatroid(MatroidOracle):
-    """Matroid given by the full list of independent sets (ground <= 20);
-    construction validates the matroid axioms."""
+    """Matroid given by the full list of independent sets (ground <= 16,
+    the axiom check's cap); construction validates the matroid axioms."""
 
     def __init__(self, n, independent_sets):
-        if n > EXPLICIT_CAP:
-            raise ValueError(f"explicit matroid capped at ground size {EXPLICIT_CAP}")
+        if n > AXIOM_CHECK_CAP:
+            raise ValueError(f"explicit matroid capped at ground size {AXIOM_CHECK_CAP}")
         super().__init__(range(n))
         self.independent_sets = frozenset(frozenset(s) for s in independent_sets)
         for s in self.independent_sets:

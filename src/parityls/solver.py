@@ -96,7 +96,12 @@ class RunTrace:
     """One run as its draw (scale, alpha, epsilon), each level's index
     with its applied moves, and its query counts (equality ignores them).
     ``thresholds`` is the draw's threshold family; ``add_level`` derives
-    the rest: level thresholds and contents, insertion order, final set."""
+    the rest: level thresholds and contents, insertion order, final set.
+
+    Construction checks the draw: epsilon must lie in (0, 1), and a
+    positive scale must give a finite top threshold ``level(0)``. A
+    scale <= 0 (-inf for an empty ground) is the empty run, which has
+    no levels."""
 
     scale: float
     alpha: float
@@ -109,15 +114,24 @@ class RunTrace:
     thresholds: Thresholds = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not 0 < self.epsilon < 1:
+            raise ValueError(f"epsilon {self.epsilon} does not lie in (0, 1)")
         self.thresholds = Thresholds(self.scale, self.alpha)
+        # "not <= 0" so that a NaN scale is checked too
+        if not self.scale <= 0 and not math.isfinite(top := self.thresholds.level(0)):
+            raise ValueError(
+                f"scale {self.scale} gives a top threshold of {top}, which is not finite"
+            )
 
     def add_level(self, index, moves):
         """Append level ``index`` by replaying its ``moves`` (a list of
         Improvement) from an empty level. Raises ValueError, leaving the
-        trace as it was, unless the index is an int >= 0 that exceeds
-        the last one, each removed edge is held by the level, each added
-        edge is not yet chosen and each move has its kind's shape
-        (MOVE_SHAPES)."""
+        trace as it was, unless the scale is positive, the index is an
+        int >= 0 that exceeds the last one, each removed edge is held by
+        the level, each added edge is not yet chosen and each move has
+        its kind's shape (MOVE_SHAPES)."""
+        if self.scale <= 0:
+            raise ValueError(f"scale {self.scale} is not positive; the empty run has no levels")
         if not isinstance(index, int) or isinstance(index, bool):
             raise ValueError(f"level index {index!r} is not an integer")
         if self.iterations and index <= self.iterations[-1].index:
@@ -237,8 +251,6 @@ def _drive(f, cons, config, rng, next_level):
     scale, gain = max_singleton_marginal(f, cons.edge_ids)
     alpha = sample_alpha(config.seed if rng is None else rng)
     trace = RunTrace(scale=scale, alpha=alpha, epsilon=config.epsilon)
-    if math.isnan(scale) or scale == math.inf:
-        raise ValueError(f"largest singleton marginal is {scale}; value oracle is not finite")
     if scale <= 0:  # -inf for an empty ground
         return frozenset(), trace
     budget = (1.0 + 2.0 / config.epsilon) * len(cons.edge_ids)

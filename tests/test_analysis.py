@@ -347,6 +347,22 @@ def test_verify_run_reports_broken_partition():
     assert [c.name for c in report.failed()] == ["partition-feasible"]
 
 
+def test_verify_run_reports_infeasible_level():
+    # a trace whose second level breaks the constraint: the verifier
+    # reports a failed partition check instead of raising
+    from parityls.solver import Improvement, RunTrace
+
+    cons = singleton_parity(UniformMatroid(3, 1))
+    f = ModularObjective({0: 4, 1: 3, 2: 2})
+    fake = RunTrace(scale=4.0, alpha=1.0, epsilon=0.5)
+    fake.add_level(1, [Improvement(1, (0,), ())])
+    fake.add_level(2, [Improvement(1, (1,), ())])
+    with pytest.raises(RuntimeError, match="level 2 infeasible"):
+        partition_reference(fake, cons, frozenset({0}))
+    report = verify_run(fake, f, cons, frozenset({0}), d=2.0)
+    assert [c.name for c in report.failed()] == ["partition-feasible"]
+
+
 def test_verify_run_rejects_small_d():
     cons, f = analysis_instance(1)
     out, trace = solved(f, cons, seed=1)

@@ -114,9 +114,19 @@ def test_bench_writes_csv_and_json(tmp_path, capsys):
     assert len(payload["summary"]) == 2
 
 
-def test_bench_requires_one_source(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["bench", "--out", str(tmp_path / "x")])
+def test_bench_requires_one_source(tmp_path, capsys):
+    instance = tmp_path / "instance.json"
+    main(["gen", "--kind", "random-parity", "--seed", "1", "--out", str(instance)])
+    capsys.readouterr()
+    out = str(tmp_path / "x")
+    for sources in ([], ["--instance", str(instance), "--generator", "random-parity"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--out", out] + sources)
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == (
+            "error: bench: needs exactly one of --instance / --generator\n"
+        )
+    assert not list(tmp_path.glob("x*"))
 
 
 def test_gen_prints_to_stdout_without_out(capsys):
@@ -279,6 +289,43 @@ def test_trace_off_the_lattice_or_with_a_foreign_move_is_one_line_error(
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: {reason}") and err.count("\n") == 1
+
+
+def fresh_trace():
+    """The fixture trace without its legacy keys."""
+    return trace_to_json(load_trace(DATA / "trace.json"))
+
+
+@pytest.mark.parametrize(
+    "draw, reason",
+    [
+        ({"epsilon": 1e9}, "epsilon 1000000000.0 does not lie in (0, 1)"),
+        ({"epsilon": float("nan")}, "epsilon nan does not lie in (0, 1)"),
+        ({"scale": -5}, "scale -5 is not positive; the empty run has no levels"),
+        ({"scale": 0}, "scale 0 is not positive; the empty run has no levels"),
+        ({"scale": 1e308}, "scale 1e+308 gives a top threshold of inf, which is not finite"),
+    ],
+)
+def test_trace_with_a_bad_draw_is_one_line_error(tmp_path, capsys, draw, reason):
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(dict(fresh_trace(), **draw)))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--instance", str(DATA / "instance.json"), "--trace", str(path)])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+
+
+def test_infeasible_trace_is_a_failed_check(tmp_path, capsys):
+    # level 4 adds edge 0 instead of 4; edges 0 and 3 then share a
+    # partition block of capacity 1
+    payload = fresh_trace()
+    payload["iterations"][2]["improvements"][0]["added"] = [0]
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(payload))
+    assert main(["verify", "--instance", str(DATA / "instance.json"), "--trace", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert [c["name"] for c in json.loads(out)["checks"] if not c["ok"]] == ["partition-feasible"]
+    assert err == "FAILED checks: partition-feasible\n"
 
 
 @pytest.mark.parametrize(

@@ -222,6 +222,31 @@ def test_tampered_legacy_key_is_rejected(key, tamper):
 
 
 @pytest.mark.parametrize(
+    "draw, message",
+    [
+        ({"epsilon": 1}, r"epsilon 1 does not lie in \(0, 1\)"),
+        ({"epsilon": 1e9}, r"epsilon 1000000000.0 does not lie in \(0, 1\)"),
+        ({"epsilon": -3}, r"epsilon -3 does not lie in \(0, 1\)"),
+        ({"epsilon": float("nan")}, r"epsilon nan does not lie in \(0, 1\)"),
+        ({"scale": 1e308}, "top threshold of inf, which is not finite"),
+        ({"scale": float("nan")}, "top threshold of nan, which is not finite"),
+        ({"scale": -5}, "the empty run has no levels"),
+        ({"scale": 0}, "the empty run has no levels"),
+    ],
+)
+def test_bad_draw_is_rejected(draw, message):
+    obj = dict(trace_to_json(trace_from_json(legacy_trace())), **draw)
+    with pytest.raises(ValueError, match=message):
+        trace_from_json(obj)
+
+
+def test_empty_run_loads_without_levels():
+    obj = dict(trace_to_json(trace_from_json(legacy_trace())), scale=-5, iterations=[])
+    trace = trace_from_json(obj)
+    assert trace.iterations == [] and trace.final == frozenset()
+
+
+@pytest.mark.parametrize(
     "level, move, change, message",
     [
         (1, None, {"index": 1}, "level index 1 does not exceed"),

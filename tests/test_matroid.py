@@ -162,8 +162,9 @@ def test_axiom_check_refuses_large_grounds():
 def test_explicit_constructor_validates():
     with pytest.raises(ValueError):
         ExplicitMatroid(2, [[], [0, 1]])
-    with pytest.raises(ValueError):
-        ExplicitMatroid(25, [[]])
+    for n in (17, 25):
+        with pytest.raises(ValueError, match="explicit matroid capped at ground size 16"):
+            ExplicitMatroid(n, [[]])
 
 
 def test_derived_views_pass_axiom_check():

@@ -506,6 +506,22 @@ def test_non_finite_scale_raises_and_empty_ground_is_empty():
         assert trace.iterations == []
 
 
+def test_overflowing_top_threshold_raises_before_any_level():
+    # a finite weight whose top threshold W * 2^alpha overflows to inf
+    # is refused before any level: past that point index_at_most would
+    # overflow, and the stepwise walk would never end, every threshold
+    # being inf
+    class AlphaOne:
+        def random(self):
+            return 0.0
+
+    f = ModularObjective({0: 1e308, 1: 1e308})
+    cons = singleton_parity(UniformMatroid(2, 2))
+    for runner in (run_reference, run_efficient):
+        with pytest.raises(ValueError, match="top threshold of inf, which is not finite"):
+            runner(f, cons, SolverConfig(epsilon=0.5), rng=AlphaOne())
+
+
 # float weights drawn from a small pool, so equal gains and gains that hit
 # a power-of-two threshold exactly (alpha = 1, dyadic weights) are common
 WEIGHT_POOL = (0.1, 0.25, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 4.0)
