@@ -224,7 +224,10 @@ def verify_run(trace, f, cons, reference, d=None):
 
     ``reference`` must be feasible and strictly down-monotone; ``d`` is
     the discrepancy weight (>= 2, default 2 * sqrt(k)). Returns a
-    ChargingReport whose ``ok`` is True iff every check passed.
+    ChargingReport whose ``ok`` is True iff every check passed. A draw
+    with scale <= 0 against a non-empty reference, and a trace that
+    builds an infeasible set, each end the report early with one failed
+    check: ``scale-positive`` and ``partition-feasible``.
     """
     if d is None:
         d = 2.0 * math.sqrt(cons.k)
@@ -239,11 +242,8 @@ def verify_run(trace, f, cons, reference, d=None):
     w = insertion_weights(trace, f)
     u = reference_weights(f, reference)
     ow = residual_weights(f, solution, reference)
-    try:
-        parts, witness, leftover = partition_reference(trace, cons, reference)
-    except RuntimeError as err:
-        # the settled-plus-unassigned feasibility invariant broke; report
-        # it as a failed check instead of escaping
+
+    def failed_early(name, reason):
         return ChargingReport(
             parts={},
             witness={},
@@ -252,8 +252,22 @@ def verify_run(trace, f, cons, reference, d=None):
             insertion=w,
             residual=ow,
             reference=u,
-            checks=[CheckResult("partition-feasible", False, [str(err)])],
+            checks=[CheckResult(name, False, [reason])],
         )
+
+    if reference and trace.scale <= 0:
+        # a strictly down-monotone reference has some o with
+        # 0 < u(o) <= f({o}) - f(empty) <= W, so this draw cannot come
+        # from a run on this instance
+        return failed_early(
+            "scale-positive", f"scale {trace.scale} is not positive, but the reference is not empty"
+        )
+    try:
+        parts, witness, leftover = partition_reference(trace, cons, reference)
+    except RuntimeError as err:
+        # the settled-plus-unassigned feasibility invariant broke; report
+        # it as a failed check instead of escaping
+        return failed_early("partition-feasible", str(err))
     level_of = {}
     threshold_of = {rec.index: rec.threshold for rec in trace.iterations}
     for i, members in parts.items():
@@ -355,12 +369,9 @@ def verify_run(trace, f, cons, reference, d=None):
         [] if _leq(singly_total, f_sol - f_empty) else [(singly_total, f_sol - f_empty)],
     )
 
-    thresholds = trace.thresholds if trace.scale > 0 else None
     rho = {}
-    if reference and thresholds is None:
-        raise RuntimeError("non-empty reference requires a positive scale")
-    for o in sorted(reference):
-        _, _, rho[o] = charge_ratios(u[o], thresholds, d, linear=linear)
+    for o in sorted(reference):  # the scale is positive here
+        _, _, rho[o] = charge_ratios(u[o], trace.thresholds, d, linear=linear)
 
     bad = []
     for o, i in level_of.items():

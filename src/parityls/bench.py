@@ -51,21 +51,22 @@ CSV_COLUMNS = (
 
 def greedy_baseline(f, cons):
     """Repeatedly add the feasible edge with the largest positive marginal
-    (ties to the smaller id); stop when none remains."""
-    chosen = frozenset()
+    (ties to the smaller id); stop when none remains. The marginals are
+    gains asked of one value context, which each added edge moves."""
+    vals = f.context(frozenset())
     while True:
         best_gain, best_edge = 0.0, None
-        f_chosen = f.value(chosen)
+        chosen = vals.base
         fits = cons.context(chosen)
         for e in cons.edge_ids:
             if e in chosen or not fits.feasible((e,)):
                 continue
-            gain = f.value(chosen | {e}) - f_chosen
+            gain = vals.gain((e,))
             if gain > best_gain:
                 best_gain, best_edge = gain, e
         if best_edge is None:
             return chosen
-        chosen = chosen | {best_edge}
+        vals.apply((best_edge,))
 
 
 def brute_force_opt(f, cons):

@@ -42,16 +42,21 @@ def double_greedy(f, edge_set, rng):
     non-negative f the returned subset T satisfies
     E[f(T)] >= max over subsets of S of f / 2. One uniform draw is
     consumed per element regardless of degenerate probabilities.
+
+    X and Y are two value contexts, one on the empty set that only grows
+    and one on S that only shrinks; each element asks one gain of each
+    and moves one of them.
     """
-    chosen = frozenset()
-    remaining = frozenset(edge_set)
+    low = f.context(frozenset())
+    high = f.context(edge_set)
     for e in sorted(edge_set):
-        a, b = _clipped_gains(f, e, chosen, remaining)
+        a = max(low.gain((e,)), 0.0)
+        b = max(high.gain((), (e,)), 0.0)
         if rng.random() < (1.0 if a + b == 0 else a / (a + b)):
-            chosen = chosen | {e}
+            low.apply((e,))
         else:
-            remaining = remaining - {e}
-    return chosen
+            high.apply((), (e,))
+    return low.base
 
 
 def _clipped_gains(f, e, chosen, remaining):

@@ -172,9 +172,10 @@ class RunTrace:
 def max_singleton_marginal(f, edge_ids):
     """The scale W = largest f({e}) - f(empty) over the ground set, and
     that gain for every edge (ascending ids); feasibility is not
-    consulted. Empty grounds give (-inf, {}), which shuts the run down."""
-    f_empty = f.value(frozenset())
-    gain = {e: f.value({e}) - f_empty for e in sorted(edge_ids)}
+    consulted. The gains come from one value context on the empty set.
+    Empty grounds give (-inf, {}), which shuts the run down."""
+    vals = f.context(frozenset())
+    gain = {e: vals.gain((e,)) for e in sorted(edge_ids)}
     return max(gain.values(), default=float("-inf")), gain
 
 
@@ -195,19 +196,22 @@ def find_improvement(f, cons, settled, current, theta, epsilon, gain):
     ``current``; then two-for-one moves over unordered pairs {x1, x2}
     lexicographic with y from ``current``, trying the smaller id as the
     first-inserted element before the other labeling. All feasibility
-    checks are on (A | S) \\ N, asked of one context around the base.
-    Returns None at a local optimum. ``gain`` is emptied, then filled
-    with f(base + x) - f(base) for each outside edge x the scan
-    evaluates, in ascending ids: all of them when it returns None.
+    checks are on (A | S) \\ N, asked of one feasibility context around
+    the base, and every value query is a gain asked of one value context
+    around it; each comparison reads a whole-set value as f(base) plus
+    that gain. Returns None at a local optimum. ``gain`` is emptied,
+    then filled with f(base + x) - f(base) for each outside edge x the
+    scan evaluates, in ascending ids: all of them when it returns None.
     """
     base = frozenset(settled) | frozenset(current)
     outside = [e for e in cons.edge_ids if e not in base]
     removable = sorted(current)
-    f_base = f.value(base)
+    vals = f.context(base)
+    f_base = vals.value
     fits = cons.context(base)
     gain.clear()
     for x in outside:
-        gain[x] = f.value(base | {x}) - f_base
+        gain[x] = vals.gain((x,))
         if gain[x] >= theta and fits.feasible((x,)):
             return Improvement(1, (x,), ())
 
@@ -218,7 +222,7 @@ def find_improvement(f, cons, settled, current, theta, epsilon, gain):
         for y in removable:
             if not fits.feasible((x,), (y,)):
                 continue
-            if f.value((base | {x}) - {y}) >= f_base + epsilon * theta:
+            if f_base + vals.gain((x,), (y,)) >= f_base + epsilon * theta:
                 return Improvement(2, (x,), (y,))
 
     for p, q in combinations(outside, 2):
@@ -228,7 +232,7 @@ def find_improvement(f, cons, settled, current, theta, epsilon, gain):
         for y in removable:
             if not fits.feasible((p, q), (y,)):
                 continue
-            f_pair = f.value(base | {p, q})
+            f_pair = f_base + vals.gain((p, q))
             if gain_p >= theta and f_pair - (f_base + gain_p) >= theta:
                 return Improvement(3, (p, q), (y,))
             if gain_q >= theta and f_pair - (f_base + gain_q) >= theta:

@@ -363,6 +363,22 @@ def test_verify_run_reports_infeasible_level():
     assert [c.name for c in report.failed()] == ["partition-feasible"]
 
 
+def test_verify_run_reports_empty_run_against_nonempty_reference():
+    # an empty run (scale <= 0, no levels) cannot come from an instance
+    # with a non-empty strictly down-monotone reference, whose weights
+    # force W > 0; that is one failed check, not an exception
+    from parityls.solver import RunTrace
+
+    cons = singleton_parity(UniformMatroid(3, 1))
+    f = ModularObjective({0: 4, 1: 3, 2: 2})
+    for scale in (-5.0, 0.0, -math.inf):
+        empty = RunTrace(scale=scale, alpha=1.0, epsilon=0.5)
+        report = verify_run(empty, f, cons, frozenset({0}), d=2.0)
+        assert [c.name for c in report.failed()] == ["scale-positive"]
+        assert report.leftover == frozenset({0}) and report.reference == {0: 4.0}
+        assert verify_run(empty, f, cons, frozenset(), d=2.0).ok
+
+
 def test_verify_run_rejects_small_d():
     cons, f = analysis_instance(1)
     out, trace = solved(f, cons, seed=1)

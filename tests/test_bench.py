@@ -23,7 +23,7 @@ from parityls.kparity import (
     from_intersection,
 )
 from parityls.matroid import PartitionMatroid, UniformMatroid
-from parityls.objective import ModularObjective, ValueOracle
+from parityls.objective import ModularObjective, ValueContext, ValueOracle
 from util import solver_instance, subsets
 
 
@@ -274,6 +274,9 @@ def test_oracle_calls_column_counts_every_query(mode, tmp_path, monkeypatch):
 
     cons, f = load_instance(path)
     monkeypatch.setattr(ValueOracle, "value", counting(ValueOracle.value))
+    monkeypatch.setattr(ValueOracle, "context", counting(ValueOracle.context))
+    monkeypatch.setattr(ValueContext, "gain", counting(ValueContext.gain))
+    monkeypatch.setattr(ValueContext, "apply", counting(ValueContext.apply))
     monkeypatch.setattr(KParityConstraint, "feasible", counting(KParityConstraint.feasible))
     monkeypatch.setattr(FeasibilityContext, "feasible", counting(FeasibilityContext.feasible))
     solve(mode, f, cons, epsilon=spec.epsilon, seed=row["seed"], ell=spec.ell)

@@ -328,6 +328,18 @@ def test_infeasible_trace_is_a_failed_check(tmp_path, capsys):
     assert err == "FAILED checks: partition-feasible\n"
 
 
+def test_empty_run_against_nonempty_reference_is_a_failed_check(tmp_path, capsys):
+    # an empty run (scale <= 0, no levels) loads, but the instance's
+    # pruned reference is not empty, so no run on it can draw scale -5
+    payload = dict(fresh_trace(), scale=-5, iterations=[])
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(payload))
+    assert main(["verify", "--instance", str(DATA / "instance.json"), "--trace", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert [c["name"] for c in json.loads(out)["checks"] if not c["ok"]] == ["scale-positive"]
+    assert err == "FAILED checks: scale-positive\n"
+
+
 @pytest.mark.parametrize(
     "ids, reason",
     [

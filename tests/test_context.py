@@ -1,13 +1,20 @@
-"""Independence and feasibility contexts: every family's context must
-answer exactly what the whole-set oracle answers for the changed set,
-including around dependent bases, and count one query per question."""
+"""Independence, feasibility and value contexts: every family's context
+must answer what the whole-set oracle answers for the changed set,
+including around dependent bases, and count one query per question.
+Value gains are exact on integer weights and within 1e-9 relative on
+float weights; greedy and double greedy, which ask value contexts, pick
+what their whole-set loops pick."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parityls.bench import greedy_baseline
 from parityls.kparity import Edge, KParityConstraint
 from parityls.matroid import GraphicMatroid
-from util import matroids, subsets
+from parityls.nonmonotone import _clipped_gains, double_greedy
+from parityls.objective import CoverageObjective, CutObjective, ModularObjective
+from util import matroids, solver_instance, subsets
 
 
 def ground_subsets(ground):
@@ -73,3 +80,194 @@ def test_constraint_context_matches_feasible_and_counts_each_query(data):
         assert cons.feasibility_calls == calls + 1
         assert answer == cons.feasible((ids - remove) | add)
         assert cons.feasibility_calls == calls + 2
+
+
+# ------------------------------------------------------------ value contexts
+
+# (edges added, edges removed) of each move shape the scans ask about
+MOVE_SHAPES = ((1, 0), (1, 1), (2, 0), (2, 1), (0, 1))
+
+
+@st.composite
+def objectives(draw, integer=True):
+    """A modular (with w0) or coverage objective over edges 0..n-1, or a
+    cut objective over nodes 0..n+1 with a self-loop and a parallel
+    link."""
+    n = draw(st.integers(1, 8))
+    if integer:
+        weight = st.integers(0, 50)
+    else:
+        weight = st.floats(0, 1000, allow_nan=False, allow_infinity=False)
+    family = draw(st.sampled_from(["modular", "coverage", "cut"]))
+    if family == "modular":
+        signed = st.integers(-50, 50) if integer else st.floats(-1000, 1000)
+        return ModularObjective({e: draw(signed) for e in range(n)}, w0=draw(weight))
+    if family == "coverage":
+        n_items = draw(st.integers(1, 8))
+        covers = st.frozensets(st.integers(0, n_items - 1))
+        return CoverageObjective(
+            [draw(weight) for _ in range(n_items)], {e: draw(covers) for e in range(n)}
+        )
+    node = st.integers(0, n + 1)
+    links = draw(st.lists(st.tuples(node, node, weight), min_size=1, max_size=14))
+    loop = draw(node)
+    return CutObjective(links + [(loop, loop, draw(weight)), links[0]])
+
+
+def ground_of(f):
+    if isinstance(f, CutObjective):
+        nodes = {x for u, v, _ in f.links for x in (u, v)}
+        return sorted(nodes | {max(nodes) + 1})  # and a node with no link
+    return sorted(f.weights if isinstance(f, ModularObjective) else f.edge_items)
+
+
+@st.composite
+def moves(draw, ground, base):
+    """A move of one of MOVE_SHAPES around ``base``, or None if ``base``
+    leaves too few edges inside or outside for the drawn shape."""
+    n_add, n_remove = draw(st.sampled_from(MOVE_SHAPES))
+    outside = sorted(set(ground) - base)
+    inside = sorted(base)
+    if len(outside) < n_add or len(inside) < n_remove:
+        return None
+    add = draw(st.permutations(outside))[:n_add]
+    remove = draw(st.permutations(inside))[:n_remove]
+    return tuple(add), tuple(remove)
+
+
+def close(a, b):
+    return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer=st.booleans(), data=st.data())
+def test_value_context_gain_matches_whole_set_difference(integer, data):
+    f = data.draw(objectives(integer))
+    ground = ground_of(f)
+    base = data.draw(ground_subsets(ground))
+    calls = f.calls
+    ctx = f.context(base)
+    assert f.calls == calls + 1
+    assert ctx.value == f.value(base)
+    for _ in range(6):
+        move = data.draw(moves(ground, base))
+        if move is None:
+            continue
+        add, remove = move
+        calls = f.calls
+        gain = ctx.gain(add, remove)
+        assert f.calls == calls + 1
+        whole = f.value((base - set(remove)) | set(add)) - f.value(base)
+        if integer:
+            assert gain == whole, (add, remove)
+        else:
+            assert close(gain, whole), (add, remove, gain, whole)
+    assert ctx.base == base
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer=st.booleans(), data=st.data())
+def test_value_context_apply_chain_tracks_the_whole_set_value(integer, data):
+    f = data.draw(objectives(integer))
+    ground = ground_of(f)
+    base = data.draw(ground_subsets(ground))
+    ctx = f.context(base)
+    for _ in range(8):
+        move = data.draw(moves(ground, base))
+        if move is None:
+            continue
+        add, remove = move
+        if data.draw(st.booleans()):
+            ctx.gain(add, remove)  # queries between moves reuse and drop caches
+        calls = f.calls
+        ctx.apply(add, remove)
+        assert f.calls == calls + 1
+        base = (base - set(remove)) | set(add)
+        assert ctx.base == base
+        if integer:
+            assert ctx.value == f.value(base)
+        else:
+            assert close(ctx.value, f.value(base))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_value_context_refuses_moves_that_do_not_fit_the_base(data):
+    f = data.draw(objectives())
+    ground = ground_of(f)
+    base = data.draw(ground_subsets(ground))
+    ctx = f.context(base)
+    value = ctx.value
+    outside = sorted(set(ground) - base)
+    bad = []
+    if base:
+        y = data.draw(st.sampled_from(sorted(base)))
+        bad.append(((y,), ()))  # adds an edge of the base
+        bad.append(((), (y, y)))  # removes an edge twice
+    if outside:
+        x = data.draw(st.sampled_from(outside))
+        bad.append(((), (x,)))  # removes an edge outside the base
+        bad.append(((x, x), ()))  # adds an edge twice
+    for add, remove in bad:
+        with pytest.raises(ValueError):
+            ctx.gain(add, remove)
+        with pytest.raises(ValueError):
+            ctx.apply(add, remove)
+        assert ctx.base == base and ctx.value == value
+
+
+def greedy_whole_set(f, cons):
+    """The greedy loop on whole-set value and feasibility queries."""
+    chosen = frozenset()
+    while True:
+        best_gain, best_edge = 0.0, None
+        f_chosen = f.value(chosen)
+        for e in cons.edge_ids:
+            if e in chosen or not cons.feasible(chosen | {e}):
+                continue
+            gain = f.value(chosen | {e}) - f_chosen
+            if gain > best_gain:
+                best_gain, best_edge = gain, e
+        if best_edge is None:
+            return chosen
+        chosen = chosen | {best_edge}
+
+
+def double_greedy_whole_set(f, edge_set, rng):
+    """The double-greedy loop on whole-set value queries."""
+    chosen = frozenset()
+    remaining = frozenset(edge_set)
+    for e in sorted(edge_set):
+        a, b = _clipped_gains(f, e, chosen, remaining)
+        if rng.random() < (1.0 if a + b == 0 else a / (a + b)):
+            chosen = chosen | {e}
+        else:
+            remaining = remaining - {e}
+    return chosen
+
+
+class Coins:
+    """Replays a fixed sequence of uniform draws."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def random(self):
+        return next(self.draws)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**31), data=st.data())
+def test_greedy_and_double_greedy_match_whole_set_loops(seed, data):
+    cons, f = solver_instance(seed, max_edges=14)
+    calls = f.calls
+    expected = greedy_whole_set(f, cons)
+    whole_calls, calls = f.calls - calls, f.calls
+    assert greedy_baseline(f, cons) == expected
+    assert f.calls - calls == whole_calls  # the counting rule keeps greedy's count
+    edge_set = data.draw(ground_subsets(cons.edge_ids))
+    coin = st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 1.0, exclude_max=True))
+    coins = data.draw(st.lists(coin, min_size=len(edge_set), max_size=len(edge_set)))
+    assert double_greedy(f, edge_set, Coins(coins)) == double_greedy_whole_set(
+        f, edge_set, Coins(coins)
+    )
