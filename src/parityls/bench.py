@@ -51,13 +51,14 @@ CSV_COLUMNS = (
 
 def greedy_baseline(f, cons):
     """Repeatedly add the feasible edge with the largest positive marginal
-    (ties to the smaller id); stop when none remains. The marginals are
-    gains asked of one value context, which each added edge moves."""
+    (ties to the smaller id); stop when none remains. The marginals and
+    feasibility checks are asked of one value and one feasibility
+    context, which each added edge moves."""
     vals = f.context(frozenset())
+    fits = cons.context(frozenset())
     while True:
         best_gain, best_edge = 0.0, None
         chosen = vals.base
-        fits = cons.context(chosen)
         for e in cons.edge_ids:
             if e in chosen or not fits.feasible((e,)):
                 continue
@@ -67,6 +68,7 @@ def greedy_baseline(f, cons):
         if best_edge is None:
             return chosen
         vals.apply((best_edge,))
+        fits.apply((best_edge,))
 
 
 def brute_force_opt(f, cons):

@@ -6,8 +6,8 @@ underlying matroid. Matroid k-intersection reduces to this form via one
 vertex copy per (element, matroid) pair.
 
 ``KParityConstraint.context`` answers feasibility queries around one
-fixed edge set, the way the solver's scans ask them: what if these
-edges were added and those removed.
+edge set, the way the solver's scans ask them: what if these edges were
+added and those removed. ``apply`` moves that set by such a change.
 """
 
 from dataclasses import dataclass
@@ -100,32 +100,33 @@ class KParityConstraint:
 
 
 class FeasibilityContext:
-    """Feasibility queries around one fixed edge set of a constraint.
+    """Feasibility queries around one edge set of a constraint.
 
     ``feasible(add, remove)`` answers ``cons.feasible((edge_set - remove)
-    | add)`` and counts one query on the constraint, like that call. The
-    matroid context of the edge set's vertices is built at the first
-    query, so a context nobody asks costs nothing; an unknown edge id
-    raises ValueError then.
+    | add)`` and counts one query on the constraint, like that call.
+    ``apply(add, remove=())`` moves the edge set to that set. Binding
+    and ``apply`` count no query; each builds the matroid context of the
+    edge set's vertices, and an unknown edge id raises ValueError there.
     """
 
     def __init__(self, cons, edge_set):
         self.cons = cons
-        self.edge_set = frozenset(edge_set)
-        self._matroid_context = None
+        self._bind(frozenset(edge_set))
 
     def feasible(self, add, remove=()) -> bool:
         cons = self.cons
         cons.feasibility_calls += 1
-        around = self._matroid_context
-        if around is None:
-            # edge vertices were checked against the ground at construction
-            around = self._matroid_context = cons.matroid._context(
-                cons.vertices_of(self.edge_set)
-            )
-        return around.independent_with(
+        return self._matroid_context.independent_with(
             cons.vertices_of(add), cons.vertices_of(remove) if remove else EMPTY
         )
+
+    def apply(self, add, remove=()):
+        self._bind(self.edge_set.difference(remove).union(add))
+
+    def _bind(self, edge_set):
+        self.edge_set = edge_set
+        # edge vertices were checked against the ground at construction
+        self._matroid_context = self.cons.matroid._context(self.cons.vertices_of(edge_set))
 
 
 class ProductMatroid(MatroidOracle):

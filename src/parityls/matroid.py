@@ -1,9 +1,9 @@
 """Matroid independence oracles, concrete families, and a contraction view.
 
 Vertices are integer ids (dense 0..n-1 for the concrete families). A
-matroid is exposed purely through its independence predicate; rank and
-the contraction view are built on top of that predicate, so they work
-for any oracle, including other views.
+matroid is exposed purely through its independence predicate; maximal
+independent subsets and the contraction view are built on top of that
+predicate, so they work for any oracle, including other views.
 
 A context (``MatroidOracle.context``) answers independence queries
 around one fixed vertex set: each family keeps what it needs about that
@@ -30,44 +30,34 @@ class MatroidOracle:
         return len(self.ground)
 
     def is_independent(self, vertices) -> bool:
-        s = frozenset(vertices)
-        if not s <= self.ground:
-            raise ValueError(
-                f"vertices {sorted(s - self.ground)} outside ground set"
-            )
-        return self._independent(s)
+        return self._independent(self._in_ground(vertices))
 
     def _independent(self, s: frozenset) -> bool:
         raise NotImplementedError
 
+    def _in_ground(self, vertices) -> frozenset:
+        """``vertices`` as a frozenset; ValueError if any lies outside the ground."""
+        s = frozenset(vertices)
+        if not s <= self.ground:
+            raise ValueError(f"vertices {sorted(s - self.ground)} outside ground set")
+        return s
+
     def context(self, base) -> "MatroidContext":
         """Independence queries around the fixed vertex set ``base``;
         see MatroidContext."""
-        s = frozenset(base)
-        if not s <= self.ground:
-            raise ValueError(
-                f"vertices {sorted(s - self.ground)} outside ground set"
-            )
-        return self._context(s)
+        return self._context(self._in_ground(base))
 
     def _context(self, s: frozenset) -> "MatroidContext":
         return MatroidContext(self, s)
-
-    def rank(self, vertices=None) -> int:
-        """Largest independent subset size, by greedy augmentation in id order."""
-        s = self.ground if vertices is None else vertices
-        return len(self.max_independent_subset(s))
 
     def contract(self, removed) -> "ContractedMatroid":
         return ContractedMatroid(self, removed)
 
     def max_independent_subset(self, vertices) -> frozenset:
-        """Greedy (ascending id) maximal independent subset of ``vertices``."""
-        s = frozenset(vertices)
-        if not s <= self.ground:
-            raise ValueError(f"vertices {sorted(s - self.ground)} outside ground set")
+        """Greedy (ascending id) maximal independent subset of ``vertices``;
+        its size is the rank of ``vertices``."""
         picked = frozenset()
-        for v in sorted(s):
+        for v in sorted(self._in_ground(vertices)):
             grown = picked | {v}
             if self._independent(grown):
                 picked = grown
@@ -87,7 +77,7 @@ class UniformMatroid(MatroidOracle):
         return len(s) <= self.rank_cap
 
     def _context(self, s):
-        return _SizeContext(self, s, self.rank_cap)
+        return _SizeContext(self, s)
 
 
 class PartitionMatroid(MatroidOracle):
@@ -235,16 +225,12 @@ class MatroidContext:
 
 
 class _SizeContext(MatroidContext):
-    """Uniform matroids: at most ``cap`` vertices."""
-
-    def __init__(self, matroid, base, cap):
-        super().__init__(matroid, base)
-        self.cap = cap
+    """Uniform matroids: at most ``rank_cap`` vertices."""
 
     def independent_with(self, add=EMPTY, remove=EMPTY):
         base = self.base
         size = len(base) + len(add - base) - (len((remove & base) - add) if remove else 0)
-        return size <= self.cap
+        return size <= self.matroid.rank_cap
 
 
 class _BlockContext(MatroidContext):

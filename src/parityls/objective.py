@@ -183,16 +183,19 @@ class CoverageObjective(ValueOracle):
 
 class _CoverageContext(_SummingContext):
     """Keeps the set of items the base covers, so an added edge gains the
-    weight of its items outside that set. Per-item cover counts are
-    built at the first query that removes an edge: a removed edge loses
-    the items no other base edge covers and no added edge covers."""
+    weight of its items outside that set, and how many base edges cover
+    each item, so a removed edge loses the items no other base edge
+    covers and no added edge covers."""
 
     def __init__(self, f, base):
         self.f = f
         self.base = base
         self.covered = f._covered(base)
         self.value = f._weight(self.covered)
-        self._counts = None
+        counts = self.counts = [0] * len(f.item_weights)
+        for e in base:
+            for i in f.edge_items[e]:
+                counts[i] += 1
 
     def _gain(self, add, remove):
         items, weight = self.f.edge_items, self.f.item_weights.__getitem__
@@ -208,12 +211,7 @@ class _CoverageContext(_SummingContext):
 
     def _lost(self, remove):
         """Items covered by the removed edges and by no other base edge."""
-        items, counts = self.f.edge_items, self._counts
-        if counts is None:
-            counts = self._counts = [0] * len(self.f.item_weights)
-            for e in self.base:
-                for i in items[e]:
-                    counts[i] += 1
+        items, counts = self.f.edge_items, self.counts
         tally = {}
         for y in remove:
             for i in items[y]:
@@ -222,19 +220,15 @@ class _CoverageContext(_SummingContext):
 
     def _move(self, add, remove):
         super()._move(add, remove)
-        items, counts, covered = self.f.edge_items, self._counts, self.covered
-        if counts is not None:
-            for y in remove:
-                for i in items[y]:
-                    counts[i] -= 1
-            for x in add:
-                for i in items[x]:
-                    counts[i] += 1
-            for y in remove:
-                for i in items[y]:
-                    if not counts[i]:
-                        covered.discard(i)
+        items, counts, covered = self.f.edge_items, self.counts, self.covered
+        for y in remove:
+            for i in items[y]:
+                counts[i] -= 1
+                if not counts[i]:
+                    covered.discard(i)
         for x in add:
+            for i in items[x]:
+                counts[i] += 1
             covered |= items[x]
 
 

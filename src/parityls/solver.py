@@ -7,11 +7,12 @@ levels: within level i it applies constant-size improving moves whose
 added elements gain at least m_i, removing only elements added at the
 current level.
 
-One level loop, ``_drive``, owns the draw, the per-level search and the
-move budget; ``RunTrace.add_level`` derives each level's facts from its
-moves. The two drivers differ only in the next-level rule, and both
-rules read the gains of the scan that ended the last level:
-``run_reference`` walks every level index literally, and
+One level loop, ``_drive``, owns the draw, the per-level search, the
+move budget and the run's one value and one feasibility context, which
+each applied move moves; ``RunTrace.add_level`` derives each level's
+facts from its moves. The two drivers differ only in the next-level
+rule, and both rules read the gains of the scan that ended the last
+level: ``run_reference`` walks every level index literally, and
 ``run_efficient`` jumps to the next level that can accept an element
 (``Thresholds.index_at_most``). With the same seed both return identical
 solutions and move sequences. ``bench.solve`` dispatches on the solver
@@ -169,12 +170,12 @@ class RunTrace:
         ]
 
 
-def max_singleton_marginal(f, edge_ids):
+def max_singleton_marginal(vals, edge_ids):
     """The scale W = largest f({e}) - f(empty) over the ground set, and
     that gain for every edge (ascending ids); feasibility is not
-    consulted. The gains come from one value context on the empty set.
-    Empty grounds give (-inf, {}), which shuts the run down."""
-    vals = f.context(frozenset())
+    consulted. The gains are asked of ``vals``, the run's value context
+    on the empty set. Empty grounds give (-inf, {}), which shuts the run
+    down."""
     gain = {e: vals.gain((e,)) for e in sorted(edge_ids)}
     return max(gain.values(), default=float("-inf")), gain
 
@@ -188,27 +189,27 @@ def sample_alpha(seed_or_rng):
     return 1.0 - rng.random()
 
 
-def find_improvement(f, cons, settled, current, theta, epsilon, gain):
-    """First improving move for ``settled | current`` at level theta.
+def find_improvement(vals, fits, current, theta, epsilon, gain):
+    """First improving move at level theta for the base that the value
+    context ``vals`` and the feasibility context ``fits`` share, of
+    which ``current`` is the part added at this level.
 
     Deterministic first-improvement scan: single additions over x
     ascending; then swaps over (x, y) lexicographic with y drawn from
     ``current``; then two-for-one moves over unordered pairs {x1, x2}
     lexicographic with y from ``current``, trying the smaller id as the
-    first-inserted element before the other labeling. All feasibility
-    checks are on (A | S) \\ N, asked of one feasibility context around
-    the base, and every value query is a gain asked of one value context
-    around it; each comparison reads a whole-set value as f(base) plus
-    that gain. Returns None at a local optimum. ``gain`` is emptied,
-    then filled with f(base + x) - f(base) for each outside edge x the
-    scan evaluates, in ascending ids: all of them when it returns None.
+    first-inserted element before the other labeling. Every feasibility
+    check on (base | A) \\ N is asked of ``fits`` and every value query
+    is a gain asked of ``vals``; each comparison reads a whole-set value
+    as ``vals.value`` plus that gain. The scan binds and moves nothing.
+    Returns None at a local optimum. ``gain`` is emptied, then filled
+    with f(base + x) - f(base) for each outside edge x the scan
+    evaluates, in ascending ids: all of them when it returns None.
     """
-    base = frozenset(settled) | frozenset(current)
-    outside = [e for e in cons.edge_ids if e not in base]
+    base = vals.base
+    outside = [e for e in fits.cons.edge_ids if e not in base]
     removable = sorted(current)
-    vals = f.context(base)
     f_base = vals.value
-    fits = cons.context(base)
     gain.clear()
     for x in outside:
         gain[x] = vals.gain((x,))
@@ -244,28 +245,36 @@ def find_improvement(f, cons, settled, current, theta, epsilon, gain):
 def _drive(f, cons, config, rng, next_level):
     """The level loop both drivers share.
 
-    Draws the scale and alpha, then asks ``next_level(settled, gain,
-    index, thresholds)`` for the next level index (None ends the run)
-    and runs the first-improvement local search there until no move is
-    left. ``gain`` holds each outside edge's gain against ``settled``,
-    from the singleton scan or the scan that ended the last level. The
-    applied moves are capped at (1 + 2/eps)|E|. Returns the final edge
-    set and the trace.
+    Binds the run's one value context ``vals`` on the empty set, draws
+    the scale (from its singleton gains) and alpha, and, once the scale
+    is positive, the run's one feasibility context ``fits``. Then it
+    asks ``next_level(fits, gain, index, thresholds)`` for the next
+    level index (None ends the run) and runs the first-improvement local
+    search there until no move is left. Each applied move moves both
+    contexts, so their base is always the chosen set, and the settled
+    set ``trace.final`` when a level ends. ``gain`` holds each outside
+    edge's gain against that set, from the singleton scan or the scan
+    that ended the last level. The applied moves are capped at
+    (1 + 2/eps)|E|. Returns the final edge set and the trace.
     """
-    scale, gain = max_singleton_marginal(f, cons.edge_ids)
+    vals = f.context(frozenset())
+    scale, gain = max_singleton_marginal(vals, cons.edge_ids)
     alpha = sample_alpha(config.seed if rng is None else rng)
     trace = RunTrace(scale=scale, alpha=alpha, epsilon=config.epsilon)
     if scale <= 0:  # -inf for an empty ground
         return frozenset(), trace
+    fits = cons.context(frozenset())
     budget = (1.0 + 2.0 / config.epsilon) * len(cons.edge_ids)
     value_calls_0, feas_calls_0 = f.calls, cons.feasibility_calls
     applied = 0
     index = 0
-    while (index := next_level(trace.final, gain, index, trace.thresholds)) is not None:
+    while (index := next_level(fits, gain, index, trace.thresholds)) is not None:
         theta = trace.thresholds.level(index)
         current = set()
         moves = []
-        while imp := find_improvement(f, cons, trace.final, current, theta, config.epsilon, gain):
+        while imp := find_improvement(vals, fits, current, theta, config.epsilon, gain):
+            vals.apply(imp.added, imp.removed)
+            fits.apply(imp.added, imp.removed)
             current.difference_update(imp.removed)
             current.update(imp.added)
             moves.append(imp)
@@ -287,8 +296,7 @@ def run_reference(f, cons, config, rng=None):
     is feasible (checked in ascending ids); it makes no value query.
     """
 
-    def step(settled, gain, index, thresholds):
-        fits = cons.context(settled)
+    def step(fits, gain, index, thresholds):
         if any(g > 0 and fits.feasible((e,)) for e, g in gain.items()):
             return index + 1
         return None
@@ -305,8 +313,7 @@ def run_efficient(f, cons, config, rng=None):
     for the same seed.
     """
 
-    def jump(settled, gain, index, thresholds):
-        fits = cons.context(settled)
+    def jump(fits, gain, index, thresholds):
         for e in sorted(gain, key=lambda e: (-gain[e], e)):
             if gain[e] <= 0:
                 return None

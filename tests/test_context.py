@@ -1,19 +1,24 @@
 """Independence, feasibility and value contexts: every family's context
 must answer what the whole-set oracle answers for the changed set,
 including around dependent bases, and count one query per question.
+A feasibility context moved by ``apply`` answers for the moved set.
 Value gains are exact on integer weights and within 1e-9 relative on
 float weights; greedy and double greedy, which ask value contexts, pick
-what their whole-set loops pick."""
+what their whole-set loops pick, and the drivers and greedy bind each
+kind of context once per run."""
+
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parityls.bench import greedy_baseline
+from parityls.bench import generate_instance, greedy_baseline
 from parityls.kparity import Edge, KParityConstraint
 from parityls.matroid import GraphicMatroid
 from parityls.nonmonotone import _clipped_gains, double_greedy
-from parityls.objective import CoverageObjective, CutObjective, ModularObjective
+from parityls.objective import CoverageObjective, CutObjective, ModularObjective, ValueOracle
+from parityls.solver import SolverConfig, run_efficient, run_reference
 from util import matroids, solver_instance, subsets
 
 
@@ -192,6 +197,28 @@ def test_value_context_apply_chain_tracks_the_whole_set_value(integer, data):
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
+def test_constraint_context_apply_chain_tracks_the_moved_set(data):
+    cons = data.draw(constraints())
+    moved = data.draw(ground_subsets(cons.edge_ids))
+    ctx = cons.context(moved)
+    for _ in range(6):
+        add = data.draw(ground_subsets(set(cons.edge_ids) - moved))
+        remove = data.draw(ground_subsets(moved))
+        calls = cons.feasibility_calls
+        ctx.apply(add, remove)
+        assert cons.feasibility_calls == calls  # moving is not a query
+        moved = (moved - remove) | add
+        assert ctx.edge_set == moved
+        queries = data.draw(
+            st.lists(st.tuples(ground_subsets(cons.edge_ids), ground_subsets(cons.edge_ids)),
+                     max_size=3)
+        )
+        for q_add, q_remove in queries:
+            assert ctx.feasible(q_add, q_remove) == cons.feasible((moved - q_remove) | q_add)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
 def test_value_context_refuses_moves_that_do_not_fit_the_base(data):
     f = data.draw(objectives())
     ground = ground_of(f)
@@ -271,3 +298,44 @@ def test_greedy_and_double_greedy_match_whole_set_loops(seed, data):
     assert double_greedy(f, edge_set, Coins(coins)) == double_greedy_whole_set(
         f, edge_set, Coins(coins)
     )
+
+
+# (generator kind, matroid of random-parity) of every generated family
+FAMILIES = (
+    ("k-partition-intersection", None),
+    ("k-uniform-set-packing-via-parity", None),
+    ("random-parity", "uniform"),
+    ("random-parity", "partition"),
+    ("random-parity", "graphic"),
+)
+
+
+def test_each_run_binds_one_value_and_one_feasibility_context(monkeypatch):
+    binds = Counter()
+
+    def count_binds(cls, name):
+        bind = cls.context
+
+        def counted(self, edge_set):
+            binds[name] += 1
+            return bind(self, edge_set)
+
+        monkeypatch.setattr(cls, "context", counted)
+
+    count_binds(ValueOracle, "value")
+    count_binds(KParityConstraint, "feasibility")
+    runs = (
+        lambda f, cons: run_efficient(f, cons, SolverConfig(epsilon=0.5, seed=3)),
+        lambda f, cons: run_reference(f, cons, SolverConfig(epsilon=0.5, seed=3)),
+        greedy_baseline,
+    )
+    for kind, matroid in FAMILIES:
+        for objective in ("modular", "coverage", "cut"):
+            params = {"k": 2, "objective": objective}
+            if matroid:
+                params["matroid"] = matroid
+            cons, f = generate_instance(kind, params, 1)
+            for run in runs:
+                binds.clear()
+                run(f, cons)
+                assert binds == {"value": 1, "feasibility": 1}, (kind, matroid, objective)

@@ -21,7 +21,8 @@ from util import (
 
 
 def is_base(matroid, vertices):
-    return matroid.is_independent(vertices) and len(vertices) == matroid.rank()
+    rank = len(matroid.max_independent_subset(matroid.ground))
+    return matroid.is_independent(vertices) and len(vertices) == rank
 
 
 def test_partition_uniform_matching_sizes():

@@ -43,6 +43,11 @@ def weights_531():
     return f, cons
 
 
+def contexts(f, cons, base):
+    """The value and feasibility contexts a run carries, bound on ``base``."""
+    return f.context(base), cons.context(base)
+
+
 class FixedDraw:
     """Stand-in rng whose single uniform draw pins alpha = 1 - u."""
 
@@ -96,7 +101,7 @@ def explore_terminal_sets(f, cons, eps, alpha, limit=200000):
     feasible gain admit no move: additions need gain >= threshold, and
     removals need a non-empty current level).
     """
-    scale, _ = max_singleton_marginal(f, cons.edge_ids)
+    scale, _ = max_singleton_marginal(f.context(frozenset()), cons.edge_ids)
     if not math.isfinite(scale) or scale <= 0:
         return {frozenset()}
     thresholds = Thresholds(scale, alpha)
@@ -149,9 +154,10 @@ def explore_terminal_sets(f, cons, eps, alpha, limit=200000):
 
 def test_max_singleton_marginal():
     f, cons = weights_531()
-    assert max_singleton_marginal(f, cons.edge_ids) == (5, {0: 5, 1: 3, 2: 1})
+    vals = f.context(frozenset())
+    assert max_singleton_marginal(vals, cons.edge_ids) == (5, {0: 5, 1: 3, 2: 1})
     assert f.calls == 4  # f(empty) once, then one query per edge
-    assert max_singleton_marginal(f, []) == (float("-inf"), {})
+    assert max_singleton_marginal(vals, []) == (float("-inf"), {})
 
 
 def test_max_singleton_marginal_coverage():
@@ -159,7 +165,7 @@ def test_max_singleton_marginal_coverage():
 
     f = CoverageObjective([2, 3, 5], {0: {0, 1}, 1: {2}, 2: {0, 2}})
     # direct scan: edge 2 covers items worth 2 + 5
-    assert max_singleton_marginal(f, [0, 1, 2]) == (7, {0: 5, 1: 5, 2: 7})
+    assert max_singleton_marginal(f.context(frozenset()), [0, 1, 2]) == (7, {0: 5, 1: 5, 2: 7})
 
 
 def test_all_negative_weights_solve_to_empty():
@@ -238,14 +244,14 @@ def test_fast_forward_brackets_random_inputs():
 
 def test_kind1_found_on_empty_solution():
     f, cons = weights_531()
-    imp = find_improvement(f, cons, frozenset(), frozenset(), 1.0, 0.5, {})
+    imp = find_improvement(*contexts(f, cons, frozenset()), frozenset(), 1.0, 0.5, {})
     assert imp == Improvement(1, (0,), ())
 
 
 def test_kind2_swap_example():
     f = ModularObjective({0: 1.0, 1: 1.2})
     cons = singleton_parity(UniformMatroid(2, 1))
-    imp = find_improvement(f, cons, frozenset(), {0}, 1.0, 0.1, {})
+    imp = find_improvement(*contexts(f, cons, {0}), {0}, 1.0, 0.1, {})
     assert imp == Improvement(2, (1,), (0,))
     oracle = enumerate_improvements(f, cons, frozenset(), {0}, 1.0, 0.1)
     assert oracle == [Improvement(2, (1,), (0,))]
@@ -254,7 +260,7 @@ def test_kind2_swap_example():
 def test_no_improvement_at_local_optimum():
     f, cons = weights_531()
     gain = {0: 99.0}  # emptied by the scan
-    assert find_improvement(f, cons, frozenset(), {0, 1}, 3.0, 0.5, gain) is None
+    assert find_improvement(*contexts(f, cons, {0, 1}), {0, 1}, 3.0, 0.5, gain) is None
     assert gain == {2: 1}
 
 
@@ -271,7 +277,7 @@ def test_kind3_labeling_tiebreak():
         matroid, [Edge(0, {0, 1}), Edge(1, {2}), Edge(2, {3})], 2
     )
     f = ModularObjective({0: 2.0, 1: 2.0, 2: 2.0})
-    imp = find_improvement(f, cons, frozenset(), {0}, 2.0, 0.5, {})
+    imp = find_improvement(*contexts(f, cons, {0}), {0}, 2.0, 0.5, {})
     assert imp == Improvement(3, (1, 2), (0,))
     oracle = enumerate_improvements(f, cons, frozenset(), {0}, 2.0, 0.5)
     assert oracle[0] == Improvement(3, (1, 2), (0,))
@@ -291,7 +297,7 @@ def test_scan_matches_enumeration_on_random_states():
         theta = float(rng.uniform(0.5, 8.0))
         eps = float(rng.choice([0.1, 0.5]))
         gain = {}
-        got = find_improvement(f, cons, chosen - split, split, theta, eps, gain)
+        got = find_improvement(*contexts(f, cons, chosen), split, theta, eps, gain)
         oracle = enumerate_improvements(f, cons, chosen - split, split, theta, eps)
         assert got == (oracle[0] if oracle else None)
         if got is None:  # a failed scan leaves the gain of every outside edge
