@@ -19,8 +19,6 @@ Weight families, all telescoping marginals:
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .exchange import exchange_structure
 from .objective import LINEAR
 from .solver import Thresholds
@@ -143,31 +141,6 @@ def _ratio_cap(ratio, d):
     charge ratio r; works elementwise on arrays."""
     keep = 1.0 - 1.0 / d
     return (1.0 - keep / 2.0) / (1.0 - keep / ratio)
-
-
-def shift_log_ratio(scale, u_value, alpha):
-    """log2 of the threshold/weight ratio as a function of alpha.
-
-    Piecewise linear in alpha: with a* the unique alpha making some
-    threshold hit u exactly, the ratio is 2^(alpha - a* + 1) below a*
-    and 2^(alpha - a*) from a* on; the result is uniform on [0, 1) when
-    alpha is uniform on (0, 1].
-    """
-    if not 0 < u_value <= scale:
-        raise ValueError("need 0 < u <= scale")
-    gap = math.log2(scale) - math.log2(u_value)
-    i_star = math.floor(gap) + 1
-    alpha_star = i_star - gap
-    # below a* the exponent wraps around by one; the boolean adds 0 or 1,
-    # so ``alpha`` may also be an array
-    return alpha - alpha_star + (alpha < alpha_star)
-
-
-def simulate_ratios(scale, u_value, alphas, d):
-    """Vectorized charge ratios over an array of alpha draws; returns
-    (r, rho) arrays. Matches charge_ratios pointwise."""
-    r = 2.0 ** shift_log_ratio(scale, u_value, np.asarray(alphas, dtype=float))
-    return r, np.minimum(r, _ratio_cap(r, d))
 
 
 @dataclass

@@ -140,6 +140,7 @@ class ProductMatroid(MatroidOracle):
         self.matroids = list(matroids)
         self.n_elements = n_elements
         self.k = len(self.matroids)
+        self._split = {}  # memo of _slices for sets of at most 2k vertices
         super().__init__(range(n_elements * self.k))
 
     def _independent(self, s):
@@ -148,11 +149,19 @@ class ProductMatroid(MatroidOracle):
         )
 
     def _slices(self, s):
-        """Per-matroid slices {x | x * k + i in s}, i < k."""
+        """Per-matroid slices {x | x * k + i in s}, i < k, as a tuple.
+        Sets of at most 2k vertices, the one- and two-edge sets that
+        context queries ask about, are split once and then read back."""
+        small = len(s) <= 2 * self.k
+        if small and (hit := self._split.get(s)) is not None:
+            return hit
         slices = [set() for _ in range(self.k)]
         for v in s:
             slices[v % self.k].add(v // self.k)
-        return [frozenset(sl) for sl in slices]
+        out = tuple(frozenset(sl) for sl in slices)
+        if small:
+            self._split[s] = out
+        return out
 
     def _context(self, s):
         return _ProductContext(self, s)

@@ -5,13 +5,10 @@ all produced sets and their double-greedy refinements.
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .solver import SolverConfig, run_efficient
-
-EXPECTATION_CAP = 14
 
 
 @dataclass(frozen=True)
@@ -57,41 +54,6 @@ def double_greedy(f, edge_set, rng):
         else:
             high.apply((), (e,))
     return low.base
-
-
-def _clipped_gains(f, e, chosen, remaining):
-    add_gain = f.value(chosen | {e}) - f.value(chosen)
-    drop_gain = f.value(remaining - {e}) - f.value(remaining)
-    return max(add_gain, 0.0), max(drop_gain, 0.0)
-
-
-def double_greedy_exact_expectation(f, edge_set):
-    """Exact E[f(T)] of double greedy by branching over every coin flip.
-
-    Probabilities and the expectation are carried as exact rationals
-    (clipped gains converted exactly, then divided in Fraction space);
-    zero-probability branches are skipped. Returns a Fraction. Capped
-    at 14 elements.
-    """
-    elems = sorted(edge_set)
-    if len(elems) > EXPECTATION_CAP:
-        raise ValueError(f"exact expectation capped at {EXPECTATION_CAP} elements")
-
-    def walk(pos, chosen, remaining):
-        if pos == len(elems):
-            return Fraction(f.value(chosen))
-        e = elems[pos]
-        a, b = _clipped_gains(f, e, chosen, remaining)
-        a, b = Fraction(a), Fraction(b)
-        p = Fraction(1) if a + b == 0 else a / (a + b)
-        total = Fraction(0)
-        if p > 0:
-            total += p * walk(pos + 1, chosen | {e}, remaining)
-        if p < 1:
-            total += (1 - p) * walk(pos + 1, chosen, remaining - {e})
-        return total
-
-    return walk(0, frozenset(), frozenset(elems))
 
 
 @dataclass

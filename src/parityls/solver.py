@@ -20,8 +20,8 @@ modes in ``bench.MODES``.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -205,6 +205,16 @@ def find_improvement(vals, fits, current, theta, epsilon, gain):
     Returns None at a local optimum. ``gain`` is emptied, then filled
     with f(base + x) - f(base) for each outside edge x the scan
     evaluates, in ascending ids: all of them when it returns None.
+
+    Two shortcuts leave every answer and value query as they are. The
+    swap loop tries every high edge x (gain >= theta) against every y
+    and records each dead swap, one with (base - y) + x dependent. The
+    pair loop skips y when a member of the pair has a dead swap with
+    y: feasibility is down-closed, so (base - y) + {p, q} is dependent
+    too, for every MatroidOracle. A pair needs a high member to qualify,
+    so the loop enumerates only such pairs, in the same lexicographic
+    order: all later q for a high p, only the high ones for a low p.
+    With nothing at this level to remove, it stops after the singles.
     """
     base = vals.base
     outside = [e for e in fits.cons.edge_ids if e not in base]
@@ -215,30 +225,37 @@ def find_improvement(vals, fits, current, theta, epsilon, gain):
         gain[x] = vals.gain((x,))
         if gain[x] >= theta and fits.feasible((x,)):
             return Improvement(1, (x,), ())
+    if not removable:  # swaps and pairs need a level edge to remove
+        return None
 
     # from here on the gain of every outside edge is known
-    for x in outside:
-        if gain[x] < theta:
-            continue
+    high = [x for x in outside if gain[x] >= theta]
+    dead = set()  # swaps (x, y) with (base - y) + x dependent
+    for x in high:
         for y in removable:
             if not fits.feasible((x,), (y,)):
+                dead.add((x, y))
                 continue
             if f_base + vals.gain((x,), (y,)) >= f_base + epsilon * theta:
                 return Improvement(2, (x,), (y,))
 
-    for p, q in combinations(outside, 2):
-        gain_p, gain_q = gain[p], gain[q]
-        if gain_p < theta and gain_q < theta:
-            continue
-        for y in removable:
-            if not fits.feasible((p, q), (y,)):
-                continue
-            f_pair = f_base + vals.gain((p, q))
-            if gain_p >= theta and f_pair - (f_base + gain_p) >= theta:
-                return Improvement(3, (p, q), (y,))
-            if gain_q >= theta and f_pair - (f_base + gain_q) >= theta:
-                return Improvement(3, (q, p), (y,))
-            break  # labelings do not depend on y; this pair is dead
+    for i, p in enumerate(outside):
+        gain_p = gain[p]
+        # pairs {p, q} with q > p and at least one high member
+        partners = outside[i + 1:] if gain_p >= theta else high[bisect_right(high, p):]
+        for q in partners:
+            for y in removable:
+                # down-closed: a dead swap with either member kills the pair
+                if (p, y) in dead or (q, y) in dead:
+                    continue
+                if not fits.feasible((p, q), (y,)):
+                    continue
+                f_pair = f_base + vals.gain((p, q))
+                if gain_p >= theta and f_pair - (f_base + gain_p) >= theta:
+                    return Improvement(3, (p, q), (y,))
+                if gain[q] >= theta and f_pair - (f_base + gain[q]) >= theta:
+                    return Improvement(3, (q, p), (y,))
+                break  # labelings do not depend on y; this pair is dead
     return None
 
 

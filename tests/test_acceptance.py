@@ -11,21 +11,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from parityls.analysis import prune_down_monotone, simulate_ratios, verify_run
+from parityls.analysis import prune_down_monotone, verify_run
 from parityls.bench import brute_force_opt, generate_instance
 from parityls.exchange import exchange_claim_violations, exchange_structure
-from parityls.nonmonotone import (
-    RepetitionsConfig,
-    double_greedy_exact_expectation,
-    repetitions_with_trace,
-)
+from parityls.nonmonotone import RepetitionsConfig, repetitions_with_trace
 from parityls.objective import CutObjective, ModularObjective
 from parityls.solver import SolverConfig, run_efficient, run_reference
 from util import (
     analysis_instance,
+    double_greedy_exact_expectation,
     exchange_scale_instance,
     random_feasible_set,
     rng_for,
+    simulate_ratios,
     solver_instance,
     subsets,
 )

@@ -12,8 +12,6 @@ from parityls.analysis import (
     prune_down_monotone,
     reference_weights,
     residual_weights,
-    shift_log_ratio,
-    simulate_ratios,
     verify_run,
 )
 from parityls.bench import brute_force_opt, generate_instance, greedy_baseline
@@ -22,7 +20,7 @@ from parityls.kparity import KParityConstraint
 from parityls.matroid import UniformMatroid
 from parityls.objective import CoverageObjective, ModularObjective
 from parityls.solver import SolverConfig, Thresholds, run_efficient
-from util import SetSystem, analysis_instance, rng_for
+from util import SetSystem, analysis_instance, rng_for, shift_log_ratio, simulate_ratios
 
 
 def singleton_parity(matroid):

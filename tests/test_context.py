@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 from parityls.bench import generate_instance, greedy_baseline
 from parityls.kparity import Edge, KParityConstraint
 from parityls.matroid import GraphicMatroid
-from parityls.nonmonotone import _clipped_gains, double_greedy
+from parityls.nonmonotone import double_greedy
 from parityls.objective import CoverageObjective, CutObjective, ModularObjective, ValueOracle
 from parityls.solver import SolverConfig, run_efficient, run_reference
-from util import matroids, solver_instance, subsets
+from util import clipped_gains, matroids, solver_instance, subsets
 
 
 def ground_subsets(ground):
@@ -265,7 +265,7 @@ def double_greedy_whole_set(f, edge_set, rng):
     chosen = frozenset()
     remaining = frozenset(edge_set)
     for e in sorted(edge_set):
-        a, b = _clipped_gains(f, e, chosen, remaining)
+        a, b = clipped_gains(f, e, chosen, remaining)
         if rng.random() < (1.0 if a + b == 0 else a / (a + b)):
             chosen = chosen | {e}
         else:

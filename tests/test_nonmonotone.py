@@ -7,14 +7,9 @@ import pytest
 
 from parityls.kparity import KParityConstraint
 from parityls.matroid import UniformMatroid
-from parityls.nonmonotone import (
-    RepetitionsConfig,
-    double_greedy,
-    double_greedy_exact_expectation,
-    repetitions_with_trace,
-)
+from parityls.nonmonotone import RepetitionsConfig, double_greedy, repetitions_with_trace
 from parityls.objective import CutObjective, ModularObjective, ValueOracle
-from util import rng_for, solver_instance, subsets
+from util import double_greedy_exact_expectation, rng_for, solver_instance, subsets
 
 
 class Constant(ValueOracle):

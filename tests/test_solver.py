@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from parityls.bench import generate_instance
 from parityls.kparity import KParityConstraint
 from parityls.matroid import UniformMatroid
-from parityls.objective import CoverageObjective, ModularObjective, ValueOracle
+from parityls.objective import CoverageObjective, CutObjective, ModularObjective, ValueOracle
 from parityls.solver import (
     Improvement,
     RunTrace,
@@ -305,6 +305,131 @@ def test_scan_matches_enumeration_on_random_states():
                 x: f.value(chosen | {x}) - f.value(chosen)
                 for x in cons.edge_ids if x not in chosen
             }
+
+
+def test_scan_skips_pair_checks_through_a_dead_swap():
+    # k = 2 over partition blocks A = {0, 2}, B = {1, 3}, C = {4, 5}, all
+    # of capacity 1. The level holds edges 0 = {0, 1} and 4 = {4}; edge
+    # 1 = {5} shares C with edge 4, and edges 2 = {2} and 3 = {3} share A
+    # and B with edge 0. Every single addition is dependent and every
+    # feasible swap gains nothing, so the swaps (1, 0), (2, 4) and (3, 4)
+    # are dead. Down-closedness then answers the pairs {1, 2} and {1, 3}
+    # for both y, and {2, 3} needs only its y = 0 check, which succeeds.
+    from parityls.matroid import PartitionMatroid
+    from parityls.kparity import Edge
+
+    matroid = PartitionMatroid([[0, 2], [1, 3], [4, 5]], [1, 1, 1])
+    cons = KParityConstraint(
+        matroid,
+        [Edge(0, {0, 1}), Edge(1, {5}), Edge(2, {2}), Edge(3, {3}), Edge(4, {4})],
+        2,
+    )
+    f = ModularObjective({e: 2.0 for e in range(5)})
+    vals, fits = contexts(f, cons, {0, 4})
+    asked = []
+    feasible = fits.feasible
+
+    def recording(add, remove=()):
+        asked.append((tuple(add), tuple(remove)))
+        return feasible(add, remove)
+
+    fits.feasible = recording
+    calls = cons.feasibility_calls
+    imp = find_improvement(vals, fits, {0, 4}, 2.0, 0.5, {})
+    # 3 single additions and 3 x 2 swaps, then one pair check
+    assert cons.feasibility_calls - calls == len(asked) == 3 + 6 + 1
+    assert [q for q in asked if len(q[0]) == 2] == [((2, 3), (0,))]
+    assert imp == Improvement(3, (2, 3), (0,))
+    oracle = enumerate_improvements(f, cons, frozenset(), {0, 4}, 2.0, 0.5)
+    assert oracle[0] == imp
+
+
+class SquaredWeight(ValueOracle):
+    """Supermodular f(S) = (sum of weights)^2: a pair can qualify with a
+    member whose own gain is below theta, which no submodular f allows."""
+
+    def __init__(self, weights):
+        super().__init__()
+        self.weights = weights
+
+    def _value(self, s):
+        return sum(self.weights[e] for e in s) ** 2
+
+
+@pytest.mark.parametrize("low, high", [(2, 1), (1, 2)])
+def test_scan_pairs_a_high_edge_with_a_low_one(low, high):
+    # the blocks of the dead-swap example, with edge 0 = {0, 1} in the
+    # level and edges 1 = {2} and 2 = {3} outside. Under the supermodular
+    # f = (sum of weights)^2, the low edge gains 2.0625 < theta = 3 alone
+    # but 3.5625 after the high one, so the pair qualifies with the high
+    # edge first, whichever id is smaller
+    from parityls.matroid import PartitionMatroid
+    from parityls.kparity import Edge
+
+    matroid = PartitionMatroid([[0, 2], [1, 3]], [1, 1])
+    cons = KParityConstraint(matroid, [Edge(0, {0, 1}), Edge(1, {2}), Edge(2, {3})], 2)
+    f = SquaredWeight({0: 1.0, high: 1.0, low: 0.75})
+    imp = find_improvement(*contexts(f, cons, {0}), {0}, 3.0, 0.5, {})
+    assert imp == Improvement(3, (high, low), (0,))
+    assert enumerate_improvements(f, cons, frozenset(), {0}, 3.0, 0.5) == [imp]
+
+
+# dyadic float weights: every sum is exact, so a context gain equals the
+# whole-set difference and a tie at theta is a tie for the scan and for
+# the enumerator alike
+DYADIC_POOL = (0.125, 0.25, 0.375, 0.5, 0.75, 1.0, 1.5, 2.5, 4.0)
+
+
+def dyadic_objective(cons, rng):
+    """Modular, squared-weight, coverage or cut objective on dyadic weights."""
+    pick = lambda: float(rng.choice(DYADIC_POOL))
+    ids = list(cons.edge_ids)
+    family = int(rng.integers(4))
+    if family == 0:
+        return ModularObjective({e: pick() for e in ids})
+    if family == 1:
+        return SquaredWeight({e: pick() for e in ids})
+    if family == 2:
+        n_items = int(rng.integers(1, 7))
+        size = lambda: int(rng.integers(1, n_items + 1))
+        covers = {e: frozenset(rng.choice(n_items, size(), replace=False).tolist()) for e in ids}
+        return CoverageObjective([pick() for _ in range(n_items)], covers)
+    pick_id = lambda: ids[int(rng.integers(len(ids)))]
+    return CutObjective([(pick_id(), pick_id(), pick()) for _ in range(2 * len(ids))])
+
+
+def test_scan_matches_enumeration_with_ties_at_theta():
+    # theta equals the gain of one outside edge, so the >= theta ties
+    # decide which edges are high and which swaps are recorded dead; the
+    # chosen set is built heaviest edge first, as a level would, so that
+    # many scans reach the pair loop
+    pair_scans = 0
+    for seed in range(300):
+        cons, _ = solver_instance(seed, max_edges=8)
+        rng = rng_for(7000 + seed)
+        f = dyadic_objective(cons, rng)
+        chosen = frozenset()
+        for e in sorted(cons.edge_ids, key=lambda e: (-f.value({e}), e)):
+            if rng.random() < 0.8 and cons.feasible(chosen | {e}):
+                chosen = chosen | {e}
+        split = frozenset(e for e in chosen if rng.random() < 0.8)
+        whole = {
+            x: f.value(chosen | {x}) - f.value(chosen)
+            for x in cons.edge_ids if x not in chosen
+        }
+        positive = sorted(x for x, g in whole.items() if g > 0)
+        if not positive:
+            continue
+        theta = whole[positive[int(rng.integers(len(positive)))]]
+        eps = float(rng.choice([0.25, 0.5]))
+        gain = {}
+        got = find_improvement(*contexts(f, cons, chosen), split, theta, eps, gain)
+        oracle = enumerate_improvements(f, cons, chosen - split, split, theta, eps)
+        assert got == (oracle[0] if oracle else None)
+        if got is None:
+            assert gain == whole
+        pair_scans += bool(split) and (got is None or got.kind == 3)
+    assert pair_scans >= 50
 
 
 # ------------------------------------------------------------------ runs

@@ -1,12 +1,16 @@
 """Shared helpers for the test suite: subset enumeration, random feasible
 sets, a set system that need not be a matroid, hypothesis strategies for
-matroids, and the seeded desk-scale instance batteries."""
+matroids, the seeded desk-scale instance batteries, the exact expectation
+of double greedy and the closed form of the threshold/weight ratio."""
 
+import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 from hypothesis import strategies as st
 
+from parityls.analysis import _ratio_cap
 from parityls.bench import generate_instance
 from parityls.kparity import ProductMatroid
 from parityls.matroid import (
@@ -181,3 +185,66 @@ def solver_instance(seed, families=("modular", "coverage", "cut"), max_edges=10)
             "objective": family,
         }
     return generate_instance(kind, params, int(rng.integers(2**31)))
+
+
+EXPECTATION_CAP = 14
+
+
+def clipped_gains(f, e, chosen, remaining):
+    add_gain = f.value(chosen | {e}) - f.value(chosen)
+    drop_gain = f.value(remaining - {e}) - f.value(remaining)
+    return max(add_gain, 0.0), max(drop_gain, 0.0)
+
+
+def double_greedy_exact_expectation(f, edge_set):
+    """Exact E[f(T)] of double greedy by branching over every coin flip.
+
+    Probabilities and the expectation are carried as exact rationals
+    (clipped gains converted exactly, then divided in Fraction space);
+    zero-probability branches are skipped. Returns a Fraction. Capped
+    at 14 elements.
+    """
+    elems = sorted(edge_set)
+    if len(elems) > EXPECTATION_CAP:
+        raise ValueError(f"exact expectation capped at {EXPECTATION_CAP} elements")
+
+    def walk(pos, chosen, remaining):
+        if pos == len(elems):
+            return Fraction(f.value(chosen))
+        e = elems[pos]
+        a, b = clipped_gains(f, e, chosen, remaining)
+        a, b = Fraction(a), Fraction(b)
+        p = Fraction(1) if a + b == 0 else a / (a + b)
+        total = Fraction(0)
+        if p > 0:
+            total += p * walk(pos + 1, chosen | {e}, remaining)
+        if p < 1:
+            total += (1 - p) * walk(pos + 1, chosen, remaining - {e})
+        return total
+
+    return walk(0, frozenset(), frozenset(elems))
+
+
+def shift_log_ratio(scale, u_value, alpha):
+    """log2 of the threshold/weight ratio as a function of alpha.
+
+    Piecewise linear in alpha: with a* the unique alpha making some
+    threshold hit u exactly, the ratio is 2^(alpha - a* + 1) below a*
+    and 2^(alpha - a*) from a* on; the result is uniform on [0, 1) when
+    alpha is uniform on (0, 1].
+    """
+    if not 0 < u_value <= scale:
+        raise ValueError("need 0 < u <= scale")
+    gap = math.log2(scale) - math.log2(u_value)
+    i_star = math.floor(gap) + 1
+    alpha_star = i_star - gap
+    # below a* the exponent wraps around by one; the boolean adds 0 or 1,
+    # so ``alpha`` may also be an array
+    return alpha - alpha_star + (alpha < alpha_star)
+
+
+def simulate_ratios(scale, u_value, alphas, d):
+    """Vectorized charge ratios over an array of alpha draws; returns
+    (r, rho) arrays. Matches analysis.charge_ratios pointwise."""
+    r = 2.0 ** shift_log_ratio(scale, u_value, np.asarray(alphas, dtype=float))
+    return r, np.minimum(r, _ratio_cap(r, d))
