@@ -7,6 +7,7 @@ f would gain if these edges were added and those removed.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 CHECK_CAP = 14
@@ -50,6 +51,26 @@ class ValueOracle:
         return ValueContext(self, base)
 
 
+_PLAIN = {float, int}  # weight types that skip _real's slower checks
+
+
+def _real(w, where, *args):
+    """float(w) for a real number, numpy scalars included; a str, bool,
+    None or other value raises ValueError naming ``where.format(*args)``."""
+    if type(w) not in _PLAIN and (isinstance(w, bool) or not isinstance(w, numbers.Real)):
+        raise ValueError(f"{where.format(*args)} weight {w!r} is not a number")
+    return float(w)
+
+
+def _dyadic(weights):
+    """Integer units and one power of two ``den`` with
+    units[i] / den == weights[i] exactly (den is 1 for integer weights),
+    so sums of units are exact and ``units / den`` rounds once."""
+    ratios = [w.as_integer_ratio() for w in weights]
+    den = max((d for _, d in ratios), default=1)
+    return [n * (den // d) for n, d in ratios], den
+
+
 def _check_move(base, add, remove):
     for x in add:
         if x in base:
@@ -75,10 +96,11 @@ class ValueContext:
     This generic context evaluates ``f._value`` on each whole new set,
     and ``apply`` evaluates the new base rather than adding up gains, so
     an oracle without its own context sees the ``_value`` calls that
-    whole-set queries would make. The family contexts below add up
-    exact marginals instead: on integer weights (sums below 2^53) every
-    gain and value equals the whole-set figure; on float weights a gain
-    may differ from the whole-set difference in the last ulp.
+    whole-set queries would make. In the family contexts below, cut
+    gains and coverage one-edge add gains are exact integer sums (see
+    ``_dyadic``) rounded once. Their other gains and the ``value`` that
+    ``apply`` carries add floats: exact on integer weights (sums below
+    2^53), within the last ulps of the whole-set figures on float ones.
     """
 
     def __init__(self, f, base):
@@ -120,11 +142,13 @@ class ModularObjective(ValueOracle):
 
     def __init__(self, weights, w0=0.0):
         super().__init__()
-        if not 0 <= w0 < math.inf:
+        self.w0 = _real(w0, "w0")
+        if not 0 <= self.w0 < math.inf:
             raise ValueError("w0 must be finite and non-negative")
-        self.w0 = float(w0)
         self.weights = dict(weights)
         for e, w in self.weights.items():
+            if type(w) not in _PLAIN:
+                _real(w, "edge {}", e)
             if not math.isfinite(w):
                 raise ValueError(f"edge {e} has non-finite weight {w}")
 
@@ -156,7 +180,10 @@ class CoverageObjective(ValueOracle):
 
     def __init__(self, item_weights, edge_items):
         super().__init__()
-        self.item_weights = [float(w) for w in item_weights]
+        self.item_weights = [
+            float(w) if type(w) in _PLAIN else _real(w, "item {}", i)
+            for i, w in enumerate(item_weights)
+        ]
         for i, w in enumerate(self.item_weights):
             if not 0 <= w < math.inf:
                 raise ValueError(f"item {i} weight {w} is negative or not finite")
@@ -164,6 +191,9 @@ class CoverageObjective(ValueOracle):
         for e, items in self.edge_items.items():
             if any(not 0 <= i < len(self.item_weights) for i in items):
                 raise ValueError(f"edge {e} covers an unknown item")
+        # built by the first context: item weights as units / den, the
+        # edges that cover each item, and each edge's items in units
+        self._units = self._den = self._holders = self._total = None
 
     def _value(self, s):
         return self._weight(self._covered(s))
@@ -178,14 +208,24 @@ class CoverageObjective(ValueOracle):
         return sum(map(self.item_weights.__getitem__, items))
 
     def _context(self, base):
+        if self._holders is None:
+            units, self._den = _dyadic(self.item_weights)
+            holders = [[] for _ in units]
+            for e, items in self.edge_items.items():
+                for i in items:
+                    holders[i].append(e)
+            self._units, self._holders = units, [tuple(h) for h in holders]
+            unit = units.__getitem__
+            self._total = {e: sum(map(unit, items)) for e, items in self.edge_items.items()}
         return _CoverageContext(self, base)
 
 
 class _CoverageContext(_SummingContext):
-    """Keeps the set of items the base covers, so an added edge gains the
-    weight of its items outside that set, and how many base edges cover
-    each item, so a removed edge loses the items no other base edge
-    covers and no added edge covers."""
+    """Keeps ``single[e]``, the units of e's items outside the base's
+    cover, so adding one edge gains single[e] / den. Other moves use the
+    covered items, so the added edges gain the weight of theirs outside
+    them, and how many base edges cover each item, so the removed edges
+    lose the items no other base edge and no added edge covers."""
 
     def __init__(self, f, base):
         self.f = f
@@ -196,8 +236,15 @@ class _CoverageContext(_SummingContext):
         for e in base:
             for i in f.edge_items[e]:
                 counts[i] += 1
+        single = self.single = dict(f._total)
+        for i in self.covered:
+            for e in f._holders[i]:
+                single[e] -= f._units[i]
 
     def _gain(self, add, remove):
+        if not remove and len(add) == 1:
+            (x,) = add
+            return self.single[x] / self.f._den
         items, weight = self.f.edge_items, self.f.item_weights.__getitem__
         if len(add) == 1:
             for x in add:
@@ -220,16 +267,22 @@ class _CoverageContext(_SummingContext):
 
     def _move(self, add, remove):
         super()._move(add, remove)
-        items, counts, covered = self.f.edge_items, self.counts, self.covered
+        f, counts, covered, single = self.f, self.counts, self.covered, self.single
+        items, units, holders = f.edge_items, f._units, f._holders
         for y in remove:
             for i in items[y]:
                 counts[i] -= 1
                 if not counts[i]:
                     covered.discard(i)
+                    for e in holders[i]:
+                        single[e] += units[i]
         for x in add:
             for i in items[x]:
+                if not counts[i]:
+                    covered.add(i)
+                    for e in holders[i]:
+                        single[e] -= units[i]
                 counts[i] += 1
-            covered |= items[x]
 
 
 class CutObjective(ValueOracle):
@@ -241,11 +294,16 @@ class CutObjective(ValueOracle):
 
     def __init__(self, weighted_links):
         super().__init__()
-        self.links = [(u, v, float(w)) for u, v, w in weighted_links]
+        self.links = [
+            (u, v, float(w) if type(w) in _PLAIN else _real(w, "link ({}, {})", u, v))
+            for u, v, w in weighted_links
+        ]
         for u, v, w in self.links:
             if not 0 <= w < math.inf:
                 raise ValueError(f"link ({u}, {v}) weight {w} is negative or not finite")
-        self._adjacency = None  # node -> links at it, built by the first context
+        # built by the first context: node -> (neighbours, link units), parallel
+        # links merged and self-loops (never cut) left out; units at each node
+        self._adjacency = self._degree = self._den = None
 
     def _value(self, s):
         total = 0.0
@@ -256,44 +314,64 @@ class CutObjective(ValueOracle):
 
     def _context(self, base):
         if self._adjacency is None:
-            # the tuples of ``links`` themselves; a self-loop is never cut
-            adjacency = {}
-            for link in self.links:
-                u, v, _ = link
+            units, self._den = _dyadic([w for _, _, w in self.links])
+            rows = {}
+            for (u, v, _), n in zip(self.links, units):
                 if u != v:
-                    adjacency.setdefault(u, []).append(link)
-                    adjacency.setdefault(v, []).append(link)
-            self._adjacency = adjacency
+                    for a, b in ((u, v), (v, u)):
+                        row = rows.setdefault(a, {})
+                        row[b] = row.get(b, 0) + n
+            self._adjacency = {x: (tuple(row), tuple(row.values())) for x, row in rows.items()}
+            self._degree = {x: sum(row.values()) for x, row in rows.items()}
         return _CutContext(self, base)
 
 
+_NO_LINKS = ((), ())
+
+
 class _CutContext(_SummingContext):
-    """A gain walks only the links at the moved edges. A link whose ends
-    both move stays cut or uncut, so it is skipped; every other link at
-    a moved edge flips."""
+    """Keeps ``single[x]``, the units of x's links to edges outside the
+    base minus those to edges inside, so adding x gains single[x] / den
+    and removing it loses that; an applied move shifts the entries of the
+    moved edges' neighbours. A move of several edges adds up their
+    entries and mends each link between two moved edges, which stays cut
+    or uncut although both entries count it as flipping."""
+
+    def __init__(self, f, base):
+        self.f = f
+        self.base = base
+        self.value = f._value(base) if base else 0.0
+        self.single = dict(f._degree)
+        self._shift(base, -2)
 
     def _gain(self, add, remove):
-        base, adjacency = self.base, self.f._adjacency
-        g = 0.0
-        for x in add:
-            for u, v, w in adjacency.get(x, ()):
-                other = v if u == x else u
-                if other in add or other in remove:
-                    continue
-                if other in base:
-                    g -= w
-                else:
-                    g += w
-        for y in remove:
-            for u, v, w in adjacency.get(y, ()):
-                other = v if u == y else u
-                if other in add or other in remove:
-                    continue
-                if other in base:
-                    g += w
-                else:
-                    g -= w
-        return g
+        single, den = self.single, self.f._den
+        if len(add) + len(remove) == 1:
+            for x in add:
+                return single.get(x, 0) / den
+            for y in remove:
+                return -single.get(y, 0) / den
+        sign = dict.fromkeys(add, 1)
+        sign.update(dict.fromkeys(remove, -1))
+        g = 0
+        for a, s in sign.items():
+            g += s * single.get(a, 0)
+            for b, n in zip(*self.f._adjacency.get(a, _NO_LINKS)):
+                if b in sign:  # met from both ends
+                    g -= s * sign[b] * n
+        return g / den
+
+    def _move(self, add, remove):
+        super()._move(add, remove)
+        self._shift(add, -2)
+        self._shift(remove, 2)
+
+    def _shift(self, edges, step):
+        """Add ``step`` times each link at ``edges`` to its other end's entry."""
+        single, adjacency = self.single, self.f._adjacency
+        for x in edges:
+            for other, n in zip(*adjacency.get(x, _NO_LINKS)):
+                single[other] += step * n
 
 
 @dataclass

@@ -169,6 +169,21 @@ def test_malformed_instance_is_one_line_error(tmp_path, capsys, text, reason):
         assert err.count("\n") == 1
 
 
+def test_string_cut_weight_is_one_line_error(tmp_path, capsys):
+    instance = tmp_path / "instance.json"
+    params = '{"objective": "cut", "n_edges": 4, "n_vertices": 6}'
+    main(["gen", "--kind", "random-parity", "--params", params, "--out", str(instance)])
+    payload = json.loads(instance.read_text())
+    payload["objective"]["cut"]["weights"][0][2] = "5"
+    instance.write_text(json.dumps(payload))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["solve", "--instance", str(instance)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {instance}: link (") and "weight '5' is not a number" in err
+    assert err.count("\n") == 1
+
+
 def test_malformed_trace_is_one_line_error(tmp_path, capsys):
     instance = tmp_path / "instance.json"
     main(["gen", "--kind", "random-parity", "--seed", "1", "--out", str(instance)])

@@ -3,11 +3,13 @@ must answer what the whole-set oracle answers for the changed set,
 including around dependent bases, and count one query per question.
 A feasibility context moved by ``apply`` answers for the moved set.
 Value gains are exact on integer weights and within 1e-9 relative on
-float weights; greedy and double greedy, which ask value contexts, pick
-what their whole-set loops pick, and the drivers and greedy bind each
-kind of context once per run."""
+float weights, and one-edge cut and coverage gains are the exact gain
+rounded once on any weights; greedy and double greedy, which ask value
+contexts, pick what their whole-set loops pick, and the drivers and
+greedy bind each kind of context once per run."""
 
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -94,16 +96,16 @@ MOVE_SHAPES = ((1, 0), (1, 1), (2, 0), (2, 1), (0, 1))
 
 
 @st.composite
-def objectives(draw, integer=True):
+def objectives(draw, integer=True, families=("modular", "coverage", "cut"), weight=None):
     """A modular (with w0) or coverage objective over edges 0..n-1, or a
     cut objective over nodes 0..n+1 with a self-loop and a parallel
-    link."""
+    link; ``weight`` draws the non-negative weights if given."""
     n = draw(st.integers(1, 8))
-    if integer:
+    if weight is None and integer:
         weight = st.integers(0, 50)
-    else:
+    elif weight is None:
         weight = st.floats(0, 1000, allow_nan=False, allow_infinity=False)
-    family = draw(st.sampled_from(["modular", "coverage", "cut"]))
+    family = draw(st.sampled_from(families))
     if family == "modular":
         signed = st.integers(-50, 50) if integer else st.floats(-1000, 1000)
         return ModularObjective({e: draw(signed) for e in range(n)}, w0=draw(weight))
@@ -193,6 +195,46 @@ def test_value_context_apply_chain_tracks_the_whole_set_value(integer, data):
             assert ctx.value == f.value(base)
         else:
             assert close(ctx.value, f.value(base))
+
+
+def exact_value(f, s):
+    """f(s) of a cut or coverage objective as an exact Fraction."""
+    if isinstance(f, CutObjective):
+        weights = [w for u, v, w in f.links if (u in s) != (v in s)]
+    else:
+        weights = [f.item_weights[i] for i in set().union(*map(f.edge_items.get, s))]
+    return sum(map(Fraction, weights), Fraction(0))
+
+
+# float weights that are not dyadic, so float sums of them round
+NON_DYADIC = (0.1, 0.3, 0.7, 2.2, 4.4, 8.8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer=st.booleans(), data=st.data())
+def test_one_edge_gains_are_the_exact_gain_rounded_once(integer, data):
+    """After each applied move, every one-edge add gain (cut and coverage)
+    and every one-edge remove gain (cut) is float(exact difference)."""
+    weight = None if integer else st.one_of(st.sampled_from(NON_DYADIC), st.floats(0, 100))
+    f = data.draw(objectives(integer, ("coverage", "cut"), weight))
+    ground = ground_of(f)
+    base = data.draw(ground_subsets(ground))
+    ctx = f.context(base)
+    for _ in range(6):
+        before = exact_value(f, base)
+        for x in ground:
+            if x not in base:
+                exact = exact_value(f, base | {x}) - before
+                assert ctx.gain((x,)) == float(exact), ("add", x, base)
+            elif isinstance(f, CutObjective):
+                exact = exact_value(f, base - {x}) - before
+                assert ctx.gain((), (x,)) == float(exact), ("remove", x, base)
+        move = data.draw(moves(ground, base))
+        if move is None:
+            continue
+        add, remove = move
+        ctx.apply(add, remove)
+        base = (base - set(remove)) | set(add)
 
 
 @settings(max_examples=150, deadline=None)

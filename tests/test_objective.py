@@ -4,6 +4,7 @@ checkers on the three concrete families."""
 import math
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from parityls.objective import (
@@ -120,3 +121,32 @@ def test_non_finite_weights_name_the_culprit(bad):
         CoverageObjective([1.0, bad], {0: {0, 1}})
     with pytest.raises(ValueError, match=r"link \(0, 2\)"):
         CutObjective([(0, 1, 1.0), (0, 2, bad)])
+
+
+NOT_NUMBERS = ["3", True, None, [1.0]]
+
+
+@pytest.mark.parametrize("bad", NOT_NUMBERS)
+def test_modular_weights_must_be_numbers(bad):
+    with pytest.raises(ValueError, match=r"edge 1 weight .* is not a number"):
+        ModularObjective({0: 1.0, 1: bad})
+    with pytest.raises(ValueError, match=r"w0 weight .* is not a number"):
+        ModularObjective({0: 1.0}, w0=bad)
+    f = ModularObjective({0: np.float64(2.5), 1: np.int64(3)}, w0=np.float32(1.0))
+    assert f.value({0, 1}) == 6.5
+
+
+@pytest.mark.parametrize("bad", NOT_NUMBERS)
+def test_coverage_weights_must_be_numbers(bad):
+    with pytest.raises(ValueError, match=r"item 1 weight .* is not a number"):
+        CoverageObjective([1.0, bad], {0: {0, 1}})
+    f = CoverageObjective([np.float64(0.5), np.int64(2)], {0: {0, 1}})
+    assert f.value({0}) == 2.5
+
+
+@pytest.mark.parametrize("bad", NOT_NUMBERS)
+def test_cut_weights_must_be_numbers(bad):
+    with pytest.raises(ValueError, match=r"link \(0, 2\) weight .* is not a number"):
+        CutObjective([(0, 1, 1.0), (0, 2, bad)])
+    f = CutObjective([(0, 1, np.float64(0.5)), (0, 2, np.int64(2))])
+    assert f.value({0}) == f.context({0}).value == 2.5
