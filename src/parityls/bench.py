@@ -14,7 +14,7 @@ from .kparity import Edge, KParityConstraint, from_intersection
 from .matroid import GraphicMatroid, PartitionMatroid, UniformMatroid
 from .nonmonotone import RepetitionsConfig, repetitions_with_trace
 from .objective import CoverageObjective, CutObjective, ModularObjective
-from .solver import RunTrace, SolverConfig, run_efficient, run_reference
+from .solver import RunTrace, SolverConfig, best_feasible, run_efficient, run_reference
 
 BRUTE_FORCE_CAP = 20
 OPT_COLUMN_CAP = 12
@@ -50,25 +50,18 @@ CSV_COLUMNS = (
 
 
 def greedy_baseline(f, cons):
-    """Repeatedly add the feasible edge with the largest positive marginal
-    (ties to the smaller id); stop when none remains. The marginals and
-    feasibility checks are asked of one value and one feasibility
-    context, which each added edge moves."""
+    """Repeatedly add ``solver.best_feasible``'s pick among the marginals
+    of all outside edges: the feasible edge with the largest positive one
+    (ties to the smaller id), until none remains. One value and one
+    feasibility context, moved by each added edge, answer the queries."""
     vals = f.context(frozenset())
     fits = cons.context(frozenset())
     while True:
-        best_gain, best_edge = 0.0, None
-        chosen = vals.base
-        for e in cons.edge_ids:
-            if e in chosen or not fits.feasible((e,)):
-                continue
-            gain = vals.gain((e,))
-            if gain > best_gain:
-                best_gain, best_edge = gain, e
-        if best_edge is None:
-            return chosen
-        vals.apply((best_edge,))
-        fits.apply((best_edge,))
+        gain = {e: vals.gain((e,)) for e in cons.edge_ids if e not in vals.base}
+        if (e := best_feasible(fits, gain)) is None:
+            return vals.base
+        vals.apply((e,))
+        fits.apply((e,))
 
 
 def brute_force_opt(f, cons):
@@ -109,13 +102,16 @@ def generate_instance(kind, params, seed):
                                        over a uniform, partition or graphic
                                        matroid.
     Objectives come from the modular/coverage/cut families with integer
-    weights, so all solver comparisons are exact. A bad parameter is a
-    ValueError naming its rule, raised before any random draw, so valid
-    parameters draw as they would without the checks.
+    weights, so all solver comparisons are exact. A bad parameter, or
+    one no generator reads, is a ValueError naming its rule, raised
+    before any random draw, so valid parameters draw as they would
+    without the checks.
     """
     if kind not in GENERATOR_KINDS:
         raise ValueError(f"unknown generator kind {kind!r}")
     params = dict(params or {})
+    if unknown := sorted(params.keys() - _NUMERIC_PARAMS.keys() - {"objective", "matroid"}):
+        raise ValueError(f"unknown generator parameters {unknown}")
     for name, cast in _NUMERIC_PARAMS.items():
         if name in params:
             try:
@@ -124,6 +120,10 @@ def generate_instance(kind, params, seed):
                 got = params[name]
                 raise ValueError(f"need {name} of type {cast.__name__}, got {got!r}") from None
     family = params.get("objective", "modular")
+    if family not in ("modular", "coverage", "cut"):
+        raise ValueError(f"unknown objective family {family!r}")
+    if params.get("matroid", "uniform") not in ("uniform", "partition", "graphic"):
+        raise ValueError(f"unknown matroid kind {params['matroid']!r}")
     hi = params.get("weight_hi", 10)
     if family == "modular" and params.get("weight_lo", 1) > hi:
         raise ValueError("need weight_lo <= weight_hi")
@@ -211,8 +211,7 @@ def _gen_random_parity(params, rng):
         matroid = UniformMatroid(n_vertices, min(rank, n_vertices))
     elif matroid_kind == "partition":
         matroid = _random_partition_matroid(n_vertices, rng)
-    elif matroid_kind == "graphic":
-        # one graph link per matroid vertex; rank is bounded by nodes - 1
+    else:  # graphic: one graph link per matroid vertex; rank is at most nodes - 1
         n_nodes = params.get("n_nodes", max(3, n_vertices // 2))
         if n_nodes < 2:
             raise ValueError("need n_nodes >= 2 for a graphic matroid")
@@ -221,8 +220,6 @@ def _gen_random_parity(params, rng):
             for _ in range(n_vertices)
         ]
         matroid = GraphicMatroid(n_nodes, links)
-    else:
-        raise ValueError(f"unknown matroid kind {matroid_kind!r}")
     return KParityConstraint(matroid, edges, k)
 
 
@@ -244,14 +241,12 @@ def _gen_objective(params, cons, rng):
                 rng.choice(n_items, size=count, replace=False).tolist()
             )
         return CoverageObjective(item_weights, edge_items)
-    if family == "cut":
-        links = []
-        for i, u in enumerate(ids):
-            for v in ids[i + 1 :]:
-                if rng.random() < params.get("link_prob", 0.5):
-                    links.append((u, v, int(rng.integers(1, hi + 1))))
-        return CutObjective(links)
-    raise ValueError(f"unknown objective family {family!r}")
+    links = []  # cut, the family left
+    for i, u in enumerate(ids):
+        for v in ids[i + 1 :]:
+            if rng.random() < params.get("link_prob", 0.5):
+                links.append((u, v, int(rng.integers(1, hi + 1))))
+    return CutObjective(links)
 
 
 @dataclass

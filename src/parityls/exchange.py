@@ -92,8 +92,8 @@ def exchange_structure(cons, set_a, set_b):
 
     Construction, all in one contraction of ``cons.matroid``: with C the
     vertices of the shared edges and V_A, V_B those of the edges only A
-    or only B has, pad the smaller of V_A, V_B from the larger until
-    both have one size (C is independent, so this augments in M / C),
+    or only B has, pad the smaller of V_A, V_B with the first greedy
+    picks from the larger in M / (C | smaller) until both have one size,
     contract C and the padding, split V_B along the vertex sets of A's
     own edges (``greene_magnanti``), and let N_b collect the edges of A
     whose piece touches b's vertices. Shared edges get N_b = {b}.
@@ -115,7 +115,12 @@ def exchange_structure(cons, set_a, set_b):
     va = cons.vertices_of(a_own)
     vb = cons.vertices_of(b_ids - a_ids)
     small, large = (va, vb) if len(va) <= len(vb) else (vb, va)
-    padding = _augment(cons.matroid, common | small, large, len(large) - len(small))
+    # common | small is the vertex set of A or of B, so it is independent
+    count = len(large) - len(small)
+    grown = sorted(cons.matroid.contract(common | small).max_independent_subset(large))
+    if len(grown) < count:
+        raise RuntimeError("augmentation failed; independence oracle violates the matroid axioms")
+    padding = frozenset(grown[:count])
 
     parts = [cons.edges[a].vertices - padding for a in a_own]
     pieces = greene_magnanti(
@@ -126,24 +131,6 @@ def exchange_structure(cons, set_a, set_b):
         bv = cons.edges[b].vertices
         out[b] = frozenset(a for a, piece in zip(a_own, pieces) if piece & bv)
     return out
-
-
-def _augment(matroid, start, pool, count):
-    """Grow ``start`` by ``count`` vertices from ``pool`` (ascending id),
-    keeping independence; existence is guaranteed by augmentation."""
-    grown = set(start)
-    picked = set()
-    for v in sorted(pool):
-        if len(picked) == count:
-            break
-        if matroid.is_independent(grown | {v}):
-            grown.add(v)
-            picked.add(v)
-    if len(picked) != count:
-        raise RuntimeError(
-            "augmentation failed; independence oracle violates the matroid axioms"
-        )
-    return frozenset(picked)
 
 
 def exchange_claim_violations(cons, set_a, set_b, witness):

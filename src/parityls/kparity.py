@@ -13,6 +13,7 @@ added and those removed. ``apply`` moves that set by such a change.
 from dataclasses import dataclass
 
 from .matroid import EMPTY, MatroidContext, MatroidOracle
+from .objective import _check_move
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,8 @@ class FeasibilityContext:
 
     ``feasible(add, remove)`` answers ``cons.feasible((edge_set - remove)
     | add)`` and counts one query on the constraint, like that call.
-    ``apply(add, remove=())`` moves the edge set to that set. Binding
+    ``apply(add, remove=())`` moves the edge set to that set, and refuses
+    a move that does not fit it as ``ValueContext.apply`` does. Binding
     and ``apply`` count no query; each builds the matroid context of the
     edge set's vertices, and an unknown edge id raises ValueError there.
     """
@@ -121,12 +123,13 @@ class FeasibilityContext:
         )
 
     def apply(self, add, remove=()):
+        _check_move(self.edge_set, add, remove)
         self._bind(self.edge_set.difference(remove).union(add))
 
     def _bind(self, edge_set):
-        self.edge_set = edge_set
         # edge vertices were checked against the ground at construction
         self._matroid_context = self.cons.matroid._context(self.cons.vertices_of(edge_set))
+        self.edge_set = edge_set
 
 
 class ProductMatroid(MatroidOracle):

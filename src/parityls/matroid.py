@@ -18,8 +18,8 @@ AXIOM_CHECK_CAP = 16
 class MatroidOracle:
     """Independence oracle over a fixed ground set of integer vertex ids.
 
-    Subclasses implement ``_independent`` for validated inputs. Oracles
-    are immutable after construction and safe for concurrent queries.
+    Subclasses implement ``_independent`` for validated inputs. Answers
+    never change after construction; ``ProductMatroid`` memoizes slices.
     """
 
     def __init__(self, ground):
@@ -197,7 +197,7 @@ class ContractedMatroid(MatroidOracle):
         super().__init__(base.ground - removed)
         self.base = base
         self.removed = removed
-        self.basis = base.max_independent_subset(removed)
+        self.basis = removed if base._independent(removed) else base.max_independent_subset(removed)
 
     def _independent(self, s):
         return self.base._independent(s | self.basis)

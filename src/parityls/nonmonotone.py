@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solver import SolverConfig, run_efficient
+from .solver import SolverConfig, _require_int, run_efficient
 
 
 @dataclass(frozen=True)
@@ -21,6 +21,8 @@ class RepetitionsConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_int("ell", self.ell)
+        _require_int("seed", self.seed)
         if self.ell < 0:
             raise ValueError("ell must be positive (or 0 for the default)")
         if not 0 < self.epsilon < 1:
@@ -68,8 +70,6 @@ class RoundRecord:
 @dataclass
 class RepetitionsTrace:
     rounds: list = field(default_factory=list)
-    best: frozenset = frozenset()
-    best_value: float = 0.0
 
 
 def repetitions_with_trace(f, cons, config: RepetitionsConfig):
@@ -84,8 +84,7 @@ def repetitions_with_trace(f, cons, config: RepetitionsConfig):
     ell = config.rounds_for(cons.k)
     streams = np.random.SeedSequence(config.seed).spawn(2 * ell)
     trace = RepetitionsTrace()
-    best = None
-    best_value = float("-inf")
+    best, best_value = frozenset(), float("-inf")
 
     remaining = set(cons.edge_ids)
     for i in range(ell):
@@ -108,6 +107,4 @@ def repetitions_with_trace(f, cons, config: RepetitionsConfig):
                 best, best_value = candidate, value
         remaining -= selected
 
-    trace.best = frozenset() if best is None else best
-    trace.best_value = f.value(trace.best) if best is None else best_value
-    return trace.best, trace
+    return best, trace

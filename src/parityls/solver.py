@@ -20,6 +20,7 @@ modes in ``bench.MODES``.
 """
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -74,6 +75,11 @@ class Improvement:
 MOVE_SHAPES = ((1, 1, 0), (2, 1, 1), (3, 2, 1))
 
 
+def _require_int(name, value):  # numpy integers pass, bools do not
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     epsilon: float
@@ -82,6 +88,7 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 < self.epsilon < 1:
             raise ValueError("epsilon must lie in (0, 1)")
+        _require_int("seed", self.seed)
 
 
 @dataclass
@@ -189,6 +196,17 @@ def sample_alpha(seed_or_rng):
     return 1.0 - rng.random()
 
 
+def best_feasible(fits, gain):
+    """Greedy's pick: the first edge in (-gain, id) order with a positive
+    gain that the context ``fits`` accepts, asking until one fits; else None."""
+    for e in sorted(gain, key=lambda e: (-gain[e], e)):
+        if gain[e] <= 0:
+            return None
+        if fits.feasible((e,)):
+            return e
+    return None
+
+
 def find_improvement(vals, fits, current, theta, epsilon, gain):
     """First improving move at level theta for the base that the value
     context ``vals`` and the feasibility context ``fits`` share, of
@@ -272,35 +290,35 @@ def _drive(f, cons, config, rng, next_level):
     set ``trace.final`` when a level ends. ``gain`` holds each outside
     edge's gain against that set, from the singleton scan or the scan
     that ended the last level. The applied moves are capped at
-    (1 + 2/eps)|E|. Returns the final edge set and the trace.
+    (1 + 2/eps)|E|. Returns the final edge set and the trace, which
+    counts every query of the run.
     """
+    value_calls_0, feas_calls_0 = f.calls, cons.feasibility_calls
     vals = f.context(frozenset())
     scale, gain = max_singleton_marginal(vals, cons.edge_ids)
     alpha = sample_alpha(config.seed if rng is None else rng)
     trace = RunTrace(scale=scale, alpha=alpha, epsilon=config.epsilon)
-    if scale <= 0:  # -inf for an empty ground
-        return frozenset(), trace
-    fits = cons.context(frozenset())
-    budget = (1.0 + 2.0 / config.epsilon) * len(cons.edge_ids)
-    value_calls_0, feas_calls_0 = f.calls, cons.feasibility_calls
-    applied = 0
-    index = 0
-    while (index := next_level(fits, gain, index, trace.thresholds)) is not None:
-        theta = trace.thresholds.level(index)
-        current = set()
-        moves = []
-        while imp := find_improvement(vals, fits, current, theta, config.epsilon, gain):
-            vals.apply(imp.added, imp.removed)
-            fits.apply(imp.added, imp.removed)
-            current.difference_update(imp.removed)
-            current.update(imp.added)
-            moves.append(imp)
-            applied += 1
-            if applied > budget:
-                raise RuntimeError(
-                    "improvement budget (1 + 2/eps)|E| exceeded; value oracle is inconsistent"
-                )
-        trace.add_level(index, moves)
+    if scale > 0:  # else the empty run (-inf for an empty ground)
+        fits = cons.context(frozenset())
+        budget = (1.0 + 2.0 / config.epsilon) * len(cons.edge_ids)
+        applied = 0
+        index = 0
+        while (index := next_level(fits, gain, index, trace.thresholds)) is not None:
+            theta = trace.thresholds.level(index)
+            current = set()
+            moves = []
+            while imp := find_improvement(vals, fits, current, theta, config.epsilon, gain):
+                vals.apply(imp.added, imp.removed)
+                fits.apply(imp.added, imp.removed)
+                current.difference_update(imp.removed)
+                current.update(imp.added)
+                moves.append(imp)
+                applied += 1
+                if applied > budget:
+                    raise RuntimeError(
+                        "improvement budget (1 + 2/eps)|E| exceeded; value oracle is inconsistent"
+                    )
+            trace.add_level(index, moves)
     trace.value_calls = f.calls - value_calls_0
     trace.feasibility_calls = cons.feasibility_calls - feas_calls_0
     return trace.final, trace
@@ -323,19 +341,16 @@ def run_reference(f, cons, config, rng=None):
 
 def run_efficient(f, cons, config, rng=None):
     """Fast driver: jumps straight to the first level whose threshold
-    admits the gain of the first feasible edge in (-gain, id) order
-    (``Thresholds.index_at_most``), and at least one level on, since
+    admits the gain of ``best_feasible``'s pick (greedy's next edge;
+    ``Thresholds.index_at_most``), and at least one level on, since
     2^alpha can round to 1 and let W equal m_0. It makes no value query
     and gives the same output and move sequence as the stepwise driver
     for the same seed.
     """
 
     def jump(fits, gain, index, thresholds):
-        for e in sorted(gain, key=lambda e: (-gain[e], e)):
-            if gain[e] <= 0:
-                return None
-            if fits.feasible((e,)):
-                return max(thresholds.index_at_most(gain[e]), index + 1)
-        return None
+        if (e := best_feasible(fits, gain)) is None:
+            return None
+        return max(thresholds.index_at_most(gain[e]), index + 1)
 
     return _drive(f, cons, config, rng, jump)

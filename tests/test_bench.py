@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from parityls import bench
 from parityls.bench import (
     GENERATOR_KINDS,
     MODES,
@@ -166,6 +167,26 @@ def test_generator_rejects_bad_input():
         ({"objective": "cut", "weight_hi": 0}, "need weight_hi >= 1 for a cut objective"),
         ({"objective": "coverage", "n_items": 0}, "need n_items >= 1 for a coverage objective"),
         ({"objective": "cut", "link_prob": None}, "need link_prob of type float, got None"),
+    ]:
+        for kind in GENERATOR_KINDS:
+            with pytest.raises(ValueError, match=rule):
+                generate_instance(kind, params, 1)
+
+
+def test_generator_rejects_unknown_parameters():
+    for kind in GENERATOR_KINDS:
+        with pytest.raises(ValueError, match=r"unknown generator parameters \['n_edge', 'objectiv'\]"):
+            generate_instance(kind, {"n_edge": 5, "objectiv": "cut", "k": 2}, 0)
+
+
+def test_generator_checks_objective_and_matroid_before_any_draw(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before checking the parameters")
+
+    monkeypatch.setattr(bench.np.random, "PCG64", no_draw)
+    for params, rule in [
+        ({"objective": "nope"}, "unknown objective family 'nope'"),
+        ({"matroid": "nope"}, "unknown matroid kind 'nope'"),
     ]:
         for kind in GENERATOR_KINDS:
             with pytest.raises(ValueError, match=rule):

@@ -266,6 +266,7 @@ def test_verify_checks_trace_edges_and_legacy_keys(tmp_path, capsys):
         ('{"objective": "coverage", "n_items": 0}', "need n_items >= 1 for a coverage objective"),
         ('{"k": null}', "need k of type int, got None"),
         ('{"objective": "cut", "link_prob": null}', "need link_prob of type float, got None"),
+        ('{"n_edge": 5}', "unknown generator parameters ['n_edge']"),
     ],
 )
 def test_bad_generator_params_are_one_line_error(tmp_path, capsys, params, rule):

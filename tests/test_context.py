@@ -1,7 +1,8 @@
 """Independence, feasibility and value contexts: every family's context
 must answer what the whole-set oracle answers for the changed set,
 including around dependent bases, and count one query per question.
-A feasibility context moved by ``apply`` answers for the moved set.
+A feasibility context moved by ``apply`` answers for the moved set, and
+both kinds of context refuse a move that does not fit their base.
 Value gains are exact on integer weights and within 1e-9 relative on
 float weights, and one-edge cut and coverage gains are the exact gain
 rounded once on any weights; greedy and double greedy, which ask value
@@ -285,18 +286,43 @@ def test_value_context_refuses_moves_that_do_not_fit_the_base(data):
         assert ctx.base == base and ctx.value == value
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_feasibility_context_refuses_moves_that_do_not_fit_the_base(data):
+    cons = data.draw(constraints())
+    ground = cons.edge_ids
+    base = data.draw(ground_subsets(ground))
+    fits = cons.context(base)
+    outside = sorted(set(ground) - base)
+    bad = []
+    if base:
+        y = data.draw(st.sampled_from(sorted(base)))
+        bad.append(((y,), ()))  # adds an edge of the base
+        bad.append(((), (y, y)))  # removes an edge twice
+    if outside:
+        x = data.draw(st.sampled_from(outside))
+        bad.append(((), (x,)))  # removes an edge outside the base
+        bad.append(((x, x), ()))  # adds an edge twice
+    probes = [(e,) for e in ground]
+    answers = [fits.feasible(p) for p in probes]
+    for add, remove in bad:
+        with pytest.raises(ValueError):
+            fits.apply(add, remove)
+        assert fits.edge_set == base
+        assert [fits.feasible(p) for p in probes] == answers
+
+
 def greedy_whole_set(f, cons):
-    """The greedy loop on whole-set value and feasibility queries."""
+    """The greedy loop on whole-set value and feasibility queries, asked
+    in greedy's order: the gain of every outside edge, then feasibility
+    from the largest positive gain down (ties to the smaller id) until
+    one edge fits."""
     chosen = frozenset()
     while True:
-        best_gain, best_edge = 0.0, None
         f_chosen = f.value(chosen)
-        for e in cons.edge_ids:
-            if e in chosen or not cons.feasible(chosen | {e}):
-                continue
-            gain = f.value(chosen | {e}) - f_chosen
-            if gain > best_gain:
-                best_gain, best_edge = gain, e
+        gain = {e: f.value(chosen | {e}) - f_chosen for e in cons.edge_ids if e not in chosen}
+        ranked = sorted((e for e in gain if gain[e] > 0), key=lambda e: (-gain[e], e))
+        best_edge = next((e for e in ranked if cons.feasible(chosen | {e})), None)
         if best_edge is None:
             return chosen
         chosen = chosen | {best_edge}
@@ -329,11 +355,15 @@ class Coins:
 @given(seed=st.integers(0, 2**31), data=st.data())
 def test_greedy_and_double_greedy_match_whole_set_loops(seed, data):
     cons, f = solver_instance(seed, max_edges=14)
-    calls = f.calls
+    calls, feas = f.calls, cons.feasibility_calls
     expected = greedy_whole_set(f, cons)
     whole_calls, calls = f.calls - calls, f.calls
+    whole_feas, feas = cons.feasibility_calls - feas, cons.feasibility_calls
     assert greedy_baseline(f, cons) == expected
-    assert f.calls - calls == whole_calls  # the counting rule keeps greedy's count
+    # the counting rule keeps greedy's counts: the whole-set loop asks the
+    # same questions in the same order
+    assert f.calls - calls == whole_calls
+    assert cons.feasibility_calls - feas == whole_feas
     edge_set = data.draw(ground_subsets(cons.edge_ids))
     coin = st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 1.0, exclude_max=True))
     coins = data.draw(st.lists(coin, min_size=len(edge_set), max_size=len(edge_set)))

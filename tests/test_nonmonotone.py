@@ -138,6 +138,27 @@ def test_default_round_counts():
     assert RepetitionsConfig(ell=3).rounds_for(3) == 3
 
 
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"ell": 2.5}, "ell"),
+        ({"ell": True}, "ell"),
+        ({"ell": "3"}, "ell"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": False}, "seed"),
+        ({"seed": None}, "seed"),
+    ],
+)
+def test_config_rejects_non_integer_ell_and_seed(kwargs, name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        RepetitionsConfig(**kwargs)
+
+
+def test_config_accepts_numpy_integers():
+    config = RepetitionsConfig(ell=np.int64(3), seed=np.int32(2))
+    assert config.rounds_for(2) == 3
+
+
 def test_rounds_survive_exhausted_ground():
     # one positive element: round 1 takes it, later rounds see smaller or
     # empty grounds and must still run cleanly

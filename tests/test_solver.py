@@ -24,6 +24,7 @@ from parityls.solver import (
     RunTrace,
     SolverConfig,
     Thresholds,
+    best_feasible,
     find_improvement,
     max_singleton_marginal,
     run_efficient,
@@ -175,6 +176,55 @@ def test_all_negative_weights_solve_to_empty():
         out, trace = runner(f, cons, SolverConfig(epsilon=0.5, seed=3))
         assert out == frozenset()
         assert trace.iterations == []
+
+
+def test_best_feasible_takes_the_largest_gain_ties_to_the_smaller_id():
+    # edges 0..4 over a uniform matroid of rank 2: on the base {4} one more fits
+    cons = singleton_parity(UniformMatroid(5, 2))
+    fits = cons.context({4})
+    gain = {0: 2.0, 1: 3.0, 2: 3.0, 3: 0.0}
+    assert best_feasible(fits, gain) == 1
+    calls = cons.feasibility_calls
+    assert best_feasible(fits, {0: 2.0, 1: 2.0, 2: -1.0}) == 0
+    assert cons.feasibility_calls - calls == 1  # stops at the first feasible edge
+    assert best_feasible(fits, {0: 0.0, 1: -3.0}) is None
+    assert best_feasible(fits, {}) is None
+    full = cons.context({3, 4})  # nothing fits: every positive gain is asked
+    calls = cons.feasibility_calls
+    assert best_feasible(full, gain) is None
+    assert cons.feasibility_calls - calls == 3
+
+
+@pytest.mark.parametrize("seed", [1.5, "3", None, True, np.float64(2.0)])
+def test_solver_config_seed_must_be_an_integer(seed):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        SolverConfig(epsilon=0.5, seed=seed)
+
+
+def test_solver_config_accepts_numpy_integer_seeds():
+    f, cons = weights_531()
+    config = SolverConfig(epsilon=0.5, seed=np.int64(3))
+    assert run_efficient(f, cons, config) == run_efficient(f, cons, SolverConfig(0.5, 3))
+
+
+@pytest.mark.parametrize("runner", [run_reference, run_efficient])
+def test_trace_counts_every_query_of_the_run(runner):
+    config = SolverConfig(epsilon=0.5, seed=3)
+    instances = [
+        generate_instance(kind, {"k": 2, "objective": objective}, seed)
+        for kind in ("k-partition-intersection", "random-parity")
+        for objective in ("modular", "coverage", "cut")
+        for seed in range(3)
+    ]
+    instances.append((KParityConstraint(UniformMatroid(2, 1), [], 1), ModularObjective({})))
+    f = ModularObjective({0: -2, 1: -5})
+    instances.append((singleton_parity(UniformMatroid(2, 2)), f))
+    for cons, f in instances:
+        before = f.calls + cons.feasibility_calls
+        _, trace = runner(f, cons, config)
+        assert trace.value_calls + trace.feasibility_calls == (
+            f.calls + cons.feasibility_calls - before
+        )
 
 
 def test_sample_alpha_boundaries():
