@@ -13,7 +13,7 @@ import numpy as np
 from .kparity import Edge, KParityConstraint, from_intersection
 from .matroid import GraphicMatroid, PartitionMatroid, UniformMatroid
 from .nonmonotone import RepetitionsConfig, repetitions_with_trace
-from .objective import CoverageObjective, CutObjective, ModularObjective
+from .objective import GENERAL, CoverageObjective, CutObjective, ModularObjective
 from .solver import RunTrace, SolverConfig, best_feasible, run_efficient, run_reference
 
 BRUTE_FORCE_CAP = 20
@@ -51,17 +51,28 @@ CSV_COLUMNS = (
 
 def greedy_baseline(f, cons):
     """Repeatedly add ``solver.best_feasible``'s pick among the marginals
-    of all outside edges: the feasible edge with the largest positive one
+    of the outside edges: the feasible edge with the largest positive one
     (ties to the smaller id), until none remains. One value and one
-    feasibility context, moved by each added edge, answer the queries."""
+    feasibility context, moved by each added edge, answer the queries.
+
+    Later rounds skip what an earlier one settled: the edges ranked
+    ahead of a pick were found dependent, and stay so as the set grows;
+    unless f declares "general", an edge whose gain was <= 0 stays so
+    too, since a submodular f's gains only shrink."""
+    submodular = f.declared_class != GENERAL
     vals = f.context(frozenset())
     fits = cons.context(frozenset())
-    while True:
-        gain = {e: vals.gain((e,)) for e in cons.edge_ids if e not in vals.base}
-        if (e := best_feasible(fits, gain)) is None:
-            return vals.base
+    gain = {e: vals.gain((e,)) for e in cons.edge_ids}
+    while (e := best_feasible(fits, gain)) is not None:
         vals.apply((e,))
         fits.apply((e,))
+        top = gain[e]
+        # the edges ranked after the pick, less those with a settled gain <= 0
+        gain = {
+            d: vals.gain((d,)) for d, g in gain.items()
+            if (g < top or g == top and d > e) and (g > 0 or not submodular)
+        }
+    return vals.base
 
 
 def brute_force_opt(f, cons):

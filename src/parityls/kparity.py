@@ -107,13 +107,17 @@ class FeasibilityContext:
     | add)`` and counts one query on the constraint, like that call.
     ``apply(add, remove=())`` moves the edge set to that set, and refuses
     a move that does not fit it as ``ValueContext.apply`` does. Binding
-    and ``apply`` count no query; each builds the matroid context of the
-    edge set's vertices, and an unknown edge id raises ValueError there.
+    and ``apply`` count no query. Binding builds the matroid context of
+    the edge set's vertices, ``apply`` moves it (``MatroidContext.moved``),
+    and an unknown edge id raises ValueError there, before anything moves.
     """
 
     def __init__(self, cons, edge_set):
         self.cons = cons
-        self._bind(frozenset(edge_set))
+        edge_set = frozenset(edge_set)
+        # edge vertices were checked against the ground at construction
+        self._matroid_context = cons.matroid._context(cons.vertices_of(edge_set))
+        self.edge_set = edge_set
 
     def feasible(self, add, remove=()) -> bool:
         cons = self.cons
@@ -124,12 +128,11 @@ class FeasibilityContext:
 
     def apply(self, add, remove=()):
         _check_move(self.edge_set, add, remove)
-        self._bind(self.edge_set.difference(remove).union(add))
-
-    def _bind(self, edge_set):
-        # edge vertices were checked against the ground at construction
-        self._matroid_context = self.cons.matroid._context(self.cons.vertices_of(edge_set))
-        self.edge_set = edge_set
+        cons = self.cons
+        self._matroid_context = self._matroid_context.moved(
+            cons.vertices_of(add), cons.vertices_of(remove) if remove else EMPTY
+        )
+        self.edge_set = self.edge_set.difference(remove).union(add)
 
 
 class ProductMatroid(MatroidOracle):

@@ -214,6 +214,7 @@ class MatroidContext:
     frozensets of ground vertices and are not checked, as for
     ``_independent``. This generic form evaluates that set; the
     concrete families keep what they need about ``base`` instead.
+    ``moved(add, remove)`` is the context of that set.
     """
 
     def __init__(self, matroid, base):
@@ -222,6 +223,10 @@ class MatroidContext:
 
     def independent_with(self, add=EMPTY, remove=EMPTY):
         return self.matroid._independent((self.base - remove) | add)
+
+    def moved(self, add=EMPTY, remove=EMPTY) -> "MatroidContext":
+        """The context of ``(base - remove) | add``; this form builds it anew."""
+        return self.matroid._context((self.base - remove) | add)
 
 
 class _SizeContext(MatroidContext):
@@ -274,21 +279,29 @@ class _ForestContext(MatroidContext):
     every node in the base forest, and, built on first use, in the
     forest ``base - removed`` for each removed set asked about. An
     addition is independent iff its links join distinct components
-    without closing a cycle among themselves."""
+    without closing a cycle among themselves. ``moved`` starts from the
+    labels of ``base - removed`` and merges the components each added
+    link joins."""
 
     def __init__(self, matroid, base, labels):
         super().__init__(matroid, base)
         self.labels = {EMPTY: labels}
 
-    def independent_with(self, add=EMPTY, remove=EMPTY):
+    def _split(self, add, remove):
+        """The removed base vertices and the labels of the forest without them."""
         base = self.base
         removed = (remove & base) - add if remove else EMPTY
         labels = self.labels.get(removed)
         if labels is None:
             labels = self.labels[removed] = _flatten(self.matroid._forest(base - removed))
+        return removed, labels
+
+    def _join(self, labels, added):
+        """Component merges of the links ``added`` on ``labels``, each
+        label to the one it joins, or None when a link closes a cycle."""
         links = self.matroid.links
         joined = {}
-        for v in add - base:
+        for v in added:
             u, w = links[v]
             a, b = labels[u], labels[w]
             while a in joined:
@@ -296,9 +309,29 @@ class _ForestContext(MatroidContext):
             while b in joined:
                 b = joined[b]
             if a == b:
-                return False
+                return None
             joined[a] = b
-        return True
+        return joined
+
+    def independent_with(self, add=EMPTY, remove=EMPTY):
+        _, labels = self._split(add, remove)
+        return self._join(labels, add - self.base) is not None
+
+    def moved(self, add=EMPTY, remove=EMPTY):
+        removed, labels = self._split(add, remove)
+        added = add - self.base
+        joined = self._join(labels, added)
+        base = (self.base - removed) | added
+        if joined is None:  # a dependent base: the generic context
+            return MatroidContext(self.matroid, base)
+        if joined:
+            for a in joined:
+                b = joined[a]
+                while b in joined:
+                    b = joined[b]
+                joined[a] = b
+            labels = [joined.get(a, a) for a in labels]
+        return _ForestContext(self.matroid, base, labels)
 
 
 def _flatten(parent):

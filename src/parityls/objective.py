@@ -15,6 +15,7 @@ CHECK_CAP = 14
 LINEAR = "linear"
 MONOTONE_SUBMODULAR = "monotone-submodular"
 SUBMODULAR = "submodular"
+GENERAL = "general"
 
 
 class ValueOracle:
@@ -26,8 +27,14 @@ class ValueOracle:
     ``gain`` and ``apply`` calls. A subclass defines ``_value`` and may
     override ``_context`` with a cheaper incremental context.
 
-    ``declared_class`` is one of "linear", "monotone-submodular" or
-    "submodular" and selects branches in the run verifier.
+    ``declared_class`` is one of "linear", "monotone-submodular",
+    "submodular" or "general". The run verifier branches on it, and the
+    solver's scan and greedy trust every class but "general" to be
+    submodular: they skip questions whose answer a submodular f fixes
+    (a low member cannot complete a pair, a non-positive gain stays
+    non-positive). An oracle that is not submodular must declare
+    "general", or the solver may miss moves and picks it would
+    otherwise make.
     """
 
     declared_class = SUBMODULAR
@@ -222,10 +229,12 @@ class CoverageObjective(ValueOracle):
 
 class _CoverageContext(_SummingContext):
     """Keeps ``single[e]``, the units of e's items outside the base's
-    cover, so adding one edge gains single[e] / den. Other moves use the
-    covered items, so the added edges gain the weight of theirs outside
-    them, and how many base edges cover each item, so the removed edges
-    lose the items no other base edge and no added edge covers."""
+    cover, so adding one edge gains single[e] / den; the table is built
+    at the first such question, and a context that never asks one never
+    keeps it. Other moves use the covered items, so the added edges gain
+    the weight of theirs outside them, and how many base edges cover
+    each item, so the removed edges lose the items no other base edge
+    and no added edge covers."""
 
     def __init__(self, f, base):
         self.f = f
@@ -236,15 +245,21 @@ class _CoverageContext(_SummingContext):
         for e in base:
             for i in f.edge_items[e]:
                 counts[i] += 1
+        self.single = None
+
+    def _table(self):
+        f = self.f
         single = self.single = dict(f._total)
         for i in self.covered:
             for e in f._holders[i]:
                 single[e] -= f._units[i]
+        return single
 
     def _gain(self, add, remove):
         if not remove and len(add) == 1:
             (x,) = add
-            return self.single[x] / self.f._den
+            single = self._table() if self.single is None else self.single
+            return single[x] / self.f._den
         items, weight = self.f.edge_items, self.f.item_weights.__getitem__
         if len(add) == 1:
             for x in add:
@@ -274,14 +289,16 @@ class _CoverageContext(_SummingContext):
                 counts[i] -= 1
                 if not counts[i]:
                     covered.discard(i)
-                    for e in holders[i]:
-                        single[e] += units[i]
+                    if single is not None:
+                        for e in holders[i]:
+                            single[e] += units[i]
         for x in add:
             for i in items[x]:
                 if not counts[i]:
                     covered.add(i)
-                    for e in holders[i]:
-                        single[e] -= units[i]
+                    if single is not None:
+                        for e in holders[i]:
+                            single[e] -= units[i]
                 counts[i] += 1
 
 

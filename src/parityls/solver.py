@@ -26,6 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .objective import GENERAL
+
+
 @dataclass(frozen=True)
 class Thresholds:
     """Geometric threshold family m_i = scale * 2^(alpha - i), i >= 0."""
@@ -207,7 +210,7 @@ def best_feasible(fits, gain):
     return None
 
 
-def find_improvement(vals, fits, current, theta, epsilon, gain):
+def find_improvement(vals, fits, current, theta, epsilon, gain, after=None):
     """First improving move at level theta for the base that the value
     context ``vals`` and the feasibility context ``fits`` share, of
     which ``current`` is the part added at this level.
@@ -224,25 +227,44 @@ def find_improvement(vals, fits, current, theta, epsilon, gain):
     with f(base + x) - f(base) for each outside edge x the scan
     evaluates, in ascending ids: all of them when it returns None.
 
-    Two shortcuts leave every answer and value query as they are. The
-    swap loop tries every high edge x (gain >= theta) against every y
-    and records each dead swap, one with (base - y) + x dependent. The
-    pair loop skips y when a member of the pair has a dead swap with
-    y: feasibility is down-closed, so (base - y) + {p, q} is dependent
-    too, for every MatroidOracle. A pair needs a high member to qualify,
-    so the loop enumerates only such pairs, in the same lexicographic
-    order: all later q for a high p, only the high ones for a low p.
-    With nothing at this level to remove, it stops after the singles.
+    Shortcuts that leave every answer as it is. The swap loop tries
+    every high edge x (gain >= theta) against every y and records each
+    dead swap, one with (base - y) + x dependent. The pair loop skips y
+    when a member of the pair has a dead swap with y: feasibility is
+    down-closed, so (base - y) + {p, q} is dependent too, for every
+    MatroidOracle. A pair needs a high member to qualify, so the loop
+    enumerates only such pairs, in lexicographic order. With nothing at
+    this level to remove, it stops after the singles.
+
+    Unless f declares "general" (``ValueOracle.declared_class``), the
+    scan also trusts f to be submodular, which asks fewer questions and
+    leaves the answer as it is for a submodular f:
+    - the pair loop enumerates only pairs of two high edges, since after
+      the high member a low member gains at most its own gain < theta;
+    - ``after``, the edge the last move of this level added by itself,
+      lets the singles resume past it: every edge before it was low or
+      dependent, and stays so while the base only grows. The gains of
+      those edges are asked only if the scan goes on to swaps or returns
+      None, so ``gain`` is then as full and in the same order as without
+      ``after``.
     """
     base = vals.base
+    submodular = vals.f.declared_class != GENERAL
     outside = [e for e in fits.cons.edge_ids if e not in base]
+    start = bisect_right(outside, after) if submodular and after is not None else 0
     removable = sorted(current)
     f_base = vals.value
     gain.clear()
-    for x in outside:
+    for x in outside[start:]:
         gain[x] = vals.gain((x,))
         if gain[x] >= theta and fits.feasible((x,)):
             return Improvement(1, (x,), ())
+    if start:  # the skipped prefix, ahead of the rest in ascending ids
+        rest = dict(gain)
+        gain.clear()
+        for x in outside[:start]:
+            gain[x] = vals.gain((x,))
+        gain.update(rest)
     if not removable:  # swaps and pairs need a level edge to remove
         return None
 
@@ -257,11 +279,12 @@ def find_improvement(vals, fits, current, theta, epsilon, gain):
             if f_base + vals.gain((x,), (y,)) >= f_base + epsilon * theta:
                 return Improvement(2, (x,), (y,))
 
-    for i, p in enumerate(outside):
+    for p in high if submodular else outside:
         gain_p = gain[p]
-        # pairs {p, q} with q > p and at least one high member
-        partners = outside[i + 1:] if gain_p >= theta else high[bisect_right(high, p):]
-        for q in partners:
+        # later partners q: any edge for a high p, unless f is submodular,
+        # which needs both members high; only high ones for a low p
+        partners = outside if gain_p >= theta and not submodular else high
+        for q in partners[bisect_right(partners, p):]:
             for y in removable:
                 # down-closed: a dead swap with either member kills the pair
                 if (p, y) in dead or (q, y) in dead:
@@ -289,9 +312,11 @@ def _drive(f, cons, config, rng, next_level):
     contexts, so their base is always the chosen set, and the settled
     set ``trace.final`` when a level ends. ``gain`` holds each outside
     edge's gain against that set, from the singleton scan or the scan
-    that ended the last level. The applied moves are capped at
-    (1 + 2/eps)|E|. Returns the final edge set and the trace, which
-    counts every query of the run.
+    that ended the last level. After a kind-1 move adds x, the next
+    scan resumes its singles past x (``find_improvement``'s ``after``);
+    a new level and every swap or two-for-one move start them over. The
+    applied moves are capped at (1 + 2/eps)|E|. Returns the final edge
+    set and the trace, which counts every query of the run.
     """
     value_calls_0, feas_calls_0 = f.calls, cons.feasibility_calls
     vals = f.context(frozenset())
@@ -307,12 +332,14 @@ def _drive(f, cons, config, rng, next_level):
             theta = trace.thresholds.level(index)
             current = set()
             moves = []
-            while imp := find_improvement(vals, fits, current, theta, config.epsilon, gain):
+            after = None
+            while imp := find_improvement(vals, fits, current, theta, config.epsilon, gain, after):
                 vals.apply(imp.added, imp.removed)
                 fits.apply(imp.added, imp.removed)
                 current.difference_update(imp.removed)
                 current.update(imp.added)
                 moves.append(imp)
+                after = imp.added[0] if imp.kind == 1 else None
                 applied += 1
                 if applied > budget:
                     raise RuntimeError(

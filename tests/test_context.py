@@ -20,7 +20,13 @@ from parityls.bench import generate_instance, greedy_baseline
 from parityls.kparity import Edge, KParityConstraint
 from parityls.matroid import GraphicMatroid
 from parityls.nonmonotone import double_greedy
-from parityls.objective import CoverageObjective, CutObjective, ModularObjective, ValueOracle
+from parityls.objective import (
+    GENERAL,
+    CoverageObjective,
+    CutObjective,
+    ModularObjective,
+    ValueOracle,
+)
 from parityls.solver import SolverConfig, run_efficient, run_reference
 from util import clipped_gains, matroids, solver_instance, subsets
 
@@ -57,6 +63,39 @@ def test_forest_context_with_parallel_links_and_self_loops_exhaustively():
                 assert ctx.independent_with(add, remove) == m._independent(
                     (base - remove) | add
                 ), (base, add, remove)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_forest_context_moved_equals_a_fresh_context(data):
+    # random multigraphs on few nodes, so parallel links, self-loops and
+    # cycles are common; the base starts as a random forest
+    n_nodes = data.draw(st.integers(1, 6))
+    node = st.integers(0, n_nodes - 1)
+    m = GraphicMatroid(n_nodes, data.draw(st.lists(st.tuples(node, node), min_size=1, max_size=12)))
+    ground = sorted(m.ground)
+    base = m.max_independent_subset(data.draw(ground_subsets(ground)))
+    ctx = m.context(base)
+    probes = st.tuples(ground_subsets(ground), ground_subsets(ground))
+    kinds = {"add": (1, 0), "swap": (1, 1), "two-for-one": (2, 1)}
+    for _ in range(data.draw(st.integers(1, 6))):
+        n_add, n_remove = kinds[data.draw(st.sampled_from(sorted(kinds)))]
+        outside = [v for v in ground if v not in base]
+        if len(outside) < n_add or len(base) < n_remove:
+            break
+        # adds may close a cycle; the removal's labels are cached or not
+        add = frozenset(data.draw(st.permutations(outside))[:n_add])
+        remove = frozenset(data.draw(st.permutations(sorted(base)))[:n_remove])
+        if data.draw(st.booleans()):
+            ctx.independent_with(add, remove)
+        ctx = ctx.moved(add, remove)
+        base = (base - remove) | add
+        fresh = m._context(base)
+        assert ctx.base == base and type(ctx) is type(fresh)
+        for p_add, p_remove in data.draw(st.lists(probes, min_size=1, max_size=6)):
+            assert ctx.independent_with(p_add, p_remove) == fresh.independent_with(
+                p_add, p_remove
+            ), (base, p_add, p_remove)
 
 
 @st.composite
@@ -314,18 +353,27 @@ def test_feasibility_context_refuses_moves_that_do_not_fit_the_base(data):
 
 def greedy_whole_set(f, cons):
     """The greedy loop on whole-set value and feasibility queries, asked
-    in greedy's order: the gain of every outside edge, then feasibility
-    from the largest positive gain down (ties to the smaller id) until
-    one edge fits."""
+    in greedy's order: the gain of every outside edge no earlier round
+    settled, then feasibility from the largest positive gain down (ties
+    to the smaller id) until one edge fits. A round settles the edges it
+    found dependent and, unless f declares "general", those whose gain
+    was not positive."""
     chosen = frozenset()
+    left = list(cons.edge_ids)
     while True:
         f_chosen = f.value(chosen)
-        gain = {e: f.value(chosen | {e}) - f_chosen for e in cons.edge_ids if e not in chosen}
+        gain = {e: f.value(chosen | {e}) - f_chosen for e in left}
         ranked = sorted((e for e in gain if gain[e] > 0), key=lambda e: (-gain[e], e))
         best_edge = next((e for e in ranked if cons.feasible(chosen | {e})), None)
         if best_edge is None:
             return chosen
         chosen = chosen | {best_edge}
+        dependent = ranked[: ranked.index(best_edge)]
+        left = [
+            e for e in left
+            if e not in chosen and e not in dependent
+            and (gain[e] > 0 or f.declared_class == GENERAL)
+        ]
 
 
 def double_greedy_whole_set(f, edge_set, rng):

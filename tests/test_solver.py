@@ -9,16 +9,24 @@ against the drivers' outputs).
 import copy
 import math
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parityls.bench import generate_instance
+from parityls import solver
+from parityls.bench import generate_instance, greedy_baseline
 from parityls.kparity import KParityConstraint
 from parityls.matroid import UniformMatroid
-from parityls.objective import CoverageObjective, CutObjective, ModularObjective, ValueOracle
+from parityls.objective import (
+    GENERAL,
+    CoverageObjective,
+    CutObjective,
+    ModularObjective,
+    ValueOracle,
+)
 from parityls.solver import (
     Improvement,
     RunTrace,
@@ -396,7 +404,10 @@ def test_scan_skips_pair_checks_through_a_dead_swap():
 
 class SquaredWeight(ValueOracle):
     """Supermodular f(S) = (sum of weights)^2: a pair can qualify with a
-    member whose own gain is below theta, which no submodular f allows."""
+    member whose own gain is below theta, which no submodular f allows,
+    so it declares "general" and the scan asks every such pair."""
+
+    declared_class = GENERAL
 
     def __init__(self, weights):
         super().__init__()
@@ -430,11 +441,13 @@ def test_scan_pairs_a_high_edge_with_a_low_one(low, high):
 DYADIC_POOL = (0.125, 0.25, 0.375, 0.5, 0.75, 1.0, 1.5, 2.5, 4.0)
 
 
-def dyadic_objective(cons, rng):
-    """Modular, squared-weight, coverage or cut objective on dyadic weights."""
+def dyadic_objective(cons, rng, family=None):
+    """Modular (0), squared-weight (1), coverage (2) or cut (3) objective
+    on dyadic weights, drawn from ``rng`` unless ``family`` is given."""
     pick = lambda: float(rng.choice(DYADIC_POOL))
     ids = list(cons.edge_ids)
-    family = int(rng.integers(4))
+    if family is None:
+        family = int(rng.integers(4))
     if family == 0:
         return ModularObjective({e: pick() for e in ids})
     if family == 1:
@@ -480,6 +493,74 @@ def test_scan_matches_enumeration_with_ties_at_theta():
             assert gain == whole
         pair_scans += bool(split) and (got is None or got.kind == 3)
     assert pair_scans >= 50
+
+
+@st.composite
+def declared_instances(draw):
+    """A generated uniform, partition, graphic or intersection instance
+    with a modular, coverage or cut objective on dyadic weights, twice:
+    as the family declares it and declared "general"."""
+    k = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**31))
+    kind = draw(st.sampled_from(["uniform", "partition", "graphic", "intersection"]))
+    if kind == "intersection":
+        n = draw(st.integers(3, 10))
+        cons, _ = generate_instance("k-partition-intersection", {"k": k, "n_elements": n}, seed)
+    else:
+        params = {"k": k, "n_vertices": draw(st.integers(4, 14)),
+                  "n_edges": draw(st.integers(2, 10)), "matroid": kind}
+        cons, _ = generate_instance("random-parity", params, seed)
+    family = draw(st.sampled_from([0, 2, 3]))  # modular, coverage, cut
+    weights_seed = draw(st.integers(0, 2**31))
+    declared = dyadic_objective(cons, rng_for(weights_seed), family)
+    general = dyadic_objective(cons, rng_for(weights_seed), family)
+    general.declared_class = GENERAL
+    return cons, declared, general
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    instance=declared_instances(),
+    u=st.one_of(st.sampled_from([0.0, 0.5, 1.0 - 2.0**-53]), st.floats(0.0, 0.999)),
+    eps=st.sampled_from([0.1, 0.5]),
+)
+def test_declared_submodularity_keeps_answers_and_asks_no_more(instance, u, eps):
+    cons, declared, general = instance
+    assert declared.declared_class != GENERAL
+    low_pairs = []  # pair checks with a member whose gain is below theta
+    scan = solver.find_improvement
+
+    def watched(vals, fits, current, theta, epsilon, gain, after=None):
+        pairs = []
+        feasible = fits.feasible
+
+        def recording(add, remove=()):
+            if len(add) == 2:
+                pairs.append(add)
+            return feasible(add, remove)
+
+        fits.feasible = recording
+        try:
+            imp = scan(vals, fits, current, theta, epsilon, gain, after)
+        finally:
+            del fits.feasible
+        # a scan that checks a pair has asked the gain of every outside edge
+        if vals.f.declared_class != GENERAL:
+            low_pairs.extend(p for p in pairs if min(gain[p[0]], gain[p[1]]) < theta)
+        return imp
+
+    config = SolverConfig(epsilon=eps, seed=0)
+    with mock.patch.object(solver, "find_improvement", watched):
+        for runner in (run_reference, run_efficient):
+            out, trace = runner(declared, cons, config, rng=FixedDraw(u))
+            out_g, trace_g = runner(general, cons, config, rng=FixedDraw(u))
+            assert out == out_g
+            assert trace.applied_sequence() == trace_g.applied_sequence()
+            assert trace.value_calls <= trace_g.value_calls
+    assert low_pairs == []
+    calls, calls_g = declared.calls, general.calls
+    assert greedy_baseline(declared, cons) == greedy_baseline(general, cons)
+    assert declared.calls - calls <= general.calls - calls_g
 
 
 # ------------------------------------------------------------------ runs
