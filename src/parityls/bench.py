@@ -14,7 +14,14 @@ from .kparity import Edge, KParityConstraint, from_intersection
 from .matroid import GraphicMatroid, PartitionMatroid, UniformMatroid
 from .nonmonotone import RepetitionsConfig, repetitions_with_trace
 from .objective import GENERAL, CoverageObjective, CutObjective, ModularObjective
-from .solver import RunTrace, SolverConfig, best_feasible, run_efficient, run_reference
+from .solver import (
+    RunTrace,
+    SolverConfig,
+    _require_count,
+    best_feasible,
+    run_efficient,
+    run_reference,
+)
 
 BRUTE_FORCE_CAP = 20
 OPT_COLUMN_CAP = 12
@@ -113,11 +120,12 @@ def generate_instance(kind, params, seed):
                                        over a uniform, partition or graphic
                                        matroid.
     Objectives come from the modular/coverage/cut families with integer
-    weights, so all solver comparisons are exact. A bad parameter, or
-    one no generator reads, is a ValueError naming its rule, raised
-    before any random draw, so valid parameters draw as they would
-    without the checks.
+    weights, so all solver comparisons are exact. A seed that is not an
+    integer >= 0, a bad parameter, or one no generator reads, is a
+    ValueError naming its rule, raised before any random draw, so valid
+    parameters draw as they would without the checks.
     """
+    _require_count("seed", seed)
     if kind not in GENERATOR_KINDS:
         raise ValueError(f"unknown generator kind {kind!r}")
     params = dict(params or {})
@@ -278,6 +286,7 @@ class ExperimentSpec:
     out: str = ""
 
     def __post_init__(self):
+        _require_count("seed", self.seed)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.mode not in MODES:

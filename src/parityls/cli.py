@@ -50,7 +50,7 @@ def _checked(convert, ok, rule):
 
 
 _EPSILON = _checked(float, lambda x: 0 < x < 1, "a number in (0, 1)")
-_ELL = _checked(int, lambda x: x >= 0, "an integer >= 0")
+_COUNT = _checked(int, lambda x: x >= 0, "an integer >= 0")
 _PARAMS = _checked(json.loads, lambda x: isinstance(x, dict), "a JSON object")
 
 
@@ -68,8 +68,8 @@ def build_parser():
     solve.add_argument("--instance", required=True)
     solve.add_argument("--mode", default="hybrid", choices=MODES)
     solve.add_argument("--epsilon", type=_EPSILON, default=0.5)
-    solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--ell", type=_ELL, default=0)
+    solve.add_argument("--seed", type=_COUNT, default=0)
+    solve.add_argument("--ell", type=_COUNT, default=0)
     solve.add_argument(
         "--out", default="", help="write the run trace here (JSON; hybrid modes only)"
     )
@@ -98,14 +98,14 @@ def build_parser():
         "--trials", type=_checked(int, lambda x: x >= 1, "an integer >= 1"), default=1
     )
     bench.add_argument("--epsilon", type=_EPSILON, default=0.5)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--ell", type=_ELL, default=0)
+    bench.add_argument("--seed", type=_COUNT, default=0)
+    bench.add_argument("--ell", type=_COUNT, default=0)
     bench.add_argument("--out", required=True)
 
     gen = sub.add_parser("gen", help="generate a seeded instance file")
     gen.add_argument("--kind", required=True, choices=GENERATOR_KINDS)
     gen.add_argument("--params", type=_PARAMS, default="{}", help="generator params as JSON")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_COUNT, default=0)
     gen.add_argument("--out", default="", help="output path (default stdout)")
 
     return parser

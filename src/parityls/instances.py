@@ -13,8 +13,10 @@ or, for an intersection-of-matroids constraint over elements 0..n-1::
 Edges listed positionally get ids 0, 1, ...; a parallel "edge_ids" list
 overrides that (needed after ground restrictions). Next to
 "intersection", an "edge_ids" list names the elements a restriction kept.
-Loading rejects an objective that names an edge id the constraint lacks,
-or a modular or coverage objective that leaves an edge out.
+Loading rejects an "edge_ids" list that does not give exactly one id per
+edge, an objective that names an edge id the constraint lacks, and a
+modular or coverage objective that leaves an edge out or lists one twice
+(cut links may repeat: parallel links are merged).
 """
 
 import json
@@ -102,6 +104,8 @@ def constraint_from_json(obj):
     matroid = matroid_from_json(obj["matroid"])
     vertex_lists = obj["edges"]
     ids = obj.get("edge_ids", list(range(len(vertex_lists))))
+    if len(ids) != len(vertex_lists):
+        raise ValueError(f"constraint edge_ids: {len(ids)} ids for {len(vertex_lists)} edges")
     edges = [Edge(i, vs) for i, vs in zip(ids, vertex_lists)]
     return KParityConstraint(matroid, edges, obj["k"])
 
@@ -126,15 +130,26 @@ def objective_to_json(f):
     raise ValueError(f"cannot serialize objective of type {type(f).__name__}")
 
 
+def _by_edge(field, pairs):
+    """{edge id: entry} from [edge id, entry] pairs; ValueError names the
+    ids listed more than once."""
+    out, twice = {}, set()
+    for e, entry in pairs:
+        if e in out:
+            twice.add(e)
+        out[e] = entry
+    if twice:
+        raise ValueError(f"objective {field}: duplicate edge ids {sorted(twice)}")
+    return out
+
+
 def objective_from_json(obj):
     if "modular" in obj:
         spec = obj["modular"]
-        return ModularObjective({e: w for e, w in spec["weights"]}, spec.get("w0", 0.0))
+        return ModularObjective(_by_edge("modular weights", spec["weights"]), spec.get("w0", 0.0))
     if "coverage" in obj:
         spec = obj["coverage"]
-        return CoverageObjective(
-            spec["item_weights"], {e: items for e, items in spec["covers"]}
-        )
+        return CoverageObjective(spec["item_weights"], _by_edge("coverage covers", spec["covers"]))
     if "cut" in obj:
         return CutObjective(obj["cut"]["weights"])
     raise ValueError("unknown objective family")

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solver import SolverConfig, _require_int, run_efficient
+from .solver import SolverConfig, _require_count, run_efficient
 
 
 @dataclass(frozen=True)
@@ -21,10 +21,8 @@ class RepetitionsConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _require_int("ell", self.ell)
-        _require_int("seed", self.seed)
-        if self.ell < 0:
-            raise ValueError("ell must be positive (or 0 for the default)")
+        _require_count("ell", self.ell)
+        _require_count("seed", self.seed)
         if not 0 < self.epsilon < 1:
             raise ValueError("epsilon must lie in (0, 1)")
 

@@ -11,8 +11,8 @@ One level loop, ``_drive``, owns the draw, the per-level search, the
 move budget and the run's one value and one feasibility context, which
 each applied move moves; ``RunTrace.add_level`` derives each level's
 facts from its moves. The two drivers differ only in the next-level
-rule, and both rules read the gains of the scan that ended the last
-level: ``run_reference`` walks every level index literally, and
+rule, and both rules read the run's memo of one-edge gains, full when
+a level ends: ``run_reference`` walks every level index literally, and
 ``run_efficient`` jumps to the next level that can accept an element
 (``Thresholds.index_at_most``). With the same seed both return identical
 solutions and move sequences. ``bench.solve`` dispatches on the solver
@@ -78,9 +78,9 @@ class Improvement:
 MOVE_SHAPES = ((1, 1, 0), (2, 1, 1), (3, 2, 1))
 
 
-def _require_int(name, value):  # numpy integers pass, bools do not
-    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+def _require_count(name, value):  # numpy integers pass, bools do not
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)) or value < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 < self.epsilon < 1:
             raise ValueError("epsilon must lie in (0, 1)")
-        _require_int("seed", self.seed)
+        _require_count("seed", self.seed)
 
 
 @dataclass
@@ -223,9 +223,10 @@ def find_improvement(vals, fits, current, theta, epsilon, gain, after=None):
     check on (base | A) \\ N is asked of ``fits`` and every value query
     is a gain asked of ``vals``; each comparison reads a whole-set value
     as ``vals.value`` plus that gain. The scan binds and moves nothing.
-    Returns None at a local optimum. ``gain`` is emptied, then filled
-    with f(base + x) - f(base) for each outside edge x the scan
-    evaluates, in ascending ids: all of them when it returns None.
+    Returns None at a local optimum. ``gain`` is the run's memo of
+    f(base + x) - f(base): the scan reads the gains it holds, asks and
+    stores those it lacks, and never empties or reorders it; after a
+    None, it holds the gain of every outside edge.
 
     Shortcuts that leave every answer as it is. The swap loop tries
     every high edge x (gain >= theta) against every y and records each
@@ -244,9 +245,8 @@ def find_improvement(vals, fits, current, theta, epsilon, gain, after=None):
     - ``after``, the edge the last move of this level added by itself,
       lets the singles resume past it: every edge before it was low or
       dependent, and stays so while the base only grows. The gains of
-      those edges are asked only if the scan goes on to swaps or returns
-      None, so ``gain`` is then as full and in the same order as without
-      ``after``.
+      those edges the memo lacks are asked only if the scan goes on to
+      swaps or returns None.
     """
     base = vals.base
     submodular = vals.f.declared_class != GENERAL
@@ -254,17 +254,14 @@ def find_improvement(vals, fits, current, theta, epsilon, gain, after=None):
     start = bisect_right(outside, after) if submodular and after is not None else 0
     removable = sorted(current)
     f_base = vals.value
-    gain.clear()
     for x in outside[start:]:
-        gain[x] = vals.gain((x,))
+        if x not in gain:
+            gain[x] = vals.gain((x,))
         if gain[x] >= theta and fits.feasible((x,)):
             return Improvement(1, (x,), ())
-    if start:  # the skipped prefix, ahead of the rest in ascending ids
-        rest = dict(gain)
-        gain.clear()
-        for x in outside[:start]:
+    for x in outside[:start]:  # the gains the resumed singles skipped
+        if x not in gain:
             gain[x] = vals.gain((x,))
-        gain.update(rest)
     if not removable:  # swaps and pairs need a level edge to remove
         return None
 
@@ -310,13 +307,14 @@ def _drive(f, cons, config, rng, next_level):
     level index (None ends the run) and runs the first-improvement local
     search there until no move is left. Each applied move moves both
     contexts, so their base is always the chosen set, and the settled
-    set ``trace.final`` when a level ends. ``gain`` holds each outside
-    edge's gain against that set, from the singleton scan or the scan
-    that ended the last level. After a kind-1 move adds x, the next
-    scan resumes its singles past x (``find_improvement``'s ``after``);
-    a new level and every swap or two-for-one move start them over. The
-    applied moves are capped at (1 + 2/eps)|E|. Returns the final edge
-    set and the trace, which counts every query of the run.
+    set ``trace.final`` when a level ends. ``gain``, the memo of each
+    edge's gain against that set, starts as the singleton gains, is
+    filled by the scans and cleared right after each applied move, and
+    at no other time. After a kind-1 move adds x, the next scan resumes
+    its singles past x (``find_improvement``'s ``after``); a new level
+    and every swap or two-for-one move start them over. The applied
+    moves are capped at (1 + 2/eps)|E|. Returns the final edge set and
+    the trace, which counts every query of the run.
     """
     value_calls_0, feas_calls_0 = f.calls, cons.feasibility_calls
     vals = f.context(frozenset())
@@ -336,6 +334,7 @@ def _drive(f, cons, config, rng, next_level):
             while imp := find_improvement(vals, fits, current, theta, config.epsilon, gain, after):
                 vals.apply(imp.added, imp.removed)
                 fits.apply(imp.added, imp.removed)
+                gain.clear()
                 current.difference_update(imp.removed)
                 current.update(imp.added)
                 moves.append(imp)
@@ -354,12 +353,12 @@ def _drive(f, cons, config, rng, next_level):
 def run_reference(f, cons, config, rng=None):
     """Stepwise driver: walks level indices one by one, including levels
     that accept nothing, exactly as the hybrid scheme is defined. The
-    walk goes on while some edge with a positive gain in the last scan
-    is feasible (checked in ascending ids); it makes no value query.
+    walk goes on while some edge with a positive gain in the memo is
+    feasible (checked in ascending ids); it makes no value query.
     """
 
     def step(fits, gain, index, thresholds):
-        if any(g > 0 and fits.feasible((e,)) for e, g in gain.items()):
+        if any(gain[e] > 0 and fits.feasible((e,)) for e in sorted(gain)):
             return index + 1
         return None
 

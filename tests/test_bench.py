@@ -151,6 +151,9 @@ def test_generator_rejects_bad_input():
         generate_instance("k-partition-intersection", {"k": 0}, 1)
     with pytest.raises(ValueError):
         generate_instance("random-parity", {"objective": "nope"}, 1)
+    for seed in (-1, 1.5, None):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            generate_instance("random-parity", {}, seed)
     for params, rule in [
         ({"k": 0}, "need k >= 1, n_vertices >= 0, n_edges >= 0"),
         ({"n_vertices": -1}, "need k >= 1, n_vertices >= 0, n_edges >= 0"),
@@ -233,6 +236,11 @@ def test_experiment_deterministic_instance_is_opt(tmp_path):
     assert ratios == {"1"}
     assert result["summary"][0]["mean_value"] == 8.0
     assert result["summary"][0]["stddev_value"] == 0.0
+
+
+def test_experiment_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        ExperimentSpec(source=("gen", "random-parity"), mode="hybrid", seed=-1)
 
 
 def test_experiment_empty_batch_writes_header_only(tmp_path):

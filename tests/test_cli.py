@@ -149,6 +149,15 @@ def test_gen_prints_to_stdout_without_out(capsys):
         ('{"constraint": {"k": 1, "matroid": {"type": "uniform", "ground": 2, '
          '"rank": 1}, "edges": [[0], [1]]}, "objective": {"modular": {"weights": '
          '[[0, 1.0]]}}}', "objective modular weights: missing edge ids [1]"),
+        ('{"constraint": {"k": 1, "matroid": {"type": "uniform", "ground": 2, '
+         '"rank": 1}, "edges": [[0], [1]], "edge_ids": [4]}, "objective": '
+         '{"cut": {"weights": []}}}', "constraint edge_ids: 1 ids for 2 edges"),
+        ('{"constraint": {"k": 1, "matroid": {"type": "uniform", "ground": 2, '
+         '"rank": 1}, "edges": [[0], [1]], "edge_ids": [4, 5, 6]}, "objective": '
+         '{"cut": {"weights": []}}}', "constraint edge_ids: 3 ids for 2 edges"),
+        ('{"constraint": {"k": 1, "matroid": {"type": "uniform", "ground": 2, '
+         '"rank": 1}, "edges": [[0], [1]]}, "objective": {"modular": {"weights": '
+         '[[0, 5], [1, 3], [0, 1]]}}}', "objective modular weights: duplicate edge ids [0]"),
     ],
 )
 def test_malformed_instance_is_one_line_error(tmp_path, capsys, text, reason):
@@ -210,6 +219,14 @@ DATA = Path(__file__).parent / "data"
         (["bench", "--out", "x", "--params", "{bad"], "argument --params: '{bad' is not a JSON"),
         (["gen", "--kind", "bogus"], "argument --kind: invalid choice: 'bogus'"),
         (["gen", "--kind", "random-parity", "--params", "[1]"], "is not a JSON object"),
+        (["solve", "--seed", "-1"], "argument --seed: '-1' is not an integer >= 0"),
+        (["solve", "--mode", "nonmonotone", "--seed", "-1"], "argument --seed: '-1' is not"),
+        (["bench", "--out", "x", "--instance", "i.json", "--seed", "-1"],
+         "argument --seed: '-1' is not an integer >= 0"),
+        (["bench", "--out", "x", "--generator", "random-parity", "--seed", "-1"],
+         "argument --seed: '-1' is not an integer >= 0"),
+        (["gen", "--kind", "random-parity", "--seed", "-1"],
+         "argument --seed: '-1' is not an integer >= 0"),
     ],
 )
 def test_bad_option_is_one_line_error(capsys, argv, reason):

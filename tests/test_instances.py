@@ -123,6 +123,10 @@ def _two_edge_instance(objective):
          "objective coverage covers: missing edge ids [0]"),
         ({"cut": {"weights": [[0, 3, 1.0], [1, 2, 1.0]]}},
          "objective cut weights: unknown edge ids [2, 3]"),
+        ({"modular": {"weights": [[0, 5.0], [1, 3.0], [0, 1.0]]}},
+         "objective modular weights: duplicate edge ids [0]"),
+        ({"coverage": {"item_weights": [1.0], "covers": [[1, [0]], [0, [0]], [1, []]]}},
+         "objective coverage covers: duplicate edge ids [1]"),
     ],
 )
 def test_objective_ids_must_match_the_constraint(objective, message):
@@ -135,6 +139,13 @@ def test_cut_may_leave_edges_unlinked():
     cons, f = instance_from_json(_two_edge_instance({"cut": {"weights": []}}))
     assert cons.edge_ids == (0, 1)
     assert isinstance(f, CutObjective)
+
+
+def test_cut_links_may_repeat():
+    # parallel links are merged, so a repeated link adds its weight
+    objective = {"cut": {"weights": [[0, 1, 1.0], [0, 1, 2.0]]}}
+    _, f = instance_from_json(_two_edge_instance(objective))
+    assert f.value({0}) == 3.0
 
 
 def test_instance_file_round_trip(tmp_path):
@@ -199,14 +210,16 @@ def test_legacy_trace_replays_to_a_fresh_run():
     # context per run instead of one per scan, and its two-for-one scan
     # skips the pair checks that a dead swap with a pair member already
     # answers (feasibility is down-closed). Its value count covers the
-    # whole run: 7 of the 39 are the binding of the value context and the
+    # whole run: 7 of the 28 are the binding of the value context and the
     # 6 singleton gains that draw the scale, which earlier counts left out.
-    # After level 3 adds edge 2, the next scan resumes its singles past it
-    # (f is declared submodular), so it skips one single check of an edge
-    # before 2 that was already dependent; the gains of those edges are
-    # still asked, as the scan goes on to swaps
+    # Its scans ask each singleton gain once per chosen set (the run's gain
+    # memo), so the first scan of a level asks none. After level 3 adds
+    # edge 2, the next scan resumes its singles past it (f is declared
+    # submodular), so it skips one single check of an edge before 2 that
+    # was already dependent; the gains of those edges are still asked, as
+    # the scan goes on to swaps
     assert (loaded.value_calls, loaded.feasibility_calls) == (52, 29)
-    assert (fresh.value_calls, fresh.feasibility_calls) == (39, 13)
+    assert (fresh.value_calls, fresh.feasibility_calls) == (28, 13)
     # the fixture exercises a swap, so the insertion order is not sorted
     assert loaded.insertion_order != sorted(loaded.final)
     reference = prune_down_monotone(f, brute_force_opt(f, cons)[0])

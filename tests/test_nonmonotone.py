@@ -147,10 +147,12 @@ def test_default_round_counts():
         ({"seed": 1.5}, "seed"),
         ({"seed": False}, "seed"),
         ({"seed": None}, "seed"),
+        ({"ell": -1}, "ell"),
+        ({"seed": -1}, "seed"),
     ],
 )
 def test_config_rejects_non_integer_ell_and_seed(kwargs, name):
-    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= 0"):
         RepetitionsConfig(**kwargs)
 
 

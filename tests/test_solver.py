@@ -203,9 +203,9 @@ def test_best_feasible_takes_the_largest_gain_ties_to_the_smaller_id():
     assert cons.feasibility_calls - calls == 3
 
 
-@pytest.mark.parametrize("seed", [1.5, "3", None, True, np.float64(2.0)])
+@pytest.mark.parametrize("seed", [1.5, "3", None, True, np.float64(2.0), -1, np.int64(-2)])
 def test_solver_config_seed_must_be_an_integer(seed):
-    with pytest.raises(ValueError, match="seed must be an integer"):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
         SolverConfig(epsilon=0.5, seed=seed)
 
 
@@ -317,8 +317,21 @@ def test_kind2_swap_example():
 
 def test_no_improvement_at_local_optimum():
     f, cons = weights_531()
-    gain = {0: 99.0}  # emptied by the scan
+    gain = {}  # the run's memo: a None leaves every outside edge's gain in it
     assert find_improvement(*contexts(f, cons, {0, 1}), {0, 1}, 3.0, 0.5, gain) is None
+    assert gain == {2: 1}
+
+
+def test_scan_at_the_same_set_reads_the_memo():
+    # the next level's first scan sees the set the last scan ended at, so
+    # every singleton gain it needs is in the memo that scan left
+    f, cons = weights_531()
+    vals, fits = contexts(f, cons, {0, 1})
+    gain = {}
+    assert find_improvement(vals, fits, {0, 1}, 3.0, 0.5, gain) is None
+    calls = f.calls
+    assert find_improvement(vals, fits, set(), 1.5, 0.5, gain) is None
+    assert f.calls == calls
     assert gain == {2: 1}
 
 
@@ -595,6 +608,8 @@ def test_drivers_agree_small_battery():
             eff_out, eff_trace = run_efficient(f, cons, config)
             assert ref_out == eff_out
             assert ref_trace.applied_sequence() == eff_trace.applied_sequence()
+            # levels that accept nothing read the gain memo and ask no value
+            assert ref_trace.value_calls == eff_trace.value_calls
 
 
 def test_drivers_agree_on_exact_threshold_ties():
@@ -620,6 +635,8 @@ def test_drivers_agree_across_alpha_grid():
             eff_out, eff_trace = run_efficient(f, cons, config, rng=FixedDraw(u))
             assert ref_out == eff_out
             assert ref_trace.applied_sequence() == eff_trace.applied_sequence()
+            # levels that accept nothing read the gain memo and ask no value
+            assert ref_trace.value_calls == eff_trace.value_calls
 
 
 def test_efficient_indices_strictly_increase():
@@ -825,6 +842,7 @@ def test_drivers_agree_on_float_weights_and_ties(instance, u, eps):
     eff_out, eff_trace = run_efficient(f, cons, config, rng=FixedDraw(u))
     assert ref_out == eff_out
     assert ref_trace.applied_sequence() == eff_trace.applied_sequence()
+    assert ref_trace.value_calls == eff_trace.value_calls
     replay_trace(ref_trace, f, cons)
     replay_trace(eff_trace, f, cons)
 
