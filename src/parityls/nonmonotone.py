@@ -6,9 +6,7 @@ all produced sets and their double-greedy refinements.
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .solver import SolverConfig, _require_count, run_efficient
+from .solver import SeededStream, SolverConfig, _require_count, run_efficient, sample_alpha
 
 
 @dataclass(frozen=True)
@@ -75,27 +73,45 @@ def repetitions_with_trace(f, cons, config: RepetitionsConfig):
     set with double greedy, and return the best candidate plus history.
 
     Round i removes its solver output from the ground before round i+1,
-    so the per-round outputs are disjoint. Each round consumes its own
-    pair of child RNG streams (solver alpha draw, double-greedy coins),
-    making rounds individually reproducible.
+    so the per-round outputs are disjoint. Round i reads its own two
+    seeded streams, ``SeededStream(seed, (2i,))`` for the solver's alpha
+    and ``SeededStream(seed, (2i + 1,))`` for the double-greedy coins
+    (children 2i and 2i + 1 of ``SeedSequence(seed).spawn(2 * ell)``), so
+    each round is reproducible on its own. The coin stream is read only
+    when the round selected something; double greedy on the empty set
+    draws nothing.
+
+    Once a round selects nothing, the rounds after it are settled and
+    are recorded without a solve, as (i, alpha_i, empty, empty, same
+    ground) with alpha_i = 1 - the first draw of stream 2i, which is the
+    alpha their solver run would draw. Proof: a round selects nothing
+    exactly when no edge of its ground has a positive singleton gain
+    and fits alone. If one does, the scale is positive, the jump's pick
+    exists, and the scan at the level it jumps to adds an edge (the
+    level's threshold admits the pick's gain, and no move shrinks the
+    set); if none does, the run is empty or the jump ends it at once.
+    That condition does not depend on alpha, and an empty selection
+    leaves the ground, and so the condition, as it was. The settled
+    rounds' candidates are empty, which cannot beat the first empty
+    round's, so the best candidate is unchanged too.
     """
     ell = config.rounds_for(cons.k)
-    streams = np.random.SeedSequence(config.seed).spawn(2 * ell)
     trace = RepetitionsTrace()
     best, best_value = frozenset(), float("-inf")
 
     remaining = set(cons.edge_ids)
     for i in range(ell):
-        solver_rng = np.random.Generator(np.random.PCG64(streams[2 * i]))
-        coin_rng = np.random.Generator(np.random.PCG64(streams[2 * i + 1]))
         ground = tuple(sorted(remaining))
         restricted = cons.restrict_ground(ground)
         selected, run_trace = run_efficient(
-            f, restricted, SolverConfig(epsilon=config.epsilon), rng=solver_rng
+            f,
+            restricted,
+            SolverConfig(epsilon=config.epsilon),
+            rng=SeededStream(config.seed, (2 * i,)),
         )
         # the restricted copy counts its own queries; charge them to cons
         cons.feasibility_calls += restricted.feasibility_calls
-        refined = double_greedy(f, selected, coin_rng)
+        refined = double_greedy(f, selected, SeededStream(config.seed, (2 * i + 1,)))
         trace.rounds.append(
             RoundRecord(i, run_trace.alpha, selected, refined, ground)
         )
@@ -103,6 +119,15 @@ def repetitions_with_trace(f, cons, config: RepetitionsConfig):
             value = f.value(candidate)
             if value > best_value:
                 best, best_value = candidate, value
+        if not selected:  # every later round is settled (see above)
+            trace.rounds.extend(
+                RoundRecord(
+                    j, sample_alpha(SeededStream(config.seed, (2 * j,))),
+                    frozenset(), frozenset(), ground,
+                )
+                for j in range(i + 1, ell)
+            )
+            break
         remaining -= selected
 
     return best, trace

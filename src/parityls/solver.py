@@ -21,8 +21,10 @@ modes in ``bench.MODES``.
 
 import math
 import numbers
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -190,27 +192,92 @@ def max_singleton_marginal(vals, edge_ids):
     return max(gain.values(), default=float("-inf")), gain
 
 
+# draws a stream's memo slot holds once first read; a read past them doubles it
+_FIRST_DRAWS = 32
+
+
+@lru_cache(maxsize=256)
+def _stream_slot(seed, spawn_key):
+    """The memo slot of stream (seed, spawn_key): a one-item list whose
+    item is the tuple of the stream's leading draws read so far."""
+    return [()]
+
+
+class SeededStream:
+    """The draws of the PCG64 stream of ``SeedSequence(seed, spawn_key)``,
+    replayed from its first one: ``random()`` returns the next uniform
+    draw on [0, 1), bit for bit what ``Generator.random()`` of that stream
+    would return. Stream (seed, ()) is ``PCG64(seed)``, and stream
+    (seed, (j,)) is child j of ``SeedSequence(seed).spawn(n)`` for any
+    n > j.
+
+    The draws are read from a bounded memo of each stream's leading draws,
+    keyed by (seed, spawn_key), so replaying a stream again draws nothing.
+    A read past a stored prefix draws one at least twice as long."""
+
+    __slots__ = ("_seed", "_key", "_draws", "_next")
+
+    def __init__(self, seed, spawn_key=()):
+        self._seed = operator.index(seed)
+        self._key = tuple(map(operator.index, spawn_key))
+        self._draws = ()
+        self._next = 0
+
+    def random(self):
+        j = self._next
+        if j == len(self._draws):  # past this reader's prefix: take the memo's
+            slot = _stream_slot(self._seed, self._key)
+            draws = slot[0]
+            if len(draws) <= j:
+                size = max(2 * len(draws), j + 1, _FIRST_DRAWS)
+                seq = np.random.SeedSequence(self._seed, spawn_key=self._key)
+                # a new tuple, never a changed one: readers that race only repeat work
+                draws = slot[0] = tuple(
+                    np.random.Generator(np.random.PCG64(seq)).random(size).tolist()
+                )
+            self._draws = draws
+        self._next = j + 1
+        return self._draws[j]
+
+
 def sample_alpha(seed_or_rng):
     """Draw the threshold exponent: alpha = 1 - U with U uniform on
-    [0, 1), so alpha lands in (0, 1]."""
+    [0, 1), so alpha lands in (0, 1]. U is the next ``random()`` of a
+    given rng, or, for an integer seed, the first draw of
+    ``SeededStream(seed)``: bit for bit ``Generator(PCG64(seed)).random()``."""
     rng = seed_or_rng
     if not callable(getattr(rng, "random", None)):
-        rng = np.random.Generator(np.random.PCG64(rng))
+        rng = SeededStream(rng)
     return 1.0 - rng.random()
 
 
-def best_feasible(fits, gain):
+def fits_alone(fits, e, dead):
+    """Whether the base of the context ``fits`` plus edge ``e`` is
+    independent. ``dead`` holds edges whose single add was found
+    dependent: they are answered False without a query, and a new
+    failure is added. Sound while the base only grows, since feasibility
+    is down-closed; whoever removes an edge from the base must empty it."""
+    if e in dead:
+        return False
+    if fits.feasible((e,)):
+        return True
+    dead.add(e)
+    return False
+
+
+def best_feasible(fits, gain, dead):
     """Greedy's pick: the first edge in (-gain, id) order with a positive
-    gain that the context ``fits`` accepts, asking until one fits; else None."""
+    gain that fits alone (``fits_alone``, reading and filling ``dead``),
+    asking until one fits; else None."""
     for e in sorted(gain, key=lambda e: (-gain[e], e)):
         if gain[e] <= 0:
             return None
-        if fits.feasible((e,)):
+        if fits_alone(fits, e, dead):
             return e
     return None
 
 
-def find_improvement(vals, fits, current, theta, epsilon, gain, after=None):
+def find_improvement(vals, fits, current, theta, epsilon, gain, dead, after=None):
     """First improving move at level theta for the base that the value
     context ``vals`` and the feasibility context ``fits`` share, of
     which ``current`` is the part added at this level.
@@ -226,7 +293,10 @@ def find_improvement(vals, fits, current, theta, epsilon, gain, after=None):
     Returns None at a local optimum. ``gain`` is the run's memo of
     f(base + x) - f(base): the scan reads the gains it holds, asks and
     stores those it lacks, and never empties or reorders it; after a
-    None, it holds the gain of every outside edge.
+    None, it holds the gain of every outside edge. ``dead`` is the run's
+    set of edges whose single add was found dependent since the last
+    move that removed an edge: single adds go through ``fits_alone``,
+    which skips them and records new ones.
 
     Shortcuts that leave every answer as it is. The swap loop tries
     every high edge x (gain >= theta) against every y and records each
@@ -257,7 +327,7 @@ def find_improvement(vals, fits, current, theta, epsilon, gain, after=None):
     for x in outside[start:]:
         if x not in gain:
             gain[x] = vals.gain((x,))
-        if gain[x] >= theta and fits.feasible((x,)):
+        if gain[x] >= theta and fits_alone(fits, x, dead):
             return Improvement(1, (x,), ())
     for x in outside[:start]:  # the gains the resumed singles skipped
         if x not in gain:
@@ -267,11 +337,11 @@ def find_improvement(vals, fits, current, theta, epsilon, gain, after=None):
 
     # from here on the gain of every outside edge is known
     high = [x for x in outside if gain[x] >= theta]
-    dead = set()  # swaps (x, y) with (base - y) + x dependent
+    dead_swaps = set()  # swaps (x, y) with (base - y) + x dependent
     for x in high:
         for y in removable:
             if not fits.feasible((x,), (y,)):
-                dead.add((x, y))
+                dead_swaps.add((x, y))
                 continue
             if f_base + vals.gain((x,), (y,)) >= f_base + epsilon * theta:
                 return Improvement(2, (x,), (y,))
@@ -284,7 +354,7 @@ def find_improvement(vals, fits, current, theta, epsilon, gain, after=None):
         for q in partners[bisect_right(partners, p):]:
             for y in removable:
                 # down-closed: a dead swap with either member kills the pair
-                if (p, y) in dead or (q, y) in dead:
+                if (p, y) in dead_swaps or (q, y) in dead_swaps:
                     continue
                 if not fits.feasible((p, q), (y,)):
                     continue
@@ -303,18 +373,24 @@ def _drive(f, cons, config, rng, next_level):
     Binds the run's one value context ``vals`` on the empty set, draws
     the scale (from its singleton gains) and alpha, and, once the scale
     is positive, the run's one feasibility context ``fits``. Then it
-    asks ``next_level(fits, gain, index, thresholds)`` for the next
+    asks ``next_level(fits, gain, dead, index, thresholds)`` for the next
     level index (None ends the run) and runs the first-improvement local
     search there until no move is left. Each applied move moves both
     contexts, so their base is always the chosen set, and the settled
     set ``trace.final`` when a level ends. ``gain``, the memo of each
     edge's gain against that set, starts as the singleton gains, is
     filled by the scans and cleared right after each applied move, and
-    at no other time. After a kind-1 move adds x, the next scan resumes
-    its singles past x (``find_improvement``'s ``after``); a new level
-    and every swap or two-for-one move start them over. The applied
-    moves are capped at (1 + 2/eps)|E|. Returns the final edge set and
-    the trace, which counts every query of the run.
+    at no other time. ``dead``, the edges whose single add was found
+    dependent (``fits_alone``), is emptied only by a move that removes an
+    edge, a kind-2 or kind-3 move: while the set only grows, a dependent
+    edge stays dependent, since feasibility is down-closed. The scans and
+    the next-level rules skip those edges without a query, which leaves
+    every answer and value query as it is. After a kind-1 move adds x,
+    the next scan resumes its singles past x (``find_improvement``'s
+    ``after``); a new level and every swap or two-for-one move start
+    them over. The applied moves are capped at (1 + 2/eps)|E|. Returns
+    the final edge set and the trace, which counts every query of the
+    run.
     """
     value_calls_0, feas_calls_0 = f.calls, cons.feasibility_calls
     vals = f.context(frozenset())
@@ -326,15 +402,20 @@ def _drive(f, cons, config, rng, next_level):
         budget = (1.0 + 2.0 / config.epsilon) * len(cons.edge_ids)
         applied = 0
         index = 0
-        while (index := next_level(fits, gain, index, trace.thresholds)) is not None:
+        dead = set()
+        while (index := next_level(fits, gain, dead, index, trace.thresholds)) is not None:
             theta = trace.thresholds.level(index)
             current = set()
             moves = []
             after = None
-            while imp := find_improvement(vals, fits, current, theta, config.epsilon, gain, after):
+            while imp := find_improvement(
+                vals, fits, current, theta, config.epsilon, gain, dead, after
+            ):
                 vals.apply(imp.added, imp.removed)
                 fits.apply(imp.added, imp.removed)
                 gain.clear()
+                if imp.removed:
+                    dead.clear()
                 current.difference_update(imp.removed)
                 current.update(imp.added)
                 moves.append(imp)
@@ -353,12 +434,12 @@ def _drive(f, cons, config, rng, next_level):
 def run_reference(f, cons, config, rng=None):
     """Stepwise driver: walks level indices one by one, including levels
     that accept nothing, exactly as the hybrid scheme is defined. The
-    walk goes on while some edge with a positive gain in the memo is
-    feasible (checked in ascending ids); it makes no value query.
+    walk goes on while some edge with a positive gain in the memo fits
+    alone (``fits_alone``, in ascending ids); it makes no value query.
     """
 
-    def step(fits, gain, index, thresholds):
-        if any(gain[e] > 0 and fits.feasible((e,)) for e in sorted(gain)):
+    def step(fits, gain, dead, index, thresholds):
+        if any(gain[e] > 0 and fits_alone(fits, e, dead) for e in sorted(gain)):
             return index + 1
         return None
 
@@ -374,8 +455,8 @@ def run_efficient(f, cons, config, rng=None):
     for the same seed.
     """
 
-    def jump(fits, gain, index, thresholds):
-        if (e := best_feasible(fits, gain)) is None:
+    def jump(fits, gain, dead, index, thresholds):
+        if (e := best_feasible(fits, gain, dead)) is None:
             return None
         return max(thresholds.index_at_most(gain[e]), index + 1)
 

@@ -5,11 +5,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from parityls import nonmonotone, solver
 from parityls.kparity import KParityConstraint
-from parityls.matroid import UniformMatroid
+from parityls.matroid import GraphicMatroid, UniformMatroid
 from parityls.nonmonotone import RepetitionsConfig, double_greedy, repetitions_with_trace
 from parityls.objective import CutObjective, ModularObjective, ValueOracle
-from util import double_greedy_exact_expectation, rng_for, solver_instance, subsets
+from util import (
+    double_greedy_exact_expectation,
+    reference_repetitions,
+    rng_for,
+    solver_instance,
+    subsets,
+)
 
 
 class Constant(ValueOracle):
@@ -182,3 +189,73 @@ def test_rounds_reproducible_per_seed():
     assert [(r.selected, r.refined) for r in a.rounds] == [
         (r.selected, r.refined) for r in b.rounds
     ]
+
+
+def settling_instances():
+    """Instances whose rounds stop selecting early, as (cons, f)."""
+    # mixed-sign modular: once 0 and 4 are taken, every gain left is <= 0
+    yield singleton_parity(UniformMatroid(5, 5)), ModularObjective({0: 3, 1: -1, 2: 0, 3: -2, 4: 5})
+    # graphic self-loops: every singleton is dependent, so round 0 selects nothing
+    loops = GraphicMatroid(2, [(0, 0), (1, 1), (0, 0)])
+    yield singleton_parity(loops), ModularObjective({0: 2, 1: 1, 2: 4})
+    # a self-loop beside a positive link: round 1 sees only the dependent loop
+    yield singleton_parity(GraphicMatroid(2, [(0, 0), (0, 1)])), CutObjective([(0, 1, 2.0)])
+    # exhausted ground: round 0 takes every edge, later rounds see ()
+    yield singleton_parity(UniformMatroid(2, 2)), ModularObjective({0: 3, 1: 1})
+
+
+def wrapper_cases():
+    yield from settling_instances()
+    for family in ("modular", "coverage", "cut"):
+        for seed in range(25):
+            yield solver_instance(seed, families=(family,))
+
+
+def round_facts(trace):
+    return [(r.index, r.alpha.hex(), r.selected, r.refined, r.ground) for r in trace.rounds]
+
+
+def test_wrapper_matches_the_plain_round_loop():
+    # seeds 0 and 3, a numpy seed and, per case, a seed no earlier solve
+    # read (a memo miss); the plain loop draws from Generators over
+    # spawned children
+    for case, (cons, f) in enumerate(wrapper_cases()):
+        for seed in (0, 3, np.int64(5), 7_000_003 + 101 * case):
+            for ell in (0, 6):
+                config = RepetitionsConfig(ell=ell, epsilon=0.5, seed=seed)
+                best, trace = repetitions_with_trace(f, cons, config)
+                ref_best, ref = reference_repetitions(f, cons, config)
+                assert best == ref_best
+                assert round_facts(trace) == round_facts(ref)
+
+
+def test_no_solve_after_the_first_empty_round(monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(nonmonotone, "run_efficient", counting("solve", nonmonotone.run_efficient))
+    monkeypatch.setattr(nonmonotone, "double_greedy", counting("refine", nonmonotone.double_greedy))
+    settled = 0
+    for cons, f in wrapper_cases():
+        calls.clear()
+        _, trace = repetitions_with_trace(f, cons, RepetitionsConfig(ell=6, seed=3))
+        assert len(trace.rounds) == 6
+        first_empty = next((r.index for r in trace.rounds if not r.selected), 5)
+        assert calls == ["solve", "refine"] * (first_empty + 1)
+        settled += 5 - first_empty
+    assert settled > 0
+
+
+def test_stream_memo_stays_bounded():
+    cons, f = singleton_parity(UniformMatroid(3, 2)), ModularObjective({0: 2, 1: 1, 2: 3})
+    for seed in range(300):
+        repetitions_with_trace(f, cons, RepetitionsConfig(ell=2, seed=90_000 + seed))
+    info = solver._stream_slot.cache_info()
+    assert info.maxsize is not None
+    assert info.currsize <= info.maxsize

@@ -8,6 +8,8 @@ against the drivers' outputs).
 
 import copy
 import math
+import sys
+import threading
 from itertools import combinations
 from unittest import mock
 
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 from parityls import solver
 from parityls.bench import generate_instance, greedy_baseline
-from parityls.kparity import KParityConstraint
+from parityls.kparity import FeasibilityContext, KParityConstraint
 from parityls.matroid import UniformMatroid
 from parityls.objective import (
     GENERAL,
@@ -30,6 +32,7 @@ from parityls.objective import (
 from parityls.solver import (
     Improvement,
     RunTrace,
+    SeededStream,
     SolverConfig,
     Thresholds,
     best_feasible,
@@ -191,15 +194,15 @@ def test_best_feasible_takes_the_largest_gain_ties_to_the_smaller_id():
     cons = singleton_parity(UniformMatroid(5, 2))
     fits = cons.context({4})
     gain = {0: 2.0, 1: 3.0, 2: 3.0, 3: 0.0}
-    assert best_feasible(fits, gain) == 1
+    assert best_feasible(fits, gain, set()) == 1
     calls = cons.feasibility_calls
-    assert best_feasible(fits, {0: 2.0, 1: 2.0, 2: -1.0}) == 0
+    assert best_feasible(fits, {0: 2.0, 1: 2.0, 2: -1.0}, set()) == 0
     assert cons.feasibility_calls - calls == 1  # stops at the first feasible edge
-    assert best_feasible(fits, {0: 0.0, 1: -3.0}) is None
-    assert best_feasible(fits, {}) is None
+    assert best_feasible(fits, {0: 0.0, 1: -3.0}, set()) is None
+    assert best_feasible(fits, {}, set()) is None
     full = cons.context({3, 4})  # nothing fits: every positive gain is asked
     calls = cons.feasibility_calls
-    assert best_feasible(full, gain) is None
+    assert best_feasible(full, gain, set()) is None
     assert cons.feasibility_calls - calls == 3
 
 
@@ -239,6 +242,80 @@ def test_sample_alpha_boundaries():
     assert 0 < sample_alpha(np.random.Generator(np.random.PCG64(0))) <= 1
     assert sample_alpha(FixedDraw(0.0)) == 1.0
     assert sample_alpha(FixedDraw(0.5)) == 0.5
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**64 + 5, np.int64(7), np.uint32(11)])
+def test_seeded_streams_replay_spawned_children(seed):
+    # 40 draws per stream read past the memo's first prefix of 16 draws
+    children = np.random.SeedSequence(seed).spawn(40)
+    for j, child in enumerate(children):
+        generator = np.random.Generator(np.random.PCG64(child))
+        expected = [generator.random().hex() for _ in range(40)]
+        for key in ((j,), (np.int64(j),)):  # the second replay reads the memo
+            stream = SeededStream(seed, key)
+            assert [stream.random().hex() for _ in range(40)] == expected
+    generator = np.random.Generator(np.random.PCG64(seed))
+    stream = SeededStream(seed)
+    assert [stream.random() for _ in range(100)] == generator.random(100).tolist()
+
+
+def test_sample_alpha_of_a_seed_is_the_seeded_generators_draw():
+    for seed in [*range(30), np.int64(31), np.uint16(32), 2**70]:
+        expected = 1.0 - np.random.Generator(np.random.PCG64(seed)).random()
+        assert sample_alpha(seed).hex() == expected.hex()
+
+
+def test_seed_3_draws_are_pinned():
+    # fixed bits of numpy's SeedSequence/PCG64 streams: a change in their
+    # semantics changes every seeded answer, and shows here first
+    assert sample_alpha(3).hex() == "0x1.d425cad860828p-1"
+    assert [sample_alpha(SeededStream(3, (2 * i,))).hex() for i in range(3)] == [
+        "0x1.d5a331d577884p-2",
+        "0x1.e38673783c333p-1",
+        "0x1.bcf32ca960680p-3",
+    ]
+    assert SeededStream(3, (1,)).random().hex() == "0x1.9af9f39b64b80p-4"
+
+
+def test_a_replayed_stream_draws_nothing(monkeypatch):
+    first = SeededStream(424242, (5,))
+    draws = [first.random() for _ in range(50)]
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a stream the memo holds")
+
+    monkeypatch.setattr(np.random, "PCG64", no_draw)
+    again = SeededStream(424242, (5,))
+    assert [again.random() for _ in range(50)] == draws
+    assert sample_alpha(SeededStream(424242, (5,))) == 1.0 - draws[0]
+
+
+def test_racing_readers_read_the_streams_draws():
+    # more threads than cores, switching often, grow the same fresh streams
+    expected = {
+        j: np.random.Generator(np.random.PCG64(child)).random(300).tolist()
+        for j, child in enumerate(np.random.SeedSequence(515151).spawn(4))
+    }
+    wrong = []
+
+    def read(j):
+        for _ in range(3):
+            stream = SeededStream(515151, (j,))
+            if [stream.random() for _ in range(300)] != expected[j]:
+                wrong.append(j)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(t % 4,)) for t in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_sample_alpha_uniformity():
@@ -297,19 +374,67 @@ def test_fast_forward_brackets_random_inputs():
             assert gain < scale * shift * 2.0 ** (-(i - 1))
 
 
+def test_dependent_singles_are_recorded_and_skipped():
+    cons = singleton_parity(UniformMatroid(5, 2))
+    full = cons.context({3, 4})
+    dead = set()
+    calls = cons.feasibility_calls
+    assert best_feasible(full, {0: 2.0, 1: 3.0, 2: 1.0}, dead) is None
+    assert dead == {0, 1, 2}
+    assert not solver.fits_alone(full, 1, dead)
+    f = ModularObjective({e: 1.0 for e in range(5)})
+    assert find_improvement(f.context({3, 4}), full, set(), 0.5, 0.5, {}, dead) is None
+    assert cons.feasibility_calls - calls == 3
+
+
+def test_a_dependent_single_is_not_asked_again_until_a_removal():
+    # per feasibility context, the single adds found dependent since the
+    # last move that removed an edge; none of them may be asked again
+    feasible, apply = FeasibilityContext.feasible, FeasibilityContext.apply
+    dead = {}
+    repeats = []
+
+    def watched_feasible(self, add, remove=()):
+        fits = feasible(self, add, remove)
+        if len(add) == 1 and not remove:
+            known = dead.setdefault(id(self), set())
+            if add[0] in known:
+                repeats.append(add[0])
+            if not fits:
+                known.add(add[0])
+        return fits
+
+    def watched_apply(self, add, remove=()):
+        if remove:
+            dead.pop(id(self), None)
+        return apply(self, add, remove)
+
+    with mock.patch.object(FeasibilityContext, "feasible", watched_feasible), \
+            mock.patch.object(FeasibilityContext, "apply", watched_apply):
+        for seed in range(60):
+            cons, f = solver_instance(seed)
+            for u in (0.0, 0.5, 0.9):
+                for runner in (run_reference, run_efficient):
+                    dead.clear()  # contexts of a finished run may share ids with new ones
+                    runner(f, cons, SolverConfig(epsilon=0.5), rng=FixedDraw(u))
+            dead.clear()
+            greedy_baseline(f, cons)
+    assert repeats == []
+
+
 # ------------------------------------------------------- improvement scan
 
 
 def test_kind1_found_on_empty_solution():
     f, cons = weights_531()
-    imp = find_improvement(*contexts(f, cons, frozenset()), frozenset(), 1.0, 0.5, {})
+    imp = find_improvement(*contexts(f, cons, frozenset()), frozenset(), 1.0, 0.5, {}, set())
     assert imp == Improvement(1, (0,), ())
 
 
 def test_kind2_swap_example():
     f = ModularObjective({0: 1.0, 1: 1.2})
     cons = singleton_parity(UniformMatroid(2, 1))
-    imp = find_improvement(*contexts(f, cons, {0}), {0}, 1.0, 0.1, {})
+    imp = find_improvement(*contexts(f, cons, {0}), {0}, 1.0, 0.1, {}, set())
     assert imp == Improvement(2, (1,), (0,))
     oracle = enumerate_improvements(f, cons, frozenset(), {0}, 1.0, 0.1)
     assert oracle == [Improvement(2, (1,), (0,))]
@@ -318,7 +443,7 @@ def test_kind2_swap_example():
 def test_no_improvement_at_local_optimum():
     f, cons = weights_531()
     gain = {}  # the run's memo: a None leaves every outside edge's gain in it
-    assert find_improvement(*contexts(f, cons, {0, 1}), {0, 1}, 3.0, 0.5, gain) is None
+    assert find_improvement(*contexts(f, cons, {0, 1}), {0, 1}, 3.0, 0.5, gain, set()) is None
     assert gain == {2: 1}
 
 
@@ -328,9 +453,9 @@ def test_scan_at_the_same_set_reads_the_memo():
     f, cons = weights_531()
     vals, fits = contexts(f, cons, {0, 1})
     gain = {}
-    assert find_improvement(vals, fits, {0, 1}, 3.0, 0.5, gain) is None
+    assert find_improvement(vals, fits, {0, 1}, 3.0, 0.5, gain, set()) is None
     calls = f.calls
-    assert find_improvement(vals, fits, set(), 1.5, 0.5, gain) is None
+    assert find_improvement(vals, fits, set(), 1.5, 0.5, gain, set()) is None
     assert f.calls == calls
     assert gain == {2: 1}
 
@@ -348,7 +473,7 @@ def test_kind3_labeling_tiebreak():
         matroid, [Edge(0, {0, 1}), Edge(1, {2}), Edge(2, {3})], 2
     )
     f = ModularObjective({0: 2.0, 1: 2.0, 2: 2.0})
-    imp = find_improvement(*contexts(f, cons, {0}), {0}, 2.0, 0.5, {})
+    imp = find_improvement(*contexts(f, cons, {0}), {0}, 2.0, 0.5, {}, set())
     assert imp == Improvement(3, (1, 2), (0,))
     oracle = enumerate_improvements(f, cons, frozenset(), {0}, 2.0, 0.5)
     assert oracle[0] == Improvement(3, (1, 2), (0,))
@@ -368,7 +493,7 @@ def test_scan_matches_enumeration_on_random_states():
         theta = float(rng.uniform(0.5, 8.0))
         eps = float(rng.choice([0.1, 0.5]))
         gain = {}
-        got = find_improvement(*contexts(f, cons, chosen), split, theta, eps, gain)
+        got = find_improvement(*contexts(f, cons, chosen), split, theta, eps, gain, set())
         oracle = enumerate_improvements(f, cons, chosen - split, split, theta, eps)
         assert got == (oracle[0] if oracle else None)
         if got is None:  # a failed scan leaves the gain of every outside edge
@@ -406,7 +531,7 @@ def test_scan_skips_pair_checks_through_a_dead_swap():
 
     fits.feasible = recording
     calls = cons.feasibility_calls
-    imp = find_improvement(vals, fits, {0, 4}, 2.0, 0.5, {})
+    imp = find_improvement(vals, fits, {0, 4}, 2.0, 0.5, {}, set())
     # 3 single additions and 3 x 2 swaps, then one pair check
     assert cons.feasibility_calls - calls == len(asked) == 3 + 6 + 1
     assert [q for q in asked if len(q[0]) == 2] == [((2, 3), (0,))]
@@ -443,7 +568,7 @@ def test_scan_pairs_a_high_edge_with_a_low_one(low, high):
     matroid = PartitionMatroid([[0, 2], [1, 3]], [1, 1])
     cons = KParityConstraint(matroid, [Edge(0, {0, 1}), Edge(1, {2}), Edge(2, {3})], 2)
     f = SquaredWeight({0: 1.0, high: 1.0, low: 0.75})
-    imp = find_improvement(*contexts(f, cons, {0}), {0}, 3.0, 0.5, {})
+    imp = find_improvement(*contexts(f, cons, {0}), {0}, 3.0, 0.5, {}, set())
     assert imp == Improvement(3, (high, low), (0,))
     assert enumerate_improvements(f, cons, frozenset(), {0}, 3.0, 0.5) == [imp]
 
@@ -499,7 +624,7 @@ def test_scan_matches_enumeration_with_ties_at_theta():
         theta = whole[positive[int(rng.integers(len(positive)))]]
         eps = float(rng.choice([0.25, 0.5]))
         gain = {}
-        got = find_improvement(*contexts(f, cons, chosen), split, theta, eps, gain)
+        got = find_improvement(*contexts(f, cons, chosen), split, theta, eps, gain, set())
         oracle = enumerate_improvements(f, cons, chosen - split, split, theta, eps)
         assert got == (oracle[0] if oracle else None)
         if got is None:
@@ -543,7 +668,7 @@ def test_declared_submodularity_keeps_answers_and_asks_no_more(instance, u, eps)
     low_pairs = []  # pair checks with a member whose gain is below theta
     scan = solver.find_improvement
 
-    def watched(vals, fits, current, theta, epsilon, gain, after=None):
+    def watched(vals, fits, current, theta, epsilon, gain, dead, after=None):
         pairs = []
         feasible = fits.feasible
 
@@ -554,7 +679,7 @@ def test_declared_submodularity_keeps_answers_and_asks_no_more(instance, u, eps)
 
         fits.feasible = recording
         try:
-            imp = scan(vals, fits, current, theta, epsilon, gain, after)
+            imp = scan(vals, fits, current, theta, epsilon, gain, dead, after)
         finally:
             del fits.feasible
         # a scan that checks a pair has asked the gain of every outside edge

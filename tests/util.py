@@ -1,7 +1,8 @@
 """Shared helpers for the test suite: subset enumeration, random feasible
 sets, a set system that need not be a matroid, hypothesis strategies for
 matroids, the seeded desk-scale instance batteries, the exact expectation
-of double greedy and the closed form of the threshold/weight ratio."""
+of double greedy, the plain round loop of the non-monotone wrapper and
+the closed form of the threshold/weight ratio."""
 
 import math
 from fractions import Fraction
@@ -20,6 +21,8 @@ from parityls.matroid import (
     PartitionMatroid,
     UniformMatroid,
 )
+from parityls.nonmonotone import RepetitionsTrace, RoundRecord, double_greedy
+from parityls.solver import SolverConfig, run_efficient
 
 
 def subsets(elems):
@@ -223,6 +226,35 @@ def double_greedy_exact_expectation(f, edge_set):
         return total
 
     return walk(0, frozenset(), frozenset(elems))
+
+
+def reference_repetitions(f, cons, config):
+    """The non-monotone wrapper's round loop with nothing skipped: every
+    round draws its two streams from Generators over the children of
+    ``SeedSequence(seed).spawn(2 * ell)``, restricts the ground, solves,
+    refines with double greedy and evaluates both sets, whatever the
+    rounds before it selected. Returns (best set, RepetitionsTrace)."""
+    ell = config.rounds_for(cons.k)
+    streams = np.random.SeedSequence(config.seed).spawn(2 * ell)
+    trace = RepetitionsTrace()
+    best, best_value = frozenset(), float("-inf")
+    remaining = set(cons.edge_ids)
+    for i in range(ell):
+        solver_rng = np.random.Generator(np.random.PCG64(streams[2 * i]))
+        coin_rng = np.random.Generator(np.random.PCG64(streams[2 * i + 1]))
+        ground = tuple(sorted(remaining))
+        restricted = cons.restrict_ground(ground)
+        selected, run_trace = run_efficient(
+            f, restricted, SolverConfig(epsilon=config.epsilon), rng=solver_rng
+        )
+        refined = double_greedy(f, selected, coin_rng)
+        trace.rounds.append(RoundRecord(i, run_trace.alpha, selected, refined, ground))
+        for candidate in (selected, refined):
+            value = f.value(candidate)
+            if value > best_value:
+                best, best_value = candidate, value
+        remaining -= selected
+    return best, trace
 
 
 def shift_log_ratio(scale, u_value, alpha):
