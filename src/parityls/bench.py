@@ -62,21 +62,24 @@ def greedy_baseline(f, cons):
     (ties to the smaller id), until none remains. One value and one
     feasibility context, moved by each added edge, answer the queries.
 
-    Later rounds skip what an earlier one settled: the edges found
-    dependent (``dead``, all ranked ahead of a pick) stay so as the set
-    grows; unless f declares "general", an edge whose gain was <= 0
-    stays so too, since a submodular f's gains only shrink."""
+    Later rounds skip what an earlier one settled: the edges ranked
+    ahead of a pick were found dependent, and stay so as the set grows;
+    unless f declares "general", an edge whose gain was <= 0 stays so
+    too, since a submodular f's gains only shrink."""
     submodular = f.declared_class != GENERAL
     vals = f.context(frozenset())
     fits = cons.context(frozenset())
     gain = {e: vals.gain((e,)) for e in cons.edge_ids}
-    dead = set()
-    while (e := best_feasible(fits, gain, dead)) is not None:
+    # the rank filter below drops every edge found dependent, so each
+    # pick starts an empty set of them
+    while (e := best_feasible(fits, gain, set())) is not None:
         vals.apply((e,))
         fits.apply((e,))
+        top = gain[e]
+        # the edges ranked after the pick, less those with a settled gain <= 0
         gain = {
             d: vals.gain((d,)) for d, g in gain.items()
-            if d != e and d not in dead and (g > 0 or not submodular)
+            if (g < top or g == top and d > e) and (g > 0 or not submodular)
         }
     return vals.base
 

@@ -6,7 +6,9 @@ all produced sets and their double-greedy refinements.
 import math
 from dataclasses import dataclass, field
 
-from .solver import SeededStream, SolverConfig, _require_count, run_efficient, sample_alpha
+import numpy as np
+
+from .solver import SolverConfig, _require_count, run_efficient, sample_alpha
 
 
 @dataclass(frozen=True)
@@ -35,8 +37,13 @@ def double_greedy(f, edge_set, rng):
     inclusion probability is a'/(a' + b') with a' = max(f(e | X), 0) and
     b' = max(f(Y - e) - f(Y), 0), and 1 when both clip to zero. For
     non-negative f the returned subset T satisfies
-    E[f(T)] >= max over subsets of S of f / 2. One uniform draw is
-    consumed per element regardless of degenerate probabilities.
+    E[f(T)] >= max over subsets of S of f / 2.
+
+    Draw i of ``rng`` decides element i, whatever the probabilities, so
+    T is what one uniform draw per element gives. A probability of 0 or
+    1 decides its element with no draw: its draw is taken only when a
+    later element's probability lies strictly between, to keep draw i on
+    element i. So an rng that only such elements meet is never read.
 
     X and Y are two value contexts, one on the empty set that only grows
     and one on S that only shrinks; each element asks one gain of each
@@ -44,14 +51,49 @@ def double_greedy(f, edge_set, rng):
     """
     low = f.context(frozenset())
     high = f.context(edge_set)
+    owed = 0  # draws of decided elements not yet taken from rng
     for e in sorted(edge_set):
         a = max(low.gain((e,)), 0.0)
         b = max(high.gain((), (e,)), 0.0)
-        if rng.random() < (1.0 if a + b == 0 else a / (a + b)):
+        p = 1.0 if a + b == 0 else a / (a + b)
+        if 0.0 < p < 1.0:
+            for _ in range(owed):
+                rng.random()
+            owed = 0
+            take = rng.random() < p
+        else:  # no draw on [0, 1) is below 0, or not below 1
+            owed += 1
+            take = p >= 1.0
+        if take:
             low.apply((e,))
         else:
             high.apply((), (e,))
     return low.base
+
+
+def round_stream(seed, j):
+    """Child j of ``SeedSequence(seed).spawn(n)``, for any n > j, as a
+    Generator: a child is ``SeedSequence(seed, spawn_key=(j,))``, so no
+    other child is built."""
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(j,)))
+    )
+
+
+class LazyRoundStream:
+    """``round_stream(seed, j)``, built at its first draw. Double greedy
+    draws only at a probability strictly between 0 and 1, which needs
+    b' > 0: never for a monotone f, and seldom on the solver's set."""
+
+    __slots__ = ("_seed", "_j", "_rng")
+
+    def __init__(self, seed, j):
+        self._seed, self._j, self._rng = seed, j, None
+
+    def random(self):
+        if self._rng is None:
+            self._rng = round_stream(self._seed, self._j)
+        return self._rng.random()
 
 
 @dataclass
@@ -74,16 +116,15 @@ def repetitions_with_trace(f, cons, config: RepetitionsConfig):
 
     Round i removes its solver output from the ground before round i+1,
     so the per-round outputs are disjoint. Round i reads its own two
-    seeded streams, ``SeededStream(seed, (2i,))`` for the solver's alpha
-    and ``SeededStream(seed, (2i + 1,))`` for the double-greedy coins
-    (children 2i and 2i + 1 of ``SeedSequence(seed).spawn(2 * ell)``), so
-    each round is reproducible on its own. The coin stream is read only
-    when the round selected something; double greedy on the empty set
-    draws nothing.
+    streams, children 2i and 2i + 1 of ``SeedSequence(seed).spawn(2 *
+    ell)`` (``round_stream``), for the solver's alpha and the
+    double-greedy coins, so each round is reproducible on its own. The
+    coin stream is built only when double greedy draws
+    (``LazyRoundStream``), which it does not on the empty set.
 
     Once a round selects nothing, the rounds after it are settled and
     are recorded without a solve, as (i, alpha_i, empty, empty, same
-    ground) with alpha_i = 1 - the first draw of stream 2i, which is the
+    ground) with alpha_i = 1 - the first draw of child 2i, which is the
     alpha their solver run would draw. Proof: a round selects nothing
     exactly when no edge of its ground has a positive singleton gain
     and fits alone. If one does, the scale is positive, the jump's pick
@@ -107,11 +148,11 @@ def repetitions_with_trace(f, cons, config: RepetitionsConfig):
             f,
             restricted,
             SolverConfig(epsilon=config.epsilon),
-            rng=SeededStream(config.seed, (2 * i,)),
+            rng=round_stream(config.seed, 2 * i),
         )
         # the restricted copy counts its own queries; charge them to cons
         cons.feasibility_calls += restricted.feasibility_calls
-        refined = double_greedy(f, selected, SeededStream(config.seed, (2 * i + 1,)))
+        refined = double_greedy(f, selected, LazyRoundStream(config.seed, 2 * i + 1))
         trace.rounds.append(
             RoundRecord(i, run_trace.alpha, selected, refined, ground)
         )
@@ -122,7 +163,7 @@ def repetitions_with_trace(f, cons, config: RepetitionsConfig):
         if not selected:  # every later round is settled (see above)
             trace.rounds.extend(
                 RoundRecord(
-                    j, sample_alpha(SeededStream(config.seed, (2 * j,))),
+                    j, sample_alpha(round_stream(config.seed, 2 * j)),
                     frozenset(), frozenset(), ground,
                 )
                 for j in range(i + 1, ell)

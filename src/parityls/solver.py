@@ -21,10 +21,8 @@ modes in ``bench.MODES``.
 
 import math
 import numbers
-import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -192,88 +190,31 @@ def max_singleton_marginal(vals, edge_ids):
     return max(gain.values(), default=float("-inf")), gain
 
 
-# draws a stream's memo slot holds once first read; a read past them doubles it
-_FIRST_DRAWS = 32
-
-
-@lru_cache(maxsize=256)
-def _stream_slot(seed, spawn_key):
-    """The memo slot of stream (seed, spawn_key): a one-item list whose
-    item is the tuple of the stream's leading draws read so far."""
-    return [()]
-
-
-class SeededStream:
-    """The draws of the PCG64 stream of ``SeedSequence(seed, spawn_key)``,
-    replayed from its first one: ``random()`` returns the next uniform
-    draw on [0, 1), bit for bit what ``Generator.random()`` of that stream
-    would return. Stream (seed, ()) is ``PCG64(seed)``, and stream
-    (seed, (j,)) is child j of ``SeedSequence(seed).spawn(n)`` for any
-    n > j.
-
-    The draws are read from a bounded memo of each stream's leading draws,
-    keyed by (seed, spawn_key), so replaying a stream again draws nothing.
-    A read past a stored prefix draws one at least twice as long."""
-
-    __slots__ = ("_seed", "_key", "_draws", "_next")
-
-    def __init__(self, seed, spawn_key=()):
-        self._seed = operator.index(seed)
-        self._key = tuple(map(operator.index, spawn_key))
-        self._draws = ()
-        self._next = 0
-
-    def random(self):
-        j = self._next
-        if j == len(self._draws):  # past this reader's prefix: take the memo's
-            slot = _stream_slot(self._seed, self._key)
-            draws = slot[0]
-            if len(draws) <= j:
-                size = max(2 * len(draws), j + 1, _FIRST_DRAWS)
-                seq = np.random.SeedSequence(self._seed, spawn_key=self._key)
-                # a new tuple, never a changed one: readers that race only repeat work
-                draws = slot[0] = tuple(
-                    np.random.Generator(np.random.PCG64(seq)).random(size).tolist()
-                )
-            self._draws = draws
-        self._next = j + 1
-        return self._draws[j]
-
-
 def sample_alpha(seed_or_rng):
     """Draw the threshold exponent: alpha = 1 - U with U uniform on
     [0, 1), so alpha lands in (0, 1]. U is the next ``random()`` of a
-    given rng, or, for an integer seed, the first draw of
-    ``SeededStream(seed)``: bit for bit ``Generator(PCG64(seed)).random()``."""
+    given rng, or, for an integer seed, ``Generator(PCG64(seed)).random()``."""
     rng = seed_or_rng
     if not callable(getattr(rng, "random", None)):
-        rng = SeededStream(rng)
+        rng = np.random.Generator(np.random.PCG64(rng))
     return 1.0 - rng.random()
-
-
-def fits_alone(fits, e, dead):
-    """Whether the base of the context ``fits`` plus edge ``e`` is
-    independent. ``dead`` holds edges whose single add was found
-    dependent: they are answered False without a query, and a new
-    failure is added. Sound while the base only grows, since feasibility
-    is down-closed; whoever removes an edge from the base must empty it."""
-    if e in dead:
-        return False
-    if fits.feasible((e,)):
-        return True
-    dead.add(e)
-    return False
 
 
 def best_feasible(fits, gain, dead):
     """Greedy's pick: the first edge in (-gain, id) order with a positive
-    gain that fits alone (``fits_alone``, reading and filling ``dead``),
-    asking until one fits; else None."""
+    gain that the context ``fits`` accepts, asking until one fits; else
+    None. ``dead`` holds edges whose single add was found dependent:
+    they are skipped without a query, and each new failure is added.
+    That is sound while the base only grows, since feasibility is
+    down-closed; whoever removes an edge from the base must empty it."""
     for e in sorted(gain, key=lambda e: (-gain[e], e)):
         if gain[e] <= 0:
             return None
-        if fits_alone(fits, e, dead):
+        if e in dead:
+            continue
+        if fits.feasible((e,)):
             return e
+        dead.add(e)
     return None
 
 
@@ -295,8 +236,8 @@ def find_improvement(vals, fits, current, theta, epsilon, gain, dead, after=None
     stores those it lacks, and never empties or reorders it; after a
     None, it holds the gain of every outside edge. ``dead`` is the run's
     set of edges whose single add was found dependent since the last
-    move that removed an edge: single adds go through ``fits_alone``,
-    which skips them and records new ones.
+    move that removed an edge: the singles skip them and record new
+    ones, as ``best_feasible`` does.
 
     Shortcuts that leave every answer as it is. The swap loop tries
     every high edge x (gain >= theta) against every y and records each
@@ -327,8 +268,10 @@ def find_improvement(vals, fits, current, theta, epsilon, gain, dead, after=None
     for x in outside[start:]:
         if x not in gain:
             gain[x] = vals.gain((x,))
-        if gain[x] >= theta and fits_alone(fits, x, dead):
-            return Improvement(1, (x,), ())
+        if gain[x] >= theta and x not in dead:
+            if fits.feasible((x,)):
+                return Improvement(1, (x,), ())
+            dead.add(x)
     for x in outside[:start]:  # the gains the resumed singles skipped
         if x not in gain:
             gain[x] = vals.gain((x,))
@@ -381,16 +324,16 @@ def _drive(f, cons, config, rng, next_level):
     edge's gain against that set, starts as the singleton gains, is
     filled by the scans and cleared right after each applied move, and
     at no other time. ``dead``, the edges whose single add was found
-    dependent (``fits_alone``), is emptied only by a move that removes an
-    edge, a kind-2 or kind-3 move: while the set only grows, a dependent
-    edge stays dependent, since feasibility is down-closed. The scans and
-    the next-level rules skip those edges without a query, which leaves
-    every answer and value query as it is. After a kind-1 move adds x,
-    the next scan resumes its singles past x (``find_improvement``'s
-    ``after``); a new level and every swap or two-for-one move start
-    them over. The applied moves are capped at (1 + 2/eps)|E|. Returns
-    the final edge set and the trace, which counts every query of the
-    run.
+    dependent (see ``best_feasible``), is emptied only by a move that
+    removes an edge, a kind-2 or kind-3 move: while the set only grows, a
+    dependent edge stays dependent, since feasibility is down-closed. The
+    scans and the next-level rules skip those edges without a query,
+    which leaves every answer and value query as it is. After a kind-1
+    move adds x, the next scan resumes its singles past x
+    (``find_improvement``'s ``after``); a new level and every swap or
+    two-for-one move start them over. The applied moves are capped at
+    (1 + 2/eps)|E|. Returns the final edge set and the trace, which
+    counts every query of the run.
     """
     value_calls_0, feas_calls_0 = f.calls, cons.feasibility_calls
     vals = f.context(frozenset())
@@ -435,12 +378,16 @@ def run_reference(f, cons, config, rng=None):
     """Stepwise driver: walks level indices one by one, including levels
     that accept nothing, exactly as the hybrid scheme is defined. The
     walk goes on while some edge with a positive gain in the memo fits
-    alone (``fits_alone``, in ascending ids); it makes no value query.
+    alone (checked in ascending ids, skipping and filling ``dead`` as
+    ``best_feasible`` does); it makes no value query.
     """
 
     def step(fits, gain, dead, index, thresholds):
-        if any(gain[e] > 0 and fits_alone(fits, e, dead) for e in sorted(gain)):
-            return index + 1
+        for e in sorted(gain):
+            if gain[e] > 0 and e not in dead:
+                if fits.feasible((e,)):
+                    return index + 1
+                dead.add(e)
         return None
 
     return _drive(f, cons, config, rng, step)

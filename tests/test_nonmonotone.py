@@ -5,10 +5,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from parityls import nonmonotone, solver
+from parityls import nonmonotone
 from parityls.kparity import KParityConstraint
 from parityls.matroid import GraphicMatroid, UniformMatroid
-from parityls.nonmonotone import RepetitionsConfig, double_greedy, repetitions_with_trace
+from parityls.nonmonotone import (
+    LazyRoundStream,
+    RepetitionsConfig,
+    double_greedy,
+    repetitions_with_trace,
+    round_stream,
+)
 from parityls.objective import CutObjective, ModularObjective, ValueOracle
 from util import (
     double_greedy_exact_expectation,
@@ -216,9 +222,8 @@ def round_facts(trace):
 
 
 def test_wrapper_matches_the_plain_round_loop():
-    # seeds 0 and 3, a numpy seed and, per case, a seed no earlier solve
-    # read (a memo miss); the plain loop draws from Generators over
-    # spawned children
+    # seeds 0 and 3, a numpy seed and, per case, a seed of its own; the
+    # plain loop draws from Generators over spawned children
     for case, (cons, f) in enumerate(wrapper_cases()):
         for seed in (0, 3, np.int64(5), 7_000_003 + 101 * case):
             for ell in (0, 6):
@@ -252,10 +257,69 @@ def test_no_solve_after_the_first_empty_round(monkeypatch):
     assert settled > 0
 
 
-def test_stream_memo_stays_bounded():
-    cons, f = singleton_parity(UniformMatroid(3, 2)), ModularObjective({0: 2, 1: 1, 2: 3})
-    for seed in range(300):
-        repetitions_with_trace(f, cons, RepetitionsConfig(ell=2, seed=90_000 + seed))
-    info = solver._stream_slot.cache_info()
-    assert info.maxsize is not None
-    assert info.currsize <= info.maxsize
+@pytest.mark.parametrize("seed", [0, 3, 2**64 + 5, np.int64(7), np.uint32(11)])
+def test_round_streams_are_the_spawned_children(seed):
+    children = np.random.SeedSequence(seed).spawn(40)
+    for j, child in enumerate(children):
+        expected = np.random.Generator(np.random.PCG64(child)).random(40)
+        got = round_stream(seed, j)
+        assert [got.random().hex() for _ in range(40)] == [x.hex() for x in expected]
+
+
+def test_seed_3_round_alphas_are_pinned():
+    # fixed bits of numpy's SeedSequence/PCG64 child streams: a change in
+    # their semantics changes every seeded answer, and shows here first.
+    # Round 0 takes edge 0; rounds 1 and 2 are settled
+    cons, f = singleton_parity(UniformMatroid(2, 1)), ModularObjective({0: 1, 1: -1})
+    _, trace = repetitions_with_trace(f, cons, RepetitionsConfig(ell=3, seed=3))
+    assert [(r.selected, r.alpha.hex()) for r in trace.rounds] == [
+        ({0}, "0x1.d5a331d577884p-2"),
+        (set(), "0x1.e38673783c333p-1"),
+        (set(), "0x1.bcf32ca960680p-3"),
+    ]
+    assert round_stream(3, 1).random().hex() == "0x1.9af9f39b64b80p-4"
+
+
+class CountedDraws:
+    """The draws of rng_for(seed), counted."""
+
+    def __init__(self, seed):
+        self.rng, self.count = rng_for(seed), 0
+
+    def random(self):
+        self.count += 1
+        return self.rng.random()
+
+
+def test_decided_coins_are_drawn_only_before_an_undecided_one():
+    # a positive modular f decides every coin (b' = 0): nothing is drawn
+    draws = CountedDraws(0)
+    f = ModularObjective({0: 2, 1: 3, 2: 1})
+    assert double_greedy(f, {0, 1, 2}, draws) == {0, 1, 2} and draws.count == 0
+    # edges 0 and 1 gain nothing (p = 1); edge 2 is undecided (a' = b' =
+    # 1) and reads draw 2, after their draws; then edge 4 is decided and
+    # its draw is never taken
+    f = CutObjective([(2, 4, 1.0)])
+    for seed in range(20):
+        draws = CountedDraws(seed)
+        expected = {0, 1, 2} if rng_for(seed).random(3)[2] < 0.5 else {0, 1, 4}
+        assert double_greedy(f, {0, 1, 2, 4}, draws) == expected
+        assert draws.count == 3
+
+
+def test_a_round_builds_its_coin_stream_only_to_draw(monkeypatch):
+    built = []
+
+    def counted(seed, j):
+        built.append(j)
+        return round_stream(seed, j)
+
+    monkeypatch.setattr(nonmonotone, "round_stream", counted)
+    cons = singleton_parity(UniformMatroid(3, 3))
+    f = ModularObjective({0: 3, 1: 1, 2: 2})  # monotone: every coin decided
+    _, trace = repetitions_with_trace(f, cons, RepetitionsConfig(ell=3, seed=3))
+    assert trace.rounds[0].refined == {0, 1, 2}
+    assert built == [0, 2, 4]  # the alpha streams only
+    stream = LazyRoundStream(3, 1)
+    assert built == [0, 2, 4]
+    assert stream.random() == round_stream(3, 1).random() and built[-1] == 1
