@@ -13,16 +13,17 @@ or, for an intersection-of-matroids constraint over elements 0..n-1::
 Edges listed positionally get ids 0, 1, ...; a parallel "edge_ids" list
 overrides that (needed after ground restrictions). Next to
 "intersection", an "edge_ids" list names the elements a restriction kept.
-Loading rejects an "edge_ids" list that does not give exactly one id per
-edge, an objective that names an edge id the constraint lacks, and a
-modular or coverage objective that leaves an edge out or lists one twice
-(cut links may repeat: parallel links are merged).
+Loading rejects an "edge_ids" list that repeats an id, lists one that
+is not an integer or does not give exactly one id per edge, an objective
+that names an edge id the constraint lacks, and a modular or coverage
+objective that leaves an edge out or lists one twice (cut links may
+repeat: parallel links are merged).
 """
 
 import json
 from dataclasses import asdict
 
-from .kparity import Edge, KParityConstraint, ProductMatroid, from_intersection
+from .kparity import Edge, KParityConstraint, ProductMatroid, _integer, from_intersection
 from .matroid import (
     ExplicitMatroid,
     GraphicMatroid,
@@ -97,10 +98,24 @@ def constraint_to_json(cons):
     return out
 
 
+def _kept_ids(obj):
+    """The "edge_ids" list next to "intersection"; ValueError names the
+    field when an id is not an integer (bools are not) or is listed
+    twice. The other form's ids are checked by KParityConstraint."""
+    ids = obj["edge_ids"]
+    for i in ids:
+        if not _integer(i):
+            raise ValueError(f"constraint edge_ids: edge id {i!r} is not an integer")
+    if len(set(ids)) < len(ids):
+        twice = {i for i in ids if ids.count(i) > 1}
+        raise ValueError(f"constraint edge_ids: duplicate edge ids {sorted(twice)}")
+    return ids
+
+
 def constraint_from_json(obj):
     if "intersection" in obj:
         cons = from_intersection([matroid_from_json(m) for m in obj["intersection"]])
-        return cons.restrict_ground(obj["edge_ids"]) if "edge_ids" in obj else cons
+        return cons.restrict_ground(_kept_ids(obj)) if "edge_ids" in obj else cons
     matroid = matroid_from_json(obj["matroid"])
     vertex_lists = obj["edges"]
     ids = obj.get("edge_ids", list(range(len(vertex_lists))))

@@ -10,10 +10,17 @@ edge set, the way the solver's scans ask them: what if these edges were
 added and those removed. ``apply`` moves that set by such a change.
 """
 
+import numbers
 from dataclasses import dataclass
 
 from .matroid import EMPTY, MatroidContext, MatroidOracle
 from .objective import _check_move
+
+
+def _integer(x):
+    """True for an integer, numpy integers included; False for a bool.
+    A plain int takes the short path, since the ABC check is slow."""
+    return type(x) is int or not isinstance(x, bool) and isinstance(x, numbers.Integral)
 
 
 @dataclass(frozen=True)
@@ -45,6 +52,8 @@ class KParityConstraint:
         seen_ids = set()
         used_vertices = set()
         for e in edges:
+            if not _integer(e.id):
+                raise ValueError(f"edge id {e.id!r} is not an integer")
             if e.id in seen_ids:
                 raise ValueError(f"duplicate edge id {e.id}")
             seen_ids.add(e.id)
@@ -55,6 +64,12 @@ class KParityConstraint:
             if e.vertices & used_vertices:
                 raise ValueError(f"edge {e.id} overlaps another edge")
             used_vertices |= e.vertices
+        self._bind(matroid, edges, k)
+
+    def _bind(self, matroid, edges, k):
+        """Set the state over ``edges``, Edge objects that fit ``matroid``
+        and ``k``: ``__init__`` checks them, and ``restrict_ground``
+        passes edges of a constraint that did."""
         self.matroid = matroid
         self.k = k
         self.edges = {e.id: e for e in edges}
@@ -90,14 +105,18 @@ class KParityConstraint:
         return FeasibilityContext(self, edge_set)
 
     def restrict_ground(self, keep_ids) -> "KParityConstraint":
-        """Same matroid, edge list cut down to ``keep_ids``."""
+        """Same matroid, edge list cut down to ``keep_ids``. The kept
+        edges were checked when this constraint was built, so they are
+        not checked again, and the new ids are theirs, not the caller's
+        values (1.0 or True keep edge 1 as edge id 1)."""
         keep = set(keep_ids)
-        unknown = keep - set(self.edges)
+        edges = self.edges
+        unknown = keep - edges.keys()
         if unknown:
             raise ValueError(f"unknown edge ids {sorted(unknown)}")
-        return KParityConstraint(
-            self.matroid, [self.edges[i] for i in sorted(keep)], self.k
-        )
+        out = object.__new__(KParityConstraint)
+        out._bind(self.matroid, [edges[i] for i in sorted(keep)], self.k)
+        return out
 
 
 class FeasibilityContext:

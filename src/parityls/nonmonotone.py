@@ -35,9 +35,9 @@ def double_greedy(f, edge_set, rng):
 
     Keeps a growing set X and a shrinking set Y = S; for each element the
     inclusion probability is a'/(a' + b') with a' = max(f(e | X), 0) and
-    b' = max(f(Y - e) - f(Y), 0), and 1 when both clip to zero. For
-    non-negative f the returned subset T satisfies
-    E[f(T)] >= max over subsets of S of f / 2.
+    b' = max(f(Y - e) - f(Y), 0), and 1 when b' is 0 (a'/(a' + 0) = 1,
+    and two clipped zeros also give 1). For non-negative f the returned
+    subset T satisfies E[f(T)] >= max over subsets of S of f / 2.
 
     Draw i of ``rng`` decides element i, whatever the probabilities, so
     T is what one uniform draw per element gives. A probability of 0 or
@@ -45,17 +45,28 @@ def double_greedy(f, edge_set, rng):
     later element's probability lies strictly between, to keep draw i on
     element i. So an rng that only such elements meet is never read.
 
-    X and Y are two value contexts, one on the empty set that only grows
-    and one on S that only shrinks; each element asks one gain of each
-    and moves one of them.
+    Y is a value context on S that only shrinks, and each element asks
+    it b'. a' is asked only where b' > 0: X is bound at the first such
+    element, on Y's base below it (the elements kept so far), and from
+    then on grows with each element taken. X ends equal to Y, so Y's
+    base is returned; when nothing is dropped it is ``edge_set`` itself
+    if that is a frozenset. A monotone f (b' = 0 throughout) binds one
+    context and asks |S| gains. Since a' is not asked where b' = 0, a
+    NaN a' there takes e, where a loop asking it would drop e; the
+    shipped families reject non-finite weights and never give one.
     """
-    low = f.context(frozenset())
     high = f.context(edge_set)
+    low = None  # X, bound at the first element with b' > 0
     owed = 0  # draws of decided elements not yet taken from rng
     for e in sorted(edge_set):
-        a = max(low.gain((e,)), 0.0)
         b = max(high.gain((), (e,)), 0.0)
-        p = 1.0 if a + b == 0 else a / (a + b)
+        if b == 0.0:
+            p = 1.0
+        else:
+            if low is None:
+                low = f.context(frozenset(x for x in high.base if x < e))
+            a = max(low.gain((e,)), 0.0)
+            p = a / (a + b)
         if 0.0 < p < 1.0:
             for _ in range(owed):
                 rng.random()
@@ -64,11 +75,11 @@ def double_greedy(f, edge_set, rng):
         else:  # no draw on [0, 1) is below 0, or not below 1
             owed += 1
             take = p >= 1.0
-        if take:
-            low.apply((e,))
-        else:
+        if not take:
             high.apply((), (e,))
-    return low.base
+        elif low is not None:
+            low.apply((e,))
+    return high.base
 
 
 def round_stream(seed, j):
@@ -156,7 +167,8 @@ def repetitions_with_trace(f, cons, config: RepetitionsConfig):
         trace.rounds.append(
             RoundRecord(i, run_trace.alpha, selected, refined, ground)
         )
-        for candidate in (selected, refined):
+        # each distinct candidate is valued once
+        for candidate in (selected,) if refined == selected else (selected, refined):
             value = f.value(candidate)
             if value > best_value:
                 best, best_value = candidate, value

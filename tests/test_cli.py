@@ -158,6 +158,9 @@ def test_gen_prints_to_stdout_without_out(capsys):
         ('{"constraint": {"k": 1, "matroid": {"type": "uniform", "ground": 2, '
          '"rank": 1}, "edges": [[0], [1]]}, "objective": {"modular": {"weights": '
          '[[0, 5], [1, 3], [0, 1]]}}}', "objective modular weights: duplicate edge ids [0]"),
+        ('{"constraint": {"intersection": [{"type": "uniform", "ground": 3, "rank": 1}], '
+         '"edge_ids": [0, 0, 1]}, "objective": {"cut": {"weights": []}}}',
+         "constraint edge_ids: duplicate edge ids [0]"),
     ],
 )
 def test_malformed_instance_is_one_line_error(tmp_path, capsys, text, reason):

@@ -135,6 +135,34 @@ def test_objective_ids_must_match_the_constraint(objective, message):
     assert str(info.value) == message
 
 
+_INTERSECTION = {"intersection": [{"type": "uniform", "ground": 3, "rank": 2},
+                                   {"type": "uniform", "ground": 3, "rank": 1}]}
+_PLAIN = {"k": 1, "matroid": {"type": "uniform", "ground": 2, "rank": 1}, "edges": [[0], [1]]}
+
+
+@pytest.mark.parametrize(
+    "constraint, message",
+    [
+        (dict(_INTERSECTION, edge_ids=[0, 0, 1]), "constraint edge_ids: duplicate edge ids [0]"),
+        (dict(_INTERSECTION, edge_ids=[True, 0]),
+         "constraint edge_ids: edge id True is not an integer"),
+        (dict(_INTERSECTION, edge_ids=[1.0, 0]),
+         "constraint edge_ids: edge id 1.0 is not an integer"),
+        (dict(_INTERSECTION, edge_ids=["1", 0]),
+         "constraint edge_ids: edge id '1' is not an integer"),
+        (dict(_PLAIN, edge_ids=[True, 0]), "edge id True is not an integer"),
+        (dict(_PLAIN, edge_ids=[1.0, 0]), "edge id 1.0 is not an integer"),
+        (dict(_PLAIN, edge_ids=[1.5, 0]), "edge id 1.5 is not an integer"),
+        (dict(_PLAIN, edge_ids=["1", 0]), "edge id '1' is not an integer"),
+        (dict(_PLAIN, edge_ids=[3, 3]), "duplicate edge id 3"),
+    ],
+)
+def test_constraint_edge_ids_are_distinct_integers(constraint, message):
+    with pytest.raises(ValueError) as info:
+        constraint_from_json(constraint)
+    assert str(info.value) == message
+
+
 def test_cut_may_leave_edges_unlinked():
     cons, f = instance_from_json(_two_edge_instance({"cut": {"weights": []}}))
     assert cons.edge_ids == (0, 1)

@@ -3,6 +3,7 @@ ground restriction."""
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from parityls.kparity import Edge, KParityConstraint, from_intersection
@@ -48,6 +49,18 @@ def test_construction_validation():
         KParityConstraint(m, [[0], [9]], 1)  # vertex outside matroid ground
     with pytest.raises(ValueError):
         KParityConstraint(m, [Edge(0, [0]), Edge(0, [1])], 1)  # duplicate id
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, 1.5, "1", None])
+def test_edge_ids_must_be_integers(bad):
+    with pytest.raises(ValueError, match=f"edge id {bad!r} is not an integer"):
+        KParityConstraint(UniformMatroid(4, 2), [Edge(bad, [0]), Edge(7, [1])], 1)
+
+
+def test_numpy_integer_edge_ids_pass():
+    cons = KParityConstraint(UniformMatroid(4, 2), [Edge(np.int64(3), [0]), Edge(np.int32(1), [1])], 1)
+    assert cons.edge_ids == (1, 3)
+    assert cons.feasible({1, 3})
 
 
 def test_feasibility_is_down_closed():
@@ -124,3 +137,14 @@ def test_restrict_ground():
         sub.feasible({0})
     with pytest.raises(ValueError):
         cons.restrict_ground({0, 99})
+
+
+def test_restrict_ground_takes_ids_from_the_kept_edges():
+    cons = singleton_parity(UniformMatroid(5, 3))
+    sub = cons.restrict_ground([1.0, True, 3, 3])
+    assert sub.edge_ids == (1, 3)
+    assert all(type(i) is int and sub.edges[i] is cons.edges[i] for i in sub.edges)
+    assert (sub.matroid, sub.k, sub.feasibility_calls) == (cons.matroid, cons.k, 0)
+    assert sub.feasible({1, 3}) and sub.feasibility_calls == 1 and cons.feasibility_calls == 0
+    with pytest.raises(ValueError, match=r"unknown edge ids \[7\]"):
+        cons.restrict_ground([1, 7])

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parityls import nonmonotone
 from parityls.kparity import KParityConstraint
@@ -15,9 +17,15 @@ from parityls.nonmonotone import (
     repetitions_with_trace,
     round_stream,
 )
-from parityls.objective import CutObjective, ModularObjective, ValueOracle
+from parityls.objective import (
+    CoverageObjective,
+    CutObjective,
+    ModularObjective,
+    ValueOracle,
+)
 from util import (
     double_greedy_exact_expectation,
+    reference_double_greedy,
     reference_repetitions,
     rng_for,
     solver_instance,
@@ -210,8 +218,17 @@ def settling_instances():
     yield singleton_parity(UniformMatroid(2, 2)), ModularObjective({0: 3, 1: 1})
 
 
+def refining_instance():
+    """Edges 3 to 5 are self-loops, so round 0 takes {0, 1, 2}; dropping
+    0 from it raises the cut from 11 to 12, which double greedy does at
+    some seeds (2 and 4 among 0 to 9)."""
+    cons = singleton_parity(GraphicMatroid(4, [(0, 1), (1, 2), (2, 3), (0, 0), (0, 0), (0, 0)]))
+    return cons, CutObjective([(0, 1, 2.0), (0, 2, 2.0), (0, 3, 3.0), (1, 4, 4.0), (2, 5, 4.0)])
+
+
 def wrapper_cases():
     yield from settling_instances()
+    yield refining_instance()
     for family in ("modular", "coverage", "cut"):
         for seed in range(25):
             yield solver_instance(seed, families=(family,))
@@ -323,3 +340,90 @@ def test_a_round_builds_its_coin_stream_only_to_draw(monkeypatch):
     stream = LazyRoundStream(3, 1)
     assert built == [0, 2, 4]
     assert stream.random() == round_stream(3, 1).random() and built[-1] == 1
+
+
+@st.composite
+def double_greedy_cases(draw):
+    """(f, edge set): a generated instance of any family, a mixed-sign
+    modular f, or a cut whose links all lie among the top ids, so b' > 0
+    only late in the scan."""
+    kind = draw(st.sampled_from(["instance", "mixed-modular", "late-cut"]))
+    if kind == "instance":
+        family = draw(st.sampled_from(["modular", "coverage", "cut"]))
+        cons, f = solver_instance(draw(st.integers(0, 2**31)), families=(family,), max_edges=12)
+        ground = cons.edge_ids
+    elif kind == "mixed-modular":
+        weight = st.sampled_from([-2.5, -1.0, 0.0, 0.5, 1.0, 3.0])
+        ground = range(draw(st.integers(0, 10)))
+        f = ModularObjective({e: draw(weight) for e in ground})
+    else:
+        n = draw(st.integers(2, 12))
+        start = draw(st.integers(0, n - 1))
+        node = st.integers(start, n - 1)
+        link = st.tuples(node, node, st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+        ground = range(n)
+        f = CutObjective(draw(st.lists(link, max_size=12)))
+    edge_set = draw(st.sets(st.sampled_from(sorted(ground)))) if len(ground) else set()
+    return f, frozenset(edge_set)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=double_greedy_cases(), seed=st.integers(0, 2**31))
+def test_double_greedy_matches_the_two_context_loop(case, seed):
+    f, edge_set = case
+    draws, ref_draws = CountedDraws(seed), CountedDraws(seed)
+    assert double_greedy(f, edge_set, draws) == reference_double_greedy(f, edge_set, ref_draws)
+    assert draws.count == ref_draws.count
+
+
+def bound_bases(f):
+    """Make ``f`` record the base of each context it binds; returns the list."""
+    bases, bind = [], f.context
+    f.context = lambda edge_set: bases.append(frozenset(edge_set)) or bind(edge_set)
+    return bases
+
+
+def test_a_monotone_set_binds_one_context_and_asks_one_gain_per_element():
+    f = CoverageObjective([1.0, 2.0, 0.5, 4.0], {0: {0, 1}, 1: {1}, 2: {2, 3}, 3: {0}, 5: {3}})
+    edge_set = frozenset({0, 1, 2, 3, 5})
+    bases = bound_bases(f)
+    calls = f.calls
+    assert double_greedy(f, edge_set, CountedDraws(0)) is edge_set
+    assert bases == [edge_set]
+    assert f.calls - calls == 1 + len(edge_set)
+
+
+def test_the_growing_side_is_bound_at_the_first_positive_b():
+    # 0, 1 and 2 have no links (b' = 0 and they are kept); 3 is the first
+    # element whose removal from Y = S would cut a link
+    f = CutObjective([(3, 5, 1.0), (5, 6, 2.0), (1, 9, 1.0)])
+    edge_set = frozenset({0, 1, 2, 3, 5, 6})
+    first = min(e for e in edge_set if f.value(edge_set - {e}) > f.value(edge_set))
+    assert first == 3
+    bases = bound_bases(f)
+    for seed in range(10):
+        bases.clear()
+        double_greedy(f, edge_set, CountedDraws(seed))
+        assert bases == [edge_set, frozenset({0, 1, 2})]
+
+
+def test_each_distinct_round_candidate_is_valued_once():
+    refined_some = unrefined = 0
+    for cons, f in wrapper_cases():
+        valued, value = [], f.value
+        f.value = lambda edge_set: valued.append(edge_set) or value(edge_set)
+        for seed in (2, 3):
+            valued.clear()
+            _, trace = repetitions_with_trace(f, cons, RepetitionsConfig(ell=6, seed=seed))
+            expected = []
+            for rec in trace.rounds:
+                expected.append(rec.selected)
+                if rec.refined != rec.selected:
+                    expected.append(rec.refined)
+                    refined_some += 1
+                else:
+                    unrefined += 1
+                if not rec.selected:
+                    break
+            assert valued == expected
+    assert refined_some and unrefined

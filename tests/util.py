@@ -1,8 +1,9 @@
 """Shared helpers for the test suite: subset enumeration, random feasible
 sets, a set system that need not be a matroid, hypothesis strategies for
 matroids, the seeded desk-scale instance batteries, the exact expectation
-of double greedy, the plain round loop of the non-monotone wrapper and
-the closed form of the threshold/weight ratio."""
+of double greedy, the two-context double greedy loop, the plain round
+loop of the non-monotone wrapper and the closed form of the
+threshold/weight ratio."""
 
 import math
 from fractions import Fraction
@@ -21,7 +22,7 @@ from parityls.matroid import (
     PartitionMatroid,
     UniformMatroid,
 )
-from parityls.nonmonotone import RepetitionsTrace, RoundRecord, double_greedy
+from parityls.nonmonotone import RepetitionsTrace, RoundRecord
 from parityls.solver import SolverConfig, run_efficient
 
 
@@ -228,12 +229,42 @@ def double_greedy_exact_expectation(f, edge_set):
     return walk(0, frozenset(), frozenset(elems))
 
 
+def reference_double_greedy(f, edge_set, rng):
+    """Double greedy with both sides bound from the start: a context X on
+    the empty set that only grows and one Y on ``edge_set`` that only
+    shrinks; each element asks a' of X and b' of Y and moves one of
+    them. Draws follow ``nonmonotone.double_greedy``'s rule: one per
+    element, taken only up to an element whose probability lies
+    strictly between 0 and 1."""
+    low = f.context(frozenset())
+    high = f.context(edge_set)
+    owed = 0
+    for e in sorted(edge_set):
+        a = max(low.gain((e,)), 0.0)
+        b = max(high.gain((), (e,)), 0.0)
+        p = 1.0 if a + b == 0 else a / (a + b)
+        if 0.0 < p < 1.0:
+            for _ in range(owed):
+                rng.random()
+            owed = 0
+            take = rng.random() < p
+        else:
+            owed += 1
+            take = p >= 1.0
+        if take:
+            low.apply((e,))
+        else:
+            high.apply((), (e,))
+    return low.base
+
+
 def reference_repetitions(f, cons, config):
     """The non-monotone wrapper's round loop with nothing skipped: every
     round draws its two streams from Generators over the children of
     ``SeedSequence(seed).spawn(2 * ell)``, restricts the ground, solves,
-    refines with double greedy and evaluates both sets, whatever the
-    rounds before it selected. Returns (best set, RepetitionsTrace)."""
+    refines with ``reference_double_greedy`` and evaluates both sets,
+    whatever the rounds before it selected. Returns (best set,
+    RepetitionsTrace)."""
     ell = config.rounds_for(cons.k)
     streams = np.random.SeedSequence(config.seed).spawn(2 * ell)
     trace = RepetitionsTrace()
@@ -247,7 +278,7 @@ def reference_repetitions(f, cons, config):
         selected, run_trace = run_efficient(
             f, restricted, SolverConfig(epsilon=config.epsilon), rng=solver_rng
         )
-        refined = double_greedy(f, selected, coin_rng)
+        refined = reference_double_greedy(f, selected, coin_rng)
         trace.rounds.append(RoundRecord(i, run_trace.alpha, selected, refined, ground))
         for candidate in (selected, refined):
             value = f.value(candidate)
