@@ -196,7 +196,7 @@ def verify_run(trace, f, cons, reference, d=None):
     deterministic inequality of the analysis.
 
     ``reference`` must be feasible and strictly down-monotone; ``d`` is
-    the discrepancy weight (>= 2, default 2 * sqrt(k)). Returns a
+    the discrepancy weight (finite, >= 2, default 2 * sqrt(k)). Returns a
     ChargingReport whose ``ok`` is True iff every check passed. A draw
     with scale <= 0 against a non-empty reference, and a trace that
     builds an infeasible set, each end the report early with one failed
@@ -204,8 +204,8 @@ def verify_run(trace, f, cons, reference, d=None):
     """
     if d is None:
         d = 2.0 * math.sqrt(cons.k)
-    if d < 2:
-        raise ValueError("discrepancy weight d must be at least 2")
+    if not 2 <= d < math.inf:
+        raise ValueError(f"discrepancy weight d must be a finite number >= 2, got {d}")
     reference = frozenset(reference)
     solution = trace.final
     eps = trace.epsilon

@@ -13,7 +13,7 @@ import numpy as np
 from .kparity import Edge, KParityConstraint, from_intersection
 from .matroid import GraphicMatroid, PartitionMatroid, UniformMatroid
 from .nonmonotone import RepetitionsConfig, repetitions_with_trace
-from .objective import GENERAL, CoverageObjective, CutObjective, ModularObjective
+from .objective import CoverageObjective, CutObjective, ModularObjective
 from .solver import (
     RunTrace,
     SolverConfig,
@@ -63,10 +63,10 @@ def greedy_baseline(f, cons):
     feasibility context, moved by each added edge, answer the queries.
 
     Later rounds skip what an earlier one settled: the edges ranked
-    ahead of a pick were found dependent, and stay so as the set grows;
-    unless f declares "general", an edge whose gain was <= 0 stays so
-    too, since a submodular f's gains only shrink."""
-    submodular = f.declared_class != GENERAL
+    ahead of a pick were found dependent, and stay so as the set grows,
+    and an edge whose gain was <= 0 stays so too, since f must be
+    submodular and its gains only shrink. A non-submodular f can make
+    greedy miss a pick, never return an infeasible set."""
     vals = f.context(frozenset())
     fits = cons.context(frozenset())
     gain = {e: vals.gain((e,)) for e in cons.edge_ids}
@@ -79,7 +79,7 @@ def greedy_baseline(f, cons):
         # the edges ranked after the pick, less those with a settled gain <= 0
         gain = {
             d: vals.gain((d,)) for d, g in gain.items()
-            if (g < top or g == top and d > e) and (g > 0 or not submodular)
+            if (g < top or g == top and d > e) and g > 0
         }
     return vals.base
 
@@ -135,11 +135,14 @@ def generate_instance(kind, params, seed):
         raise ValueError(f"unknown generator parameters {unknown}")
     for name, cast in _NUMERIC_PARAMS.items():
         if name in params:
+            got = params[name]
             try:
-                params[name] = cast(params[name])
+                value = cast(got)
+                if isinstance(got, bool) or value != got:
+                    raise TypeError  # a bool, or a value the cast would change
             except (TypeError, ValueError, OverflowError):
-                got = params[name]
                 raise ValueError(f"need {name} of type {cast.__name__}, got {got!r}") from None
+            params[name] = value
     family = params.get("objective", "modular")
     if family not in ("modular", "coverage", "cut"):
         raise ValueError(f"unknown objective family {family!r}")

@@ -4,6 +4,7 @@ charging inequalities, run experiment batches, or generate instances.
 
 import argparse
 import json
+import math
 import sys
 
 from .analysis import prune_down_monotone, verify_run
@@ -79,8 +80,8 @@ def build_parser():
     verify.add_argument("--trace", required=True)
     verify.add_argument(
         "--d",
-        type=_checked(float, lambda x: x >= 2, "a number >= 2"),
-        help="discrepancy weight, at least 2 (default 2*sqrt(k))",
+        type=_checked(float, lambda x: 2 <= x < math.inf, "a number >= 2"),
+        help="discrepancy weight, finite and at least 2 (default 2*sqrt(k))",
     )
     verify.add_argument(
         "--reference",

@@ -23,12 +23,13 @@ repeat: parallel links are merged).
 import json
 from dataclasses import asdict
 
-from .kparity import Edge, KParityConstraint, ProductMatroid, _integer, from_intersection
+from .kparity import Edge, KParityConstraint, ProductMatroid, from_intersection
 from .matroid import (
     ExplicitMatroid,
     GraphicMatroid,
     PartitionMatroid,
     UniformMatroid,
+    _integer,
 )
 from .objective import CoverageObjective, CutObjective, ModularObjective
 from .solver import Improvement, RunTrace

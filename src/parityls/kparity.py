@@ -10,17 +10,10 @@ edge set, the way the solver's scans ask them: what if these edges were
 added and those removed. ``apply`` moves that set by such a change.
 """
 
-import numbers
 from dataclasses import dataclass
 
-from .matroid import EMPTY, MatroidContext, MatroidOracle
+from .matroid import EMPTY, MatroidContext, MatroidOracle, _integer
 from .objective import _check_move
-
-
-def _integer(x):
-    """True for an integer, numpy integers included; False for a bool.
-    A plain int takes the short path, since the ABC check is slow."""
-    return type(x) is int or not isinstance(x, bool) and isinstance(x, numbers.Integral)
 
 
 @dataclass(frozen=True)
@@ -46,8 +39,8 @@ class KParityConstraint:
     """
 
     def __init__(self, matroid: MatroidOracle, edges, k: int):
-        if k < 1:
-            raise ValueError("k must be positive")
+        if not _integer(k) or k < 1:
+            raise ValueError(f"k {k!r} is not an integer >= 1")
         edges = [e if isinstance(e, Edge) else Edge(i, e) for i, e in enumerate(edges)]
         seen_ids = set()
         used_vertices = set()
@@ -59,6 +52,8 @@ class KParityConstraint:
             seen_ids.add(e.id)
             if len(e.vertices) > k:
                 raise ValueError(f"edge {e.id} has more than k={k} vertices")
+            if not all(map(_integer, e.vertices)):
+                raise ValueError(f"edge {e.id} has a vertex id that is not an integer")
             if not e.vertices <= matroid.ground:
                 raise ValueError(f"edge {e.id} uses vertices outside the matroid ground")
             if e.vertices & used_vertices:

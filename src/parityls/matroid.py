@@ -10,9 +10,16 @@ around one fixed vertex set: each family keeps what it needs about that
 set, so a query costs about the size of the change, not of the set.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 AXIOM_CHECK_CAP = 16
+
+
+def _integer(x):
+    """True for an integer, numpy integers included; False for a bool.
+    A plain int takes the short path, since the ABC check is slow."""
+    return type(x) is int or not isinstance(x, bool) and isinstance(x, numbers.Integral)
 
 
 class MatroidOracle:
@@ -68,6 +75,8 @@ class UniformMatroid(MatroidOracle):
     """All sets of size at most ``rank_cap`` over ground 0..n-1."""
 
     def __init__(self, n, rank_cap):
+        if not (_integer(n) and _integer(rank_cap)):
+            raise ValueError(f"uniform ground {n!r} and rank {rank_cap!r} must be integers")
         if not 0 <= rank_cap <= n:
             raise ValueError("rank cap must lie in [0, n]")
         super().__init__(range(n))
@@ -91,10 +100,13 @@ class PartitionMatroid(MatroidOracle):
         total = sum(len(b) for b in blocks)
         if total != len(ground):
             raise ValueError("blocks must be disjoint")
+        if not all(map(_integer, ground)):
+            raise ValueError("partition blocks: vertex ids must be integers")
         if ground and ground != frozenset(range(max(ground) + 1)):
             raise ValueError("blocks must cover a dense id range 0..n-1")
-        if any(c < 0 for c in capacities):
-            raise ValueError("capacities must be non-negative")
+        for c in capacities:
+            if not _integer(c) or c < 0:
+                raise ValueError(f"partition capacity {c!r} is not an integer >= 0")
         super().__init__(ground)
         self.blocks = blocks
         self.capacities = list(capacities)
@@ -124,10 +136,14 @@ class GraphicMatroid(MatroidOracle):
     """
 
     def __init__(self, n_nodes, links):
+        if not _integer(n_nodes):
+            raise ValueError(f"graphic nodes {n_nodes!r} is not an integer")
         links = [tuple(l) for l in links]
         for u, v in links:
-            if not (0 <= u < n_nodes and 0 <= v < n_nodes):
-                raise ValueError("link endpoint outside node range")
+            if not (_integer(u) and _integer(v) and 0 <= u < n_nodes and 0 <= v < n_nodes):
+                raise ValueError(
+                    f"graphic link ({u!r}, {v!r}) needs integer endpoints in [0, {n_nodes})"
+                )
         super().__init__(range(len(links)))
         self.n_nodes = n_nodes
         self.links = links

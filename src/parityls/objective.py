@@ -10,12 +10,13 @@ import math
 import numbers
 from dataclasses import dataclass, field
 
+from .matroid import _integer
+
 CHECK_CAP = 14
 
 LINEAR = "linear"
 MONOTONE_SUBMODULAR = "monotone-submodular"
 SUBMODULAR = "submodular"
-GENERAL = "general"
 
 
 class ValueOracle:
@@ -27,14 +28,11 @@ class ValueOracle:
     ``gain`` and ``apply`` calls. A subclass defines ``_value`` and may
     override ``_context`` with a cheaper incremental context.
 
-    ``declared_class`` is one of "linear", "monotone-submodular",
-    "submodular" or "general". The run verifier branches on it, and the
-    solver's scan and greedy trust every class but "general" to be
-    submodular: they skip questions whose answer a submodular f fixes
-    (a low member cannot complete a pair, a non-positive gain stays
-    non-positive). An oracle that is not submodular must declare
-    "general", or the solver may miss moves and picks it would
-    otherwise make.
+    f must be submodular, as the solver's scan and greedy assume: they
+    skip questions whose answer that fixes, so a non-submodular f can
+    make them miss moves and picks, never return an infeasible set.
+    ``declared_class``, one of "linear", "monotone-submodular" or
+    "submodular", tells the run verifier which charge ratio applies.
     """
 
     declared_class = SUBMODULAR
@@ -195,9 +193,13 @@ class CoverageObjective(ValueOracle):
             if not 0 <= w < math.inf:
                 raise ValueError(f"item {i} weight {w} is negative or not finite")
         self.edge_items = {e: frozenset(items) for e, items in edge_items.items()}
+        n_items = len(self.item_weights)
         for e, items in self.edge_items.items():
-            if any(not 0 <= i < len(self.item_weights) for i in items):
-                raise ValueError(f"edge {e} covers an unknown item")
+            for i in items:
+                if not _integer(i):
+                    raise ValueError(f"edge {e} covers item id {i!r}, which is not an integer")
+                if not 0 <= i < n_items:
+                    raise ValueError(f"edge {e} covers an unknown item")
         # built by the first context: item weights as units / den, the
         # edges that cover each item, and each edge's items in units
         self._units = self._den = self._holders = self._total = None

@@ -20,13 +20,12 @@ modes in ``bench.MODES``.
 """
 
 import math
-import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objective import GENERAL
+from .matroid import _integer
 
 
 @dataclass(frozen=True)
@@ -78,8 +77,8 @@ class Improvement:
 MOVE_SHAPES = ((1, 1, 0), (2, 1, 1), (3, 2, 1))
 
 
-def _require_count(name, value):  # numpy integers pass, bools do not
-    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)) or value < 0:
+def _require_count(name, value):
+    if not _integer(value) or value < 0:
         raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
 
 
@@ -244,15 +243,14 @@ def find_improvement(vals, fits, current, theta, epsilon, gain, dead, after=None
     dead swap, one with (base - y) + x dependent. The pair loop skips y
     when a member of the pair has a dead swap with y: feasibility is
     down-closed, so (base - y) + {p, q} is dependent too, for every
-    MatroidOracle. A pair needs a high member to qualify, so the loop
-    enumerates only such pairs, in lexicographic order. With nothing at
-    this level to remove, it stops after the singles.
+    MatroidOracle. With nothing at this level to remove, the scan stops
+    after the singles.
 
-    Unless f declares "general" (``ValueOracle.declared_class``), the
-    scan also trusts f to be submodular, which asks fewer questions and
-    leaves the answer as it is for a submodular f:
-    - the pair loop enumerates only pairs of two high edges, since after
-      the high member a low member gains at most its own gain < theta;
+    f must be submodular, and the scan skips what that fixes. A non-
+    submodular f can make it miss a move, never return an infeasible one.
+    - A pair qualifies only if both members are high: after one of them,
+      the other gains at most its own gain. So the pair loop enumerates
+      only pairs of high edges, in lexicographic order.
     - ``after``, the edge the last move of this level added by itself,
       lets the singles resume past it: every edge before it was low or
       dependent, and stays so while the base only grows. The gains of
@@ -260,9 +258,8 @@ def find_improvement(vals, fits, current, theta, epsilon, gain, dead, after=None
       swaps or returns None.
     """
     base = vals.base
-    submodular = vals.f.declared_class != GENERAL
     outside = [e for e in fits.cons.edge_ids if e not in base]
-    start = bisect_right(outside, after) if submodular and after is not None else 0
+    start = 0 if after is None else bisect_right(outside, after)
     removable = sorted(current)
     f_base = vals.value
     for x in outside[start:]:
@@ -289,12 +286,8 @@ def find_improvement(vals, fits, current, theta, epsilon, gain, dead, after=None
             if f_base + vals.gain((x,), (y,)) >= f_base + epsilon * theta:
                 return Improvement(2, (x,), (y,))
 
-    for p in high if submodular else outside:
-        gain_p = gain[p]
-        # later partners q: any edge for a high p, unless f is submodular,
-        # which needs both members high; only high ones for a low p
-        partners = outside if gain_p >= theta and not submodular else high
-        for q in partners[bisect_right(partners, p):]:
+    for i, p in enumerate(high):
+        for q in high[i + 1:]:
             for y in removable:
                 # down-closed: a dead swap with either member kills the pair
                 if (p, y) in dead_swaps or (q, y) in dead_swaps:
@@ -302,9 +295,9 @@ def find_improvement(vals, fits, current, theta, epsilon, gain, dead, after=None
                 if not fits.feasible((p, q), (y,)):
                     continue
                 f_pair = f_base + vals.gain((p, q))
-                if gain_p >= theta and f_pair - (f_base + gain_p) >= theta:
+                if f_pair - (f_base + gain[p]) >= theta:
                     return Improvement(3, (p, q), (y,))
-                if gain[q] >= theta and f_pair - (f_base + gain[q]) >= theta:
+                if f_pair - (f_base + gain[q]) >= theta:
                     return Improvement(3, (q, p), (y,))
                 break  # labelings do not depend on y; this pair is dead
     return None

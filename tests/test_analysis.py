@@ -378,10 +378,13 @@ def test_verify_run_reports_empty_run_against_nonempty_reference():
 
 
 def test_verify_run_rejects_small_d():
+    # and a d that is not finite: inf * 0 is NaN, which fails checks that
+    # hold at every finite d
     cons, f = analysis_instance(1)
     out, trace = solved(f, cons, seed=1)
-    with pytest.raises(ValueError):
-        verify_run(trace, f, cons, pruned_optimum(f, cons), d=1.0)
+    for d in (1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="d must be a finite number >= 2"):
+            verify_run(trace, f, cons, pruned_optimum(f, cons), d=d)
 
 
 def test_verify_report_json_shape():

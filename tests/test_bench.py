@@ -160,6 +160,11 @@ def test_generator_rejects_bad_input():
         ({"n_edges": -2}, "need k >= 1, n_vertices >= 0, n_edges >= 0"),
         ({"matroid": "graphic", "n_nodes": 1}, "need n_nodes >= 2 for a graphic matroid"),
         ({"k": None}, "need k of type int, got None"),
+        ({"k": 2.9}, "need k of type int, got 2.9"),
+        ({"k": True}, "need k of type int, got True"),
+        ({"n_edges": 3.7}, "need n_edges of type int, got 3.7"),
+        ({"k": "3"}, "need k of type int, got '3'"),
+        ({"link_prob": True}, "need link_prob of type float, got True"),
     ]:
         with pytest.raises(ValueError, match=rule):
             generate_instance("random-parity", params, 1)

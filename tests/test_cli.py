@@ -161,6 +161,35 @@ def test_gen_prints_to_stdout_without_out(capsys):
         ('{"constraint": {"intersection": [{"type": "uniform", "ground": 3, "rank": 1}], '
          '"edge_ids": [0, 0, 1]}, "objective": {"cut": {"weights": []}}}',
          "constraint edge_ids: duplicate edge ids [0]"),
+        # integer fields: a bool or a fraction fails at load, not in solve
+        ('{"constraint": {"k": 1, "matroid": {"type": "graphic", "nodes": 3, "links": '
+         '[[0, 1.5]]}, "edges": [[0]]}, "objective": {"cut": {"weights": []}}}',
+         "graphic link (0, 1.5) needs integer endpoints in [0, 3)"),
+        ('{"constraint": {"k": 1, "matroid": {"type": "graphic", "nodes": 4.5, "links": '
+         '[[0, 1]]}, "edges": [[0]]}, "objective": {"cut": {"weights": []}}}',
+         "graphic nodes 4.5 is not an integer"),
+        ('{"constraint": {"k": 1, "matroid": {"type": "uniform", "ground": 1, "rank": 1}, '
+         '"edges": [[0]]}, "objective": {"coverage": {"item_weights": [1.0, 2.0], '
+         '"covers": [[0, [1.5]]]}}}', "edge 0 covers item id 1.5, which is not an integer"),
+        ('{"constraint": {"k": 1, "matroid": {"type": "uniform", "ground": 1, "rank": 1}, '
+         '"edges": [[0]]}, "objective": {"coverage": {"item_weights": [1.0, 2.0], '
+         '"covers": [[0, [true]]]}}}', "edge 0 covers item id True, which is not an integer"),
+        ('{"constraint": {"k": 2.5, "matroid": {"type": "uniform", "ground": 1, "rank": 1}, '
+         '"edges": [[0]]}, "objective": {"cut": {"weights": []}}}', "k 2.5 is not an integer >= 1"),
+        ('{"constraint": {"k": true, "matroid": {"type": "uniform", "ground": 1, "rank": 1}, '
+         '"edges": [[0]]}, "objective": {"cut": {"weights": []}}}', "k True is not an integer >= 1"),
+        ('{"constraint": {"k": 1, "matroid": {"type": "partition", "blocks": [[0]], '
+         '"capacities": [1.5]}, "edges": [[0]]}, "objective": {"cut": {"weights": []}}}',
+         "partition capacity 1.5 is not an integer >= 0"),
+        ('{"constraint": {"k": 1, "matroid": {"type": "partition", "blocks": [[0, true]], '
+         '"capacities": [1]}, "edges": [[0]]}, "objective": {"cut": {"weights": []}}}',
+         "partition blocks: vertex ids must be integers"),
+        ('{"constraint": {"k": 1, "matroid": {"type": "uniform", "ground": 3, "rank": 1.5}, '
+         '"edges": [[0]]}, "objective": {"cut": {"weights": []}}}',
+         "uniform ground 3 and rank 1.5 must be integers"),
+        ('{"constraint": {"k": 1, "matroid": {"type": "graphic", "nodes": 3, "links": '
+         '[[0, 1], [1, 2]]}, "edges": [[0], [1.0]]}, "objective": {"cut": {"weights": []}}}',
+         "edge 1 has a vertex id that is not an integer"),
     ],
 )
 def test_malformed_instance_is_one_line_error(tmp_path, capsys, text, reason):
@@ -230,6 +259,7 @@ DATA = Path(__file__).parent / "data"
          "argument --seed: '-1' is not an integer >= 0"),
         (["gen", "--kind", "random-parity", "--seed", "-1"],
          "argument --seed: '-1' is not an integer >= 0"),
+        (["verify", "--trace", "t.json", "--d", "inf"], "argument --d: 'inf' is not a number >= 2"),
     ],
 )
 def test_bad_option_is_one_line_error(capsys, argv, reason):
@@ -287,6 +317,9 @@ def test_verify_checks_trace_edges_and_legacy_keys(tmp_path, capsys):
         ('{"k": null}', "need k of type int, got None"),
         ('{"objective": "cut", "link_prob": null}', "need link_prob of type float, got None"),
         ('{"n_edge": 5}', "unknown generator parameters ['n_edge']"),
+        ('{"k": 2.9}', "need k of type int, got 2.9"),
+        ('{"k": true}', "need k of type int, got True"),
+        ('{"n_edges": 3.7}', "need n_edges of type int, got 3.7"),
     ],
 )
 def test_bad_generator_params_are_one_line_error(tmp_path, capsys, params, rule):

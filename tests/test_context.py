@@ -21,7 +21,6 @@ from parityls.kparity import Edge, KParityConstraint
 from parityls.matroid import GraphicMatroid
 from parityls.nonmonotone import double_greedy
 from parityls.objective import (
-    GENERAL,
     CoverageObjective,
     CutObjective,
     ModularObjective,
@@ -356,8 +355,7 @@ def greedy_whole_set(f, cons):
     in greedy's order: the gain of every outside edge no earlier round
     settled, then feasibility from the largest positive gain down (ties
     to the smaller id) until one edge fits. A round settles the edges it
-    found dependent and, unless f declares "general", those whose gain
-    was not positive."""
+    found dependent and those whose gain was not positive."""
     chosen = frozenset()
     left = list(cons.edge_ids)
     while True:
@@ -369,11 +367,7 @@ def greedy_whole_set(f, cons):
             return chosen
         chosen = chosen | {best_edge}
         dependent = ranked[: ranked.index(best_edge)]
-        left = [
-            e for e in left
-            if e not in chosen and e not in dependent
-            and (gain[e] > 0 or f.declared_class == GENERAL)
-        ]
+        left = [e for e in left if e not in chosen and e not in dependent and gain[e] > 0]
 
 
 def double_greedy_whole_set(f, edge_set, rng):

@@ -242,13 +242,13 @@ def test_legacy_trace_replays_to_a_fresh_run():
     # 6 singleton gains that draw the scale, which earlier counts left out.
     # Its scans ask each singleton gain once per chosen set (the run's gain
     # memo), so the first scan of a level asks none. After level 3 adds
-    # edge 2, the next scan resumes its singles past it (f is declared
-    # submodular), so it skips one single check of an edge before 2 that
-    # was already dependent; the gains of those edges are still asked, as
-    # the scan goes on to swaps. No single add found dependent is asked
-    # again until a move removes an edge: level 4's first scan skips edge
-    # 0, which the jump to level 4 found dependent, and the final jump
-    # skips edge 2, which that scan found dependent before it added edge 4
+    # edge 2, the next scan resumes its singles past it, so it skips one
+    # single check of an edge before 2 that was already dependent; the
+    # gains of those edges are still asked, as the scan goes on to swaps.
+    # No single add found dependent is asked again until a move removes
+    # an edge: level 4's first scan skips edge 0, which the jump to level
+    # 4 found dependent, and the final jump skips edge 2, which that scan
+    # found dependent before it added edge 4
     assert (loaded.value_calls, loaded.feasibility_calls) == (52, 29)
     assert (fresh.value_calls, fresh.feasibility_calls) == (28, 11)
     # the fixture exercises a swap, so the insertion order is not sorted

@@ -20,13 +20,7 @@ from parityls import solver
 from parityls.bench import generate_instance, greedy_baseline
 from parityls.kparity import FeasibilityContext, KParityConstraint
 from parityls.matroid import UniformMatroid
-from parityls.objective import (
-    GENERAL,
-    CoverageObjective,
-    CutObjective,
-    ModularObjective,
-    ValueOracle,
-)
+from parityls.objective import CoverageObjective, CutObjective, ModularObjective, ValueOracle
 from parityls.solver import (
     Improvement,
     RunTrace,
@@ -475,39 +469,6 @@ def test_scan_skips_pair_checks_through_a_dead_swap():
     assert oracle[0] == imp
 
 
-class SquaredWeight(ValueOracle):
-    """Supermodular f(S) = (sum of weights)^2: a pair can qualify with a
-    member whose own gain is below theta, which no submodular f allows,
-    so it declares "general" and the scan asks every such pair."""
-
-    declared_class = GENERAL
-
-    def __init__(self, weights):
-        super().__init__()
-        self.weights = weights
-
-    def _value(self, s):
-        return sum(self.weights[e] for e in s) ** 2
-
-
-@pytest.mark.parametrize("low, high", [(2, 1), (1, 2)])
-def test_scan_pairs_a_high_edge_with_a_low_one(low, high):
-    # the blocks of the dead-swap example, with edge 0 = {0, 1} in the
-    # level and edges 1 = {2} and 2 = {3} outside. Under the supermodular
-    # f = (sum of weights)^2, the low edge gains 2.0625 < theta = 3 alone
-    # but 3.5625 after the high one, so the pair qualifies with the high
-    # edge first, whichever id is smaller
-    from parityls.matroid import PartitionMatroid
-    from parityls.kparity import Edge
-
-    matroid = PartitionMatroid([[0, 2], [1, 3]], [1, 1])
-    cons = KParityConstraint(matroid, [Edge(0, {0, 1}), Edge(1, {2}), Edge(2, {3})], 2)
-    f = SquaredWeight({0: 1.0, high: 1.0, low: 0.75})
-    imp = find_improvement(*contexts(f, cons, {0}), {0}, 3.0, 0.5, {}, set())
-    assert imp == Improvement(3, (high, low), (0,))
-    assert enumerate_improvements(f, cons, frozenset(), {0}, 3.0, 0.5) == [imp]
-
-
 # dyadic float weights: every sum is exact, so a context gain equals the
 # whole-set difference and a tie at theta is a tie for the scan and for
 # the enumerator alike
@@ -515,17 +476,15 @@ DYADIC_POOL = (0.125, 0.25, 0.375, 0.5, 0.75, 1.0, 1.5, 2.5, 4.0)
 
 
 def dyadic_objective(cons, rng, family=None):
-    """Modular (0), squared-weight (1), coverage (2) or cut (3) objective
-    on dyadic weights, drawn from ``rng`` unless ``family`` is given."""
+    """Modular (0), coverage (1) or cut (2) objective on dyadic weights,
+    drawn from ``rng`` unless ``family`` is given."""
     pick = lambda: float(rng.choice(DYADIC_POOL))
     ids = list(cons.edge_ids)
     if family is None:
-        family = int(rng.integers(4))
+        family = int(rng.integers(3))
     if family == 0:
         return ModularObjective({e: pick() for e in ids})
     if family == 1:
-        return SquaredWeight({e: pick() for e in ids})
-    if family == 2:
         n_items = int(rng.integers(1, 7))
         size = lambda: int(rng.integers(1, n_items + 1))
         covers = {e: frozenset(rng.choice(n_items, size(), replace=False).tolist()) for e in ids}
@@ -569,10 +528,9 @@ def test_scan_matches_enumeration_with_ties_at_theta():
 
 
 @st.composite
-def declared_instances(draw):
+def dyadic_instances(draw):
     """A generated uniform, partition, graphic or intersection instance
-    with a modular, coverage or cut objective on dyadic weights, twice:
-    as the family declares it and declared "general"."""
+    with a modular, coverage or cut objective on dyadic weights."""
     k = draw(st.integers(1, 3))
     seed = draw(st.integers(0, 2**31))
     kind = draw(st.sampled_from(["uniform", "partition", "graphic", "intersection"]))
@@ -583,27 +541,39 @@ def declared_instances(draw):
         params = {"k": k, "n_vertices": draw(st.integers(4, 14)),
                   "n_edges": draw(st.integers(2, 10)), "matroid": kind}
         cons, _ = generate_instance("random-parity", params, seed)
-    family = draw(st.sampled_from([0, 2, 3]))  # modular, coverage, cut
-    weights_seed = draw(st.integers(0, 2**31))
-    declared = dyadic_objective(cons, rng_for(weights_seed), family)
-    general = dyadic_objective(cons, rng_for(weights_seed), family)
-    general.declared_class = GENERAL
-    return cons, declared, general
+    family = draw(st.sampled_from([0, 1, 2]))
+    return cons, dyadic_objective(cons, rng_for(draw(st.integers(0, 2**31))), family)
+
+
+def greedy_settling_nothing(f, cons):
+    """Greedy on whole-set queries that asks every outside edge each
+    round: the largest positive feasible gain, ties to the smaller id."""
+    chosen = frozenset()
+    while True:
+        f_chosen = f.value(chosen)
+        gain = {e: f.value(chosen | {e}) - f_chosen for e in cons.edge_ids if e not in chosen}
+        ranked = sorted((e for e in gain if gain[e] > 0), key=lambda e: (-gain[e], e))
+        pick = next((e for e in ranked if cons.feasible(chosen | {e})), None)
+        if pick is None:
+            return chosen
+        chosen = chosen | {pick}
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    instance=declared_instances(),
+    instance=dyadic_instances(),
     u=st.one_of(st.sampled_from([0.0, 0.5, 1.0 - 2.0**-53]), st.floats(0.0, 0.999)),
     eps=st.sampled_from([0.1, 0.5]),
 )
-def test_declared_submodularity_keeps_answers_and_asks_no_more(instance, u, eps):
-    cons, declared, general = instance
-    assert declared.declared_class != GENERAL
-    low_pairs = []  # pair checks with a member whose gain is below theta
+def test_scan_returns_the_first_enumerated_move_during_whole_runs(instance, u, eps):
+    # the scan's shortcuts (high pairs only, singles resumed past the last
+    # added edge, the memo and dead sets) leave each answer of a run as the
+    # definition gives it, for the state the run is in at that scan
+    cons, f = instance
     scan = solver.find_improvement
+    scans = []
 
-    def watched(vals, fits, current, theta, epsilon, gain, dead, after=None):
+    def checked(vals, fits, current, theta, epsilon, gain, dead, after=None):
         pairs = []
         feasible = fits.feasible
 
@@ -617,23 +587,28 @@ def test_declared_submodularity_keeps_answers_and_asks_no_more(instance, u, eps)
             imp = scan(vals, fits, current, theta, epsilon, gain, dead, after)
         finally:
             del fits.feasible
-        # a scan that checks a pair has asked the gain of every outside edge
-        if vals.f.declared_class != GENERAL:
-            low_pairs.extend(p for p in pairs if min(gain[p[0]], gain[p[1]]) < theta)
+        base = vals.base
+        oracle = enumerate_improvements(f, cons, base - current, current, theta, epsilon)
+        assert imp == (oracle[0] if oracle else None)
+        # both members of every pair checked clear theta
+        assert all(min(gain[p], gain[q]) >= theta for p, q in pairs)
+        if imp is None:  # the memo holds every outside edge's gain
+            f_base = f.value(base)
+            assert gain == {
+                x: f.value(base | {x}) - f_base for x in cons.edge_ids if x not in base
+            }
+        scans.append(imp)
         return imp
 
     config = SolverConfig(epsilon=eps, seed=0)
-    with mock.patch.object(solver, "find_improvement", watched):
+    with mock.patch.object(solver, "find_improvement", checked):
         for runner in (run_reference, run_efficient):
-            out, trace = runner(declared, cons, config, rng=FixedDraw(u))
-            out_g, trace_g = runner(general, cons, config, rng=FixedDraw(u))
-            assert out == out_g
-            assert trace.applied_sequence() == trace_g.applied_sequence()
-            assert trace.value_calls <= trace_g.value_calls
-    assert low_pairs == []
-    calls, calls_g = declared.calls, general.calls
-    assert greedy_baseline(declared, cons) == greedy_baseline(general, cons)
-    assert declared.calls - calls <= general.calls - calls_g
+            runner(f, cons, config, rng=FixedDraw(u))
+    # a run scans unless no edge with a positive gain fits alone
+    assert scans or not any(
+        f.value({e}) > f.value(()) and cons.feasible({e}) for e in cons.edge_ids
+    )
+    assert greedy_baseline(f, cons) == greedy_settling_nothing(f, cons)
 
 
 # ------------------------------------------------------------------ runs
