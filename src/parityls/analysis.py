@@ -200,7 +200,9 @@ def verify_run(trace, f, cons, reference, d=None):
     ChargingReport whose ``ok`` is True iff every check passed. A draw
     with scale <= 0 against a non-empty reference, and a trace that
     builds an infeasible set, each end the report early with one failed
-    check: ``scale-positive`` and ``partition-feasible``.
+    check: ``scale-positive`` and ``partition-feasible``. So does a draw
+    whose top threshold does not cover every reference weight, or a
+    reference weight that is not positive: ``scale-covers-reference``.
     """
     if d is None:
         d = 2.0 * math.sqrt(cons.k)
@@ -234,6 +236,14 @@ def verify_run(trace, f, cons, reference, d=None):
         # from a run on this instance
         return failed_early(
             "scale-positive", f"scale {trace.scale} is not positive, but the reference is not empty"
+        )
+    # the charge ratios bracket each weight by a threshold, and a run on
+    # this instance has m_0 >= W >= f({o}) - f(empty) >= u(o) > 0
+    top = trace.thresholds.level(0)
+    if outside := [(o, u[o]) for o in sorted(reference) if not 0 < u[o] <= top]:
+        return failed_early(
+            "scale-covers-reference",
+            f"reference weights (edge, weight) {outside} lie outside (0, {top}]",
         )
     try:
         parts, witness, leftover = partition_reference(trace, cons, reference)
@@ -343,7 +353,7 @@ def verify_run(trace, f, cons, reference, d=None):
     )
 
     rho = {}
-    for o in sorted(reference):  # the scale is positive here
+    for o in sorted(reference):  # each weight lies in (0, level(0)] here
         _, _, rho[o] = charge_ratios(u[o], trace.thresholds, d, linear=linear)
 
     bad = []

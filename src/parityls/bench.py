@@ -291,9 +291,14 @@ class ExperimentSpec:
     out: str = ""
 
     def __post_init__(self):
+        # every field is checked whatever the mode, before the batch starts
         _require_count("seed", self.seed)
+        _require_count("trials", self.trials)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        _require_count("ell", self.ell)
+        if not 0 < self.epsilon < 1:
+            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown solver mode {self.mode!r}")
 

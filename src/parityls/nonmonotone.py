@@ -138,10 +138,11 @@ def repetitions_with_trace(f, cons, config: RepetitionsConfig):
     ground) with alpha_i = 1 - the first draw of child 2i, which is the
     alpha their solver run would draw. Proof: a round selects nothing
     exactly when no edge of its ground has a positive singleton gain
-    and fits alone. If one does, the scale is positive, the jump's pick
-    exists, and the scan at the level it jumps to adds an edge (the
-    level's threshold admits the pick's gain, and no move shrinks the
-    set); if none does, the run is empty or the jump ends it at once.
+    and fits alone. If one does, the scale is positive, the next-level
+    pick exists, and the scan at the level the driver jumps to adds an
+    edge (the level's threshold admits the pick's gain, and no move
+    shrinks the set); if none does, the run is empty or the pick ends it
+    at once.
     That condition does not depend on alpha, and an empty selection
     leaves the ground, and so the condition, as it was. The settled
     rounds' candidates are empty, which cannot beat the first empty

@@ -10,13 +10,15 @@ current level.
 One level loop, ``_drive``, owns the draw, the per-level search, the
 move budget and the run's one value and one feasibility context, which
 each applied move moves; ``RunTrace.add_level`` derives each level's
-facts from its moves. The two drivers differ only in the next-level
-rule, and both rules read the run's memo of one-edge gains, full when
-a level ends: ``run_reference`` walks every level index literally, and
-``run_efficient`` jumps to the next level that can accept an element
-(``Thresholds.index_at_most``). With the same seed both return identical
-solutions and move sequences. ``bench.solve`` dispatches on the solver
-modes in ``bench.MODES``.
+facts from its moves. Before every level the loop takes greedy's next
+edge, ``best_feasible``'s pick from the run's memo of one-edge gains
+(full when a level ends), and the run ends when there is none. The two
+drivers differ only in the index rule that turns the pick into the next
+level: ``run_reference`` steps one index on, visiting every level
+literally, and ``run_efficient`` jumps to the first level whose
+threshold admits the pick's gain (``Thresholds.index_at_most``). With
+the same seed both return identical solutions and move sequences.
+``bench.solve`` dispatches on the solver modes in ``bench.MODES``.
 """
 
 import math
@@ -206,7 +208,8 @@ def best_feasible(fits, gain, dead):
     they are skipped without a query, and each new failure is added.
     That is sound while the base only grows, since feasibility is
     down-closed; whoever removes an edge from the base must empty it."""
-    for e in sorted(gain, key=lambda e: (-gain[e], e)):
+    # two stable sorts with a C-level key: (-gain, id) order for finite gains
+    for e in sorted(sorted(gain), key=gain.__getitem__, reverse=True):
         if gain[e] <= 0:
             return None
         if e in dead:
@@ -308,25 +311,27 @@ def _drive(f, cons, config, rng, next_level):
 
     Binds the run's one value context ``vals`` on the empty set, draws
     the scale (from its singleton gains) and alpha, and, once the scale
-    is positive, the run's one feasibility context ``fits``. Then it
-    asks ``next_level(fits, gain, dead, index, thresholds)`` for the next
-    level index (None ends the run) and runs the first-improvement local
-    search there until no move is left. Each applied move moves both
-    contexts, so their base is always the chosen set, and the settled
-    set ``trace.final`` when a level ends. ``gain``, the memo of each
-    edge's gain against that set, starts as the singleton gains, is
-    filled by the scans and cleared right after each applied move, and
-    at no other time. ``dead``, the edges whose single add was found
-    dependent (see ``best_feasible``), is emptied only by a move that
-    removes an edge, a kind-2 or kind-3 move: while the set only grows, a
-    dependent edge stays dependent, since feasibility is down-closed. The
-    scans and the next-level rules skip those edges without a query,
-    which leaves every answer and value query as it is. After a kind-1
-    move adds x, the next scan resumes its singles past x
-    (``find_improvement``'s ``after``); a new level and every swap or
-    two-for-one move start them over. The applied moves are capped at
-    (1 + 2/eps)|E|. Returns the final edge set and the trace, which
-    counts every query of the run.
+    is positive, the run's one feasibility context ``fits``. Then, before
+    every level, it takes ``best_feasible``'s pick, greedy's next edge;
+    with none left the run ends. Otherwise ``next_level(thresholds,
+    index, top)``, with ``top`` the pick's gain, gives the next level
+    index, and the loop runs the first-improvement local search there
+    until no move is left. Each applied move moves both contexts, so
+    their base is always the chosen set, and the settled set
+    ``trace.final`` when a level ends. ``gain``, the memo of each edge's
+    gain against that set, starts as the singleton gains, is filled by
+    the scans and cleared right after each applied move, and at no other
+    time; so the pick reads a full memo and asks no value query.
+    ``dead``, the edges whose single add was found dependent (see
+    ``best_feasible``), is emptied only by a move that removes an edge, a
+    kind-2 or kind-3 move: while the set only grows, a dependent edge
+    stays dependent, since feasibility is down-closed. The scans and the
+    pick skip those edges without a query, which leaves every answer and
+    value query as it is. After a kind-1 move adds x, the next scan
+    resumes its singles past x (``find_improvement``'s ``after``); a new
+    level and every swap or two-for-one move start them over. The applied
+    moves are capped at (1 + 2/eps)|E|. Returns the final edge set and
+    the trace, which counts every query of the run.
     """
     value_calls_0, feas_calls_0 = f.calls, cons.feasibility_calls
     vals = f.context(frozenset())
@@ -339,7 +344,8 @@ def _drive(f, cons, config, rng, next_level):
         applied = 0
         index = 0
         dead = set()
-        while (index := next_level(fits, gain, dead, index, trace.thresholds)) is not None:
+        while (pick := best_feasible(fits, gain, dead)) is not None:
+            index = next_level(trace.thresholds, index, gain[pick])
             theta = trace.thresholds.level(index)
             current = set()
             moves = []
@@ -369,35 +375,20 @@ def _drive(f, cons, config, rng, next_level):
 
 def run_reference(f, cons, config, rng=None):
     """Stepwise driver: walks level indices one by one, including levels
-    that accept nothing, exactly as the hybrid scheme is defined. The
-    walk goes on while some edge with a positive gain in the memo fits
-    alone (checked in ascending ids, skipping and filling ``dead`` as
-    ``best_feasible`` does); it makes no value query.
+    that accept nothing, exactly as the hybrid scheme is defined, while
+    ``best_feasible`` has a pick.
     """
-
-    def step(fits, gain, dead, index, thresholds):
-        for e in sorted(gain):
-            if gain[e] > 0 and e not in dead:
-                if fits.feasible((e,)):
-                    return index + 1
-                dead.add(e)
-        return None
-
-    return _drive(f, cons, config, rng, step)
+    return _drive(f, cons, config, rng, lambda thresholds, index, top: index + 1)
 
 
 def run_efficient(f, cons, config, rng=None):
     """Fast driver: jumps straight to the first level whose threshold
     admits the gain of ``best_feasible``'s pick (greedy's next edge;
     ``Thresholds.index_at_most``), and at least one level on, since
-    2^alpha can round to 1 and let W equal m_0. It makes no value query
-    and gives the same output and move sequence as the stepwise driver
-    for the same seed.
+    2^alpha can round to 1 and let W equal m_0. It gives the same output
+    and move sequence as the stepwise driver for the same seed.
     """
-
-    def jump(fits, gain, dead, index, thresholds):
-        if (e := best_feasible(fits, gain, dead)) is None:
-            return None
-        return max(thresholds.index_at_most(gain[e]), index + 1)
-
-    return _drive(f, cons, config, rng, jump)
+    return _drive(
+        f, cons, config, rng,
+        lambda thresholds, index, top: max(thresholds.index_at_most(top), index + 1),
+    )

@@ -377,6 +377,38 @@ def test_verify_run_reports_empty_run_against_nonempty_reference():
         assert verify_run(empty, f, cons, frozenset(), d=2.0).ok
 
 
+def test_verify_run_reports_a_scale_that_does_not_cover_the_reference():
+    # the fixture run with its scale cut from 48 to 6: its top threshold
+    # 6 * 2^alpha < 12 lies below the reference's largest weight, which a
+    # run on this instance cannot draw; that is one failed check, not the
+    # charge ratios' ValueError
+    from pathlib import Path
+
+    from parityls.instances import load_instance, load_trace
+    from parityls.solver import Improvement, RunTrace
+
+    data = Path(__file__).parent / "data"
+    cons, f = load_instance(data / "instance.json")
+    fixture = load_trace(data / "trace.json")
+    small = RunTrace(scale=6.0, alpha=fixture.alpha, epsilon=fixture.epsilon)
+    for rec in fixture.iterations:
+        small.add_level(rec.index, rec.improvements)
+    reference = pruned_optimum(f, cons)
+    assert max(reference_weights(f, reference).values()) > small.thresholds.level(0)
+    report = verify_run(small, f, cons, reference)
+    assert [c.name for c in report.failed()] == ["scale-covers-reference"]
+    assert report.leftover == reference
+    # so does a reference weight that is not positive (edge 1 adds nothing)
+    cons = singleton_parity(UniformMatroid(3, 2))
+    f = ModularObjective({0: 4, 1: 0, 2: 2})
+    trace = RunTrace(scale=4.0, alpha=1.0, epsilon=0.5)
+    trace.add_level(1, [Improvement(1, (0,), ())])
+    trace.add_level(3, [Improvement(1, (2,), ())])
+    assert verify_run(trace, f, cons, frozenset({0, 2})).ok
+    report = verify_run(trace, f, cons, frozenset({0, 1}))
+    assert [c.name for c in report.failed()] == ["scale-covers-reference"]
+
+
 def test_verify_run_rejects_small_d():
     # and a d that is not finite: inf * 0 is NaN, which fails checks that
     # hold at every finite d

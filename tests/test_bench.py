@@ -243,9 +243,25 @@ def test_experiment_deterministic_instance_is_opt(tmp_path):
     assert result["summary"][0]["stddev_value"] == 0.0
 
 
-def test_experiment_rejects_a_negative_seed():
-    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
-        ExperimentSpec(source=("gen", "random-parity"), mode="hybrid", seed=-1)
+@pytest.mark.parametrize(
+    "name, value, mode",
+    [
+        ("seed", -1, "hybrid"),
+        ("trials", 2.5, "hybrid"),
+        ("trials", "3", "hybrid"),
+        ("trials", True, "hybrid"),
+        ("ell", -1, "hybrid"),
+        ("ell", 1.5, "hybrid"),
+        ("epsilon", 0, "greedy"),
+        ("epsilon", 2.0, "greedy"),
+        ("epsilon", float("nan"), "greedy"),
+    ],
+)
+def test_experiment_rejects_a_negative_seed(name, value, mode):
+    # every field fails at construction, naming itself, whatever the
+    # mode reads: greedy reads no epsilon, hybrid no ell
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        ExperimentSpec(source=("gen", "random-parity"), mode=mode, **{name: value})
 
 
 def test_experiment_empty_batch_writes_header_only(tmp_path):

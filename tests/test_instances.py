@@ -246,9 +246,9 @@ def test_legacy_trace_replays_to_a_fresh_run():
     # single check of an edge before 2 that was already dependent; the
     # gains of those edges are still asked, as the scan goes on to swaps.
     # No single add found dependent is asked again until a move removes
-    # an edge: level 4's first scan skips edge 0, which the jump to level
-    # 4 found dependent, and the final jump skips edge 2, which that scan
-    # found dependent before it added edge 4
+    # an edge: level 4's first scan skips edge 0, which the pick before
+    # level 4 found dependent, and the final pick skips edge 2, which that
+    # scan found dependent before it added edge 4
     assert (loaded.value_calls, loaded.feasibility_calls) == (52, 29)
     assert (fresh.value_calls, fresh.feasibility_calls) == (28, 11)
     # the fixture exercises a swap, so the insertion order is not sorted

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from parityls import solver
 from parityls.bench import generate_instance, greedy_baseline
 from parityls.kparity import FeasibilityContext, KParityConstraint
-from parityls.matroid import UniformMatroid
+from parityls.matroid import PartitionMatroid, UniformMatroid
 from parityls.objective import CoverageObjective, CutObjective, ModularObjective, ValueOracle
 from parityls.solver import (
     Improvement,
@@ -195,6 +195,20 @@ def test_best_feasible_takes_the_largest_gain_ties_to_the_smaller_id():
     calls = cons.feasibility_calls
     assert best_feasible(full, gain, set()) is None
     assert cons.feasibility_calls - calls == 3
+    # the pick is the first edge of (-gain, id) order with a positive gain
+    # that fits, on memos with mixed signs and ties, keyed out of id order;
+    # three capacity-1 blocks of four edges, each held or free at random
+    rng = rng_for(5)
+    cons = singleton_parity(PartitionMatroid([range(0, 4), range(4, 8), range(8, 12)], [1] * 3))
+    for _ in range(200):
+        base = {4 * b + int(rng.integers(4)) for b in range(3) if rng.random() < 0.5}
+        outside = [int(e) for e in rng.permutation(12) if e not in base]
+        keyed = outside[: rng.integers(1, len(outside) + 1)]
+        gain = {e: float(rng.integers(-3, 4)) for e in keyed}
+        fits = cons.context(base)
+        order = sorted(gain, key=lambda e: (-gain[e], e))
+        want = next((e for e in order if gain[e] > 0 and fits.feasible((e,))), None)
+        assert best_feasible(fits, gain, set()) == want
 
 
 @pytest.mark.parametrize("seed", [1.5, "3", None, True, np.float64(2.0), -1, np.int64(-2)])
@@ -647,6 +661,43 @@ def test_drivers_agree_small_battery():
             assert ref_trace.value_calls == eff_trace.value_calls
 
 
+def test_both_drivers_take_every_level_from_best_feasible(monkeypatch):
+    # each level index comes from best_feasible's pick and one index rule:
+    # one index on for the stepwise driver, the pick's bracket (and at
+    # least one on) for the fast one; the last pick is None
+    picks = []
+
+    def recorded(fits, gain, dead):
+        e = best_feasible(fits, gain, dead)
+        picks.append(None if e is None else gain[e])
+        return e
+
+    monkeypatch.setattr(solver, "best_feasible", recorded)
+    families = [("k-partition-intersection", {})] + [
+        ("random-parity", {"matroid": m}) for m in ("uniform", "partition", "graphic")
+    ]
+    for kind, params in families:
+        for objective in ("modular", "coverage", "cut"):
+            for seed in range(3):
+                cons, f = generate_instance(
+                    kind, dict(params, k=2, objective=objective), seed
+                )
+                config = SolverConfig(epsilon=0.5, seed=seed)
+                picks.clear()
+                _, trace = run_reference(f, cons, config)
+                indices = [rec.index for rec in trace.iterations]
+                assert indices == list(range(1, len(indices) + 1))
+                assert len(picks) == len(indices) + 1 and picks[-1] is None
+                picks.clear()
+                _, trace = run_efficient(f, cons, config)
+                assert len(picks) == len(trace.iterations) + 1 and picks[-1] is None
+                previous = 0
+                for top, rec in zip(picks, trace.iterations):
+                    index = max(trace.thresholds.index_at_most(top), previous + 1)
+                    assert rec.index == index
+                    previous = index
+
+
 def test_drivers_agree_on_exact_threshold_ties():
     # power-of-two weights with alpha = 1 make marginals hit thresholds
     # exactly; the drivers must still agree at the tie boundaries
@@ -937,7 +988,7 @@ class ShrinkingGains(ValueOracle):
 def test_lying_value_oracles_end_loudly_or_with_a_consistent_trace(
     params, seed, shrink, u, eps
 ):
-    # neither next-level rule asks the oracle again, so an inconsistent
+    # the next-level pick asks the oracle nothing, so an inconsistent
     # oracle can only make a run end: with a feasible set whose moves
     # replay, or with the budget error
     cons, weights = generate_instance("random-parity", params, seed)
