@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .seeding import first_draw, seed_pool
 from .solver import SolverConfig, _require_count, run_efficient, sample_alpha
 
 
@@ -48,14 +49,19 @@ def double_greedy(f, edge_set, rng):
     Y is a value context on S that only shrinks, and each element asks
     it b'. a' is asked only where b' > 0: X is bound at the first such
     element, on Y's base below it (the elements kept so far), and from
-    then on grows with each element taken. X ends equal to Y, so Y's
-    base is returned; when nothing is dropped it is ``edge_set`` itself
+    then on grows with each element taken. X ends equal to Y, so T is
+    Y's base; when nothing is dropped it is ``edge_set`` itself
     if that is a frozenset. A monotone f (b' = 0 throughout) binds one
     context and asks |S| gains. Since a' is not asked where b' = 0, a
     NaN a' there takes e, where a loop asking it would drop e; the
     shipped families reject non-finite weights and never give one.
+
+    Returns (T, f(S)). f(S) is Y's value at its bind, which every
+    shipped family and the generic context compute as ``f.value(S)``
+    does, so a caller that needs f(S) asks no whole-set query for it.
     """
     high = f.context(edge_set)
+    value = high.value
     low = None  # X, bound at the first element with b' > 0
     owed = 0  # draws of decided elements not yet taken from rng
     for e in sorted(edge_set):
@@ -79,16 +85,30 @@ def double_greedy(f, edge_set, rng):
             high.apply((), (e,))
         elif low is not None:
             low.apply((e,))
-    return high.base
+    return high.base, value
 
 
 def round_stream(seed, j):
     """Child j of ``SeedSequence(seed).spawn(n)``, for any n > j, as a
     Generator: a child is ``SeedSequence(seed, spawn_key=(j,))``, so no
-    other child is built."""
+    other child is built. The wrapper builds it only for the coins; a
+    round's alpha reads one draw, which ``seeding.first_draw`` computes."""
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(j,)))
     )
+
+
+class OneDraw:
+    """An rng whose ``random()`` returns the draw ``u``, for the solver's
+    one alpha draw."""
+
+    __slots__ = ("u",)
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
 
 
 class LazyRoundStream:
@@ -130,8 +150,12 @@ def repetitions_with_trace(f, cons, config: RepetitionsConfig):
     streams, children 2i and 2i + 1 of ``SeedSequence(seed).spawn(2 *
     ell)`` (``round_stream``), for the solver's alpha and the
     double-greedy coins, so each round is reproducible on its own. The
-    coin stream is built only when double greedy draws
-    (``LazyRoundStream``), which it does not on the empty set.
+    alpha reads child 2i's first draw, which ``seeding.first_draw``
+    computes from the seed's pool (``seeding.seed_pool``, mixed once per
+    call) without a Generator. The coin stream is built only when double greedy draws
+    (``LazyRoundStream``), which it does not on the empty set. f of a
+    round's set comes from double greedy's bind, and only a refinement
+    that drops something is valued as a whole set.
 
     Once a round selects nothing, the rounds after it are settled and
     are recorded without a solve, as (i, alpha_i, empty, empty, same
@@ -151,6 +175,7 @@ def repetitions_with_trace(f, cons, config: RepetitionsConfig):
     ell = config.rounds_for(cons.k)
     trace = RepetitionsTrace()
     best, best_value = frozenset(), float("-inf")
+    pooled = seed_pool(config.seed)
 
     remaining = set(cons.edge_ids)
     for i in range(ell):
@@ -160,23 +185,26 @@ def repetitions_with_trace(f, cons, config: RepetitionsConfig):
             f,
             restricted,
             SolverConfig(epsilon=config.epsilon),
-            rng=round_stream(config.seed, 2 * i),
+            rng=OneDraw(first_draw(pooled, 2 * i)),
         )
         # the restricted copy counts its own queries; charge them to cons
         cons.feasibility_calls += restricted.feasibility_calls
-        refined = double_greedy(f, selected, LazyRoundStream(config.seed, 2 * i + 1))
+        refined, f_selected = double_greedy(
+            f, selected, LazyRoundStream(config.seed, 2 * i + 1)
+        )
         trace.rounds.append(
             RoundRecord(i, run_trace.alpha, selected, refined, ground)
         )
-        # each distinct candidate is valued once
-        for candidate in (selected,) if refined == selected else (selected, refined):
-            value = f.value(candidate)
+        candidates = [(selected, f_selected)]
+        if refined != selected:
+            candidates.append((refined, f.value(refined)))
+        for candidate, value in candidates:
             if value > best_value:
                 best, best_value = candidate, value
         if not selected:  # every later round is settled (see above)
             trace.rounds.extend(
                 RoundRecord(
-                    j, sample_alpha(round_stream(config.seed, 2 * j)),
+                    j, sample_alpha(OneDraw(first_draw(pooled, 2 * j))),
                     frozenset(), frozenset(), ground,
                 )
                 for j in range(i + 1, ell)

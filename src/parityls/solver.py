@@ -12,7 +12,8 @@ move budget and the run's one value and one feasibility context, which
 each applied move moves; ``RunTrace.add_level`` derives each level's
 facts from its moves. Before every level the loop takes greedy's next
 edge, ``best_feasible``'s pick from the run's memo of one-edge gains
-(full when a level ends), and the run ends when there is none. The two
+(full when a level ends), asked again only after a level that applied
+a move, and the run ends when there is none. The two
 drivers differ only in the index rule that turns the pick into the next
 level: ``run_reference`` steps one index on, visiting every level
 literally, and ``run_efficient`` jumps to the first level whose
@@ -25,9 +26,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .matroid import _integer
+from .seeding import seed_draw
 
 
 @dataclass(frozen=True)
@@ -194,11 +194,12 @@ def max_singleton_marginal(vals, edge_ids):
 def sample_alpha(seed_or_rng):
     """Draw the threshold exponent: alpha = 1 - U with U uniform on
     [0, 1), so alpha lands in (0, 1]. U is the next ``random()`` of a
-    given rng, or, for an integer seed, ``Generator(PCG64(seed)).random()``."""
+    given rng, or, for an integer seed, ``Generator(PCG64(seed)).random()``,
+    which ``seeding.seed_draw`` computes without building a Generator."""
     rng = seed_or_rng
-    if not callable(getattr(rng, "random", None)):
-        rng = np.random.Generator(np.random.PCG64(rng))
-    return 1.0 - rng.random()
+    if callable(getattr(rng, "random", None)):
+        return 1.0 - rng.random()
+    return 1.0 - seed_draw(rng)
 
 
 def best_feasible(fits, gain, dead):
@@ -311,11 +312,15 @@ def _drive(f, cons, config, rng, next_level):
 
     Binds the run's one value context ``vals`` on the empty set, draws
     the scale (from its singleton gains) and alpha, and, once the scale
-    is positive, the run's one feasibility context ``fits``. Then, before
-    every level, it takes ``best_feasible``'s pick, greedy's next edge;
-    with none left the run ends. Otherwise ``next_level(thresholds,
-    index, top)``, with ``top`` the pick's gain, gives the next level
-    index, and the loop runs the first-improvement local search there
+    is positive, the run's one feasibility context ``fits``. Then it
+    takes ``best_feasible``'s pick, greedy's next edge, before the first
+    level and after each level that applied a move; with none left the
+    run ends. A level that applies no move, which only the stepwise walk
+    visits, keeps its pick for the next level: it leaves ``gain`` as it
+    was and every edge ranked ahead of the pick dead, so a new pick
+    would be the same edge. ``next_level(thresholds, index, top)``,
+    with ``top`` the pick's gain, gives the next level index, and the
+    loop runs the first-improvement local search there
     until no move is left. Each applied move moves both contexts, so
     their base is always the chosen set, and the settled set
     ``trace.final`` when a level ends. ``gain``, the memo of each edge's
@@ -344,7 +349,8 @@ def _drive(f, cons, config, rng, next_level):
         applied = 0
         index = 0
         dead = set()
-        while (pick := best_feasible(fits, gain, dead)) is not None:
+        pick = best_feasible(fits, gain, dead)
+        while pick is not None:
             index = next_level(trace.thresholds, index, gain[pick])
             theta = trace.thresholds.level(index)
             current = set()
@@ -368,6 +374,8 @@ def _drive(f, cons, config, rng, next_level):
                         "improvement budget (1 + 2/eps)|E| exceeded; value oracle is inconsistent"
                     )
             trace.add_level(index, moves)
+            if moves:  # else the pick stays (see above)
+                pick = best_feasible(fits, gain, dead)
     trace.value_calls = f.calls - value_calls_0
     trace.feasibility_calls = cons.feasibility_calls - feas_calls_0
     return trace.final, trace

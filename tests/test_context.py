@@ -409,9 +409,9 @@ def test_greedy_and_double_greedy_match_whole_set_loops(seed, data):
     edge_set = data.draw(ground_subsets(cons.edge_ids))
     coin = st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 1.0, exclude_max=True))
     coins = data.draw(st.lists(coin, min_size=len(edge_set), max_size=len(edge_set)))
-    assert double_greedy(f, edge_set, Coins(coins)) == double_greedy_whole_set(
-        f, edge_set, Coins(coins)
-    )
+    refined, value = double_greedy(f, edge_set, Coins(coins))
+    assert refined == double_greedy_whole_set(f, edge_set, Coins(coins))
+    assert value == f.value(edge_set)
 
 
 # (generator kind, matroid of random-parity) of every generated family

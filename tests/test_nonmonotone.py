@@ -23,6 +23,8 @@ from parityls.objective import (
     ModularObjective,
     ValueOracle,
 )
+from parityls.seeding import first_draw, seed_draw, seed_pool
+from parityls.solver import SolverConfig
 from util import (
     double_greedy_exact_expectation,
     reference_double_greedy,
@@ -53,7 +55,7 @@ def singleton_parity(matroid):
 def test_mixed_sign_modular_is_deterministic():
     f = ModularObjective({0: 2, 1: -1})
     for seed in range(10):
-        assert double_greedy(f, {0, 1}, rng_for(seed)) == frozenset({0})
+        assert double_greedy(f, {0, 1}, rng_for(seed)) == (frozenset({0}), 1.0)
     assert double_greedy_exact_expectation(f, {0, 1}) == 2.0
 
 
@@ -61,8 +63,8 @@ def test_constant_function():
     f = Constant(3.5)
     assert double_greedy_exact_expectation(f, {0, 1, 2}) == 3.5
     zero = Constant(0.0)
-    out = double_greedy(zero, {0, 1}, rng_for(0))
-    assert zero.value(out) == 0.0
+    out, value = double_greedy(zero, {0, 1}, rng_for(0))
+    assert zero.value(out) == value == 0.0
 
 
 def test_single_cut_link_expectation():
@@ -100,7 +102,7 @@ def test_empirical_mean_matches_exact_expectation():
     exact = double_greedy_exact_expectation(f, ground)
     rng = rng_for(2)
     runs = 10_000
-    values = np.array([f.value(double_greedy(f, ground, rng)) for _ in range(runs)])
+    values = np.array([f.value(double_greedy(f, ground, rng)[0]) for _ in range(runs)])
     se = values.std(ddof=1) / np.sqrt(runs)
     assert abs(values.mean() - exact) <= 3 * se
 
@@ -283,6 +285,62 @@ def test_round_streams_are_the_spawned_children(seed):
         assert [got.random().hex() for _ in range(40)] == [x.hex() for x in expected]
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.one_of(
+        st.integers(0, 2**256 - 1),
+        st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**128 - 1, 2**128, 2**130 + 5]),
+        st.integers(0, 2**63 - 1).map(np.int64),
+        st.integers(0, 2**32 - 1).map(np.uint32),
+        st.integers(0, 2**64 - 1).map(np.uint64),
+    ),
+    j=st.one_of(st.integers(0, 2**64 - 1), st.integers(0, 64)),
+)
+def test_first_draw_is_the_child_streams_first_draw(seed, j):
+    # seeds of one to eight 32-bit words (those past the pool are mixed
+    # in after it), numpy integer seeds, and keys of one or two words
+    draw = first_draw(seed_pool(seed), j)
+    assert draw.hex() == round_stream(seed, j).random().hex()
+    expected = np.random.Generator(np.random.PCG64(seed)).random()
+    assert seed_draw(seed).hex() == expected.hex()
+
+
+@pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.0, TypeError), ("3", TypeError)])
+def test_seed_draw_rejects_what_numpy_rejects(seed, error):
+    with pytest.raises(error):
+        np.random.PCG64(seed)
+    with pytest.raises(error):
+        seed_draw(seed)
+
+
+def test_alphas_build_no_numpy_bit_generator(monkeypatch):
+    # a monotone f decides every coin, so with no Generator to build the
+    # wrapper must still give the plain loop's rounds, and a seeded
+    # solver run the alpha numpy's Generator(PCG64(seed)) draws
+    cases = [
+        solver_instance(seed, families=(family,))
+        for family in ("modular", "coverage") for seed in range(4)
+    ] + list(settling_instances())[:2]
+    for seed in (0, 3, 2**32 + 5, 2**130 + 1):
+        configs = [RepetitionsConfig(ell=6, epsilon=0.5, seed=seed) for _ in cases]
+        expected = [reference_repetitions(f, cons, c) for (cons, f), c in zip(cases, configs)]
+        alpha = 1.0 - np.random.Generator(np.random.PCG64(seed)).random()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a numpy bit generator was built")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(np.random, "SeedSequence", refuse)
+            patched.setattr(np.random, "PCG64", refuse)
+            got = [repetitions_with_trace(f, cons, c) for (cons, f), c in zip(cases, configs)]
+            cons, f = cases[0]
+            _, run = nonmonotone.run_efficient(f, cons, SolverConfig(epsilon=0.5, seed=seed))
+        for (best, trace), (ref_best, ref) in zip(got, expected):
+            assert best == ref_best
+            assert round_facts(trace) == round_facts(ref)
+        assert run.alpha.hex() == alpha.hex()
+
+
 def test_seed_3_round_alphas_are_pinned():
     # fixed bits of numpy's SeedSequence/PCG64 child streams: a change in
     # their semantics changes every seeded answer, and shows here first.
@@ -312,7 +370,7 @@ def test_decided_coins_are_drawn_only_before_an_undecided_one():
     # a positive modular f decides every coin (b' = 0): nothing is drawn
     draws = CountedDraws(0)
     f = ModularObjective({0: 2, 1: 3, 2: 1})
-    assert double_greedy(f, {0, 1, 2}, draws) == {0, 1, 2} and draws.count == 0
+    assert double_greedy(f, {0, 1, 2}, draws) == ({0, 1, 2}, 6.0) and draws.count == 0
     # edges 0 and 1 gain nothing (p = 1); edge 2 is undecided (a' = b' =
     # 1) and reads draw 2, after their draws; then edge 4 is decided and
     # its draw is never taken
@@ -320,7 +378,7 @@ def test_decided_coins_are_drawn_only_before_an_undecided_one():
     for seed in range(20):
         draws = CountedDraws(seed)
         expected = {0, 1, 2} if rng_for(seed).random(3)[2] < 0.5 else {0, 1, 4}
-        assert double_greedy(f, {0, 1, 2, 4}, draws) == expected
+        assert double_greedy(f, {0, 1, 2, 4}, draws) == (expected, 0.0)
         assert draws.count == 3
 
 
@@ -336,10 +394,10 @@ def test_a_round_builds_its_coin_stream_only_to_draw(monkeypatch):
     f = ModularObjective({0: 3, 1: 1, 2: 2})  # monotone: every coin decided
     _, trace = repetitions_with_trace(f, cons, RepetitionsConfig(ell=3, seed=3))
     assert trace.rounds[0].refined == {0, 1, 2}
-    assert built == [0, 2, 4]  # the alpha streams only
+    assert built == []  # the alphas are computed, not drawn from a stream
     stream = LazyRoundStream(3, 1)
-    assert built == [0, 2, 4]
-    assert stream.random() == round_stream(3, 1).random() and built[-1] == 1
+    assert built == []
+    assert stream.random() == round_stream(3, 1).random() and built == [1]
 
 
 @st.composite
@@ -372,8 +430,10 @@ def double_greedy_cases(draw):
 def test_double_greedy_matches_the_two_context_loop(case, seed):
     f, edge_set = case
     draws, ref_draws = CountedDraws(seed), CountedDraws(seed)
-    assert double_greedy(f, edge_set, draws) == reference_double_greedy(f, edge_set, ref_draws)
+    refined, value = double_greedy(f, edge_set, draws)
+    assert refined == reference_double_greedy(f, edge_set, ref_draws)
     assert draws.count == ref_draws.count
+    assert value == f.value(edge_set)  # Y's value at its bind is f(S)
 
 
 def bound_bases(f):
@@ -388,7 +448,8 @@ def test_a_monotone_set_binds_one_context_and_asks_one_gain_per_element():
     edge_set = frozenset({0, 1, 2, 3, 5})
     bases = bound_bases(f)
     calls = f.calls
-    assert double_greedy(f, edge_set, CountedDraws(0)) is edge_set
+    refined, _ = double_greedy(f, edge_set, CountedDraws(0))
+    assert refined is edge_set
     assert bases == [edge_set]
     assert f.calls - calls == 1 + len(edge_set)
 
@@ -408,6 +469,8 @@ def test_the_growing_side_is_bound_at_the_first_positive_b():
 
 
 def test_each_distinct_round_candidate_is_valued_once():
+    # f(selected) comes from double greedy's bind, so the only whole-set
+    # queries are of refined sets that differ from their round's set
     refined_some = unrefined = 0
     for cons, f in wrapper_cases():
         valued, value = [], f.value
@@ -417,7 +480,6 @@ def test_each_distinct_round_candidate_is_valued_once():
             _, trace = repetitions_with_trace(f, cons, RepetitionsConfig(ell=6, seed=seed))
             expected = []
             for rec in trace.rounds:
-                expected.append(rec.selected)
                 if rec.refined != rec.selected:
                     expected.append(rec.refined)
                     refined_some += 1

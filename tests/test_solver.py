@@ -664,7 +664,9 @@ def test_drivers_agree_small_battery():
 def test_both_drivers_take_every_level_from_best_feasible(monkeypatch):
     # each level index comes from best_feasible's pick and one index rule:
     # one index on for the stepwise driver, the pick's bracket (and at
-    # least one on) for the fast one; the last pick is None
+    # least one on) for the fast one; the last pick is None. A pick is
+    # asked before the first level and after each level that applied a
+    # move; a level that applied none keeps its pick
     picks = []
 
     def recorded(fits, gain, dead):
@@ -687,7 +689,9 @@ def test_both_drivers_take_every_level_from_best_feasible(monkeypatch):
                 _, trace = run_reference(f, cons, config)
                 indices = [rec.index for rec in trace.iterations]
                 assert indices == list(range(1, len(indices) + 1))
-                assert len(picks) == len(indices) + 1 and picks[-1] is None
+                moved = sum(1 for rec in trace.iterations if rec.improvements)
+                assert len(picks) == moved + 1 and picks[-1] is None
+                assert not trace.iterations or trace.iterations[-1].improvements
                 picks.clear()
                 _, trace = run_efficient(f, cons, config)
                 assert len(picks) == len(trace.iterations) + 1 and picks[-1] is None
