@@ -6,9 +6,7 @@ all produced sets and their double-greedy refinements.
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .seeding import first_draw, seed_pool
+from .seeding import Stream, seed_pool
 from .solver import SolverConfig, _require_count, run_efficient, sample_alpha
 
 
@@ -88,45 +86,6 @@ def double_greedy(f, edge_set, rng):
     return high.base, value
 
 
-def round_stream(seed, j):
-    """Child j of ``SeedSequence(seed).spawn(n)``, for any n > j, as a
-    Generator: a child is ``SeedSequence(seed, spawn_key=(j,))``, so no
-    other child is built. The wrapper builds it only for the coins; a
-    round's alpha reads one draw, which ``seeding.first_draw`` computes."""
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(j,)))
-    )
-
-
-class OneDraw:
-    """An rng whose ``random()`` returns the draw ``u``, for the solver's
-    one alpha draw."""
-
-    __slots__ = ("u",)
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
-
-
-class LazyRoundStream:
-    """``round_stream(seed, j)``, built at its first draw. Double greedy
-    draws only at a probability strictly between 0 and 1, which needs
-    b' > 0: never for a monotone f, and seldom on the solver's set."""
-
-    __slots__ = ("_seed", "_j", "_rng")
-
-    def __init__(self, seed, j):
-        self._seed, self._j, self._rng = seed, j, None
-
-    def random(self):
-        if self._rng is None:
-            self._rng = round_stream(self._seed, self._j)
-        return self._rng.random()
-
-
 @dataclass
 class RoundRecord:
     index: int
@@ -148,18 +107,18 @@ def repetitions_with_trace(f, cons, config: RepetitionsConfig):
     Round i removes its solver output from the ground before round i+1,
     so the per-round outputs are disjoint. Round i reads its own two
     streams, children 2i and 2i + 1 of ``SeedSequence(seed).spawn(2 *
-    ell)`` (``round_stream``), for the solver's alpha and the
-    double-greedy coins, so each round is reproducible on its own. The
-    alpha reads child 2i's first draw, which ``seeding.first_draw``
-    computes from the seed's pool (``seeding.seed_pool``, mixed once per
-    call) without a Generator. The coin stream is built only when double greedy draws
-    (``LazyRoundStream``), which it does not on the empty set. f of a
-    round's set comes from double greedy's bind, and only a refinement
-    that drops something is valued as a whole set.
+    ell)``, for the solver's alpha and the double-greedy coins, so each
+    round is reproducible on its own. Both are ``seeding.Stream``s on
+    the seed's pool (``seeding.seed_pool``, mixed once per call) with
+    keys 2i and 2i + 1; a stream hashes its key only at its first draw,
+    so the coin stream costs nothing when double greedy draws no coin,
+    as on the empty set or a monotone f. f of a round's set comes from
+    double greedy's bind, and only a refinement that drops something is
+    valued as a whole set.
 
     Once a round selects nothing, the rounds after it are settled and
     are recorded without a solve, as (i, alpha_i, empty, empty, same
-    ground) with alpha_i = 1 - the first draw of child 2i, which is the
+    ground) with alpha_i = 1 - the first draw of stream 2i, which is the
     alpha their solver run would draw. Proof: a round selects nothing
     exactly when no edge of its ground has a positive singleton gain
     and fits alone. If one does, the scale is positive, the next-level
@@ -185,13 +144,11 @@ def repetitions_with_trace(f, cons, config: RepetitionsConfig):
             f,
             restricted,
             SolverConfig(epsilon=config.epsilon),
-            rng=OneDraw(first_draw(pooled, 2 * i)),
+            rng=Stream(pooled, 2 * i),
         )
         # the restricted copy counts its own queries; charge them to cons
         cons.feasibility_calls += restricted.feasibility_calls
-        refined, f_selected = double_greedy(
-            f, selected, LazyRoundStream(config.seed, 2 * i + 1)
-        )
+        refined, f_selected = double_greedy(f, selected, Stream(pooled, 2 * i + 1))
         trace.rounds.append(
             RoundRecord(i, run_trace.alpha, selected, refined, ground)
         )
@@ -204,7 +161,7 @@ def repetitions_with_trace(f, cons, config: RepetitionsConfig):
         if not selected:  # every later round is settled (see above)
             trace.rounds.extend(
                 RoundRecord(
-                    j, sample_alpha(OneDraw(first_draw(pooled, 2 * j))),
+                    j, sample_alpha(Stream(pooled, 2 * j)),
                     frozenset(), frozenset(), ground,
                 )
                 for j in range(i + 1, ell)

@@ -1,12 +1,13 @@
-"""The first double of numpy's seeded PCG64 streams, in pure Python.
+"""numpy's seeded PCG64 streams, in pure Python.
 
-``Generator(PCG64(SeedSequence(seed, spawn_key=key))).random()`` builds
-three numpy objects to read one double; a solver run reads just that one
-(its alpha). These functions compute it bit for bit with Python
-integers: numpy's ``SeedSequence`` hash mixing and ``generate_state``,
-then PCG64 (O'Neill 2014) seeding, one step and its XSL-RR output.
-numpy keeps both ``SeedSequence`` and ``PCG64`` streams stable across
-versions, and the tests compare every function here with numpy.
+``Generator(PCG64(SeedSequence(seed, spawn_key=key)))`` builds three
+numpy objects, and a solver run reads one double of it (its alpha); a
+double-greedy round reads a few coins or none. ``Stream`` gives the same
+draws bit for bit with Python integers: numpy's ``SeedSequence`` hash
+mixing and ``generate_state``, then PCG64 (O'Neill 2014) seeding, steps
+and XSL-RR output. ``seed_pool`` mixes a seed once for all the keys a
+solve reads. numpy keeps both ``SeedSequence`` and ``PCG64`` streams
+stable across versions, and the tests compare every stream with numpy.
 """
 
 import operator
@@ -92,33 +93,40 @@ def seed_pool(seed):
     return tuple(pool), h
 
 
-def _pcg64_first_double(pool):
-    """The first ``random()`` of PCG64 seeded from a mixed pool: take
-    ``generate_state(4, uint64)`` (words read little-endian) as
-    (initstate, initseq), seed as O'Neill's ``srandom`` does (state 0,
-    inc = 2 initseq + 1, step, add initstate, step), then step once more
-    and take the XSL-RR output's top 53 bits."""
-    s = [(v := (pool[i] ^ x) * m & _MASK32) ^ v >> 16 for i, x, m in _STATE]
-    initstate = (s[0] | s[1] << 32) << 64 | s[2] | s[3] << 32
-    inc = ((s[4] | s[5] << 32) << 64 | s[6] | s[7] << 32) << 1 & _MASK128 | 1
-    state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
-    state = (state * _PCG_MULT + inc) & _MASK128
-    out = (state >> 64 ^ state) & _MASK64
-    rot = state >> 122
-    out = (out >> rot | out << (64 - rot)) & _MASK64
-    return (out >> 11) * 2.0**-53
+class Stream:
+    """The draws of ``Generator(PCG64(SeedSequence(seed,
+    spawn_key=(key,)))).random()``, bit for bit, from ``pooled =
+    seed_pool(seed)``; with ``key`` None, those of
+    ``Generator(PCG64(seed))``. Building a stream hashes nothing. The
+    first ``random()`` mixes the key's words into a copy of the pool
+    (nothing with no key), takes ``generate_state(4, uint64)`` (words
+    read little-endian) as (initstate, initseq) and seeds as O'Neill's
+    ``srandom`` does (state 0, inc = 2 initseq + 1, step, add initstate,
+    step). Every ``random()`` then steps once and takes the XSL-RR
+    output's top 53 bits. A negative or non-integer key raises at the
+    first draw."""
 
+    __slots__ = ("_pooled", "_key", "_state", "_inc")
 
-def first_draw(pooled, j):
-    """``Generator(PCG64(SeedSequence(seed, spawn_key=(j,)))).random()``,
-    bit for bit, from ``pooled = seed_pool(seed)``: j's words are mixed
-    into a copy of the pool."""
-    pool, h = pooled
-    pool = list(pool)
-    _mix_in(pool, h, _words(j))
-    return _pcg64_first_double(pool)
+    def __init__(self, pooled, key=None):
+        self._pooled, self._key, self._inc = pooled, key, None
 
-
-def seed_draw(seed):
-    """``Generator(PCG64(seed)).random()``, bit for bit."""
-    return _pcg64_first_double(seed_pool(seed)[0])
+    def random(self):
+        inc = self._inc
+        if inc is None:
+            pool, h = self._pooled
+            if self._key is not None:
+                pool = list(pool)
+                _mix_in(pool, h, _words(self._key))
+            s = [(v := (pool[i] ^ x) * m & _MASK32) ^ v >> 16 for i, x, m in _STATE]
+            initstate = (s[0] | s[1] << 32) << 64 | s[2] | s[3] << 32
+            inc = self._inc = (
+                ((s[4] | s[5] << 32) << 64 | s[6] | s[7] << 32) << 1 & _MASK128 | 1
+            )
+            state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
+        else:
+            state = self._state
+        state = self._state = (state * _PCG_MULT + inc) & _MASK128
+        out = (state >> 64 ^ state) & _MASK64
+        rot = state >> 122
+        return (((out >> rot | out << (64 - rot)) & _MASK64) >> 11) * 2.0**-53

@@ -27,7 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .matroid import _integer
-from .seeding import seed_draw
+from .seeding import Stream, seed_pool
 
 
 @dataclass(frozen=True)
@@ -191,15 +191,10 @@ def max_singleton_marginal(vals, edge_ids):
     return max(gain.values(), default=float("-inf")), gain
 
 
-def sample_alpha(seed_or_rng):
-    """Draw the threshold exponent: alpha = 1 - U with U uniform on
-    [0, 1), so alpha lands in (0, 1]. U is the next ``random()`` of a
-    given rng, or, for an integer seed, ``Generator(PCG64(seed)).random()``,
-    which ``seeding.seed_draw`` computes without building a Generator."""
-    rng = seed_or_rng
-    if callable(getattr(rng, "random", None)):
-        return 1.0 - rng.random()
-    return 1.0 - seed_draw(rng)
+def sample_alpha(rng):
+    """Draw the threshold exponent: alpha = 1 - U with U the next
+    ``random()`` of ``rng``, uniform on [0, 1), so alpha lands in (0, 1]."""
+    return 1.0 - rng.random()
 
 
 def best_feasible(fits, gain, dead):
@@ -312,7 +307,9 @@ def _drive(f, cons, config, rng, next_level):
 
     Binds the run's one value context ``vals`` on the empty set, draws
     the scale (from its singleton gains) and alpha, and, once the scale
-    is positive, the run's one feasibility context ``fits``. Then it
+    is positive, the run's one feasibility context ``fits``. Alpha reads
+    ``rng``, or, with none given, ``seeding.Stream(seed_pool(config.seed))``,
+    whose first draw is ``Generator(PCG64(config.seed)).random()``. Then it
     takes ``best_feasible``'s pick, greedy's next edge, before the first
     level and after each level that applied a move; with none left the
     run ends. A level that applies no move, which only the stepwise walk
@@ -341,7 +338,7 @@ def _drive(f, cons, config, rng, next_level):
     value_calls_0, feas_calls_0 = f.calls, cons.feasibility_calls
     vals = f.context(frozenset())
     scale, gain = max_singleton_marginal(vals, cons.edge_ids)
-    alpha = sample_alpha(config.seed if rng is None else rng)
+    alpha = sample_alpha(rng if rng is not None else Stream(seed_pool(config.seed)))
     trace = RunTrace(scale=scale, alpha=alpha, epsilon=config.epsilon)
     if scale > 0:  # else the empty run (-inf for an empty ground)
         fits = cons.context(frozenset())

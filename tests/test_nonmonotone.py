@@ -7,23 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parityls import nonmonotone
+from parityls import nonmonotone, seeding
 from parityls.kparity import KParityConstraint
 from parityls.matroid import GraphicMatroid, UniformMatroid
-from parityls.nonmonotone import (
-    LazyRoundStream,
-    RepetitionsConfig,
-    double_greedy,
-    repetitions_with_trace,
-    round_stream,
-)
+from parityls.nonmonotone import RepetitionsConfig, double_greedy, repetitions_with_trace
 from parityls.objective import (
     CoverageObjective,
     CutObjective,
     ModularObjective,
     ValueOracle,
 )
-from parityls.seeding import first_draw, seed_draw, seed_pool
+from parityls.seeding import Stream, seed_pool
 from parityls.solver import SolverConfig
 from util import (
     double_greedy_exact_expectation,
@@ -276,62 +270,70 @@ def test_no_solve_after_the_first_empty_round(monkeypatch):
     assert settled > 0
 
 
-@pytest.mark.parametrize("seed", [0, 3, 2**64 + 5, np.int64(7), np.uint32(11)])
-def test_round_streams_are_the_spawned_children(seed):
-    children = np.random.SeedSequence(seed).spawn(40)
-    for j, child in enumerate(children):
-        expected = np.random.Generator(np.random.PCG64(child)).random(40)
-        got = round_stream(seed, j)
-        assert [got.random().hex() for _ in range(40)] == [x.hex() for x in expected]
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.one_of(
         st.integers(0, 2**256 - 1),
-        st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**128 - 1, 2**128, 2**130 + 5]),
+        st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 - 1, 2**128, 2**130 + 5]),
         st.integers(0, 2**63 - 1).map(np.int64),
         st.integers(0, 2**32 - 1).map(np.uint32),
         st.integers(0, 2**64 - 1).map(np.uint64),
     ),
     j=st.one_of(st.integers(0, 2**64 - 1), st.integers(0, 64)),
 )
-def test_first_draw_is_the_child_streams_first_draw(seed, j):
+def test_streams_are_numpys_seeded_streams(seed, j):
     # seeds of one to eight 32-bit words (those past the pool are mixed
-    # in after it), numpy integer seeds, and keys of one or two words
-    draw = first_draw(seed_pool(seed), j)
-    assert draw.hex() == round_stream(seed, j).random().hex()
-    expected = np.random.Generator(np.random.PCG64(seed)).random()
-    assert seed_draw(seed).hex() == expected.hex()
+    # in after it), numpy integer seeds, and keys of one or two words;
+    # draws 1 to 40, so a stream that only seeds right fails too
+    pooled = seed_pool(seed)
+    child = np.random.SeedSequence(seed, spawn_key=(j,))
+    for stream, rng in [
+        (Stream(pooled, j), np.random.Generator(np.random.PCG64(child))),
+        (Stream(pooled), np.random.Generator(np.random.PCG64(seed))),
+    ]:
+        expected = rng.random(40)
+        assert [stream.random().hex() for _ in range(40)] == [x.hex() for x in expected]
 
 
-@pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.0, TypeError), ("3", TypeError)])
-def test_seed_draw_rejects_what_numpy_rejects(seed, error):
+@pytest.mark.parametrize(
+    "seed, key, error",
+    [(-1, None, ValueError), (1.0, None, TypeError), ("3", None, TypeError),
+     (0, -1, ValueError), (0, 1.0, TypeError)],
+)
+def test_streams_reject_what_numpy_rejects(seed, key, error):
     with pytest.raises(error):
-        np.random.PCG64(seed)
+        np.random.SeedSequence(seed, spawn_key=(() if key is None else (key,))).generate_state(4)
     with pytest.raises(error):
-        seed_draw(seed)
+        Stream(seed_pool(seed), key).random()  # a key is read at the first draw
 
 
 def test_alphas_build_no_numpy_bit_generator(monkeypatch):
-    # a monotone f decides every coin, so with no Generator to build the
-    # wrapper must still give the plain loop's rounds, and a seeded
-    # solver run the alpha numpy's Generator(PCG64(seed)) draws
+    # with no numpy object to build, the wrapper must still give the
+    # plain loop's rounds, coins included, and a seeded solver run the
+    # alpha numpy's Generator(PCG64(seed)) draws. A monotone f decides
+    # every coin; the refining instance and the cuts draw some
     cases = [
         solver_instance(seed, families=(family,))
-        for family in ("modular", "coverage") for seed in range(4)
-    ] + list(settling_instances())[:2]
+        for family in ("modular", "coverage", "cut") for seed in range(4)
+    ] + list(settling_instances())[:2] + [refining_instance()]
+    refine = nonmonotone.double_greedy
     for seed in (0, 3, 2**32 + 5, 2**130 + 1):
         configs = [RepetitionsConfig(ell=6, epsilon=0.5, seed=seed) for _ in cases]
         expected = [reference_repetitions(f, cons, c) for (cons, f), c in zip(cases, configs)]
         alpha = 1.0 - np.random.Generator(np.random.PCG64(seed)).random()
+        coins = []
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a numpy bit generator was built")
+            raise AssertionError("a numpy object was built for a draw")
+
+        def counted(f, edge_set, rng):
+            coins.append(CountedDraws(rng))
+            return refine(f, edge_set, coins[-1])
 
         with monkeypatch.context() as patched:
-            patched.setattr(np.random, "SeedSequence", refuse)
-            patched.setattr(np.random, "PCG64", refuse)
+            for name in ("SeedSequence", "PCG64", "Generator"):
+                patched.setattr(np.random, name, refuse)
+            patched.setattr(nonmonotone, "double_greedy", counted)
             got = [repetitions_with_trace(f, cons, c) for (cons, f), c in zip(cases, configs)]
             cons, f = cases[0]
             _, run = nonmonotone.run_efficient(f, cons, SolverConfig(epsilon=0.5, seed=seed))
@@ -339,6 +341,7 @@ def test_alphas_build_no_numpy_bit_generator(monkeypatch):
             assert best == ref_best
             assert round_facts(trace) == round_facts(ref)
         assert run.alpha.hex() == alpha.hex()
+        assert sum(c.count for c in coins) > 0
 
 
 def test_seed_3_round_alphas_are_pinned():
@@ -352,14 +355,14 @@ def test_seed_3_round_alphas_are_pinned():
         (set(), "0x1.e38673783c333p-1"),
         (set(), "0x1.bcf32ca960680p-3"),
     ]
-    assert round_stream(3, 1).random().hex() == "0x1.9af9f39b64b80p-4"
+    assert Stream(seed_pool(3), 1).random().hex() == "0x1.9af9f39b64b80p-4"
 
 
 class CountedDraws:
-    """The draws of rng_for(seed), counted."""
+    """The draws of an rng, counted."""
 
-    def __init__(self, seed):
-        self.rng, self.count = rng_for(seed), 0
+    def __init__(self, rng):
+        self.rng, self.count = rng, 0
 
     def random(self):
         self.count += 1
@@ -368,7 +371,7 @@ class CountedDraws:
 
 def test_decided_coins_are_drawn_only_before_an_undecided_one():
     # a positive modular f decides every coin (b' = 0): nothing is drawn
-    draws = CountedDraws(0)
+    draws = CountedDraws(rng_for(0))
     f = ModularObjective({0: 2, 1: 3, 2: 1})
     assert double_greedy(f, {0, 1, 2}, draws) == ({0, 1, 2}, 6.0) and draws.count == 0
     # edges 0 and 1 gain nothing (p = 1); edge 2 is undecided (a' = b' =
@@ -376,28 +379,35 @@ def test_decided_coins_are_drawn_only_before_an_undecided_one():
     # its draw is never taken
     f = CutObjective([(2, 4, 1.0)])
     for seed in range(20):
-        draws = CountedDraws(seed)
+        draws = CountedDraws(rng_for(seed))
         expected = {0, 1, 2} if rng_for(seed).random(3)[2] < 0.5 else {0, 1, 4}
         assert double_greedy(f, {0, 1, 2, 4}, draws) == (expected, 0.0)
         assert draws.count == 3
 
 
 def test_a_round_builds_its_coin_stream_only_to_draw(monkeypatch):
-    built = []
+    hashed = []
 
-    def counted(seed, j):
-        built.append(j)
-        return round_stream(seed, j)
+    def counted(pool, h, words):
+        hashed.append(words)
+        return mix_in(pool, h, words)
 
-    monkeypatch.setattr(nonmonotone, "round_stream", counted)
+    mix_in = seeding._mix_in
+    monkeypatch.setattr(seeding, "_mix_in", counted)
     cons = singleton_parity(UniformMatroid(3, 3))
     f = ModularObjective({0: 3, 1: 1, 2: 2})  # monotone: every coin decided
     _, trace = repetitions_with_trace(f, cons, RepetitionsConfig(ell=3, seed=3))
     assert trace.rounds[0].refined == {0, 1, 2}
-    assert built == []  # the alphas are computed, not drawn from a stream
-    stream = LazyRoundStream(3, 1)
-    assert built == []
-    assert stream.random() == round_stream(3, 1).random() and built == [1]
+    # the seed's pool (no words past it), then the keys of the three
+    # alphas; no coin stream is hashed
+    assert hashed == [[], [0], [2], [4]]
+    pooled = seed_pool(3)
+    hashed.clear()
+    stream = Stream(pooled, 1)
+    assert hashed == []  # building a stream hashes nothing
+    expected = np.random.Generator(np.random.PCG64(np.random.SeedSequence(3, spawn_key=(1,))))
+    assert [stream.random() for _ in range(3)] == list(expected.random(3))
+    assert hashed == [[1]]  # its first draw hashes its key, once
 
 
 @st.composite
@@ -429,7 +439,7 @@ def double_greedy_cases(draw):
 @given(case=double_greedy_cases(), seed=st.integers(0, 2**31))
 def test_double_greedy_matches_the_two_context_loop(case, seed):
     f, edge_set = case
-    draws, ref_draws = CountedDraws(seed), CountedDraws(seed)
+    draws, ref_draws = CountedDraws(rng_for(seed)), CountedDraws(rng_for(seed))
     refined, value = double_greedy(f, edge_set, draws)
     assert refined == reference_double_greedy(f, edge_set, ref_draws)
     assert draws.count == ref_draws.count
@@ -448,7 +458,7 @@ def test_a_monotone_set_binds_one_context_and_asks_one_gain_per_element():
     edge_set = frozenset({0, 1, 2, 3, 5})
     bases = bound_bases(f)
     calls = f.calls
-    refined, _ = double_greedy(f, edge_set, CountedDraws(0))
+    refined, _ = double_greedy(f, edge_set, CountedDraws(rng_for(0)))
     assert refined is edge_set
     assert bases == [edge_set]
     assert f.calls - calls == 1 + len(edge_set)
@@ -464,7 +474,7 @@ def test_the_growing_side_is_bound_at_the_first_positive_b():
     bases = bound_bases(f)
     for seed in range(10):
         bases.clear()
-        double_greedy(f, edge_set, CountedDraws(seed))
+        double_greedy(f, edge_set, CountedDraws(rng_for(seed)))
         assert bases == [edge_set, frozenset({0, 1, 2})]
 
 

@@ -21,6 +21,7 @@ from parityls.bench import generate_instance, greedy_baseline
 from parityls.kparity import FeasibilityContext, KParityConstraint
 from parityls.matroid import PartitionMatroid, UniformMatroid
 from parityls.objective import CoverageObjective, CutObjective, ModularObjective, ValueOracle
+from parityls.seeding import Stream, seed_pool
 from parityls.solver import (
     Improvement,
     RunTrace,
@@ -252,13 +253,36 @@ def test_sample_alpha_boundaries():
 def test_sample_alpha_of_a_seed_is_the_seeded_generators_draw():
     for seed in [*range(30), np.int64(31), np.uint16(32), 2**70]:
         expected = 1.0 - np.random.Generator(np.random.PCG64(seed)).random()
-        assert sample_alpha(seed).hex() == expected.hex()
+        assert sample_alpha(Stream(seed_pool(seed))).hex() == expected.hex()
 
 
 def test_seed_3_alpha_is_pinned():
     # fixed bits of numpy's PCG64 stream: a change in its semantics
     # changes every seeded answer, and shows here first
-    assert sample_alpha(3).hex() == "0x1.d425cad860828p-1"
+    assert sample_alpha(Stream(seed_pool(3))).hex() == "0x1.d425cad860828p-1"
+
+
+def cut_instance():
+    """The 12-edge cut instance CI solves (``parityls gen`` at seed 20)."""
+    return generate_instance("random-parity", {"objective": "cut", "n_edges": 12}, 20)
+
+
+@pytest.mark.parametrize("runner", [run_efficient, run_reference])
+@pytest.mark.parametrize("rng", [5, object()])
+def test_an_rng_is_not_a_seed(runner, rng):
+    # a seed goes through SolverConfig, which checks it; an int or any
+    # other object without random() given as rng fails at the draw
+    cons, f = cut_instance()
+    with pytest.raises(AttributeError, match="random"):
+        runner(f, cons, SolverConfig(epsilon=0.5), rng=rng)
+
+
+@pytest.mark.parametrize("runner", [run_efficient, run_reference])
+def test_a_config_seed_draws_numpys_alpha(runner):
+    cons, f = cut_instance()
+    _, trace = runner(f, cons, SolverConfig(epsilon=0.5, seed=5))
+    expected = 1.0 - np.random.Generator(np.random.PCG64(5)).random()
+    assert trace.alpha.hex() == expected.hex()
 
 
 def test_sample_alpha_uniformity():
