@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 from .exchange import exchange_structure
-from .objective import LINEAR
 from .solver import Thresholds
 
 REL_TOL = 1e-9
@@ -212,7 +211,7 @@ def verify_run(trace, f, cons, reference, d=None):
     solution = trace.final
     eps = trace.epsilon
     k = cons.k
-    linear = f.declared_class == LINEAR
+    linear = f.linear
 
     w = insertion_weights(trace, f)
     u = reference_weights(f, reference)
@@ -270,10 +269,13 @@ def verify_run(trace, f, cons, reference, d=None):
 
     record("partition-feasible", [])
 
+    # the threshold side bounds w[a] below with the tolerance every check
+    # uses; a strict w[a] > 0 on top would reject a pick whose gain is of
+    # float resolution, which the whole-set sums can give back as 0.0
     bad = []
     for rec in trace.iterations:
         for a in rec.selected:
-            if not (w[a] > 0 and _leq(rec.threshold, w[a]) and _leq(w[a], 2 * rec.threshold)):
+            if not (_leq(rec.threshold, w[a]) and _leq(w[a], 2 * rec.threshold)):
                 bad.append((rec.index, a, w[a], rec.threshold))
     record("level-weight-bracket", bad)
 

@@ -6,17 +6,15 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .kparity import Edge, KParityConstraint, from_intersection
-from .matroid import GraphicMatroid, PartitionMatroid, UniformMatroid
+from .matroid import GraphicMatroid, PartitionMatroid, UniformMatroid, _integer
 from .nonmonotone import RepetitionsConfig, repetitions_with_trace
 from .objective import CoverageObjective, CutObjective, ModularObjective
 from .solver import (
     RunTrace,
-    SolverConfig,
     _require_count,
     best_feasible,
     run_efficient,
@@ -127,6 +125,23 @@ def generate_instance(kind, params, seed):
     ValueError naming its rule, raised before any random draw, so valid
     parameters draw as they would without the checks.
     """
+    params = _checked_params(kind, params, seed)
+    rng = np.random.Generator(np.random.PCG64(seed))
+
+    if kind == "k-partition-intersection":
+        cons = _gen_partition_intersection(params, rng)
+    elif kind == "k-uniform-set-packing-via-parity":
+        cons = _gen_set_packing(params, rng)
+    else:
+        cons = _gen_random_parity(params, rng)
+
+    f = _gen_objective(params, cons, rng)
+    return cons, f
+
+
+def _checked_params(kind, params, seed):
+    """``generate_instance``'s checks of its arguments; returns a copy of
+    ``params`` with each numeric parameter cast to its type."""
     _require_count("seed", seed)
     if kind not in GENERATOR_KINDS:
         raise ValueError(f"unknown generator kind {kind!r}")
@@ -155,17 +170,22 @@ def generate_instance(kind, params, seed):
         raise ValueError(f"need weight_hi >= 1 for a {family} objective")
     if family == "coverage" and params.get("n_items", 1) < 1:
         raise ValueError("need n_items >= 1 for a coverage objective")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    return params
 
-    if kind == "k-partition-intersection":
-        cons = _gen_partition_intersection(params, rng)
-    elif kind == "k-uniform-set-packing-via-parity":
-        cons = _gen_set_packing(params, rng)
-    else:
-        cons = _gen_random_parity(params, rng)
 
-    f = _gen_objective(params, cons, rng)
-    return cons, f
+def seeded_instances(kind, params, seed):
+    """The batch ``bench --generator`` runs, as a list of (id, cons, f):
+    params["count"] instances (default 1), instance idx drawn by
+    ``generate_instance`` at seed ``_trial_seed(seed, idx, 0)`` and named
+    ``{kind}-{seed}-{idx}``. Every parameter is checked before the first
+    draw, and a count below 1 is a ValueError too."""
+    count = _checked_params(kind, params, seed).get("count", 1)
+    if count < 1:
+        raise ValueError("need count >= 1")
+    return [
+        (f"{kind}-{seed}-{idx}", *generate_instance(kind, params, _trial_seed(seed, idx, 0)))
+        for idx in range(count)
+    ]
 
 
 def _gen_partition_intersection(params, rng):
@@ -197,21 +217,15 @@ def _gen_set_packing(params, rng):
         sorted(rng.choice(n_universe, size=k, replace=False).tolist())
         for _ in range(n_edges)
     ]
-    # one matroid vertex per (hyperedge, universe point) incidence; one
-    # block per universe point with capacity 1 enforces disjointness
-    incidences = []
-    for e, members in enumerate(hyperedges):
-        for u in members:
-            incidences.append((e, u))
+    # one matroid vertex per (hyperedge, universe point) incidence, so edge
+    # e's vertices are e*k .. e*k + k - 1; one block per universe point with
+    # capacity 1 enforces disjointness
     blocks = {}
-    for vid, (_, u) in enumerate(incidences):
-        blocks.setdefault(u, []).append(vid)
+    for e, members in enumerate(hyperedges):
+        for j, u in enumerate(members):
+            blocks.setdefault(u, []).append(e * k + j)
     matroid = PartitionMatroid(list(blocks.values()), [1] * len(blocks))
-    edges = []
-    for e in range(n_edges):
-        edges.append(
-            Edge(e, frozenset(vid for vid, (e2, _) in enumerate(incidences) if e2 == e))
-        )
+    edges = [Edge(e, frozenset(range(e * k, e * k + k))) for e in range(n_edges)]
     return KParityConstraint(matroid, edges, k)
 
 
@@ -273,36 +287,6 @@ def _gen_objective(params, cons, rng):
     return CutObjective(links)
 
 
-@dataclass
-class ExperimentSpec:
-    """One batch: an instance source, a solver mode, and trial counts.
-
-    ``source`` is either ("file", path) or ("gen", kind); generated
-    batches honor params["count"] instances derived from ``seed``.
-    """
-
-    source: tuple
-    mode: str
-    seed: int = 0
-    trials: int = 1
-    epsilon: float = 0.5
-    ell: int = 0
-    params: dict = field(default_factory=dict)
-    out: str = ""
-
-    def __post_init__(self):
-        # every field is checked whatever the mode, before the batch starts
-        _require_count("seed", self.seed)
-        _require_count("trials", self.trials)
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        _require_count("ell", self.ell)
-        if not 0 < self.epsilon < 1:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown solver mode {self.mode!r}")
-
-
 def _trial_seed(base, instance_idx, trial):
     return int(
         np.random.SeedSequence([int(base), int(instance_idx), int(trial)])
@@ -310,42 +294,34 @@ def _trial_seed(base, instance_idx, trial):
     )
 
 
-def _instances_for(spec):
-    from .instances import load_instance
+def run_experiment(instances, mode, *, seed=0, trials=1, epsilon=0.5, ell=0, out=""):
+    """Run ``trials`` solves of ``mode`` on each (instance_id, cons, f) of
+    ``instances`` and aggregate the results; trial t of the idx-th
+    instance runs at seed ``_trial_seed(seed, idx, t + 1)``.
 
-    if spec.source[0] == "file":
-        cons, f = load_instance(spec.source[1])
-        yield spec.source[1], cons, f
-        return
-    kind = spec.source[1]
-    count = int(spec.params.get("count", 1))
-    for idx in range(count):
-        cons, f = generate_instance(kind, spec.params, _trial_seed(spec.seed, idx, 0))
-        yield f"{kind}-{spec.seed}-{idx}", cons, f
-
-
-def run_experiment(spec: ExperimentSpec):
-    """Run every (instance, trial) pair and aggregate the results.
-
-    Returns a dict with ``rows`` (one per trial, CSV_COLUMNS order) and
-    ``summary`` (per-instance mean/stddev of values and ratios). Rows are
-    deterministic except for the wall-time column. When ``spec.out`` is
-    set, writes <out>.csv and <out>.json.
+    Every setting is checked, whatever the mode reads, before the first
+    instance is taken: ``trials`` must be an integer >= 1, and the rest
+    are checked as ``solve`` checks them. Returns a dict with ``rows``
+    (one per trial, CSV_COLUMNS order) and ``summary`` (per-instance
+    mean/stddev of values and ratios). Rows are deterministic except for
+    the wall-time column. When ``out`` is set, writes <out>.csv and
+    <out>.json.
     """
+    if not _integer(trials) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    _run_config(mode, epsilon, seed, ell)
     rows = []
     summaries = []
-    for idx, (instance_id, cons, f) in enumerate(_instances_for(spec)):
+    for idx, (instance_id, cons, f) in enumerate(instances):
         opt_value = None
         if len(cons.edge_ids) <= OPT_COLUMN_CAP:
             _, opt_value = brute_force_opt(f, cons)
         values = []
-        for trial in range(spec.trials):
-            seed = _trial_seed(spec.seed, idx, trial + 1)
+        for trial in range(trials):
+            trial_seed = _trial_seed(seed, idx, trial + 1)
             started = time.perf_counter()
             calls_before = f.calls + cons.feasibility_calls
-            chosen, trace = solve(
-                spec.mode, f, cons, epsilon=spec.epsilon, seed=seed, ell=spec.ell
-            )
+            chosen, trace = solve(mode, f, cons, epsilon=epsilon, seed=trial_seed, ell=ell)
             calls = f.calls + cons.feasibility_calls - calls_before
             value = f.value(chosen)
             millis = (time.perf_counter() - started) * 1000.0
@@ -355,16 +331,16 @@ def run_experiment(spec: ExperimentSpec):
             elif trace is not None and trace.rounds:  # nonmonotone
                 alpha = trace.rounds[0].alpha
             if not cons.feasible(chosen):
-                raise RuntimeError(f"solver {spec.mode} returned an infeasible set")
+                raise RuntimeError(f"solver {mode} returned an infeasible set")
             ratio = None
             if opt_value is not None and value > 0:
                 ratio = opt_value / value
             rows.append(
                 {
                     "instance_id": instance_id,
-                    "seed": seed,
+                    "seed": trial_seed,
                     "alpha": "" if alpha is None else f"{alpha:.12g}",
-                    "solver": spec.mode,
+                    "solver": mode,
                     "k": cons.k,
                     "n_edges": len(cons.edge_ids),
                     "value": f"{value:.12g}",
@@ -380,37 +356,45 @@ def run_experiment(spec: ExperimentSpec):
         summaries.append(
             {
                 "instance_id": instance_id,
-                "solver": spec.mode,
-                "trials": spec.trials,
+                "solver": mode,
+                "trials": trials,
                 "mean_value": float(arr.mean()),
                 "stddev_value": float(arr.std(ddof=1)) if len(arr) > 1 else 0.0,
                 "opt_value": opt_value,
             }
         )
     result = {"rows": rows, "summary": summaries}
-    if spec.out:
-        with open(spec.out + ".csv", "w", encoding="utf-8", newline="") as fh:
+    if out:
+        with open(out + ".csv", "w", encoding="utf-8", newline="") as fh:
             fh.write(rows_to_csv(rows))
-        with open(spec.out + ".json", "w", encoding="utf-8") as fh:
+        with open(out + ".json", "w", encoding="utf-8") as fh:
             json.dump(result, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return result
+
+
+def _run_config(mode, epsilon, seed, ell):
+    """The one config of a run in ``mode``: an unknown mode, or a setting
+    that is not valid, is a ValueError naming it, whatever the mode reads."""
+    if mode not in MODES:
+        raise ValueError(f"unknown solver mode {mode!r}")
+    return RepetitionsConfig(epsilon=epsilon, seed=seed, ell=ell)
 
 
 def solve(mode, f, cons, *, epsilon, seed, ell=0):
     """Run one solver mode; the single dispatch behind ``parityls solve``
     and ``bench``. Returns (chosen, trace): the RunTrace of a hybrid
     mode, the RepetitionsTrace of ``nonmonotone``, None for ``greedy``.
-    ``ell`` is the nonmonotone round count (0 derives it from k)."""
+    ``ell`` is the nonmonotone round count (0 derives it from k). Every
+    mode checks every setting first, in one ``RepetitionsConfig``, which
+    the hybrid modes run as the ``SolverConfig`` it is."""
+    config = _run_config(mode, epsilon, seed, ell)
     if mode == "greedy":
         return greedy_baseline(f, cons), None
     if mode == "nonmonotone":
-        config = RepetitionsConfig(ell=ell, epsilon=epsilon, seed=seed)
         return repetitions_with_trace(f, cons, config)
-    if mode not in MODES:
-        raise ValueError(f"unknown solver mode {mode!r}")
     runner = run_efficient if mode == "hybrid" else run_reference
-    return runner(f, cons, SolverConfig(epsilon=epsilon, seed=seed))
+    return runner(f, cons, config)
 
 
 def rows_to_csv(rows):

@@ -12,10 +12,10 @@ from .bench import (
     BRUTE_FORCE_CAP,
     GENERATOR_KINDS,
     MODES,
-    ExperimentSpec,
     brute_force_opt,
     generate_instance,
     run_experiment,
+    seeded_instances,
     solve,
 )
 from .instances import (
@@ -127,11 +127,12 @@ def _load(loader, path):
         _fail(path, f"missing key {exc}" if isinstance(exc, KeyError) else exc)
 
 
-def _generate(kind, params, seed):
-    """``generate_instance``; generator parameters it rejects end the
-    command with one line on stderr and exit status 2."""
+def _generate(draw, kind, params, seed):
+    """``draw(kind, params, seed)``, ``generate_instance`` or
+    ``seeded_instances``; generator parameters it rejects end the command
+    with one line on stderr and exit status 2."""
     try:
-        return generate_instance(kind, params, seed)
+        return draw(kind, params, seed)
     except ValueError as exc:
         _fail("--params", exc)
 
@@ -202,31 +203,26 @@ def _cmd_verify(args):
 def _cmd_bench(args):
     if bool(args.instance) == bool(args.generator):
         _fail("bench", "needs exactly one of --instance / --generator")
-    # fail cleanly before the batch starts
+    # the whole batch is loaded or drawn, or fails cleanly, before it runs
     if args.instance:
-        _load(load_instance, args.instance)
+        instances = [(args.instance, *_load(load_instance, args.instance))]
     else:
-        _generate(args.generator, args.params, args.seed)
-        if int(args.params.get("count", 1)) < 1:
-            _fail("--params", "need count >= 1")
-    source = ("file", args.instance) if args.instance else ("gen", args.generator)
-    spec = ExperimentSpec(
-        source=source,
-        mode=args.mode,
+        instances = _generate(seeded_instances, args.generator, args.params, args.seed)
+    result = run_experiment(
+        instances,
+        args.mode,
         seed=args.seed,
         trials=args.trials,
         epsilon=args.epsilon,
         ell=args.ell,
-        params=args.params,
         out=args.out,
     )
-    result = run_experiment(spec)
     print(f"wrote {len(result['rows'])} rows to {args.out}.csv")
     return 0
 
 
 def _cmd_gen(args):
-    cons, f = _generate(args.kind, args.params, args.seed)
+    cons, f = _generate(generate_instance, args.kind, args.params, args.seed)
     if args.out:
         save_instance(args.out, cons, f)
         print(f"instance written to {args.out}")

@@ -11,19 +11,16 @@ from .solver import SolverConfig, _require_count, run_efficient, sample_alpha
 
 
 @dataclass(frozen=True)
-class RepetitionsConfig:
-    """Wrapper parameters; ``ell`` defaults to ceil(4 * k^(2/3)) when left
-    unset. ``epsilon`` feeds the inner solver runs."""
+class RepetitionsConfig(SolverConfig):
+    """The solver's settings plus the round count ``ell``, which defaults
+    to ceil(4 * k^(2/3)) when left 0. Every round's solver run takes this
+    config itself."""
 
     ell: int = 0  # 0 means derive from k at call time
-    epsilon: float = 0.5
-    seed: int = 0
 
     def __post_init__(self):
+        super().__post_init__()
         _require_count("ell", self.ell)
-        _require_count("seed", self.seed)
-        if not 0 < self.epsilon < 1:
-            raise ValueError("epsilon must lie in (0, 1)")
 
     def rounds_for(self, k):
         return self.ell if self.ell else math.ceil(4.0 * k ** (2.0 / 3.0))
@@ -108,7 +105,9 @@ def repetitions_with_trace(f, cons, config: RepetitionsConfig):
     so the per-round outputs are disjoint. Round i reads its own two
     streams, children 2i and 2i + 1 of ``SeedSequence(seed).spawn(2 *
     ell)``, for the solver's alpha and the double-greedy coins, so each
-    round is reproducible on its own. Both are ``seeding.Stream``s on
+    round is reproducible on its own. Each round's solver run takes
+    ``config`` itself, and draws its alpha from the stream, not from the
+    config's seed. Both streams are ``seeding.Stream``s on
     the seed's pool (``seeding.seed_pool``, mixed once per call) with
     keys 2i and 2i + 1; a stream hashes its key only at its first draw,
     so the coin stream costs nothing when double greedy draws no coin,
@@ -140,12 +139,7 @@ def repetitions_with_trace(f, cons, config: RepetitionsConfig):
     for i in range(ell):
         ground = tuple(sorted(remaining))
         restricted = cons.restrict_ground(ground)
-        selected, run_trace = run_efficient(
-            f,
-            restricted,
-            SolverConfig(epsilon=config.epsilon),
-            rng=Stream(pooled, 2 * i),
-        )
+        selected, run_trace = run_efficient(f, restricted, config, rng=Stream(pooled, 2 * i))
         # the restricted copy counts its own queries; charge them to cons
         cons.feasibility_calls += restricted.feasibility_calls
         refined, f_selected = double_greedy(f, selected, Stream(pooled, 2 * i + 1))

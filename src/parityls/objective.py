@@ -14,10 +14,6 @@ from .matroid import _integer
 
 CHECK_CAP = 14
 
-LINEAR = "linear"
-MONOTONE_SUBMODULAR = "monotone-submodular"
-SUBMODULAR = "submodular"
-
 
 class ValueOracle:
     """Evaluate f over edge sets; ``calls`` counts value queries.
@@ -31,11 +27,11 @@ class ValueOracle:
     f must be submodular, as the solver's scan and greedy assume: they
     skip questions whose answer that fixes, so a non-submodular f can
     make them miss moves and picks, never return an infeasible set.
-    ``declared_class``, one of "linear", "monotone-submodular" or
-    "submodular", tells the run verifier which charge ratio applies.
+    ``linear``, True for a modular f, tells the run verifier which
+    charge ratio applies.
     """
 
-    declared_class = SUBMODULAR
+    linear = False
 
     def __init__(self):
         self.calls = 0
@@ -143,7 +139,7 @@ class ModularObjective(ValueOracle):
     """f(S) = w0 + sum of per-edge weights; marginals are constant, so the
     analysis treats this family as linear (w0 only shifts values)."""
 
-    declared_class = LINEAR
+    linear = True
 
     def __init__(self, weights, w0=0.0):
         super().__init__()
@@ -180,8 +176,6 @@ class _ModularContext(_SummingContext):
 class CoverageObjective(ValueOracle):
     """Weighted coverage: f(S) = total weight of items covered by S.
     Monotone submodular for non-negative item weights."""
-
-    declared_class = MONOTONE_SUBMODULAR
 
     def __init__(self, item_weights, edge_items):
         super().__init__()
@@ -308,8 +302,6 @@ class CutObjective(ValueOracle):
     """Weighted cut of an undirected graph whose nodes are edge ids:
     f(S) = total weight of graph edges with exactly one endpoint in S.
     Non-negative, non-monotone submodular, f(empty) = 0."""
-
-    declared_class = SUBMODULAR
 
     def __init__(self, weighted_links):
         super().__init__()

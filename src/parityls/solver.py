@@ -86,12 +86,15 @@ def _require_count(name, value):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    epsilon: float
+    """A run's settings, checked at construction: ``epsilon`` in (0, 1)
+    and a ``seed`` that is an integer >= 0."""
+
+    epsilon: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
         if not 0 < self.epsilon < 1:
-            raise ValueError("epsilon must lie in (0, 1)")
+            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
         _require_count("seed", self.seed)
 
 

@@ -67,7 +67,7 @@ def test_criterion_1_simulation_equivalence(equivalence_battery):
         or ref_trace.applied_sequence() != eff_trace.applied_sequence()
     ]
     ks = {cons.k for cons, *_ in runs}
-    families = {f.declared_class for _, f, *_ in runs}
+    families = {type(f) for _, f, *_ in runs}
     sizes = {len(cons.edge_ids) for cons, *_ in runs}
     ok = (
         not mismatches

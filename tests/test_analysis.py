@@ -4,6 +4,8 @@ partition, charge ratios, and the full per-run verifier."""
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parityls.analysis import (
     charge_ratios,
@@ -18,8 +20,15 @@ from parityls.bench import brute_force_opt, generate_instance, greedy_baseline
 from parityls.exchange import exchange_claim_violations, exchange_structure
 from parityls.kparity import KParityConstraint
 from parityls.matroid import UniformMatroid
-from parityls.objective import CoverageObjective, ModularObjective
-from parityls.solver import SolverConfig, Thresholds, run_efficient
+from parityls.objective import CoverageObjective, CutObjective, ModularObjective
+from parityls.solver import (
+    Improvement,
+    RunTrace,
+    SolverConfig,
+    Thresholds,
+    run_efficient,
+    run_reference,
+)
 from util import SetSystem, analysis_instance, rng_for, shift_log_ratio, simulate_ratios
 
 
@@ -317,8 +326,6 @@ def test_verify_run_empty_ground():
 def test_verify_run_reports_tampered_trace():
     # recorded weight sits below its level threshold; the bracket check
     # must flag it
-    from parityls.solver import Improvement, RunTrace
-
     cons = singleton_parity(UniformMatroid(3, 2))
     f = ModularObjective({0: 4, 1: 3, 2: 2})
     fake = RunTrace(scale=4.0, alpha=1.0, epsilon=0.5)
@@ -427,3 +434,71 @@ def test_verify_report_json_shape():
     assert payload["ok"] is True
     names = {c["name"] for c in payload["checks"]}
     assert "charging-chain" in names and "discrepancy-bound" in names
+
+
+# ------------------------------------------------------- float grid weights
+
+# non-dyadic weights with a repeated value, so that sums cancel and tie
+WEIGHT_GRID = (0.1, 0.2, 0.3, 0.7, 1.1, 1.1, 2.3)
+DESK_PARITY = {"k": 2, "n_vertices": 10, "n_edges": 10, "rank": 5}
+
+
+def regridded(f, draw):
+    """f's family and structure with its weights replaced, in order, by
+    ``draw(n)``, a list of n weights."""
+    if isinstance(f, ModularObjective):
+        return ModularObjective(dict(zip(sorted(f.weights), draw(len(f.weights)))))
+    if isinstance(f, CoverageObjective):
+        return CoverageObjective(draw(len(f.item_weights)), f.edge_items)
+    return CutObjective([(u, v, w) for (u, v, _), w in zip(f.links, draw(len(f.links)))])
+
+
+def test_float_cut_gain_of_rounding_size_verifies():
+    # the pick's exact gain is ~2e-16 where the float weights cancel, so
+    # the run jumps to level 55 (threshold 1.6e-16) and adds edge 5, whose
+    # whole-set insertion weight is 0.0; the bracket must accept it
+    params = DESK_PARITY | {"matroid": "graphic", "objective": "cut"}
+    cons, f = generate_instance("random-parity", params, 34)
+    weights = [0.7, 0.1, 2.3, 0.3, 0.7, 0.7, 0.3, 1.1, 0.7, 0.3, 0.3]
+    assert len(f.links) == len(weights)
+    f = regridded(f, lambda n: weights)
+    _, trace = solved(f, cons, seed=3)
+    top = trace.iterations[-1]
+    assert (top.index, top.selected) == (55, (5,))
+    assert insertion_weights(trace, f)[5] == 0.0 < top.threshold < 1e-15
+    report = verify_run(trace, f, cons, pruned_optimum(f, cons))
+    assert report.ok, [(c.name, c.witnesses) for c in report.failed()]
+
+
+def test_zero_insertion_weight_fails_the_bracket():
+    # edge 0 adds nothing at a level whose threshold is 4
+    cons = singleton_parity(UniformMatroid(2, 2))
+    f = ModularObjective({0: 0, 1: 4})
+    fake = RunTrace(scale=4.0, alpha=1.0, epsilon=0.5)
+    fake.add_level(1, [Improvement(1, (0,), ())])
+    assert fake.iterations[0].threshold == 4.0
+    report = verify_run(fake, f, cons, frozenset({1}), d=2.0)
+    (bracket,) = [c for c in report.failed() if c.name == "level-weight-bracket"]
+    assert bracket.witnesses == [(1, 0, 0.0, 4.0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 299),
+    matroid=st.sampled_from(("uniform", "partition", "graphic")),
+    objective=st.sampled_from(("modular", "coverage", "cut")),
+    solver_seed=st.sampled_from((3, 11)),
+    data=st.data(),
+)
+def test_float_grid_weights_agree_and_verify(seed, matroid, objective, solver_seed, data):
+    params = DESK_PARITY | {"matroid": matroid, "objective": objective}
+    cons, f = generate_instance("random-parity", params, seed)
+    grid = st.sampled_from(WEIGHT_GRID)
+    f = regridded(f, lambda n: data.draw(st.lists(grid, min_size=n, max_size=n)))
+    config = SolverConfig(epsilon=0.5, seed=solver_seed)
+    ref_out, ref = run_reference(f, cons, config)
+    out, trace = run_efficient(f, cons, config)
+    assert out == ref_out
+    assert trace.applied_sequence() == ref.applied_sequence()
+    report = verify_run(trace, f, cons, pruned_optimum(f, cons))
+    assert report.ok, [(c.name, c.witnesses) for c in report.failed()]

@@ -1,5 +1,6 @@
 """Baselines, brute force, generators, and the experiment runner."""
 
+import hashlib
 import json
 
 import pytest
@@ -8,12 +9,12 @@ from parityls import bench
 from parityls.bench import (
     GENERATOR_KINDS,
     MODES,
-    ExperimentSpec,
     brute_force_opt,
     generate_instance,
     greedy_baseline,
     run_experiment,
     rows_to_csv,
+    seeded_instances,
     solve,
 )
 from parityls.instances import instance_to_json, load_instance, save_instance
@@ -144,6 +145,37 @@ def test_same_seed_identical_instance_bytes():
     )
 
 
+SET_PACKING = "k-uniform-set-packing-via-parity"
+
+
+def test_set_packing_instances_are_pinned():
+    # values and sha256 digests of sorted-key instance JSON recorded from
+    # the generator before edge e's vertices were built as e*k .. e*k + k - 1
+    assert instance_to_json(*generate_instance(SET_PACKING, {}, 0)) == {
+        "constraint": {
+            "k": 3,
+            "matroid": {
+                "type": "partition",
+                "blocks": [[0, 7, 9], [1, 13], [2, 5, 11, 14], [3], [4, 8, 10], [6], [12]],
+                "capacities": [1] * 7,
+            },
+            "edges": [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11], [12, 13, 14]],
+        },
+        "objective": {"modular": {"w0": 0.0, "weights": [[0, 9], [1, 6], [2, 1], [3, 8], [4, 8]]}},
+    }
+    wide = {"k": 4, "n_universe": 30, "n_edges": 40}
+    for params, seed, digest in [
+        ({}, 7, "23c564a1a3bfaba8e3c7f9727bb5f6d106b656c17f7f8a55b4651aad76785a86"),
+        (wide | {"objective": "coverage"}, 3,
+         "5f67246878f054130beb45f2f237f475be9e376ec1572bdb2363902e619553f5"),
+        (wide | {"objective": "cut"}, 5,
+         "dd92a36d8ea3779839621b563d6465274517594882aafaa252ad80106e40781c"),
+    ]:
+        text = json.dumps(instance_to_json(*generate_instance(SET_PACKING, params, seed)),
+                          sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_generator_rejects_bad_input():
     with pytest.raises(ValueError):
         generate_instance("no-such-kind", {}, 1)
@@ -202,16 +234,12 @@ def test_generator_checks_objective_and_matroid_before_any_draw(monkeypatch):
 
 
 def test_experiment_deterministic_rows_and_csv(tmp_path):
-    spec = dict(
-        source=("gen", "random-parity"),
-        mode="hybrid",
-        seed=21,
-        trials=4,
-        epsilon=0.5,
-        params={"count": 2, "objective": "coverage"},
-    )
-    first = run_experiment(ExperimentSpec(**spec))
-    second = run_experiment(ExperimentSpec(**spec))
+    def batch():
+        instances = seeded_instances("random-parity", {"count": 2, "objective": "coverage"}, 21)
+        return run_experiment(instances, "hybrid", seed=21, trials=4, epsilon=0.5)
+
+    first = batch()
+    second = batch()
     assert len(first["rows"]) == 8
 
     def stable(rows):
@@ -229,14 +257,10 @@ def test_experiment_deterministic_rows_and_csv(tmp_path):
     assert len(csv_text.splitlines()) == 9
 
 
-def test_experiment_deterministic_instance_is_opt(tmp_path):
-    path = tmp_path / "inst.json"
+def test_experiment_deterministic_instance_is_opt():
     f = ModularObjective({0: 5, 1: 3, 2: 1})
     cons = singleton_parity(UniformMatroid(3, 2))
-    save_instance(path, cons, f)
-    result = run_experiment(
-        ExperimentSpec(source=("file", str(path)), mode="hybrid", seed=1, trials=1000)
-    )
+    result = run_experiment([("inst", cons, f)], "hybrid", seed=1, trials=1000)
     ratios = {row["ratio"] for row in result["rows"]}
     assert ratios == {"1"}
     assert result["summary"][0]["mean_value"] == 8.0
@@ -258,22 +282,19 @@ def test_experiment_deterministic_instance_is_opt(tmp_path):
     ],
 )
 def test_experiment_rejects_a_negative_seed(name, value, mode):
-    # every field fails at construction, naming itself, whatever the
-    # mode reads: greedy reads no epsilon, hybrid no ell
+    # every setting fails before the first instance is taken, naming
+    # itself, whatever the mode reads: greedy reads no epsilon, hybrid no ell
+    def untouched():
+        raise AssertionError("an instance was taken")
+        yield
+
     with pytest.raises(ValueError, match=f"^{name} must"):
-        ExperimentSpec(source=("gen", "random-parity"), mode=mode, **{name: value})
+        run_experiment(untouched(), mode, **{name: value})
 
 
 def test_experiment_empty_batch_writes_header_only(tmp_path):
     out = tmp_path / "empty"
-    run_experiment(
-        ExperimentSpec(
-            source=("gen", "random-parity"),
-            mode="greedy",
-            params={"count": 0},
-            out=str(out),
-        )
-    )
+    run_experiment([], "greedy", out=str(out))
     text = (tmp_path / "empty.csv").read_text()
     assert text.splitlines() == [
         "instance_id,seed,alpha,solver,k,n_edges,value,opt_value,ratio,"
@@ -283,23 +304,34 @@ def test_experiment_empty_batch_writes_header_only(tmp_path):
 
 def test_experiment_modes_run(tmp_path):
     for mode in ("greedy", "hybrid", "hybrid-reference", "nonmonotone"):
-        result = run_experiment(
-            ExperimentSpec(
-                source=("gen", "random-parity"),
-                mode=mode,
-                seed=3,
-                trials=2,
-                params={"count": 1, "objective": "cut", "n_edges": 3},
-            )
-        )
+        instances = seeded_instances("random-parity", {"objective": "cut", "n_edges": 3}, 3)
+        result = run_experiment(instances, mode, seed=3, trials=2)
         assert len(result["rows"]) == 2
 
 
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        ExperimentSpec(source=("gen", "random-parity"), mode="hybrid", trials=0)
-    with pytest.raises(ValueError):
-        ExperimentSpec(source=("gen", "random-parity"), mode="annealing")
+def test_experiment_validation():
+    with pytest.raises(ValueError, match="^trials must be an integer >= 1, got 0$"):
+        run_experiment([], "hybrid", trials=0)
+    with pytest.raises(ValueError, match="^unknown solver mode 'annealing'$"):
+        run_experiment([], "annealing")
+
+
+def test_seeded_instances_are_the_batch():
+    # instance idx is generate_instance's at _trial_seed(seed, idx, 0), and
+    # count is checked with every other parameter before the first draw
+    params = {"count": 3, "objective": "cut", "n_edges": 5}
+    batch = seeded_instances("random-parity", params, 8)
+    assert [name for name, _, _ in batch] == [f"random-parity-8-{i}" for i in range(3)]
+    for idx, (_, cons, f) in enumerate(batch):
+        expected = generate_instance("random-parity", params, bench._trial_seed(8, idx, 0))
+        assert instance_to_json(cons, f) == instance_to_json(*expected)
+    for count, rule in [(0, "need count >= 1"), (-2, "need count >= 1"),
+                        (None, "need count of type int, got None"),
+                        (1.5, "need count of type int, got 1.5")]:
+        with pytest.raises(ValueError, match=f"^{rule}$"):
+            seeded_instances("random-parity", {"count": count}, 0)
+    with pytest.raises(ValueError, match="unknown generator parameters"):
+        seeded_instances("random-parity", {"count": 0, "n_edge": 5}, 0)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -310,8 +342,7 @@ def test_oracle_calls_column_counts_every_query(mode, tmp_path, monkeypatch):
     params = {"k": 2, "n_vertices": 30, "n_edges": 20, "matroid": "graphic",
               "objective": "cut"}
     save_instance(path, *generate_instance("random-parity", params, seed=4))
-    spec = ExperimentSpec(source=("file", str(path)), mode=mode, seed=9)
-    (row,) = run_experiment(spec)["rows"]
+    (row,) = run_experiment([("inst", *load_instance(path))], mode, seed=9)["rows"]
 
     counted = [0]
 
@@ -329,7 +360,7 @@ def test_oracle_calls_column_counts_every_query(mode, tmp_path, monkeypatch):
     monkeypatch.setattr(ValueContext, "apply", counting(ValueContext.apply))
     monkeypatch.setattr(KParityConstraint, "feasible", counting(KParityConstraint.feasible))
     monkeypatch.setattr(FeasibilityContext, "feasible", counting(FeasibilityContext.feasible))
-    solve(mode, f, cons, epsilon=spec.epsilon, seed=row["seed"], ell=spec.ell)
+    solve(mode, f, cons, epsilon=0.5, seed=row["seed"])
     assert row["oracle_calls"] == counted[0] > 0
 
 
@@ -337,3 +368,23 @@ def test_solve_rejects_unknown_mode():
     cons, f = generate_instance("random-parity", {}, seed=1)
     with pytest.raises(ValueError):
         solve("annealing", f, cons, epsilon=0.5, seed=0)
+
+
+@pytest.mark.parametrize(
+    "mode, setting, message",
+    [
+        ("greedy", {"epsilon": 7}, r"^epsilon must lie in \(0, 1\), got 7$"),
+        ("greedy", {"seed": -3}, "^seed must be an integer >= 0, got -3$"),
+        ("nonmonotone", {"epsilon": 0.0}, r"^epsilon must lie in \(0, 1\), got 0.0$"),
+        ("hybrid", {"ell": -5}, "^ell must be an integer >= 0, got -5$"),
+        ("hybrid", {"ell": 2.5}, "^ell must be an integer >= 0, got 2.5$"),
+        ("hybrid-reference", {"ell": -5}, "^ell must be an integer >= 0, got -5$"),
+        ("hybrid-reference", {"ell": 2.5}, "^ell must be an integer >= 0, got 2.5$"),
+    ],
+)
+def test_solve_checks_every_setting_in_every_mode(mode, setting, message):
+    # a mode fails on a setting it does not read, before any query
+    cons, f = generate_instance("random-parity", {}, seed=1)
+    with pytest.raises(ValueError, match=message):
+        solve(mode, f, cons, **({"epsilon": 0.5, "seed": 0} | setting))
+    assert f.calls == cons.feasibility_calls == 0

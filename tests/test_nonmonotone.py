@@ -178,6 +178,35 @@ def test_config_accepts_numpy_integers():
     assert config.rounds_for(2) == 3
 
 
+def test_config_is_a_solver_config_checked_once():
+    # epsilon and the seed are SolverConfig's, checked by its __post_init__
+    config = RepetitionsConfig(ell=2, epsilon=0.25, seed=7)
+    assert isinstance(config, SolverConfig)
+    assert (config.epsilon, config.seed, config.ell) == (0.25, 7, 2)
+    assert RepetitionsConfig().epsilon == SolverConfig().epsilon == 0.5
+    for epsilon in (0, 1, 7, float("nan")):
+        with pytest.raises(ValueError, match=r"^epsilon must lie in \(0, 1\), got "):
+            RepetitionsConfig(epsilon=epsilon)
+
+
+def test_every_round_runs_the_wrappers_own_config(monkeypatch):
+    # round 0 takes two opposite nodes of the cycle, round 1 the other two
+    f = CutObjective([(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
+    cons = singleton_parity(UniformMatroid(4, 2))
+    config = RepetitionsConfig(ell=3, epsilon=0.25, seed=3)
+    got = []
+
+    def spy(f, cons, round_config, rng=None):
+        got.append(round_config)
+        return run(f, cons, round_config, rng=rng)
+
+    run = nonmonotone.run_efficient
+    monkeypatch.setattr(nonmonotone, "run_efficient", spy)
+    _, trace = repetitions_with_trace(f, cons, config)
+    assert len(got) == 3 and all(c is config for c in got)
+    assert trace.rounds == reference_repetitions(f, cons, config)[1].rounds
+
+
 def test_rounds_survive_exhausted_ground():
     # one positive element: round 1 takes it, later rounds see smaller or
     # empty grounds and must still run cleanly
