@@ -67,7 +67,7 @@ def greedy_baseline(f, cons):
     greedy miss a pick, never return an infeasible set."""
     vals = f.context(frozenset())
     fits = cons.context(frozenset())
-    gain = {e: vals.gain((e,)) for e in cons.edge_ids}
+    gain = dict(zip(cons.edge_ids, vals.gains(cons.edge_ids)))
     # the rank filter below drops every edge found dependent, so each
     # pick starts an empty set of them
     while (e := best_feasible(fits, gain, set())) is not None:
@@ -75,10 +75,8 @@ def greedy_baseline(f, cons):
         fits.apply((e,))
         top = gain[e]
         # the edges ranked after the pick, less those with a settled gain <= 0
-        gain = {
-            d: vals.gain((d,)) for d, g in gain.items()
-            if (g < top or g == top and d > e) and g > 0
-        }
+        left = [d for d, g in gain.items() if (g < top or g == top and d > e) and g > 0]
+        gain = dict(zip(left, vals.gains(left)))
     return vals.base
 
 

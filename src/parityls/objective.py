@@ -21,8 +21,10 @@ class ValueOracle:
     ``value(S)`` evaluates one whole set. ``context(S)`` fixes S and
     answers marginals around it (see ValueContext). Binding a context
     counts one query, as ``value(S)`` does, and so does each of its
-    ``gain`` and ``apply`` calls. A subclass defines ``_value`` and may
-    override ``_context`` with a cheaper incremental context.
+    ``gain`` and ``apply`` calls; ``gains(edges)`` counts one query per
+    edge it is given, as many as ``gain((x,))`` for each of them would.
+    A subclass defines ``_value`` and may override ``_context`` with a
+    cheaper incremental context.
 
     f must be submodular, as the solver's scan and greedy assume: they
     skip questions whose answer that fixes, so a non-submodular f can
@@ -67,6 +69,8 @@ def _dyadic(weights):
     """Integer units and one power of two ``den`` with
     units[i] / den == weights[i] exactly (den is 1 for integer weights),
     so sums of units are exact and ``units / den`` rounds once."""
+    if all(map(float.is_integer, weights)):
+        return list(map(int, weights)), 1
     ratios = [w.as_integer_ratio() for w in weights]
     den = max((d for _, d in ratios), default=1)
     return [n * (den // d) for n, d in ratios], den
@@ -92,7 +96,10 @@ class ValueContext:
     f((base - remove) | add) - f(base), and ``apply(add, remove=())``
     moves the base to that set. Each call counts one query on the
     oracle. A move that adds an edge of the base, removes one outside
-    it or names an edge twice raises ValueError.
+    it or names an edge twice raises ValueError. ``gains(edges)`` is
+    the list of one-edge add gains ``gain((x,))`` for x in ``edges``,
+    bit for bit, and counts ``len(edges)`` queries; an edge of the base
+    raises ValueError as ``gain`` does.
 
     This generic context evaluates ``f._value`` on each whole new set,
     and ``apply`` evaluates the new base rather than adding up gains, so
@@ -114,6 +121,12 @@ class ValueContext:
         _check_move(self.base, add, remove)
         return self._gain(add, remove)
 
+    def gains(self, edges) -> list:
+        self.f.calls += len(edges)
+        if not self.base.isdisjoint(edges):
+            _check_move(self.base, edges, ())  # raises at the first edge of the base
+        return self._gains(edges)
+
     def apply(self, add, remove=()):
         self.f.calls += 1
         _check_move(self.base, add, remove)
@@ -121,6 +134,9 @@ class ValueContext:
 
     def _gain(self, add, remove):
         return self.f._value(self.base.difference(remove).union(add)) - self.value
+
+    def _gains(self, edges):
+        return [self._gain((x,), ()) for x in edges]
 
     def _move(self, add, remove):
         self.base = self.base.difference(remove).union(add)
@@ -162,6 +178,10 @@ class ModularObjective(ValueOracle):
 
 class _ModularContext(_SummingContext):
     """A gain is the added weights minus the removed ones."""
+
+    def _gains(self, edges):
+        weights = self.f.weights
+        return [0.0 + weights[x] for x in edges]
 
     def _gain(self, add, remove):
         weights = self.f.weights
@@ -217,7 +237,7 @@ class CoverageObjective(ValueOracle):
             for e, items in self.edge_items.items():
                 for i in items:
                     holders[i].append(e)
-            self._units, self._holders = units, [tuple(h) for h in holders]
+            self._units, self._holders = units, holders
             unit = units.__getitem__
             self._total = {e: sum(map(unit, items)) for e, items in self.edge_items.items()}
         return _CoverageContext(self, base)
@@ -250,6 +270,11 @@ class _CoverageContext(_SummingContext):
             for e in f._holders[i]:
                 single[e] -= f._units[i]
         return single
+
+    def _gains(self, edges):
+        single = self._table() if self.single is None else self.single
+        den = self.f._den
+        return [single[x] / den for x in edges]
 
     def _gain(self, add, remove):
         if not remove and len(add) == 1:
@@ -312,9 +337,9 @@ class CutObjective(ValueOracle):
         for u, v, w in self.links:
             if not 0 <= w < math.inf:
                 raise ValueError(f"link ({u}, {v}) weight {w} is negative or not finite")
-        # built by the first context: node -> (neighbours, link units), parallel
+        # built by the first context: node -> {neighbour: link units}, parallel
         # links merged and self-loops (never cut) left out; units at each node
-        self._adjacency = self._degree = self._den = None
+        self._rows = self._degree = self._den = None
 
     def _value(self, s):
         total = 0.0
@@ -324,20 +349,19 @@ class CutObjective(ValueOracle):
         return total
 
     def _context(self, base):
-        if self._adjacency is None:
+        if self._rows is None:
             units, self._den = _dyadic([w for _, _, w in self.links])
-            rows = {}
+            rows = self._rows = {}
             for (u, v, _), n in zip(self.links, units):
                 if u != v:
                     for a, b in ((u, v), (v, u)):
                         row = rows.setdefault(a, {})
                         row[b] = row.get(b, 0) + n
-            self._adjacency = {x: (tuple(row), tuple(row.values())) for x, row in rows.items()}
             self._degree = {x: sum(row.values()) for x, row in rows.items()}
         return _CutContext(self, base)
 
 
-_NO_LINKS = ((), ())
+_NO_LINKS = {}
 
 
 class _CutContext(_SummingContext):
@@ -346,7 +370,8 @@ class _CutContext(_SummingContext):
     and removing it loses that; an applied move shifts the entries of the
     moved edges' neighbours. A move of several edges adds up their
     entries and mends each link between two moved edges, which stays cut
-    or uncut although both entries count it as flipping."""
+    or uncut although both entries count it as flipping: it looks up the
+    link of each pair of moved edges, so a gain costs O(|move|^2)."""
 
     def __init__(self, f, base):
         self.f = f
@@ -355,6 +380,10 @@ class _CutContext(_SummingContext):
         self.single = dict(f._degree)
         self._shift(base, -2)
 
+    def _gains(self, edges):
+        single, den = self.single, self.f._den
+        return [single.get(x, 0) / den for x in edges]
+
     def _gain(self, add, remove):
         single, den = self.single, self.f._den
         if len(add) + len(remove) == 1:
@@ -362,14 +391,15 @@ class _CutContext(_SummingContext):
                 return single.get(x, 0) / den
             for y in remove:
                 return -single.get(y, 0) / den
-        sign = dict.fromkeys(add, 1)
-        sign.update(dict.fromkeys(remove, -1))
+        rows = self.f._rows
+        moved = [(a, 1) for a in add] + [(b, -1) for b in remove]
         g = 0
-        for a, s in sign.items():
+        for i, (a, s) in enumerate(moved):
             g += s * single.get(a, 0)
-            for b, n in zip(*self.f._adjacency.get(a, _NO_LINKS)):
-                if b in sign:  # met from both ends
-                    g -= s * sign[b] * n
+            row = rows.get(a, _NO_LINKS)
+            for b, t in moved[:i]:
+                if b in row:
+                    g -= 2 * s * t * row[b]
         return g / den
 
     def _move(self, add, remove):
@@ -379,9 +409,9 @@ class _CutContext(_SummingContext):
 
     def _shift(self, edges, step):
         """Add ``step`` times each link at ``edges`` to its other end's entry."""
-        single, adjacency = self.single, self.f._adjacency
+        single, rows = self.single, self.f._rows
         for x in edges:
-            for other, n in zip(*adjacency.get(x, _NO_LINKS)):
+            for other, n in rows.get(x, _NO_LINKS).items():
                 single[other] += step * n
 
 

@@ -190,7 +190,8 @@ def max_singleton_marginal(vals, edge_ids):
     consulted. The gains are asked of ``vals``, the run's value context
     on the empty set. Empty grounds give (-inf, {}), which shuts the run
     down."""
-    gain = {e: vals.gain((e,)) for e in sorted(edge_ids)}
+    edges = sorted(edge_ids)
+    gain = dict(zip(edges, vals.gains(edges)))
     return max(gain.values(), default=float("-inf")), gain
 
 
@@ -271,9 +272,9 @@ def find_improvement(vals, fits, current, theta, epsilon, gain, dead, after=None
             if fits.feasible((x,)):
                 return Improvement(1, (x,), ())
             dead.add(x)
-    for x in outside[:start]:  # the gains the resumed singles skipped
-        if x not in gain:
-            gain[x] = vals.gain((x,))
+    if start:  # the gains the resumed singles skipped
+        skipped = [x for x in outside[:start] if x not in gain]
+        gain.update(zip(skipped, vals.gains(skipped)))
     if not removable:  # swaps and pairs need a level edge to remove
         return None
 

@@ -29,7 +29,14 @@ from parityls.solver import (
     run_efficient,
     run_reference,
 )
-from util import SetSystem, analysis_instance, rng_for, shift_log_ratio, simulate_ratios
+from util import (
+    WEIGHT_GRID,
+    SetSystem,
+    analysis_instance,
+    rng_for,
+    shift_log_ratio,
+    simulate_ratios,
+)
 
 
 def singleton_parity(matroid):
@@ -438,8 +445,6 @@ def test_verify_report_json_shape():
 
 # ------------------------------------------------------- float grid weights
 
-# non-dyadic weights with a repeated value, so that sums cancel and tie
-WEIGHT_GRID = (0.1, 0.2, 0.3, 0.7, 1.1, 1.1, 2.3)
 DESK_PARITY = {"k": 2, "n_vertices": 10, "n_edges": 10, "rank": 5}
 
 

@@ -346,9 +346,9 @@ def test_oracle_calls_column_counts_every_query(mode, tmp_path, monkeypatch):
 
     counted = [0]
 
-    def counting(method):
+    def counting(method, size=lambda *args: 1):
         def wrapped(*args):
-            counted[0] += 1
+            counted[0] += size(*args)
             return method(*args)
 
         return wrapped
@@ -357,6 +357,10 @@ def test_oracle_calls_column_counts_every_query(mode, tmp_path, monkeypatch):
     monkeypatch.setattr(ValueOracle, "value", counting(ValueOracle.value))
     monkeypatch.setattr(ValueOracle, "context", counting(ValueOracle.context))
     monkeypatch.setattr(ValueContext, "gain", counting(ValueContext.gain))
+    # one query per edge, as a gain of each would count
+    monkeypatch.setattr(
+        ValueContext, "gains", counting(ValueContext.gains, lambda ctx, edges: len(edges))
+    )
     monkeypatch.setattr(ValueContext, "apply", counting(ValueContext.apply))
     monkeypatch.setattr(KParityConstraint, "feasible", counting(KParityConstraint.feasible))
     monkeypatch.setattr(FeasibilityContext, "feasible", counting(FeasibilityContext.feasible))

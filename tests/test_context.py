@@ -5,15 +5,17 @@ A feasibility context moved by ``apply`` answers for the moved set, and
 both kinds of context refuse a move that does not fit their base.
 Value gains are exact on integer weights and within 1e-9 relative on
 float weights, and one-edge cut and coverage gains are the exact gain
-rounded once on any weights; greedy and double greedy, which ask value
+rounded once on any weights; ``gains`` answers what ``gain`` answers for
+each edge, bit for bit; greedy and double greedy, which ask value
 contexts, pick what their whole-set loops pick, and the drivers and
 greedy bind each kind of context once per run."""
 
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parityls.bench import generate_instance, greedy_baseline
@@ -25,9 +27,10 @@ from parityls.objective import (
     CutObjective,
     ModularObjective,
     ValueOracle,
+    _dyadic,
 )
 from parityls.solver import SolverConfig, run_efficient, run_reference
-from util import clipped_gains, matroids, solver_instance, subsets
+from util import WEIGHT_GRID, clipped_gains, matroids, solver_instance, subsets
 
 
 def ground_subsets(ground):
@@ -138,15 +141,16 @@ MOVE_SHAPES = ((1, 0), (1, 1), (2, 0), (2, 1), (0, 1))
 def objectives(draw, integer=True, families=("modular", "coverage", "cut"), weight=None):
     """A modular (with w0) or coverage objective over edges 0..n-1, or a
     cut objective over nodes 0..n+1 with a self-loop and a parallel
-    link; ``weight`` draws the non-negative weights if given."""
+    link; ``weight`` draws the weights if given, modular ones included."""
     n = draw(st.integers(1, 8))
+    signed = weight
     if weight is None and integer:
-        weight = st.integers(0, 50)
+        weight, signed = st.integers(0, 50), st.integers(-50, 50)
     elif weight is None:
         weight = st.floats(0, 1000, allow_nan=False, allow_infinity=False)
+        signed = st.floats(-1000, 1000)
     family = draw(st.sampled_from(families))
     if family == "modular":
-        signed = st.integers(-50, 50) if integer else st.floats(-1000, 1000)
         return ModularObjective({e: draw(signed) for e in range(n)}, w0=draw(weight))
     if family == "coverage":
         n_items = draw(st.integers(1, 8))
@@ -274,6 +278,98 @@ def test_one_edge_gains_are_the_exact_gain_rounded_once(integer, data):
         add, remove = move
         ctx.apply(add, remove)
         base = (base - set(remove)) | set(add)
+
+
+class WholeSets(ValueOracle):
+    """``inner``'s values through the generic context, which evaluates
+    each whole new set."""
+
+    def __init__(self, inner):
+        super().__init__()
+        self.inner = inner
+
+    def _value(self, s):
+        return self.inner._value(s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer=st.booleans(), generic=st.booleans(), data=st.data())
+def test_gains_are_one_edge_gains_bit_for_bit(integer, generic, data):
+    """On integer weights and on the non-dyadic grid, in each family's
+    context and in the generic one, as the context moves: ``gains(edges)``
+    equals ``gain((x,))`` for each edge (repr tells 0.0 from -0.0) and
+    counts len(edges) queries, and an edge of the base raises as in
+    ``gain``."""
+    f = data.draw(objectives(integer, weight=None if integer else st.sampled_from(WEIGHT_GRID)))
+    ground = ground_of(f)
+    if generic:
+        f = WholeSets(f)
+    base = data.draw(ground_subsets(ground))
+    ctx = f.context(base)
+    for _ in range(4):
+        outside = data.draw(st.permutations(sorted(set(ground) - base)))
+        edges = outside[: data.draw(st.integers(0, len(outside)))]
+        calls = f.calls
+        got = ctx.gains(edges)  # before any gain, so it may build the table
+        assert f.calls == calls + len(edges)
+        assert list(map(repr, got)) == [repr(ctx.gain((x,))) for x in edges]
+        if base:
+            bad = data.draw(st.permutations(edges + [data.draw(st.sampled_from(sorted(base)))]))
+            calls = f.calls
+            with pytest.raises(ValueError, match="already in the base"):
+                ctx.gains(bad)
+            assert f.calls == calls + len(bad)
+        move = data.draw(moves(ground, base))
+        if move is None:
+            continue
+        add, remove = move
+        ctx.apply(add, remove)
+        base = (base - set(remove)) | set(add)
+
+
+def ratio_units(weights):
+    """``_dyadic``'s general path: each weight's integer ratio, brought
+    to the largest denominator."""
+    ratios = [w.as_integer_ratio() for w in weights]
+    den = max((d for _, d in ratios), default=1)
+    return [n * (den // d) for n, d in ratios], den
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(
+    st.integers(0, 2**62).map(float),
+    st.sampled_from(WEIGHT_GRID + (0.0, 0.5, 2.0**60)),
+)))
+@example([0.0, 2.0**60])
+@example([])
+def test_dyadic_fast_path_returns_the_ratio_path(weights):
+    # integer weights take the fast path, any other list the ratio path
+    units, den = _dyadic(weights)
+    assert (units, den) == ratio_units(weights)
+    assert type(den) is int and all(type(n) is int for n in units)
+
+
+def test_cut_context_with_parallel_links_and_self_loops_exhaustively():
+    # 0-1 linked three times, both ways round; self-loops at 2 and at 6,
+    # which has no other link; 5 has no link at all. Integer weights, so
+    # every gain and every carried value is exact
+    f = CutObjective([(0, 1, 3), (1, 0, 5), (0, 1, 2), (1, 2, 4), (2, 2, 7), (2, 3, 6),
+                      (3, 4, 8), (4, 0, 9), (6, 6, 2), (3, 1, 1)])
+    ground = frozenset(range(7))
+    for base in subsets(ground):
+        value = f.value(base)
+        table = f.context(base).single
+        for add, remove in product(subsets(ground - base), subsets(base)):
+            if not 2 <= len(add) + len(remove) <= 4:
+                continue
+            moved = (base - remove) | add
+            add, remove = tuple(add), tuple(remove)
+            ctx = f.context(base)
+            assert ctx.gain(add, remove) == f.value(moved) - value, (base, add, remove)
+            ctx.apply(add, remove)
+            assert ctx.value == f.value(moved), (base, add, remove)
+            ctx.apply(remove, add)  # and back again
+            assert (ctx.value, ctx.single) == (value, table), (base, add, remove)
 
 
 @settings(max_examples=150, deadline=None)

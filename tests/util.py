@@ -1,9 +1,9 @@
 """Shared helpers for the test suite: subset enumeration, random feasible
 sets, a set system that need not be a matroid, hypothesis strategies for
-matroids, the seeded desk-scale instance batteries, the exact expectation
-of double greedy, the two-context double greedy loop, the plain round
-loop of the non-monotone wrapper and the closed form of the
-threshold/weight ratio."""
+matroids, a non-dyadic weight grid, the seeded desk-scale instance
+batteries, the exact expectation of double greedy, the two-context
+double greedy loop, the plain round loop of the non-monotone wrapper and
+the closed form of the threshold/weight ratio."""
 
 import math
 from fractions import Fraction
@@ -24,6 +24,9 @@ from parityls.matroid import (
 )
 from parityls.nonmonotone import RepetitionsTrace, RoundRecord
 from parityls.solver import SolverConfig, run_efficient
+
+# non-dyadic weights with a repeated value, so that sums cancel and tie
+WEIGHT_GRID = (0.1, 0.2, 0.3, 0.7, 1.1, 1.1, 2.3)
 
 
 def subsets(elems):
