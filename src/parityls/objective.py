@@ -69,8 +69,6 @@ def _dyadic(weights):
     """Integer units and one power of two ``den`` with
     units[i] / den == weights[i] exactly (den is 1 for integer weights),
     so sums of units are exact and ``units / den`` rounds once."""
-    if all(map(float.is_integer, weights)):
-        return list(map(int, weights)), 1
     ratios = [w.as_integer_ratio() for w in weights]
     den = max((d for _, d in ratios), default=1)
     return [n * (den // d) for n, d in ratios], den
@@ -337,9 +335,9 @@ class CutObjective(ValueOracle):
         for u, v, w in self.links:
             if not 0 <= w < math.inf:
                 raise ValueError(f"link ({u}, {v}) weight {w} is negative or not finite")
-        # built by the first context: node -> {neighbour: link units}, parallel
+        # built by the first context: node -> (neighbours, link units), parallel
         # links merged and self-loops (never cut) left out; units at each node
-        self._rows = self._degree = self._den = None
+        self._adjacency = self._degree = self._den = None
 
     def _value(self, s):
         total = 0.0
@@ -349,19 +347,20 @@ class CutObjective(ValueOracle):
         return total
 
     def _context(self, base):
-        if self._rows is None:
+        if self._adjacency is None:
             units, self._den = _dyadic([w for _, _, w in self.links])
-            rows = self._rows = {}
+            rows = {}
             for (u, v, _), n in zip(self.links, units):
                 if u != v:
                     for a, b in ((u, v), (v, u)):
                         row = rows.setdefault(a, {})
                         row[b] = row.get(b, 0) + n
+            self._adjacency = {x: (tuple(row), tuple(row.values())) for x, row in rows.items()}
             self._degree = {x: sum(row.values()) for x, row in rows.items()}
         return _CutContext(self, base)
 
 
-_NO_LINKS = {}
+_NO_LINKS = ((), ())
 
 
 class _CutContext(_SummingContext):
@@ -370,8 +369,7 @@ class _CutContext(_SummingContext):
     and removing it loses that; an applied move shifts the entries of the
     moved edges' neighbours. A move of several edges adds up their
     entries and mends each link between two moved edges, which stays cut
-    or uncut although both entries count it as flipping: it looks up the
-    link of each pair of moved edges, so a gain costs O(|move|^2)."""
+    or uncut although both entries count it as flipping."""
 
     def __init__(self, f, base):
         self.f = f
@@ -391,15 +389,14 @@ class _CutContext(_SummingContext):
                 return single.get(x, 0) / den
             for y in remove:
                 return -single.get(y, 0) / den
-        rows = self.f._rows
-        moved = [(a, 1) for a in add] + [(b, -1) for b in remove]
+        sign = dict.fromkeys(add, 1)
+        sign.update(dict.fromkeys(remove, -1))
         g = 0
-        for i, (a, s) in enumerate(moved):
+        for a, s in sign.items():
             g += s * single.get(a, 0)
-            row = rows.get(a, _NO_LINKS)
-            for b, t in moved[:i]:
-                if b in row:
-                    g -= 2 * s * t * row[b]
+            for b, n in zip(*self.f._adjacency.get(a, _NO_LINKS)):
+                if b in sign:  # met from both ends
+                    g -= s * sign[b] * n
         return g / den
 
     def _move(self, add, remove):
@@ -409,9 +406,9 @@ class _CutContext(_SummingContext):
 
     def _shift(self, edges, step):
         """Add ``step`` times each link at ``edges`` to its other end's entry."""
-        single, rows = self.single, self.f._rows
+        single, adjacency = self.single, self.f._adjacency
         for x in edges:
-            for other, n in rows.get(x, _NO_LINKS).items():
+            for other, n in zip(*adjacency.get(x, _NO_LINKS)):
                 single[other] += step * n
 
 

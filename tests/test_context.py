@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parityls.bench import generate_instance, greedy_baseline
@@ -27,7 +27,6 @@ from parityls.objective import (
     CutObjective,
     ModularObjective,
     ValueOracle,
-    _dyadic,
 )
 from parityls.solver import SolverConfig, run_efficient, run_reference
 from util import WEIGHT_GRID, clipped_gains, matroids, solver_instance, subsets
@@ -325,28 +324,6 @@ def test_gains_are_one_edge_gains_bit_for_bit(integer, generic, data):
         add, remove = move
         ctx.apply(add, remove)
         base = (base - set(remove)) | set(add)
-
-
-def ratio_units(weights):
-    """``_dyadic``'s general path: each weight's integer ratio, brought
-    to the largest denominator."""
-    ratios = [w.as_integer_ratio() for w in weights]
-    den = max((d for _, d in ratios), default=1)
-    return [n * (den // d) for n, d in ratios], den
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.one_of(
-    st.integers(0, 2**62).map(float),
-    st.sampled_from(WEIGHT_GRID + (0.0, 0.5, 2.0**60)),
-)))
-@example([0.0, 2.0**60])
-@example([])
-def test_dyadic_fast_path_returns_the_ratio_path(weights):
-    # integer weights take the fast path, any other list the ratio path
-    units, den = _dyadic(weights)
-    assert (units, den) == ratio_units(weights)
-    assert type(den) is int and all(type(n) is int for n in units)
 
 
 def test_cut_context_with_parallel_links_and_self_loops_exhaustively():
