@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 from .exchange import exchange_structure
+from .matroid import CheckReport
 from .solver import Thresholds
 
 REL_TOL = 1e-9
@@ -143,13 +144,6 @@ def _ratio_cap(ratio, d):
 
 
 @dataclass
-class CheckResult:
-    name: str
-    ok: bool
-    witnesses: list = field(default_factory=list)
-
-
-@dataclass
 class ChargingReport:
     """All rebuilt artifacts plus one pass/fail entry per inequality."""
 
@@ -180,7 +174,7 @@ class ChargingReport:
             "residual_weights": {str(o): v for o, v in self.residual.items()},
             "reference_weights": {str(o): v for o, v in self.reference.items()},
             "checks": [
-                {"name": c.name, "ok": c.ok, "witnesses": [str(w) for w in c.witnesses[:10]]}
+                {"name": c.name, "ok": c.ok, "witnesses": [str(w) for w in c.violations[:10]]}
                 for c in self.checks
             ],
         }
@@ -226,7 +220,7 @@ def verify_run(trace, f, cons, reference, d=None):
             insertion=w,
             residual=ow,
             reference=u,
-            checks=[CheckResult(name, False, [reason])],
+            checks=[CheckReport(name, [reason])],
         )
 
     if reference and trace.scale <= 0:
@@ -264,8 +258,8 @@ def verify_run(trace, f, cons, reference, d=None):
 
     checks = []
 
-    def record(name, witnesses):
-        checks.append(CheckResult(name, not witnesses, witnesses))
+    def record(name, violations):
+        checks.append(CheckReport(name, violations))
 
     record("partition-feasible", [])
 

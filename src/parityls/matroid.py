@@ -22,6 +22,33 @@ def _integer(x):
     return type(x) is int or not isinstance(x, bool) and isinstance(x, numbers.Integral)
 
 
+@dataclass
+class CheckReport:
+    """Outcome of one check: its name and its violations, each a tuple
+    that says where the checked property fails; ``ok`` when none does."""
+
+    name: str
+    violations: list = field(default_factory=list)
+
+    @property
+    def ok(self):
+        return not self.violations
+
+
+def _subset(elems, mask):
+    """The elements of ``elems`` whose bits are set in ``mask``, as a tuple."""
+    return tuple(elems[i] for i in range(len(elems)) if mask >> i & 1)
+
+
+def _subset_table(fn, ground, check, cap):
+    """Sorted ground plus ``fn`` of every subset (a frozenset), indexed by
+    bit mask; a ground of more than ``cap`` elements is a ValueError."""
+    elems = sorted(ground)
+    if len(elems) > cap:
+        raise ValueError(f"{check} check capped at {cap} elements")
+    return elems, [fn(frozenset(_subset(elems, mask))) for mask in range(1 << len(elems))]
+
+
 class MatroidOracle:
     """Independence oracle over a fixed ground set of integer vertex ids.
 
@@ -189,9 +216,8 @@ class ExplicitMatroid(MatroidOracle):
         for s in self.independent_sets:
             if not s <= self.ground:
                 raise ValueError("independent set contains out-of-range vertex")
-        report = axiom_check(self)
-        if not report.ok:
-            raise ValueError(f"not a matroid: {report.summary()}")
+        if violations := axiom_check(self).violations:
+            raise ValueError(f"not a matroid: {len(violations)} violations, first {violations[0]}")
 
     def _independent(self, s):
         return s in self.independent_sets
@@ -360,71 +386,34 @@ def _flatten(parent):
     return parent
 
 
-@dataclass
-class AxiomReport:
-    """Outcome of an exhaustive matroid-axiom check."""
-
-    ground_size: int
-    empty_independent: bool
-    down_closed_violations: list = field(default_factory=list)
-    augmentation_violations: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return (
-            self.empty_independent
-            and not self.down_closed_violations
-            and not self.augmentation_violations
-        )
-
-    def summary(self):
-        if self.ok:
-            return "pass"
-        parts = []
-        if not self.empty_independent:
-            parts.append("empty set dependent")
-        if self.down_closed_violations:
-            parts.append(f"{len(self.down_closed_violations)} down-closedness violations")
-        if self.augmentation_violations:
-            parts.append(f"{len(self.augmentation_violations)} augmentation violations")
-        return "; ".join(parts)
-
-
-def axiom_check(matroid) -> AxiomReport:
+def axiom_check(matroid) -> CheckReport:
     """Exhaustively verify non-emptiness, down-closedness and augmentation.
 
-    Augmentation is checked for every pair of independent sets whose
-    sizes differ by one; given down-closedness this is equivalent to the
-    general property (any larger set can be shrunk to size |S|+1 first).
-    Refuses grounds larger than 16 vertices.
+    Violations are tagged: ("empty set dependent",), ("down-closed", S, v)
+    for an independent S with S - v dependent, and ("augmentation", S, T)
+    for independent S and T, |T| = |S| + 1, where no e of T - S keeps
+    S + e independent. Augmentation over sizes that differ by one is,
+    given down-closedness, the general property (any larger set can be
+    shrunk to size |S|+1 first). Refuses grounds larger than 16 vertices.
     """
-    elems = sorted(matroid.ground)
+    elems, independent = _subset_table(
+        matroid.is_independent, matroid.ground, "axiom", AXIOM_CHECK_CAP
+    )
     n = len(elems)
-    if n > AXIOM_CHECK_CAP:
-        raise ValueError(f"axiom check capped at ground size {AXIOM_CHECK_CAP}")
-
-    independent = set()
-    for mask in range(1 << n):
-        s = frozenset(elems[i] for i in range(n) if mask >> i & 1)
-        if matroid.is_independent(s):
-            independent.add(s)
-
-    report = AxiomReport(ground_size=n, empty_independent=frozenset() in independent)
-
-    for s in independent:
-        for v in s:
-            if s - {v} not in independent:
-                report.down_closed_violations.append((tuple(sorted(s)), v))
-
-    by_size = {}
-    for s in independent:
-        by_size.setdefault(len(s), []).append(s)
-    for size, smaller in sorted(by_size.items()):
-        larger = by_size.get(size + 1, [])
+    report = CheckReport("matroid-axioms")
+    if not independent[0]:
+        report.violations.append(("empty set dependent",))
+    by_size = [[] for _ in range(n + 1)]
+    for mask, ok in enumerate(independent):
+        if ok:
+            by_size[bin(mask).count("1")].append(mask)
+            for i in range(n):
+                if mask >> i & 1 and not independent[mask ^ 1 << i]:
+                    report.violations.append(("down-closed", _subset(elems, mask), elems[i]))
+    for smaller, larger in zip(by_size, by_size[1:]):
         for s in smaller:
+            grows = sum(1 << i for i in range(n) if not s >> i & 1 and independent[s | 1 << i])
             for t in larger:
-                if not any(s | {e} in independent for e in t - s):
-                    report.augmentation_violations.append(
-                        (tuple(sorted(s)), tuple(sorted(t)))
-                    )
+                if not t & grows:
+                    report.violations.append(("augmentation", _subset(elems, s), _subset(elems, t)))
     return report

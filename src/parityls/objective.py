@@ -8,9 +8,7 @@ f would gain if these edges were added and those removed.
 
 import math
 import numbers
-from dataclasses import dataclass, field
-
-from .matroid import _integer
+from .matroid import CheckReport, _integer, _subset, _subset_table
 
 CHECK_CAP = 14
 
@@ -412,32 +410,6 @@ class _CutContext(_SummingContext):
                 single[other] += step * n
 
 
-@dataclass
-class CheckReport:
-    """Result of an exhaustive property check over a desk-scale ground."""
-
-    property: str
-    ground: tuple
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return not self.violations
-
-
-def _subset(elems, mask):
-    return frozenset(elems[i] for i in range(len(elems)) if mask >> i & 1)
-
-
-def _value_table(f, ground, check):
-    """Sorted ground plus f of every subset, indexed by bit mask."""
-    elems = sorted(ground)
-    if len(elems) > CHECK_CAP:
-        raise ValueError(f"{check} check capped at {CHECK_CAP} elements")
-    fn = f.value if hasattr(f, "value") else f
-    return elems, [fn(_subset(elems, mask)) for mask in range(1 << len(elems))]
-
-
 def check_submodular(f, ground) -> CheckReport:
     """Exhaustively verify f(e | S) >= f(e | T) for all S <= T and e outside T.
 
@@ -445,9 +417,9 @@ def check_submodular(f, ground) -> CheckReport:
     any violation of the general definition yields a single-step one.
     Refuses grounds larger than 14 elements.
     """
-    elems, table = _value_table(f, ground, "submodularity")
+    elems, table = _subset_table(getattr(f, "value", f), ground, "submodularity", CHECK_CAP)
     n = len(elems)
-    report = CheckReport(property="submodular", ground=tuple(elems))
+    report = CheckReport("submodular")
     for i in range(n):
         for j in range(n):
             if i == j:
@@ -460,25 +432,21 @@ def check_submodular(f, ground) -> CheckReport:
                 rhs = table[mask | bi | bj] - table[mask | bj]
                 if lhs < rhs - 1e-12:
                     report.violations.append(
-                        (tuple(sorted(_subset(elems, mask))),
-                         tuple(sorted(_subset(elems, mask | bj))),
-                         elems[i])
+                        (_subset(elems, mask), _subset(elems, mask | bj), elems[i])
                     )
     return report
 
 
 def check_monotone(f, ground) -> CheckReport:
     """Exhaustively verify f(e | S) >= 0 for every S and e outside S."""
-    elems, table = _value_table(f, ground, "monotonicity")
+    elems, table = _subset_table(getattr(f, "value", f), ground, "monotonicity", CHECK_CAP)
     n = len(elems)
-    report = CheckReport(property="monotone", ground=tuple(elems))
+    report = CheckReport("monotone")
     for i in range(n):
         bi = 1 << i
         for mask in range(1 << n):
             if mask & bi:
                 continue
             if table[mask | bi] < table[mask] - 1e-12:
-                report.violations.append(
-                    (tuple(sorted(_subset(elems, mask))), elems[i])
-                )
+                report.violations.append((_subset(elems, mask), elems[i]))
     return report

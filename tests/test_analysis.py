@@ -19,7 +19,7 @@ from parityls.analysis import (
 from parityls.bench import brute_force_opt, generate_instance, greedy_baseline
 from parityls.exchange import exchange_claim_violations, exchange_structure
 from parityls.kparity import KParityConstraint
-from parityls.matroid import UniformMatroid
+from parityls.matroid import CheckReport, UniformMatroid
 from parityls.objective import CoverageObjective, CutObjective, ModularObjective
 from parityls.solver import (
     Improvement,
@@ -441,6 +441,7 @@ def test_verify_report_json_shape():
     assert payload["ok"] is True
     names = {c["name"] for c in payload["checks"]}
     assert "charging-chain" in names and "discrepancy-bound" in names
+    assert all(type(c) is CheckReport and c.violations == [] for c in report.checks)
 
 
 # ------------------------------------------------------- float grid weights
@@ -472,7 +473,7 @@ def test_float_cut_gain_of_rounding_size_verifies():
     assert (top.index, top.selected) == (55, (5,))
     assert insertion_weights(trace, f)[5] == 0.0 < top.threshold < 1e-15
     report = verify_run(trace, f, cons, pruned_optimum(f, cons))
-    assert report.ok, [(c.name, c.witnesses) for c in report.failed()]
+    assert report.ok, [(c.name, c.violations) for c in report.failed()]
 
 
 def test_zero_insertion_weight_fails_the_bracket():
@@ -484,7 +485,7 @@ def test_zero_insertion_weight_fails_the_bracket():
     assert fake.iterations[0].threshold == 4.0
     report = verify_run(fake, f, cons, frozenset({1}), d=2.0)
     (bracket,) = [c for c in report.failed() if c.name == "level-weight-bracket"]
-    assert bracket.witnesses == [(1, 0, 0.0, 4.0)]
+    assert bracket.violations == [(1, 0, 0.0, 4.0)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -506,4 +507,4 @@ def test_float_grid_weights_agree_and_verify(seed, matroid, objective, solver_se
     assert out == ref_out
     assert trace.applied_sequence() == ref.applied_sequence()
     report = verify_run(trace, f, cons, pruned_optimum(f, cons))
-    assert report.ok, [(c.name, c.witnesses) for c in report.failed()]
+    assert report.ok, [(c.name, c.violations) for c in report.failed()]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from parityls.matroid import (
     AXIOM_CHECK_CAP,
+    CheckReport,
     ExplicitMatroid,
     GraphicMatroid,
     PartitionMatroid,
@@ -132,7 +133,7 @@ def test_axiom_check_passes_for_families():
         GraphicMatroid(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
         ExplicitMatroid(3, [[], [0], [1], [2], [0, 1], [0, 2], [1, 2]]),
     ]:
-        assert axiom_check(m).ok
+        assert axiom_check(m) == CheckReport("matroid-axioms", [])
 
 
 def test_axiom_check_same_size_antichain_passes():
@@ -142,16 +143,14 @@ def test_axiom_check_same_size_antichain_passes():
 
 def test_axiom_check_flags_down_closedness():
     m = SetSystem(2, [[], [0, 1]])
-    report = axiom_check(m)
-    assert not report.ok
-    assert report.down_closed_violations
+    assert axiom_check(m).violations == [("down-closed", (0, 1), 0), ("down-closed", (0, 1), 1)]
 
 
 def test_axiom_check_flags_augmentation():
     m = SetSystem(3, [[], [0], [1], [2], [1, 2]])
     report = axiom_check(m)
     assert not report.ok
-    assert report.augmentation_violations
+    assert report.violations == [("augmentation", (0,), (1, 2))]
 
 
 def test_axiom_check_refuses_large_grounds():
@@ -159,8 +158,14 @@ def test_axiom_check_refuses_large_grounds():
         axiom_check(UniformMatroid(AXIOM_CHECK_CAP + 1, 2))
 
 
+def test_axiom_check_flags_dependent_empty_set():
+    assert axiom_check(SetSystem(1, [[0]])).violations == [
+        ("empty set dependent",), ("down-closed", (0,), 0)
+    ]
+
+
 def test_explicit_constructor_validates():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"not a matroid: 2 violations, first \('down-closed'"):
         ExplicitMatroid(2, [[], [0, 1]])
     for n in (17, 25):
         with pytest.raises(ValueError, match="explicit matroid capped at ground size 16"):

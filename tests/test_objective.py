@@ -7,6 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from parityls.matroid import CheckReport
 from parityls.objective import (
     CHECK_CAP,
     CoverageObjective,
@@ -65,8 +66,10 @@ def test_query_counter():
 
 def test_modular_checks():
     f = ModularObjective({0: 3, 1: 5, 2: -1})
-    assert check_submodular(f, [0, 1, 2]).ok
-    assert not check_monotone(f, [0, 1, 2]).ok
+    assert check_submodular(f, [0, 1, 2]) == CheckReport("submodular", [])
+    assert check_monotone(f, [0, 1, 2]) == CheckReport(
+        "monotone", [((), 2), ((0,), 2), ((1,), 2), ((0, 1), 2)]
+    )
     assert check_monotone(ModularObjective({0: 3, 1: 5, 2: 0}), [0, 1, 2]).ok
 
 
