@@ -20,10 +20,8 @@ import math
 from dataclasses import dataclass, field
 
 from .exchange import exchange_structure
-from .matroid import CheckReport
+from .matroid import REL_TOL, CheckReport, _leq
 from .solver import Thresholds
-
-REL_TOL = 1e-9
 
 
 def prune_down_monotone(f, reference):
@@ -178,10 +176,6 @@ class ChargingReport:
                 for c in self.checks
             ],
         }
-
-
-def _leq(lhs, rhs):
-    return lhs <= rhs + REL_TOL * (1.0 + abs(lhs) + abs(rhs))
 
 
 def verify_run(trace, f, cons, reference, d=None):

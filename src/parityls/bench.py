@@ -156,6 +156,8 @@ def _checked_params(kind, params, seed):
             except (TypeError, ValueError, OverflowError):
                 raise ValueError(f"need {name} of type {cast.__name__}, got {got!r}") from None
             params[name] = value
+    if not 0 <= params.get("link_prob", 0.5) <= 1:
+        raise ValueError(f"need 0 <= link_prob <= 1, got {params['link_prob']}")
     family = params.get("objective", "modular")
     if family not in ("modular", "coverage", "cut"):
         raise ValueError(f"unknown objective family {family!r}")

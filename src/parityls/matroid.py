@@ -14,12 +14,18 @@ import numbers
 from dataclasses import dataclass, field
 
 AXIOM_CHECK_CAP = 16
+REL_TOL = 1e-9
 
 
 def _integer(x):
     """True for an integer, numpy integers included; False for a bool.
     A plain int takes the short path, since the ABC check is slow."""
     return type(x) is int or not isinstance(x, bool) and isinstance(x, numbers.Integral)
+
+
+def _leq(lhs, rhs):
+    """lhs <= rhs up to the relative tolerance every check allows for rounding."""
+    return lhs <= rhs + REL_TOL * (1.0 + abs(lhs) + abs(rhs))
 
 
 @dataclass
@@ -205,17 +211,24 @@ class GraphicMatroid(MatroidOracle):
 
 
 class ExplicitMatroid(MatroidOracle):
-    """Matroid given by the full list of independent sets (ground <= 16,
-    the axiom check's cap); construction validates the matroid axioms."""
+    """Matroid given by the full list of independent sets over 0..n-1:
+    ``n`` is an integer in [0, 16] (16 is the axiom check's cap) and each
+    vertex id an integer in [0, n); construction validates the matroid
+    axioms."""
 
     def __init__(self, n, independent_sets):
+        if not _integer(n) or n < 0:
+            raise ValueError(f"explicit ground {n!r} is not an integer >= 0")
         if n > AXIOM_CHECK_CAP:
             raise ValueError(f"explicit matroid capped at ground size {AXIOM_CHECK_CAP}")
+        independent_sets = [list(s) for s in independent_sets]
+        for v in (v for s in independent_sets for v in s):
+            if not _integer(v):
+                raise ValueError(f"explicit independent sets: vertex id {v!r} is not an integer")
+            if not 0 <= v < n:
+                raise ValueError(f"explicit independent sets: vertex id {v} is not in [0, {n})")
         super().__init__(range(n))
         self.independent_sets = frozenset(frozenset(s) for s in independent_sets)
-        for s in self.independent_sets:
-            if not s <= self.ground:
-                raise ValueError("independent set contains out-of-range vertex")
         if violations := axiom_check(self).violations:
             raise ValueError(f"not a matroid: {len(violations)} violations, first {violations[0]}")
 

@@ -8,7 +8,7 @@ f would gain if these edges were added and those removed.
 
 import math
 import numbers
-from .matroid import CheckReport, _integer, _subset, _subset_table
+from .matroid import CheckReport, _integer, _leq, _subset, _subset_table
 
 CHECK_CAP = 14
 
@@ -413,9 +413,10 @@ class _CutContext(_SummingContext):
 def check_submodular(f, ground) -> CheckReport:
     """Exhaustively verify f(e | S) >= f(e | T) for all S <= T and e outside T.
 
-    Uses the equivalent single-step form (T = S + e') over a value table;
-    any violation of the general definition yields a single-step one.
-    Refuses grounds larger than 14 elements.
+    Uses the equivalent single-step form (T = S + e') over a value table,
+    f(S + e + e') + f(S) <= f(S + e) + f(S + e') up to ``_leq``'s relative
+    tolerance; any violation of the general definition yields a
+    single-step one. Refuses grounds larger than 14 elements.
     """
     elems, table = _subset_table(getattr(f, "value", f), ground, "submodularity", CHECK_CAP)
     n = len(elems)
@@ -428,9 +429,7 @@ def check_submodular(f, ground) -> CheckReport:
             for mask in range(1 << n):
                 if mask & bi or mask & bj:
                     continue
-                lhs = table[mask | bi] - table[mask]
-                rhs = table[mask | bi | bj] - table[mask | bj]
-                if lhs < rhs - 1e-12:
+                if not _leq(table[mask | bi | bj] + table[mask], table[mask | bi] + table[mask | bj]):
                     report.violations.append(
                         (_subset(elems, mask), _subset(elems, mask | bj), elems[i])
                     )
@@ -438,7 +437,8 @@ def check_submodular(f, ground) -> CheckReport:
 
 
 def check_monotone(f, ground) -> CheckReport:
-    """Exhaustively verify f(e | S) >= 0 for every S and e outside S."""
+    """Exhaustively verify f(S) <= f(S + e), up to ``_leq``'s relative
+    tolerance, for every S and e outside S."""
     elems, table = _subset_table(getattr(f, "value", f), ground, "monotonicity", CHECK_CAP)
     n = len(elems)
     report = CheckReport("monotone")
@@ -447,6 +447,6 @@ def check_monotone(f, ground) -> CheckReport:
         for mask in range(1 << n):
             if mask & bi:
                 continue
-            if table[mask | bi] < table[mask] - 1e-12:
+            if not _leq(table[mask], table[mask | bi]):
                 report.violations.append((_subset(elems, mask), elems[i]))
     return report

@@ -1,6 +1,7 @@
 """Trace analysis: pruning, the three weight families, the reference
 partition, charge ratios, and the full per-run verifier."""
 
+import json
 import math
 
 import pytest
@@ -18,6 +19,7 @@ from parityls.analysis import (
 )
 from parityls.bench import brute_force_opt, generate_instance, greedy_baseline
 from parityls.exchange import exchange_claim_violations, exchange_structure
+from parityls.instances import trace_from_json, trace_to_json
 from parityls.kparity import KParityConstraint
 from parityls.matroid import CheckReport, UniformMatroid
 from parityls.objective import CoverageObjective, CutObjective, ModularObjective
@@ -506,5 +508,9 @@ def test_float_grid_weights_agree_and_verify(seed, matroid, objective, solver_se
     out, trace = run_efficient(f, cons, config)
     assert out == ref_out
     assert trace.applied_sequence() == ref.applied_sequence()
+    assert trace.improvement_count <= (1 + 2 / config.epsilon) * len(cons.edge_ids)
+    replayed = trace_from_json(json.loads(json.dumps(trace_to_json(trace))))
+    assert replayed == trace
+    assert (replayed.final, replayed.insertion_order) == (trace.final, trace.insertion_order)
     report = verify_run(trace, f, cons, pruned_optimum(f, cons))
     assert report.ok, [(c.name, c.violations) for c in report.failed()]

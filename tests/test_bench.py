@@ -233,6 +233,17 @@ def test_generator_checks_objective_and_matroid_before_any_draw(monkeypatch):
                 generate_instance(kind, params, 1)
 
 
+def test_link_prob_must_lie_in_the_unit_interval(monkeypatch):
+    params = {"objective": "cut", "n_edges": 6, "n_vertices": 12}
+    for prob, n_links in [(0.0, 0), (1.0, 15)]:
+        _, f = generate_instance("random-parity", params | {"link_prob": prob}, 0)
+        assert len(f.links) == n_links
+    monkeypatch.setattr(bench.np.random, "PCG64", None)  # checked before any draw
+    for prob in (2.0, -0.5):
+        with pytest.raises(ValueError, match=rf"need 0 <= link_prob <= 1, got {prob}"):
+            generate_instance("random-parity", params | {"link_prob": prob}, 0)
+
+
 def test_experiment_deterministic_rows_and_csv(tmp_path):
     def batch():
         instances = seeded_instances("random-parity", {"count": 2, "objective": "coverage"}, 21)

@@ -190,6 +190,9 @@ def test_gen_prints_to_stdout_without_out(capsys):
         ('{"constraint": {"k": 1, "matroid": {"type": "graphic", "nodes": 3, "links": '
          '[[0, 1], [1, 2]]}, "edges": [[0], [1.0]]}, "objective": {"cut": {"weights": []}}}',
          "edge 1 has a vertex id that is not an integer"),
+        ('{"constraint": {"k": 1, "matroid": {"type": "explicit", "ground": true, '
+         '"independent": [[], [0]]}, "edges": [[0]]}, "objective": {"cut": {"weights": []}}}',
+         "explicit ground True is not an integer >= 0"),
     ],
 )
 def test_malformed_instance_is_one_line_error(tmp_path, capsys, text, reason):
@@ -316,6 +319,7 @@ def test_verify_checks_trace_edges_and_legacy_keys(tmp_path, capsys):
         ('{"objective": "coverage", "n_items": 0}', "need n_items >= 1 for a coverage objective"),
         ('{"k": null}', "need k of type int, got None"),
         ('{"objective": "cut", "link_prob": null}', "need link_prob of type float, got None"),
+        ('{"objective": "cut", "link_prob": 2}', "need 0 <= link_prob <= 1, got 2.0"),
         ('{"n_edge": 5}', "unknown generator parameters ['n_edge']"),
         ('{"k": 2.9}', "need k of type int, got 2.9"),
         ('{"k": true}', "need k of type int, got True"),

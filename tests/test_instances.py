@@ -59,6 +59,23 @@ def test_explicit_round_trip_validates():
         matroid_from_json({"type": "fancy"})
 
 
+@pytest.mark.parametrize(
+    "matroid, message",
+    [
+        ({"ground": True, "independent": [[]]}, "explicit ground True is not an integer >= 0"),
+        ({"ground": 2, "independent": [[], [1.0]]}, r"vertex id 1\.0 is not an integer"),
+    ],
+)
+def test_explicit_instance_fields_must_be_integers(tmp_path, matroid, message):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({
+        "constraint": {"k": 1, "matroid": dict(matroid, type="explicit"), "edges": [[0]]},
+        "objective": {"cut": {"weights": []}},
+    }))
+    with pytest.raises(ValueError, match=message):
+        load_instance(path)
+
+
 def test_constraint_round_trip_parity_and_intersection():
     for seed in range(6):
         cons, f = solver_instance(seed, max_edges=6)

@@ -172,6 +172,23 @@ def test_explicit_constructor_validates():
             ExplicitMatroid(n, [[]])
 
 
+@pytest.mark.parametrize(
+    "n, sets, message",
+    [
+        (True, [[]], "explicit ground True is not an integer >= 0"),
+        (-1, [[]], "explicit ground -1 is not an integer >= 0"),
+        (2.0, [[]], r"explicit ground 2\.0 is not an integer >= 0"),
+        (2, [[], [1.0]], r"explicit independent sets: vertex id 1\.0 is not an integer"),
+        (2, [[], [True]], "explicit independent sets: vertex id True is not an integer"),
+        (3, [[], [2.5]], r"explicit independent sets: vertex id 2\.5 is not an integer"),
+        (2, [[], [2]], r"explicit independent sets: vertex id 2 is not in \[0, 2\)"),
+    ],
+)
+def test_explicit_fields_must_be_integers(n, sets, message):
+    with pytest.raises(ValueError, match=message):
+        ExplicitMatroid(n, sets)
+
+
 def test_derived_views_pass_axiom_check():
     m = GraphicMatroid(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     assert axiom_check(m.contract({0})).ok

@@ -2,6 +2,7 @@
 checkers on the three concrete families."""
 
 import math
+import random
 from itertools import combinations
 
 import numpy as np
@@ -93,6 +94,31 @@ def test_checker_flags_supermodular_function():
     report = check_submodular(lambda s: table[s], [0, 1])
     assert not report.ok
     assert ((), (1,), 0) in report.violations or ((), (0,), 1) in report.violations
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_checkers_allow_rounding_of_large_float_weights(seed):
+    # a coverage and a cut objective on 9 edges with weights near 1e6..1e7
+    # are submodular (and the coverage monotone), though their whole-set
+    # float sums round differently; scaled by 1e6, the supermodular table
+    # of test_checker_flags_supermodular_function is still flagged
+    rng = random.Random(seed)
+    coverage = CoverageObjective(
+        [rng.uniform(1e6, 1e7) for _ in range(12)],
+        {e: set(rng.sample(range(12), 4)) for e in range(9)},
+    )
+    cut = CutObjective(
+        [(u, v, rng.uniform(1e6, 1e7)) for u in range(9) for v in range(u + 1, 9)
+         if rng.random() < 0.5]
+    )
+    assert check_submodular(coverage, range(9)).ok
+    assert check_monotone(coverage, range(9)).ok
+    assert check_submodular(cut, range(9)).ok
+    table = {frozenset(): 0.0, frozenset({0}): 0.0, frozenset({1}): 0.0,
+             frozenset({0, 1}): 5e6}
+    assert check_submodular(lambda s: table[s], [0, 1]).violations == [
+        ((), (1,), 0), ((), (0,), 1)
+    ]
 
 
 def test_checker_refuses_large_grounds():
