@@ -8,6 +8,12 @@ predicate, so they work for any oracle, including other views.
 A context (``MatroidOracle.context``) answers independence queries
 around one fixed vertex set: each family keeps what it needs about that
 set, so a query costs about the size of the change, not of the set.
+
+Every check of the package reports a ``CheckReport`` and allows floats
+the relative tolerance ``REL_TOL`` (``_leq``). The exhaustive desk
+checks (``axiom_check`` here, ``check_submodular`` and
+``check_monotone`` in ``objective``) read one table of every subset of
+a small ground (``_subset_table``).
 """
 
 import numbers

@@ -8,6 +8,7 @@ f would gain if these edges were added and those removed.
 
 import math
 import numbers
+
 from .matroid import CheckReport, _integer, _leq, _subset, _subset_table
 
 CHECK_CAP = 14
@@ -416,15 +417,14 @@ def check_submodular(f, ground) -> CheckReport:
     Uses the equivalent single-step form (T = S + e') over a value table,
     f(S + e + e') + f(S) <= f(S + e) + f(S + e') up to ``_leq``'s relative
     tolerance; any violation of the general definition yields a
-    single-step one. Refuses grounds larger than 14 elements.
+    single-step one. A violation reads (S, S + e', e), e before e' in
+    sorted order. Refuses grounds larger than 14 elements.
     """
     elems, table = _subset_table(getattr(f, "value", f), ground, "submodularity", CHECK_CAP)
     n = len(elems)
     report = CheckReport("submodular")
     for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
+        for j in range(i + 1, n):  # the form is symmetric in e, e'
             bi, bj = 1 << i, 1 << j
             for mask in range(1 << n):
                 if mask & bi or mask & bj:

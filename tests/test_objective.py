@@ -116,9 +116,7 @@ def test_checkers_allow_rounding_of_large_float_weights(seed):
     assert check_submodular(cut, range(9)).ok
     table = {frozenset(): 0.0, frozenset({0}): 0.0, frozenset({1}): 0.0,
              frozenset({0, 1}): 5e6}
-    assert check_submodular(lambda s: table[s], [0, 1]).violations == [
-        ((), (1,), 0), ((), (0,), 1)
-    ]
+    assert check_submodular(lambda s: table[s], [0, 1]).violations == [((), (1,), 0)]
 
 
 def test_checker_refuses_large_grounds():
