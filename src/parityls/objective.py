@@ -102,10 +102,12 @@ class ValueContext:
     and ``apply`` evaluates the new base rather than adding up gains, so
     an oracle without its own context sees the ``_value`` calls that
     whole-set queries would make. In the family contexts below, cut
-    gains and coverage one-edge add gains are exact integer sums (see
-    ``_dyadic``) rounded once. Their other gains and the ``value`` that
-    ``apply`` carries add floats: exact on integer weights (sums below
-    2^53), within the last ulps of the whole-set figures on float ones.
+    gains and coverage one-edge add and remove gains are exact integer
+    sums (see ``_dyadic``) rounded once; coverage reads its one-edge add
+    gains from lanes of one packed integer. Coverage's multi-edge gains
+    and the ``value`` that ``apply`` carries add floats: exact on integer
+    weights (sums below 2^53), within the last ulps of the whole-set
+    figures on float ones.
     """
 
     def __init__(self, f, base):
@@ -211,9 +213,10 @@ class CoverageObjective(ValueOracle):
                     raise ValueError(f"edge {e} covers item id {i!r}, which is not an integer")
                 if not 0 <= i < n_items:
                     raise ValueError(f"edge {e} covers an unknown item")
-        # built by the first context: item weights as units / den, the
-        # edges that cover each item, and each edge's items in units
-        self._units = self._den = self._holders = self._total = None
+        # built by the first context: item weights as units / den, each
+        # edge's lane in the packed integers, and per item its units in the
+        # lane of every edge that covers it (see _CoverageContext)
+        self._units = self._den = self._lane = self._mask = self._packed = self._total = None
 
     def _value(self, s):
         return self._weight(self._covered(s))
@@ -228,26 +231,38 @@ class CoverageObjective(ValueOracle):
         return sum(map(self.item_weights.__getitem__, items))
 
     def _context(self, base):
-        if self._holders is None:
+        if self._packed is None:
             units, self._den = _dyadic(self.item_weights)
-            holders = [[] for _ in units]
-            for e, items in self.edge_items.items():
-                for i in items:
-                    holders[i].append(e)
-            self._units, self._holders = units, holders
             unit = units.__getitem__
-            self._total = {e: sum(map(unit, items)) for e, items in self.edge_items.items()}
+            top = max((sum(map(unit, items)) for items in self.edge_items.values()), default=0)
+            width = top.bit_length() + 1  # a lane never exceeds its edge's total
+            self._lane = {e: k * width for k, e in enumerate(self.edge_items)}
+            self._mask = (1 << width) - 1
+            lanes = [0] * len(units)
+            for e, items in self.edge_items.items():
+                bit = 1 << self._lane[e]
+                for i in items:
+                    lanes[i] |= bit
+            self._units = units
+            self._packed = [n * b for n, b in zip(units, lanes)]
+            self._total = sum(self._packed)
         return _CoverageContext(self, base)
 
 
 class _CoverageContext(_SummingContext):
-    """Keeps ``single[e]``, the units of e's items outside the base's
-    cover, so adding one edge gains single[e] / den; the table is built
-    at the first such question, and a context that never asks one never
-    keeps it. Other moves use the covered items, so the added edges gain
-    the weight of theirs outside them, and how many base edges cover
-    each item, so the removed edges lose the items no other base edge
-    and no added edge covers."""
+    """Keeps ``single``, one integer whose lane for edge e (see
+    ``CoverageObjective._context``) holds the units of e's items outside
+    the base's cover, so adding one edge gains that lane / den. Each
+    lane stays within 0 and the units of all e's items, below its width,
+    so no carry or borrow crosses lanes, and a move adds or subtracts
+    one packed item integer per item it uncovers or covers. The table
+    is built at the first such question, and a context that never asks
+    one never keeps it. Removing one edge loses the units of its items
+    that no other base edge covers, read from how many base edges cover
+    each item. Other moves use the covered items, so the added edges
+    gain the weight of theirs outside them, and those counts, so the
+    removed edges lose the items no other base edge and no added edge
+    covers."""
 
     def __init__(self, f, base):
         self.f = f
@@ -262,23 +277,30 @@ class _CoverageContext(_SummingContext):
 
     def _table(self):
         f = self.f
-        single = self.single = dict(f._total)
-        for i in self.covered:
-            for e in f._holders[i]:
-                single[e] -= f._units[i]
-        return single
+        self.single = f._total - sum(map(f._packed.__getitem__, self.covered))
+        return self.single
 
     def _gains(self, edges):
         single = self._table() if self.single is None else self.single
-        den = self.f._den
-        return [single[x] / den for x in edges]
+        f = self.f
+        lane, mask, den = f._lane, f._mask, f._den
+        return [(single >> lane[x] & mask) / den for x in edges]
 
     def _gain(self, add, remove):
+        f = self.f
         if not remove and len(add) == 1:
             (x,) = add
             single = self._table() if self.single is None else self.single
-            return single[x] / self.f._den
-        items, weight = self.f.edge_items, self.f.item_weights.__getitem__
+            return (single >> f._lane[x] & f._mask) / f._den
+        if not add and len(remove) == 1:
+            (y,) = remove
+            counts, units = self.counts, f._units
+            lost = 0
+            for i in f.edge_items[y]:
+                if counts[i] == 1:
+                    lost += units[i]
+            return -lost / f._den
+        items, weight = f.edge_items, f.item_weights.__getitem__
         if len(add) == 1:
             for x in add:
                 added = items[x]
@@ -300,24 +322,23 @@ class _CoverageContext(_SummingContext):
 
     def _move(self, add, remove):
         super()._move(add, remove)
-        f, counts, covered, single = self.f, self.counts, self.covered, self.single
-        items, units, holders = f.edge_items, f._units, f._holders
+        counts, covered, single = self.counts, self.covered, self.single
+        items, packed = self.f.edge_items, self.f._packed
         for y in remove:
             for i in items[y]:
                 counts[i] -= 1
                 if not counts[i]:
                     covered.discard(i)
                     if single is not None:
-                        for e in holders[i]:
-                            single[e] += units[i]
+                        single += packed[i]
         for x in add:
             for i in items[x]:
                 if not counts[i]:
                     covered.add(i)
                     if single is not None:
-                        for e in holders[i]:
-                            single[e] -= units[i]
+                        single -= packed[i]
                 counts[i] += 1
+        self.single = single
 
 
 class CutObjective(ValueOracle):

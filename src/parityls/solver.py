@@ -274,7 +274,8 @@ def find_improvement(vals, fits, current, theta, epsilon, gain, dead, after=None
             dead.add(x)
     if start:  # the gains the resumed singles skipped
         skipped = [x for x in outside[:start] if x not in gain]
-        gain.update(zip(skipped, vals.gains(skipped)))
+        if skipped:
+            gain.update(zip(skipped, vals.gains(skipped)))
     if not removable:  # swaps and pairs need a level edge to remove
         return None
 
