@@ -27,11 +27,12 @@ from .solver import Thresholds
 def prune_down_monotone(f, reference):
     """Drop elements contributing nothing: repeatedly remove the smallest
     id x with f(x | O - x) <= 0. The result is strictly down-monotone and
-    worth at least as much as the input."""
+    worth at least as much as the input. Each pass asks f(O) once."""
     current = set(reference)
     while True:
+        whole = f.value(current)
         for x in sorted(current):
-            if f.value(current) - f.value(current - {x}) <= 0:
+            if whole - f.value(current - {x}) <= 0:
                 current.remove(x)
                 break
         else:
@@ -39,12 +40,16 @@ def prune_down_monotone(f, reference):
 
 
 def _prefix_marginals(f, order):
-    """Telescoping marginals: each element's gain over those before it."""
+    """Telescoping marginals: each element's gain over those before it.
+    Each prefix's value is asked once, len(order) + 1 queries in all."""
     weights = {}
     prefix = frozenset()
+    before = f.value(prefix)
     for x in order:
-        weights[x] = f.value(prefix | {x}) - f.value(prefix)
         prefix = prefix | {x}
+        after = f.value(prefix)
+        weights[x] = after - before
+        before = after
     return weights
 
 

@@ -83,26 +83,40 @@ def greedy_baseline(f, cons):
 def brute_force_opt(f, cons):
     """Exhaustive maximum of f over feasible sets, ties resolved to the
     lexicographically first set of sorted ids. Depth-first over prefixes
-    with down-closedness pruning; capped at 20 edges."""
-    ids = list(cons.edge_ids)
+    with down-closedness pruning; capped at 20 edges.
+
+    Each candidate counts one feasibility query and each feasible set
+    one value query, as ``cons.feasible`` and ``f.value`` would, but the
+    walk carries the prefix's vertex union down and asks the matroid's
+    and f's whole-set oracles directly (the edge vertices were checked
+    against the ground when ``cons`` was built). It uses no context, so
+    it stays independent of the code the solver runs."""
+    ids = cons.edge_ids
     if len(ids) > BRUTE_FORCE_CAP:
         raise ValueError(f"brute force capped at {BRUTE_FORCE_CAP} edges")
+    verts = [cons.edges[e].vertices for e in ids]
+    ones = [frozenset((e,)) for e in ids]
+    independent = cons.matroid._independent
+    value_of = f._value
 
     best_set = frozenset()
-    best_value = f.value(frozenset())
+    best_value = f.value(best_set)
 
-    def walk(prefix, start):
+    def walk(prefix, used, start):
         nonlocal best_set, best_value
         for pos in range(start, len(ids)):
-            grown = prefix | {ids[pos]}
-            if not cons.feasible(grown):
+            union = used | verts[pos]
+            cons.feasibility_calls += 1
+            if not independent(union):
                 continue
-            value = f.value(grown)
+            grown = prefix | ones[pos]
+            f.calls += 1
+            value = value_of(grown)
             if value > best_value:
-                best_set, best_value = frozenset(grown), value
-            walk(grown, pos + 1)
+                best_set, best_value = grown, value
+            walk(grown, union, pos + 1)
 
-    walk(frozenset(), 0)
+    walk(frozenset(), frozenset(), 0)
     return best_set, best_value
 
 

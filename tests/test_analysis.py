@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parityls import analysis
 from parityls.analysis import (
     charge_ratios,
     insertion_weights,
@@ -22,7 +23,7 @@ from parityls.exchange import exchange_claim_violations, exchange_structure
 from parityls.instances import trace_from_json, trace_to_json
 from parityls.kparity import KParityConstraint
 from parityls.matroid import CheckReport, UniformMatroid
-from parityls.objective import CoverageObjective, CutObjective, ModularObjective
+from parityls.objective import CoverageObjective, ModularObjective, ValueOracle
 from parityls.solver import (
     Improvement,
     RunTrace,
@@ -35,6 +36,9 @@ from util import (
     WEIGHT_GRID,
     SetSystem,
     analysis_instance,
+    reference_prefix_marginals,
+    reference_prune_down_monotone,
+    regridded,
     rng_for,
     shift_log_ratio,
     simulate_ratios,
@@ -451,16 +455,6 @@ def test_verify_report_json_shape():
 DESK_PARITY = {"k": 2, "n_vertices": 10, "n_edges": 10, "rank": 5}
 
 
-def regridded(f, draw):
-    """f's family and structure with its weights replaced, in order, by
-    ``draw(n)``, a list of n weights."""
-    if isinstance(f, ModularObjective):
-        return ModularObjective(dict(zip(sorted(f.weights), draw(len(f.weights)))))
-    if isinstance(f, CoverageObjective):
-        return CoverageObjective(draw(len(f.item_weights)), f.edge_items)
-    return CutObjective([(u, v, w) for (u, v, _), w in zip(f.links, draw(len(f.links)))])
-
-
 def test_float_cut_gain_of_rounding_size_verifies():
     # the pick's exact gain is ~2e-16 where the float weights cancel, so
     # the run jumps to level 55 (threshold 1.6e-16) and adds edge 5, whose
@@ -514,3 +508,74 @@ def test_float_grid_weights_agree_and_verify(seed, matroid, objective, solver_se
     assert (replayed.final, replayed.insertion_order) == (trace.final, trace.insertion_order)
     report = verify_run(trace, f, cons, pruned_optimum(f, cons))
     assert report.ok, [(c.name, c.violations) for c in report.failed()]
+
+
+# ------------------------------------------------------- whole-set queries
+
+
+def float_battery():
+    """Desk-scale runs of every matroid x objective family with weights
+    from WEIGHT_GRID, as (cons, f, trace, brute-force best)."""
+    rng = rng_for(26)
+    out = []
+    for seed in range(3):
+        for matroid in ("uniform", "partition", "graphic"):
+            for objective in ("modular", "coverage", "cut"):
+                params = DESK_PARITY | {"matroid": matroid, "objective": objective}
+                cons, f = generate_instance("random-parity", params, seed)
+                f = regridded(
+                    f, lambda n: [WEIGHT_GRID[i] for i in rng.integers(len(WEIGHT_GRID), size=n)]
+                )
+                _, trace = solved(f, cons, seed=3)
+                out.append((cons, f, trace, brute_force_opt(f, cons)[0]))
+    return out
+
+
+def spy_on_values(monkeypatch):
+    """The list of edge sets ``ValueOracle.value`` is asked from now on."""
+    asked = []
+    value = ValueOracle.value
+
+    def spy(f, edge_set):
+        asked.append(frozenset(edge_set))
+        return value(f, edge_set)
+
+    monkeypatch.setattr(ValueOracle, "value", spy)
+    return asked
+
+
+def test_weights_and_pruning_ask_each_whole_set_once(monkeypatch):
+    battery = float_battery()
+    asked = spy_on_values(monkeypatch)
+    for cons, f, trace, best in battery:
+        for order, weights in [
+            (trace.insertion_order, lambda: insertion_weights(trace, f)),
+            (sorted(best), lambda: reference_weights(f, best)),
+        ]:
+            asked.clear()
+            got = weights()
+            # each prefix once, the empty one first
+            assert asked == [frozenset(order[:i]) for i in range(len(order) + 1)]
+            assert got == reference_prefix_marginals(f, order)
+
+        # the whole ground is not feasible, but it has more to prune
+        for start in (best, frozenset(cons.edge_ids)):
+            asked.clear()
+            want = reference_prune_down_monotone(f, start)
+            tried = len(asked) // 2  # the reference asks f(O) again per tried element
+            asked.clear()
+            pruned = prune_down_monotone(f, start)
+            assert pruned == want
+            passes = len(start) - len(pruned) + 1  # each pass but the last removes one
+            assert len(asked) == passes + tried
+            assert asked.count(start) == 1
+
+
+def test_verifier_reports_equal_the_whole_set_loops(monkeypatch):
+    for cons, f, trace, best in float_battery():
+        reference = prune_down_monotone(f, best)
+        assert reference == reference_prune_down_monotone(f, best)
+        report = verify_run(trace, f, cons, reference).to_json()
+        with monkeypatch.context() as patched:
+            patched.setattr(analysis, "_prefix_marginals", reference_prefix_marginals)
+            assert verify_run(trace, f, cons, reference).to_json() == report

@@ -26,7 +26,15 @@ from parityls.kparity import (
 )
 from parityls.matroid import PartitionMatroid, UniformMatroid
 from parityls.objective import ModularObjective, ValueContext, ValueOracle
-from util import solver_instance, subsets
+from util import (
+    WEIGHT_GRID,
+    SetSystem,
+    reference_brute_force,
+    regridded,
+    rng_for,
+    solver_instance,
+    subsets,
+)
 
 
 def singleton_parity(matroid):
@@ -95,6 +103,61 @@ def test_brute_force_matches_exhaustive_scan():
         )
         assert opt == truth
         assert cons.feasible(best) and f.value(best) == opt
+
+
+def brute_force_battery():
+    """Seeded random-parity instances of every matroid x objective family
+    and k-partition intersections, at most 12 edges each; every one comes
+    twice, the second time with weights from WEIGHT_GRID, whose sums tie
+    exactly."""
+    rng = rng_for(26)
+
+    def grid(n):
+        return [WEIGHT_GRID[i] for i in rng.integers(len(WEIGHT_GRID), size=n)]
+
+    for seed in range(3):
+        for matroid in ("uniform", "partition", "graphic"):
+            for objective in ("modular", "coverage", "cut"):
+                params = {"k": 2, "n_vertices": int(rng.integers(12, 25)),
+                          "n_edges": int(rng.integers(6, 13)), "matroid": matroid,
+                          "objective": objective}
+                cons, f = generate_instance("random-parity", params, seed)
+                yield cons, f
+                yield cons, regridded(f, grid)
+        params = {"k": 2, "n_elements": 10, "objective": "coverage"}
+        cons, f = generate_instance("k-partition-intersection", params, seed)
+        yield cons, f
+        yield cons, regridded(f, grid)
+
+
+def assert_walks_alike(f, cons):
+    """brute_force_opt returns the reference walk's set and value (==)
+    and asks as many value and feasibility queries."""
+    start = f.calls, cons.feasibility_calls
+    got = brute_force_opt(f, cons)
+    middle = f.calls, cons.feasibility_calls
+    want = reference_brute_force(f, cons)
+    end = f.calls, cons.feasibility_calls
+    assert got == want
+    assert [b - a for a, b in zip(start, middle)] == [b - a for a, b in zip(middle, end)]
+    return got
+
+
+def test_brute_force_matches_the_whole_set_reference():
+    sizes = set()
+    for cons, f in brute_force_battery():
+        assert len(cons.edge_ids) <= 12
+        sizes.add(len(cons.edge_ids))
+        assert_walks_alike(f, cons)
+    assert max(sizes) == 12
+
+
+def test_brute_force_prunes_a_set_system_like_the_reference():
+    # {0, 1} and {0, 1, 2} are independent but {0} is not: both walks stop
+    # at {0}, so neither reaches the set worth 7
+    system = SetSystem(4, [(), (1,), (2,), (3,), (0, 1), (1, 2), (2, 3), (0, 1, 2)])
+    f = ModularObjective({0: 5, 1: 1, 2: 1, 3: 2})
+    assert assert_walks_alike(f, singleton_parity(system)) == (frozenset({2, 3}), 3.0)
 
 
 def test_brute_force_cap():

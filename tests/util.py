@@ -1,9 +1,10 @@
 """Shared helpers for the test suite: subset enumeration, random feasible
 sets, a set system that need not be a matroid, hypothesis strategies for
-matroids, a non-dyadic weight grid, the seeded desk-scale instance
-batteries, the exact expectation of double greedy, the two-context
-double greedy loop, the plain round loop of the non-monotone wrapper and
-the closed form of the threshold/weight ratio."""
+matroids, a non-dyadic weight grid and the reweighting that applies it,
+the seeded desk-scale instance batteries, the exact expectation of
+double greedy, the two-context double greedy loop, the plain round loop
+of the non-monotone wrapper, the whole-set brute force and verifier
+loops, and the closed form of the threshold/weight ratio."""
 
 import math
 from fractions import Fraction
@@ -23,10 +24,21 @@ from parityls.matroid import (
     UniformMatroid,
 )
 from parityls.nonmonotone import RepetitionsTrace, RoundRecord
+from parityls.objective import CoverageObjective, CutObjective, ModularObjective
 from parityls.solver import SolverConfig, run_efficient
 
 # non-dyadic weights with a repeated value, so that sums cancel and tie
 WEIGHT_GRID = (0.1, 0.2, 0.3, 0.7, 1.1, 1.1, 2.3)
+
+
+def regridded(f, draw):
+    """f's family and structure with its weights replaced, in order, by
+    ``draw(n)``, a list of n weights."""
+    if isinstance(f, ModularObjective):
+        return ModularObjective(dict(zip(sorted(f.weights), draw(len(f.weights)))))
+    if isinstance(f, CoverageObjective):
+        return CoverageObjective(draw(len(f.item_weights)), f.edge_items)
+    return CutObjective([(u, v, w) for (u, v, _), w in zip(f.links, draw(len(f.links)))])
 
 
 def subsets(elems):
@@ -289,6 +301,54 @@ def reference_repetitions(f, cons, config):
                 best, best_value = candidate, value
         remaining -= selected
     return best, trace
+
+
+def reference_brute_force(f, cons):
+    """``bench.brute_force_opt`` as a plain whole-set walk: the same
+    visiting order, down-closed pruning and tie rule, with one
+    ``cons.feasible`` query per candidate and one ``f.value`` query per
+    feasible set plus one for the empty set."""
+    ids = list(cons.edge_ids)
+    best_set = frozenset()
+    best_value = f.value(frozenset())
+
+    def walk(prefix, start):
+        nonlocal best_set, best_value
+        for pos in range(start, len(ids)):
+            grown = prefix | {ids[pos]}
+            if not cons.feasible(grown):
+                continue
+            value = f.value(grown)
+            if value > best_value:
+                best_set, best_value = frozenset(grown), value
+            walk(grown, pos + 1)
+
+    walk(frozenset(), 0)
+    return best_set, best_value
+
+
+def reference_prefix_marginals(f, order):
+    """``analysis._prefix_marginals`` asking both sides of every gain:
+    two value queries per element."""
+    weights = {}
+    prefix = frozenset()
+    for x in order:
+        weights[x] = f.value(prefix | {x}) - f.value(prefix)
+        prefix = prefix | {x}
+    return weights
+
+
+def reference_prune_down_monotone(f, reference):
+    """``analysis.prune_down_monotone`` asking f(current) again for every
+    element it tries: two value queries per tried removal."""
+    current = set(reference)
+    while True:
+        for x in sorted(current):
+            if f.value(current) - f.value(current - {x}) <= 0:
+                current.remove(x)
+                break
+        else:
+            return frozenset(current)
 
 
 def shift_log_ratio(scale, u_value, alpha):
