@@ -9,7 +9,7 @@ f would gain if these edges were added and those removed.
 import math
 import numbers
 
-from .matroid import CheckReport, _integer, _leq, _subset, _subset_table
+from .matroid import CheckReport, _integer, _leq, _submodular_violations, _subset, _subset_table
 
 CHECK_CAP = 14
 
@@ -439,22 +439,10 @@ def check_submodular(f, ground) -> CheckReport:
     f(S + e + e') + f(S) <= f(S + e) + f(S + e') up to ``_leq``'s relative
     tolerance; any violation of the general definition yields a
     single-step one. A violation reads (S, S + e', e), e before e' in
-    sorted order. Refuses grounds larger than 14 elements.
+    sorted order. Refuses grounds of more than 14 distinct elements.
     """
     elems, table = _subset_table(getattr(f, "value", f), ground, "submodularity", CHECK_CAP)
-    n = len(elems)
-    report = CheckReport("submodular")
-    for i in range(n):
-        for j in range(i + 1, n):  # the form is symmetric in e, e'
-            bi, bj = 1 << i, 1 << j
-            for mask in range(1 << n):
-                if mask & bi or mask & bj:
-                    continue
-                if not _leq(table[mask | bi | bj] + table[mask], table[mask | bi] + table[mask | bj]):
-                    report.violations.append(
-                        (_subset(elems, mask), _subset(elems, mask | bj), elems[i])
-                    )
-    return report
+    return CheckReport("submodular", _submodular_violations(elems, table))
 
 
 def check_monotone(f, ground) -> CheckReport:

@@ -16,7 +16,7 @@ from parityls.matroid import (
     axiom_check,
 )
 from parityls.objective import check_monotone, check_submodular
-from util import SetSystem
+from util import SetSystem, matroids, reference_axiom_check
 
 
 def subsets(elems):
@@ -147,10 +147,11 @@ def test_axiom_check_flags_down_closedness():
 
 
 def test_axiom_check_flags_augmentation():
+    # {0} cannot grow from {1, 2}: r({0, 1, 2}) + r({0}) = 3 > r({0, 1}) + r({0, 2}) = 2
     m = SetSystem(3, [[], [0], [1], [2], [1, 2]])
     report = axiom_check(m)
     assert not report.ok
-    assert report.violations == [("augmentation", (0,), (1, 2))]
+    assert report.violations == [("rank-submodular", (0,), (0, 2), 1)]
 
 
 def test_axiom_check_refuses_large_grounds():
@@ -162,6 +163,36 @@ def test_axiom_check_flags_dependent_empty_set():
     assert axiom_check(SetSystem(1, [[0]])).violations == [
         ("empty set dependent",), ("down-closed", (0,), 0)
     ]
+
+
+@st.composite
+def set_families(draw, max_n=7):
+    """A SetSystem over at most ``max_n`` elements: a few random sets,
+    closed downward or not, with the empty set added or dropped."""
+    n = draw(st.integers(0, max_n))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6))
+    family = {frozenset(v for v in range(n) if mask >> v & 1) for mask in masks}
+    if draw(st.booleans()):
+        family = {t for s in family for t in subsets(s)}
+    family = family | {frozenset()} if draw(st.booleans()) else family - {frozenset()}
+    return SetSystem(n, family)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.one_of(set_families(), matroids(max_n=7).filter(lambda m: m.ground_size <= 7)))
+def test_axiom_check_agrees_with_augmentation(m):
+    # the same verdict and the same first two passes as the augmentation
+    # check; the rank violations, only on a down-closed family holding the
+    # empty set, are check_submodular's on its rank
+    report, reference = axiom_check(m), reference_axiom_check(m)
+    assert report.ok == reference.ok
+    passes = [v for v in report.violations if v[0] != "rank-submodular"]
+    assert passes == [v for v in reference.violations if v[0] != "augmentation"]
+    expected = []
+    if not passes:
+        rank = check_submodular(lambda s: brute_force_rank(m, s), m.ground)
+        expected = [("rank-submodular", *v) for v in rank.violations]
+    assert report.violations[len(passes):] == expected
 
 
 def test_explicit_constructor_validates():

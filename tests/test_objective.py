@@ -119,6 +119,15 @@ def test_checkers_allow_rounding_of_large_float_weights(seed):
     assert check_submodular(lambda s: table[s], [0, 1]).violations == [((), (1,), 0)]
 
 
+def test_checkers_read_a_repeated_element_once():
+    # a cut is submodular on any ground, and fifteen copies of one id are
+    # a ground of one element, within the cap
+    assert check_submodular(CutObjective([(0, 1, 1.0)]), [0, 0, 1]) == CheckReport("submodular", [])
+    f = ModularObjective({0: 1.0})
+    assert check_submodular(f, [0] * 15) == CheckReport("submodular", [])
+    assert check_monotone(f, [0] * 15) == CheckReport("monotone", [])
+
+
 def test_checker_refuses_large_grounds():
     f = ModularObjective({i: 1 for i in range(CHECK_CAP + 1)})
     with pytest.raises(ValueError):

@@ -1,10 +1,11 @@
 """Shared helpers for the test suite: subset enumeration, random feasible
-sets, a set system that need not be a matroid, hypothesis strategies for
-matroids, a non-dyadic weight grid and the reweighting that applies it,
-the seeded desk-scale instance batteries, the exact expectation of
-double greedy, the two-context double greedy loop, the plain round loop
-of the non-monotone wrapper, the whole-set brute force and verifier
-loops, and the closed form of the threshold/weight ratio."""
+sets, a set system that need not be a matroid, the axiom check through
+augmentation, hypothesis strategies for matroids, a non-dyadic weight
+grid and the reweighting that applies it, the seeded desk-scale instance
+batteries, the exact expectation of double greedy, the two-context
+double greedy loop, the plain round loop of the non-monotone wrapper,
+the whole-set brute force and verifier loops, and the closed form of the
+threshold/weight ratio."""
 
 import math
 from fractions import Fraction
@@ -17,11 +18,15 @@ from parityls.analysis import _ratio_cap
 from parityls.bench import generate_instance
 from parityls.kparity import ProductMatroid
 from parityls.matroid import (
+    AXIOM_CHECK_CAP,
+    CheckReport,
     ExplicitMatroid,
     GraphicMatroid,
     MatroidOracle,
     PartitionMatroid,
     UniformMatroid,
+    _subset,
+    _subset_table,
 )
 from parityls.nonmonotone import RepetitionsTrace, RoundRecord
 from parityls.objective import CoverageObjective, CutObjective, ModularObjective
@@ -58,6 +63,35 @@ class SetSystem(MatroidOracle):
 
     def _independent(self, s):
         return s in self.independent_sets
+
+
+def reference_axiom_check(matroid):
+    """``matroid.axiom_check`` through the augmentation axiom: the same
+    empty-set and down-closed passes, then ("augmentation", S, T) for
+    independent S and T, |T| = |S| + 1, where no e of T - S keeps S + e
+    independent. Given down-closedness, sizes that differ by one give the
+    general property (a larger T can be shrunk to size |S| + 1 first)."""
+    elems, independent = _subset_table(
+        matroid.is_independent, matroid.ground, "axiom", AXIOM_CHECK_CAP
+    )
+    n = len(elems)
+    report = CheckReport("matroid-axioms")
+    if not independent[0]:
+        report.violations.append(("empty set dependent",))
+    by_size = [[] for _ in range(n + 1)]
+    for mask, ok in enumerate(independent):
+        if ok:
+            by_size[bin(mask).count("1")].append(mask)
+            for i in range(n):
+                if mask >> i & 1 and not independent[mask ^ 1 << i]:
+                    report.violations.append(("down-closed", _subset(elems, mask), elems[i]))
+    for smaller, larger in zip(by_size, by_size[1:]):
+        for s in smaller:
+            grows = sum(1 << i for i in range(n) if not s >> i & 1 and independent[s | 1 << i])
+            for t in larger:
+                if not t & grows:
+                    report.violations.append(("augmentation", _subset(elems, s), _subset(elems, t)))
+    return report
 
 
 @st.composite
