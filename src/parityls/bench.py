@@ -71,8 +71,8 @@ def greedy_baseline(f, cons):
     # the rank filter below drops every edge found dependent, so each
     # pick starts an empty set of them
     while (e := best_feasible(fits, gain, set())) is not None:
-        vals.apply((e,))
-        fits.apply((e,))
+        vals.move((e,))
+        fits.move((e,))
         top = gain[e]
         # the edges ranked after the pick, less those with a settled gain <= 0
         left = [d for d, g in gain.items() if (g < top or g == top and d > e) and g > 0]

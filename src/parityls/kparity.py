@@ -121,9 +121,15 @@ class FeasibilityContext:
     | add)`` and counts one query on the constraint, like that call.
     ``apply(add, remove=())`` moves the edge set to that set, and refuses
     a move that does not fit it as ``ValueContext.apply`` does. Binding
-    and ``apply`` count no query. Binding builds the matroid context of
+    and moving count no query. Binding builds the matroid context of
     the edge set's vertices, ``apply`` moves it (``MatroidContext.moved``),
     and an unknown edge id raises ValueError there, before anything moves.
+
+    ``fits(x, y=None)`` is ``feasible((x,), (y,))``, or ``feasible((x,))``
+    when y is None, and ``move(add, remove=())`` is ``apply(add, remove)``,
+    with the same answer, effect and count but no check: the hot path of
+    callers that ask only about known edges and build only moves that fit
+    the edge set. Only the public ``feasible`` and ``apply`` check.
     """
 
     def __init__(self, cons, edge_set):
@@ -140,8 +146,19 @@ class FeasibilityContext:
             cons.vertices_of(add), cons.vertices_of(remove) if remove else EMPTY
         )
 
+    def fits(self, x, y=None) -> bool:
+        cons = self.cons
+        cons.feasibility_calls += 1
+        edges = cons.edges
+        return self._matroid_context.independent_with(
+            edges[x].vertices, EMPTY if y is None else edges[y].vertices
+        )
+
     def apply(self, add, remove=()):
         _check_move(self.edge_set, add, remove)
+        self.move(add, remove)
+
+    def move(self, add, remove=()):
         cons = self.cons
         self._matroid_context = self._matroid_context.moved(
             cons.vertices_of(add), cons.vertices_of(remove) if remove else EMPTY

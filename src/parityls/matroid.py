@@ -62,7 +62,8 @@ def _subset_table(fn, ground, check, cap):
 
 
 def _submodular_violations(elems, table):
-    """``check_submodular``'s violations (S, S + e', e) of a table by bit mask."""
+    """``check_submodular``'s violations (S, S + e', e) of a table by bit mask.
+    An exact ``<=`` decides most steps, and ``_leq`` only those it fails."""
     bits = [1 << i for i in range(len(elems))]
     return [
         (_subset(elems, mask), _subset(elems, mask | bj), elems[i])
@@ -70,7 +71,11 @@ def _submodular_violations(elems, table):
         for bj in bits[i + 1:]  # the form is symmetric in e, e'
         for mask in range(len(table))
         if not (mask & bi or mask & bj)
-        and not _leq(table[mask | bi | bj] + table[mask], table[mask | bi] + table[mask | bj])
+        and not (
+            (lhs := table[mask | bi | bj] + table[mask])
+            <= (rhs := table[mask | bi] + table[mask | bj])
+            or _leq(lhs, rhs)
+        )
     ]
 
 

@@ -46,10 +46,14 @@ def double_greedy(f, edge_set, rng):
     element, on Y's base below it (the elements kept so far), and from
     then on grows with each element taken. X ends equal to Y, so T is
     Y's base; when nothing is dropped it is ``edge_set`` itself
-    if that is a frozenset. A monotone f (b' = 0 throughout) binds one
-    context and asks |S| gains. Since a' is not asked where b' = 0, a
+    if that is a frozenset. Since a' is not asked where b' = 0, a
     NaN a' there takes e, where a loop asking it would drop e; the
     shipped families reject non-finite weights and never give one.
+
+    A monotone f (``f.monotone``) has b' = 0 for every element, exactly:
+    coverage's remove gains are whole units and a non-negative modular
+    f's are -w. So p = 1 throughout, nothing is dropped and no draw is
+    read, and double greedy binds Y alone and returns S, asking no gain.
 
     Returns (T, f(S)). f(S) is Y's value at its bind, which every
     shipped family and the generic context compute as ``f.value(S)``
@@ -57,6 +61,8 @@ def double_greedy(f, edge_set, rng):
     """
     high = f.context(edge_set)
     value = high.value
+    if f.monotone:  # b' = 0 throughout (see above)
+        return high.base, value
     low = None  # X, bound at the first element with b' > 0
     owed = 0  # draws of decided elements not yet taken from rng
     for e in sorted(edge_set):
@@ -66,7 +72,7 @@ def double_greedy(f, edge_set, rng):
         else:
             if low is None:
                 low = f.context(frozenset(x for x in high.base if x < e))
-            a = max(low.gain((e,)), 0.0)
+            a = max(low.gain_of(e), 0.0)
             p = a / (a + b)
         if 0.0 < p < 1.0:
             for _ in range(owed):
@@ -77,9 +83,9 @@ def double_greedy(f, edge_set, rng):
             owed += 1
             take = p >= 1.0
         if not take:
-            high.apply((), (e,))
+            high.move((), (e,))
         elif low is not None:
-            low.apply((e,))
+            low.move((e,))
     return high.base, value
 
 

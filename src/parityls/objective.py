@@ -20,19 +20,23 @@ class ValueOracle:
     ``value(S)`` evaluates one whole set. ``context(S)`` fixes S and
     answers marginals around it (see ValueContext). Binding a context
     counts one query, as ``value(S)`` does, and so does each of its
-    ``gain`` and ``apply`` calls; ``gains(edges)`` counts one query per
-    edge it is given, as many as ``gain((x,))`` for each of them would.
-    A subclass defines ``_value`` and may override ``_context`` with a
-    cheaper incremental context.
+    ``gain``, ``gain_of``, ``apply`` and ``move`` calls; ``gains(edges)``
+    counts one query per edge it is given, as many as ``gain((x,))`` for
+    each of them would. A subclass defines ``_value`` and may override
+    ``_context`` with a cheaper incremental context.
 
     f must be submodular, as the solver's scan and greedy assume: they
     skip questions whose answer that fixes, so a non-submodular f can
     make them miss moves and picks, never return an infeasible set.
     ``linear``, True for a modular f, tells the run verifier which
-    charge ratio applies.
+    charge ratio applies. ``monotone``, True only where f(S) <= f(S + e)
+    for every S and e and every one-edge remove gain is exactly <= 0
+    (coverage, and a modular f with no negative weight), lets double
+    greedy skip what that fixes; it is False by default.
     """
 
     linear = False
+    monotone = False
 
     def __init__(self):
         self.calls = 0
@@ -98,6 +102,12 @@ class ValueContext:
     bit for bit, and counts ``len(edges)`` queries; an edge of the base
     raises ValueError as ``gain`` does.
 
+    ``gain_of(x)`` is ``gain((x,))`` and ``move(add, remove=())`` is
+    ``apply(add, remove)``, with the same answer, effect and count but
+    no check of the move: the hot path of callers that build only moves
+    that fit the base (the solver, greedy and double greedy). Only the
+    public ``gain``, ``gains`` and ``apply`` check.
+
     This generic context evaluates ``f._value`` on each whole new set,
     and ``apply`` evaluates the new base rather than adding up gains, so
     an oracle without its own context sees the ``_value`` calls that
@@ -127,8 +137,15 @@ class ValueContext:
         return self._gains(edges)
 
     def apply(self, add, remove=()):
-        self.f.calls += 1
         _check_move(self.base, add, remove)
+        self.move(add, remove)
+
+    def gain_of(self, x) -> float:
+        self.f.calls += 1
+        return self._gain((x,), ())
+
+    def move(self, add, remove=()):
+        self.f.calls += 1
         self._move(add, remove)
 
     def _gain(self, add, remove):
@@ -152,7 +169,9 @@ class _SummingContext(ValueContext):
 
 class ModularObjective(ValueOracle):
     """f(S) = w0 + sum of per-edge weights; marginals are constant, so the
-    analysis treats this family as linear (w0 only shifts values)."""
+    analysis treats this family as linear (w0 only shifts values). It is
+    monotone exactly when no weight is negative, as the weights stand at
+    construction."""
 
     linear = True
 
@@ -167,6 +186,7 @@ class ModularObjective(ValueOracle):
                 _real(w, "edge {}", e)
             if not math.isfinite(w):
                 raise ValueError(f"edge {e} has non-finite weight {w}")
+        self.monotone = all(w >= 0 for w in self.weights.values())
 
     def _value(self, s):
         return self.w0 + sum(self.weights[e] for e in s)
@@ -182,6 +202,11 @@ class _ModularContext(_SummingContext):
         weights = self.f.weights
         return [0.0 + weights[x] for x in edges]
 
+    def gain_of(self, x):
+        f = self.f
+        f.calls += 1
+        return 0.0 + f.weights[x]
+
     def _gain(self, add, remove):
         weights = self.f.weights
         g = 0.0
@@ -195,6 +220,8 @@ class _ModularContext(_SummingContext):
 class CoverageObjective(ValueOracle):
     """Weighted coverage: f(S) = total weight of items covered by S.
     Monotone submodular for non-negative item weights."""
+
+    monotone = True
 
     def __init__(self, item_weights, edge_items):
         super().__init__()
@@ -285,6 +312,12 @@ class _CoverageContext(_SummingContext):
         f = self.f
         lane, mask, den = f._lane, f._mask, f._den
         return [(single >> lane[x] & mask) / den for x in edges]
+
+    def gain_of(self, x):
+        f = self.f
+        f.calls += 1
+        single = self._table() if self.single is None else self.single
+        return (single >> f._lane[x] & f._mask) / f._den
 
     def _gain(self, add, remove):
         f = self.f
@@ -401,6 +434,11 @@ class _CutContext(_SummingContext):
     def _gains(self, edges):
         single, den = self.single, self.f._den
         return [single.get(x, 0) / den for x in edges]
+
+    def gain_of(self, x):
+        f = self.f
+        f.calls += 1
+        return self.single.get(x, 0) / f._den
 
     def _gain(self, add, remove):
         single, den = self.single, self.f._den

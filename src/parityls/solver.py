@@ -203,10 +203,10 @@ def sample_alpha(rng):
 
 def best_feasible(fits, gain, dead):
     """Greedy's pick: the first edge in (-gain, id) order with a positive
-    gain that the context ``fits`` accepts, asking until one fits; else
-    None. ``dead`` holds edges whose single add was found dependent:
-    they are skipped without a query, and each new failure is added.
-    That is sound while the base only grows, since feasibility is
+    gain that the context ``fits`` accepts, asking ``fits.fits`` until
+    one fits; else None. ``dead`` holds edges whose single add was found
+    dependent: they are skipped without a query, and each new failure is
+    added. That is sound while the base only grows, since feasibility is
     down-closed; whoever removes an edge from the base must empty it."""
     # two stable sorts with a C-level key: (-gain, id) order for finite gains
     for e in sorted(sorted(gain), key=gain.__getitem__, reverse=True):
@@ -214,7 +214,7 @@ def best_feasible(fits, gain, dead):
             return None
         if e in dead:
             continue
-        if fits.feasible((e,)):
+        if fits.fits(e):
             return e
         dead.add(e)
     return None
@@ -232,7 +232,9 @@ def find_improvement(vals, fits, current, theta, epsilon, gain, dead, after=None
     first-inserted element before the other labeling. Every feasibility
     check on (base | A) \\ N is asked of ``fits`` and every value query
     is a gain asked of ``vals``; each comparison reads a whole-set value
-    as ``vals.value`` plus that gain. The scan binds and moves nothing.
+    as ``vals.value`` plus that gain. The scan builds only moves that fit
+    the base, so the singles and swaps ask the unchecked ``gain_of`` and
+    ``fits``. The scan binds and moves nothing.
     Returns None at a local optimum. ``gain`` is the run's memo of
     f(base + x) - f(base): the scan reads the gains it holds, asks and
     stores those it lacks, and never empties or reorders it; after a
@@ -267,9 +269,9 @@ def find_improvement(vals, fits, current, theta, epsilon, gain, dead, after=None
     f_base = vals.value
     for x in outside[start:]:
         if x not in gain:
-            gain[x] = vals.gain((x,))
+            gain[x] = vals.gain_of(x)
         if gain[x] >= theta and x not in dead:
-            if fits.feasible((x,)):
+            if fits.fits(x):
                 return Improvement(1, (x,), ())
             dead.add(x)
     if start:  # the gains the resumed singles skipped
@@ -284,7 +286,7 @@ def find_improvement(vals, fits, current, theta, epsilon, gain, dead, after=None
     dead_swaps = set()  # swaps (x, y) with (base - y) + x dependent
     for x in high:
         for y in removable:
-            if not fits.feasible((x,), (y,)):
+            if not fits.fits(x, y):
                 dead_swaps.add((x, y))
                 continue
             if f_base + vals.gain((x,), (y,)) >= f_base + epsilon * theta:
@@ -323,7 +325,8 @@ def _drive(f, cons, config, rng, next_level):
     would be the same edge. ``next_level(thresholds, index, top)``,
     with ``top`` the pick's gain, gives the next level index, and the
     loop runs the first-improvement local search there
-    until no move is left. Each applied move moves both contexts, so
+    until no move is left. Each applied move moves both contexts (their
+    unchecked ``move``: the scan builds only moves that fit), so
     their base is always the chosen set, and the settled set
     ``trace.final`` when a level ends. ``gain``, the memo of each edge's
     gain against that set, starts as the singleton gains, is filled by
@@ -361,8 +364,8 @@ def _drive(f, cons, config, rng, next_level):
             while imp := find_improvement(
                 vals, fits, current, theta, config.epsilon, gain, dead, after
             ):
-                vals.apply(imp.added, imp.removed)
-                fits.apply(imp.added, imp.removed)
+                vals.move(imp.added, imp.removed)
+                fits.move(imp.added, imp.removed)
                 gain.clear()
                 if imp.removed:
                     dead.clear()

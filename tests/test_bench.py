@@ -29,6 +29,7 @@ from parityls.objective import ModularObjective, ValueContext, ValueOracle
 from util import (
     WEIGHT_GRID,
     SetSystem,
+    context_classes,
     reference_brute_force,
     regridded,
     rng_for,
@@ -435,9 +436,15 @@ def test_oracle_calls_column_counts_every_query(mode, tmp_path, monkeypatch):
     monkeypatch.setattr(
         ValueContext, "gains", counting(ValueContext.gains, lambda ctx, edges: len(edges))
     )
-    monkeypatch.setattr(ValueContext, "apply", counting(ValueContext.apply))
+    # the unchecked one-edge gain, in every context class that defines it
+    for cls in context_classes(ValueContext, "gain_of"):
+        monkeypatch.setattr(cls, "gain_of", counting(cls.gain_of))
+    # apply checks the move and then calls move, so a wrapped move counts
+    # each applied move once, whichever of the two the caller asked
+    monkeypatch.setattr(ValueContext, "move", counting(ValueContext.move))
     monkeypatch.setattr(KParityConstraint, "feasible", counting(KParityConstraint.feasible))
     monkeypatch.setattr(FeasibilityContext, "feasible", counting(FeasibilityContext.feasible))
+    monkeypatch.setattr(FeasibilityContext, "fits", counting(FeasibilityContext.fits))
     solve(mode, f, cons, epsilon=0.5, seed=row["seed"])
     assert row["oracle_calls"] == counted[0] > 0
 

@@ -5,8 +5,10 @@ A feasibility context moved by ``apply`` answers for the moved set, and
 both kinds of context refuse a move that does not fit their base.
 Value gains are exact on integer weights and within 1e-9 relative on
 float weights, and one-edge cut and coverage gains are the exact gain
-rounded once on any weights; ``gains`` answers what ``gain`` answers for
-each edge, bit for bit; greedy and double greedy, which ask value
+rounded once on any weights; ``gains`` and the unchecked ``gain_of``
+answer what ``gain`` answers for each edge, bit for bit, ``fits`` what
+``feasible`` answers, and the unchecked ``move`` does what ``apply``
+does, with the same counts; greedy and double greedy, which ask value
 contexts, pick what their whole-set loops pick, and the drivers and
 greedy bind each kind of context once per run."""
 
@@ -324,6 +326,101 @@ def test_gains_are_one_edge_gains_bit_for_bit(integer, generic, data):
         add, remove = move
         ctx.apply(add, remove)
         base = (base - set(remove)) | set(add)
+
+
+def bad_moves(base, outside, x, y):
+    """Moves that do not fit ``base``, for y an edge of it and x one
+    ``outside`` it: adding y, removing y twice, removing x and adding x
+    twice."""
+    bad = []
+    if base:
+        bad += [((y,), ()), ((), (y, y))]
+    if outside:
+        bad += [((), (x,)), ((x, x), ())]
+    return bad
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer=st.booleans(), generic=st.booleans(), data=st.data())
+def test_the_unchecked_value_path_matches_the_checked_one(integer, generic, data):
+    """On integer weights and on the non-dyadic grid, in each family's
+    context and in the generic one, before and after moves: ``gain_of(x)``
+    is ``gain((x,))`` bit for bit and counts one query, ``move`` leaves
+    the same base, value and tables as ``apply`` and counts one query,
+    and the public ``gain`` and ``apply`` still refuse a move that does
+    not fit the base."""
+    f = data.draw(objectives(integer, weight=None if integer else st.sampled_from(WEIGHT_GRID)))
+    ground = ground_of(f)
+    if generic:
+        f = WholeSets(f)
+    base = data.draw(ground_subsets(ground))
+    checked, unchecked = f.context(base), f.context(base)
+    for _ in range(4):
+        outside = sorted(set(ground) - base)
+        for x in outside:
+            calls = f.calls
+            got = unchecked.gain_of(x)
+            assert f.calls == calls + 1
+            assert repr(got) == repr(checked.gain((x,))), (x, base)
+        x = data.draw(st.sampled_from(outside)) if outside else None
+        y = data.draw(st.sampled_from(sorted(base))) if base else None
+        for add, remove in bad_moves(base, outside, x, y):
+            for ctx in (checked, unchecked):
+                with pytest.raises(ValueError):
+                    ctx.gain(add, remove)
+                with pytest.raises(ValueError):
+                    ctx.apply(add, remove)
+        assert vars(checked) == vars(unchecked) and unchecked.base == base
+        move = data.draw(moves(ground, base))
+        if move is None:
+            continue
+        add, remove = move
+        calls = f.calls
+        checked.apply(add, remove)
+        assert f.calls == calls + 1
+        unchecked.move(add, remove)
+        assert f.calls == calls + 2
+        base = (base - set(remove)) | set(add)
+        assert vars(checked) == vars(unchecked) and unchecked.base == base
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_the_unchecked_feasibility_path_matches_the_checked_one(data):
+    """Before and after moves, ``fits(x, y)`` is ``feasible((x,), (y,))``
+    (``feasible((x,))`` for y None) and counts one query, ``move`` leaves
+    the edge set and answers ``apply`` leaves and counts none, and the
+    public ``apply`` still refuses a move that does not fit the edge set
+    and ``feasible`` an unknown edge id."""
+    cons = data.draw(constraints())
+    ground = cons.edge_ids
+    moved = data.draw(ground_subsets(ground))
+    checked, unchecked = cons.context(moved), cons.context(moved)
+    for _ in range(4):
+        for x in ground:
+            for y in (None, *sorted(moved)):
+                calls = cons.feasibility_calls
+                got = unchecked.fits(x, y)
+                assert cons.feasibility_calls == calls + 1
+                assert got == checked.feasible((x,), () if y is None else (y,)), (x, y, moved)
+        outside = sorted(set(ground) - moved)
+        x = data.draw(st.sampled_from(outside)) if outside else None
+        y = data.draw(st.sampled_from(sorted(moved))) if moved else None
+        for add, remove in bad_moves(moved, outside, x, y):
+            for ctx in (checked, unchecked):
+                with pytest.raises(ValueError):
+                    ctx.apply(add, remove)
+                assert ctx.edge_set == moved
+        with pytest.raises(ValueError, match="unknown edge id"):
+            unchecked.feasible((len(ground),))  # ids are 0..n-1
+        add = data.draw(ground_subsets(outside))
+        remove = data.draw(ground_subsets(moved))
+        calls = cons.feasibility_calls
+        checked.apply(add, remove)
+        unchecked.move(add, remove)
+        assert cons.feasibility_calls == calls
+        moved = (moved - remove) | add
+        assert checked.edge_set == unchecked.edge_set == moved
 
 
 def test_cut_context_with_parallel_links_and_self_loops_exhaustively():

@@ -1,5 +1,6 @@
 """Double greedy and the repeated-rounds wrapper."""
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parityls import nonmonotone, seeding
+from parityls.bench import generate_instance
 from parityls.kparity import KParityConstraint
 from parityls.matroid import GraphicMatroid, UniformMatroid
 from parityls.nonmonotone import RepetitionsConfig, double_greedy, repetitions_with_trace
@@ -15,11 +17,15 @@ from parityls.objective import (
     CoverageObjective,
     CutObjective,
     ModularObjective,
+    ValueContext,
     ValueOracle,
+    check_monotone,
 )
 from parityls.seeding import Stream, seed_pool
 from parityls.solver import SolverConfig
 from util import (
+    analysis_instance,
+    context_classes,
     double_greedy_exact_expectation,
     reference_double_greedy,
     reference_repetitions,
@@ -482,15 +488,93 @@ def bound_bases(f):
     return bases
 
 
-def test_a_monotone_set_binds_one_context_and_asks_one_gain_per_element():
+def test_a_monotone_set_binds_one_context_and_asks_no_gain():
     f = CoverageObjective([1.0, 2.0, 0.5, 4.0], {0: {0, 1}, 1: {1}, 2: {2, 3}, 3: {0}, 5: {3}})
     edge_set = frozenset({0, 1, 2, 3, 5})
     bases = bound_bases(f)
     calls = f.calls
-    refined, _ = double_greedy(f, edge_set, CountedDraws(rng_for(0)))
-    assert refined is edge_set
+    draws = CountedDraws(rng_for(0))
+    refined, value = double_greedy(f, edge_set, draws)
+    assert refined is edge_set and value == f.value(edge_set)
     assert bases == [edge_set]
-    assert f.calls - calls == 1 + len(edge_set)
+    assert f.calls - calls == 2  # the bind, and the whole-set value above
+    assert draws.count == 0
+
+
+def desk_objectives():
+    """(f, ground) of seeded desk instances of every family, and modular
+    ones drawn with negative weights allowed."""
+    for family in ("modular", "coverage", "cut"):
+        for seed in range(20):
+            cons, f = analysis_instance(seed, families=(family,))
+            yield f, cons.edge_ids
+    for seed in range(20):
+        params = {"objective": "modular", "n_edges": 8, "weight_lo": -3, "weight_hi": 5}
+        cons, f = generate_instance("random-parity", params, seed)
+        yield f, cons.edge_ids
+
+
+def test_a_monotone_objective_passes_the_monotonicity_check():
+    # the flag claims monotonicity only where the exhaustive check finds
+    # it; each family that declares nothing has instances that fail it
+    declared = Counter()
+    failing = Counter()
+    for f, ground in desk_objectives():
+        ok = check_monotone(f, ground).ok
+        if f.monotone:
+            assert ok, type(f).__name__
+            declared[type(f).__name__] += 1
+        if not ok:
+            failing[type(f).__name__] += 1
+    assert set(declared) == {"CoverageObjective", "ModularObjective"}
+    assert set(failing) == {"CutObjective", "ModularObjective"}
+
+
+def test_double_greedy_asks_a_monotone_f_no_gain(monkeypatch):
+    asked = []
+
+    def spy(cls, name):
+        method = getattr(cls, name)
+
+        def watched(self, *args):
+            asked.append((name, args))
+            return method(self, *args)
+
+        monkeypatch.setattr(cls, name, watched)
+
+    for name in ("gain", "gains", "gain_of"):
+        for cls in context_classes(ValueContext, name):
+            spy(cls, name)
+    for family in ("modular", "coverage"):
+        for seed in range(20):
+            cons, f = solver_instance(seed, families=(family,))
+            assert f.monotone
+            draws = CountedDraws(rng_for(seed))
+            asked.clear()
+            refined, _ = double_greedy(f, cons.edge_ids, draws)
+            assert asked == [] and draws.count == 0
+            assert refined == frozenset(cons.edge_ids)
+    # the spy sees a cut f's questions: Y's remove gain of every element
+    f = CutObjective([(0, 1, 1.0), (1, 2, 2.0)])
+    double_greedy(f, {0, 1, 2}, CountedDraws(rng_for(0)))
+    assert [args for name, args in asked if name == "gain"] == [((), (e,)) for e in range(3)]
+
+
+def test_one_negative_weight_runs_the_double_greedy_loop():
+    f = ModularObjective({0: 2.0, 1: -1.0, 2: 3.0, 3: 0.0})
+    assert not f.monotone
+    assert ModularObjective({0: 2.0, 1: 0.0, 2: 3.0}).monotone
+    edge_set = frozenset(range(4))
+    calls = f.calls
+    draws = CountedDraws(rng_for(0))
+    refined, value = double_greedy(f, edge_set, draws)
+    assert refined == {0, 2, 3} and value == 4.0
+    # Y's bind and its remove gain of each element; X's bind at edge 1,
+    # the first with b' > 0, and its add gain of edge 1; the move that
+    # drops edge 1 and the two that take edges 2 and 3
+    assert f.calls - calls == 1 + 4 + 2 + 3
+    assert draws.count == 0  # every p is 0 or 1
+    assert refined == reference_double_greedy(f, edge_set, CountedDraws(rng_for(0)))
 
 
 def test_the_growing_side_is_bound_at_the_first_positive_b():

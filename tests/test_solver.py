@@ -356,28 +356,44 @@ def test_dependent_singles_are_recorded_and_skipped():
 
 def test_a_dependent_single_is_not_asked_again_until_a_removal():
     # per feasibility context, the single adds found dependent since the
-    # last move that removed an edge; none of them may be asked again
-    feasible, apply = FeasibilityContext.feasible, FeasibilityContext.apply
+    # last move that removed an edge; none of them may be asked again,
+    # through the checked or the unchecked query
+    feasible, fits_of = FeasibilityContext.feasible, FeasibilityContext.fits
+    apply, move = FeasibilityContext.apply, FeasibilityContext.move
     dead = {}
     repeats = []
+
+    def watch_single(self, x, fits):
+        known = dead.setdefault(id(self), set())
+        if x in known:
+            repeats.append(x)
+        if not fits:
+            known.add(x)
 
     def watched_feasible(self, add, remove=()):
         fits = feasible(self, add, remove)
         if len(add) == 1 and not remove:
-            known = dead.setdefault(id(self), set())
-            if add[0] in known:
-                repeats.append(add[0])
-            if not fits:
-                known.add(add[0])
+            watch_single(self, add[0], fits)
         return fits
 
-    def watched_apply(self, add, remove=()):
-        if remove:
-            dead.pop(id(self), None)
-        return apply(self, add, remove)
+    def watched_fits(self, x, y=None):
+        fits = fits_of(self, x, y)
+        if y is None:
+            watch_single(self, x, fits)
+        return fits
+
+    def watching_removals(method):
+        def watched(self, add, remove=()):
+            if remove:
+                dead.pop(id(self), None)
+            return method(self, add, remove)
+
+        return watched
 
     with mock.patch.object(FeasibilityContext, "feasible", watched_feasible), \
-            mock.patch.object(FeasibilityContext, "apply", watched_apply):
+            mock.patch.object(FeasibilityContext, "fits", watched_fits), \
+            mock.patch.object(FeasibilityContext, "apply", watching_removals(apply)), \
+            mock.patch.object(FeasibilityContext, "move", watching_removals(move)):
         for seed in range(60):
             cons, f = solver_instance(seed)
             for u in (0.0, 0.5, 0.9):
@@ -490,13 +506,17 @@ def test_scan_skips_pair_checks_through_a_dead_swap():
     f = ModularObjective({e: 2.0 for e in range(5)})
     vals, fits = contexts(f, cons, {0, 4})
     asked = []
-    feasible = fits.feasible
+    feasible, fits_of = fits.feasible, fits.fits
 
     def recording(add, remove=()):
         asked.append((tuple(add), tuple(remove)))
         return feasible(add, remove)
 
-    fits.feasible = recording
+    def recording_fits(x, y=None):
+        asked.append(((x,), () if y is None else (y,)))
+        return fits_of(x, y)
+
+    fits.feasible, fits.fits = recording, recording_fits
     calls = cons.feasibility_calls
     imp = find_improvement(vals, fits, {0, 4}, 2.0, 0.5, {}, set())
     # 3 single additions and 3 x 2 swaps, then one pair check

@@ -4,8 +4,8 @@ augmentation, hypothesis strategies for matroids, a non-dyadic weight
 grid and the reweighting that applies it, the seeded desk-scale instance
 batteries, the exact expectation of double greedy, the two-context
 double greedy loop, the plain round loop of the non-monotone wrapper,
-the whole-set brute force and verifier loops, and the closed form of the
-threshold/weight ratio."""
+the whole-set brute force and verifier loops, the closed form of the
+threshold/weight ratio, and the context classes a spy must wrap."""
 
 import math
 from fractions import Fraction
@@ -139,6 +139,18 @@ def matroids(draw, max_n=6):
     if kind == "contracted":
         return m.contract(draw(st.sets(st.sampled_from(range(n)))) if n else ())
     return m
+
+
+def context_classes(base, name):
+    """``base`` and its subclasses, at any depth, that define ``name``
+    themselves: what a spy on that method must wrap."""
+    found, todo = [], [base]
+    while todo:
+        cls = todo.pop()
+        if name in vars(cls):
+            found.append(cls)
+        todo.extend(cls.__subclasses__())
+    return found
 
 
 def rng_for(seed):
