@@ -26,7 +26,7 @@ class RepetitionsConfig(SolverConfig):
         return self.ell if self.ell else math.ceil(4.0 * k ** (2.0 / 3.0))
 
 
-def double_greedy(f, edge_set, rng):
+def double_greedy(f, edge_set, rng, context=None):
     """Randomized double greedy over ``edge_set`` in ascending id order.
 
     Keeps a growing set X and a shrinking set Y = S; for each element the
@@ -42,24 +42,39 @@ def double_greedy(f, edge_set, rng):
     element i. So an rng that only such elements meet is never read.
 
     Y is a value context on S that only shrinks, and each element asks
-    it b'. a' is asked only where b' > 0: X is bound at the first such
-    element, on Y's base below it (the elements kept so far), and from
-    then on grows with each element taken. X ends equal to Y, so T is
-    Y's base; when nothing is dropped it is ``edge_set`` itself
-    if that is a frozenset. Since a' is not asked where b' = 0, a
+    it b'. Y is ``context`` if given, a value context of f on S (the
+    solver run's own, which the wrapper below hands on), and double
+    greedy moves it to T; else double greedy binds Y itself. a' is asked
+    only where b' > 0: X is bound at the first such element, on Y's base
+    below it (the elements kept so far), and from then on grows with
+    each element taken. X ends equal to Y, so T is Y's base; when
+    nothing is dropped it equals ``edge_set``, and is it if Y was bound
+    on a frozenset. Since a' is not asked where b' = 0, a
     NaN a' there takes e, where a loop asking it would drop e; the
     shipped families reject non-finite weights and never give one.
 
     A monotone f (``f.monotone``) has b' = 0 for every element, exactly:
     coverage's remove gains are whole units and a non-negative modular
     f's are -w. So p = 1 throughout, nothing is dropped and no draw is
-    read, and double greedy binds Y alone and returns S, asking no gain.
+    read, and double greedy returns S from Y alone, asking no gain.
 
-    Returns (T, f(S)). f(S) is Y's value at its bind, which every
-    shipped family and the generic context compute as ``f.value(S)``
-    does, so a caller that needs f(S) asks no whole-set query for it.
+    Returns (T, f(S)). f(S) is Y's value before its first move, so a
+    caller that needs f(S) asks no whole-set query for it. At a bind,
+    every shipped family and the generic context compute it as
+    ``f.value(S)`` does. A handed family context that the run moved
+    carries f(S) as the running sum of its moves' gains (see
+    ValueContext): bit for bit ``f.value(S)`` on integer weights, within
+    the last ulps on float ones. The b' asked of it are the bound
+    context's, bit for bit, since they read the same integer tables (cut
+    ``single``, coverage ``counts``, the modular weights) or, in the
+    generic context, whole-set values.
     """
-    high = f.context(edge_set)
+    if context is None:
+        high = f.context(edge_set)
+    elif context.f is not f or context.base != edge_set:
+        raise ValueError("double greedy needs a value context of f on edge_set")
+    else:
+        high = context
     value = high.value
     if f.monotone:  # b' = 0 throughout (see above)
         return high.base, value
@@ -117,9 +132,15 @@ def repetitions_with_trace(f, cons, config: RepetitionsConfig):
     the seed's pool (``seeding.seed_pool``, mixed once per call) with
     keys 2i and 2i + 1; a stream hashes its key only at its first draw,
     so the coin stream costs nothing when double greedy draws no coin,
-    as on the empty set or a monotone f. f of a round's set comes from
-    double greedy's bind, and only a refinement that drops something is
-    valued as a whole set.
+    as on the empty set or a monotone f. Each round hands its run's value
+    context, which ends on the round's set (``RunTrace.context``), to
+    double greedy, so a round binds no value context beyond its run's
+    (and double greedy's growing side, where it binds one). f of the
+    round's set is that context's value: ``f.value`` of it bit for bit
+    on integer weights, within the last ulps on float ones, where a tie
+    with the refinement may then keep the other set. Only a refinement
+    that drops something is valued as a whole set. The wrapper sets each
+    run trace's ``context`` to None once it has taken it.
 
     Once a round selects nothing, the rounds after it are settled and
     are recorded without a solve, as (i, alpha_i, empty, empty, same
@@ -148,7 +169,8 @@ def repetitions_with_trace(f, cons, config: RepetitionsConfig):
         selected, run_trace = run_efficient(f, restricted, config, rng=Stream(pooled, 2 * i))
         # the restricted copy counts its own queries; charge them to cons
         cons.feasibility_calls += restricted.feasibility_calls
-        refined, f_selected = double_greedy(f, selected, Stream(pooled, 2 * i + 1))
+        context, run_trace.context = run_trace.context, None
+        refined, f_selected = double_greedy(f, selected, Stream(pooled, 2 * i + 1), context)
         trace.rounds.append(
             RoundRecord(i, run_trace.alpha, selected, refined, ground)
         )

@@ -112,6 +112,11 @@ class RunTrace:
     with its applied moves, and its query counts (equality ignores them).
     ``thresholds`` is the draw's threshold family; ``add_level`` derives
     the rest: level thresholds and contents, insertion order, final set.
+    ``context`` is the run's value context, which the driver leaves on
+    ``final`` for a caller that goes on from the run's set (the
+    non-monotone wrapper takes it for double greedy and sets it to None);
+    it is None on a trace no driver made, a loaded one say. Equality,
+    repr and the trace JSON ignore it.
 
     Construction checks the draw: epsilon must lie in (0, 1), and a
     positive scale must give a finite top threshold ``level(0)``. A
@@ -127,6 +132,7 @@ class RunTrace:
     insertion_order: list = field(default_factory=list, init=False)
     final: frozenset = field(default=frozenset(), init=False)
     thresholds: Thresholds = field(init=False, repr=False, compare=False)
+    context: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.epsilon < 1:
@@ -341,7 +347,8 @@ def _drive(f, cons, config, rng, next_level):
     resumes its singles past x (``find_improvement``'s ``after``); a new
     level and every swap or two-for-one move start them over. The applied
     moves are capped at (1 + 2/eps)|E|. Returns the final edge set and
-    the trace, which counts every query of the run.
+    the trace, which counts every query of the run and holds ``vals``,
+    on that set, as its ``context``.
     """
     value_calls_0, feas_calls_0 = f.calls, cons.feasibility_calls
     vals = f.context(frozenset())
@@ -381,6 +388,7 @@ def _drive(f, cons, config, rng, next_level):
             trace.add_level(index, moves)
             if moves:  # else the pick stays (see above)
                 pick = best_feasible(fits, gain, dead)
+    trace.context = vals
     trace.value_calls = f.calls - value_calls_0
     trace.feasibility_calls = cons.feasibility_calls - feas_calls_0
     return trace.final, trace

@@ -287,6 +287,16 @@ def test_solve_out_needs_a_run_trace(tmp_path, capsys, mode):
     assert not out.exists()
 
 
+def test_solve_out_writes_the_committed_trace(tmp_path, capsys):
+    # data/solve-seed3.json is what this command wrote before the trace
+    # held its run's value context; the context must not reach the file
+    out = tmp_path / "trace.json"
+    argv = ["solve", "--instance", str(DATA / "instance.json"), "--seed", "3", "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (DATA / "solve-seed3.json").read_bytes()
+
+
 def test_verify_checks_trace_edges_and_legacy_keys(tmp_path, capsys):
     instance = str(DATA / "instance.json")
     assert main(["verify", "--instance", instance, "--trace", str(DATA / "trace.json")]) == 0

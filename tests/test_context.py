@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from parityls.bench import generate_instance, greedy_baseline
 from parityls.kparity import Edge, KParityConstraint
-from parityls.matroid import GraphicMatroid
+from parityls.matroid import GraphicMatroid, _leq
 from parityls.nonmonotone import double_greedy
 from parityls.objective import (
     CoverageObjective,
@@ -139,17 +139,21 @@ MOVE_SHAPES = ((1, 0), (1, 1), (2, 0), (2, 1), (0, 1))
 
 
 @st.composite
-def objectives(draw, integer=True, families=("modular", "coverage", "cut"), weight=None):
+def objectives(
+    draw, integer=True, families=("modular", "coverage", "cut"), weight=None, signed=None
+):
     """A modular (with w0) or coverage objective over edges 0..n-1, or a
     cut objective over nodes 0..n+1 with a self-loop and a parallel
-    link; ``weight`` draws the weights if given, modular ones included."""
+    link; ``weight`` draws the weights if given, and ``signed`` the
+    modular edge weights (``weight`` unless given)."""
     n = draw(st.integers(1, 8))
-    signed = weight
     if weight is None and integer:
         weight, signed = st.integers(0, 50), st.integers(-50, 50)
     elif weight is None:
         weight = st.floats(0, 1000, allow_nan=False, allow_infinity=False)
         signed = st.floats(-1000, 1000)
+    elif signed is None:
+        signed = weight
     family = draw(st.sampled_from(families))
     if family == "modular":
         return ModularObjective({e: draw(signed) for e in range(n)}, w0=draw(weight))
@@ -239,6 +243,32 @@ def test_value_context_apply_chain_tracks_the_whole_set_value(integer, data):
             assert ctx.value == f.value(base)
         else:
             assert close(ctx.value, f.value(base))
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer=st.booleans(), data=st.data())
+def test_a_moved_context_keeps_f_of_its_base(integer, data):
+    """Double greedy reads f(S) from the run's context, which the run's
+    unchecked moves carried there: after a random sequence of them, the
+    value is ``f.value`` of the base bit for bit on integer weights, and
+    within ``_leq`` on the non-dyadic grid, mixed-sign modular included."""
+    grid = st.sampled_from(WEIGHT_GRID)
+    signed = st.builds(lambda w, s: s * w, grid, st.sampled_from((1.0, -1.0)))
+    f = data.draw(objectives(integer) if integer else objectives(False, weight=grid, signed=signed))
+    ground = ground_of(f)
+    base = data.draw(ground_subsets(ground))
+    ctx = f.context(base)
+    for _ in range(data.draw(st.integers(1, 10))):
+        move = data.draw(moves(ground, base))
+        if move is None:
+            continue
+        ctx.move(*move)
+        base = (base - set(move[1])) | set(move[0])
+        got, want = ctx.value, f.value(base)
+        if integer:
+            assert float(got).hex() == float(want).hex(), (base, got, want)
+        else:
+            assert _leq(got, want) and _leq(want, got), (base, got, want)
 
 
 def exact_value(f, s):

@@ -225,6 +225,25 @@ def test_trace_round_trip(tmp_path):
     assert load_trace(path).applied_sequence() == trace.applied_sequence()
 
 
+def test_trace_equality_repr_and_json_ignore_the_run_context(tmp_path):
+    # a driver leaves its value context, on the final set, on the trace;
+    # a trace without it compares, prints and saves the same
+    cons, f = solver_instance(5)
+    out, trace = run_efficient(f, cons, SolverConfig(epsilon=0.5, seed=5))
+    held = trace.context
+    assert held is not None and held.f is f and held.base == out == trace.final
+    assert held.value == f.value(out)
+    saved, bare = tmp_path / "held.json", tmp_path / "bare.json"
+    save_trace(saved, trace)
+    text = repr(trace)
+    loaded = load_trace(saved)
+    assert loaded.context is None and loaded == trace
+    trace.context = None
+    save_trace(bare, trace)
+    assert saved.read_bytes() == bare.read_bytes()
+    assert repr(trace) == text and "context" not in text
+
+
 def test_modular_w0_survives_round_trip():
     f = ModularObjective({0: 2, 3: -1}, w0=1.5)
     from parityls.instances import objective_from_json, objective_to_json

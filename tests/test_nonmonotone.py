@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from parityls import nonmonotone, seeding
 from parityls.bench import generate_instance
 from parityls.kparity import KParityConstraint
-from parityls.matroid import GraphicMatroid, UniformMatroid
+from parityls.matroid import GraphicMatroid, UniformMatroid, _leq
 from parityls.nonmonotone import RepetitionsConfig, double_greedy, repetitions_with_trace
 from parityls.objective import (
     CoverageObjective,
@@ -24,11 +24,13 @@ from parityls.objective import (
 from parityls.seeding import Stream, seed_pool
 from parityls.solver import SolverConfig
 from util import (
+    WEIGHT_GRID,
     analysis_instance,
     context_classes,
     double_greedy_exact_expectation,
     reference_double_greedy,
     reference_repetitions,
+    regridded,
     rng_for,
     solver_instance,
     subsets,
@@ -305,6 +307,84 @@ def test_no_solve_after_the_first_empty_round(monkeypatch):
     assert settled > 0
 
 
+def test_a_solved_round_binds_only_its_runs_value_context(monkeypatch):
+    # each solved round binds the run's context on the empty set, which
+    # double greedy then refines; the one other bind is double greedy's
+    # growing side, on the elements below the first whose removal would
+    # raise f. Coverage is monotone; the cut seeds bind that side at least
+    # once. No run trace keeps the context once the wrapper has taken it
+    events, traces = [], []
+    bind, run = ValueOracle.context, nonmonotone.run_efficient
+
+    def counted(self, edge_set):
+        events[-1].append(frozenset(edge_set))
+        return bind(self, edge_set)
+
+    def solve(f, cons, config, rng=None):
+        events.append([])
+        final, trace = run(f, cons, config, rng)
+        traces.append((trace, getattr(trace, "context", None)))
+        return final, trace
+
+    monkeypatch.setattr(ValueOracle, "context", counted)
+    monkeypatch.setattr(nonmonotone, "run_efficient", solve)
+    cases = [
+        ("coverage", solver_instance(seed, families=("coverage",))) for seed in range(8)
+    ] + [("cut", solver_instance(seed, families=("cut",))) for seed in range(8)]
+    cases.append(("cut", refining_instance()))
+    grown = Counter()
+    for family, (cons, f) in cases:
+        for seed in (0, 3):
+            events.clear()
+            _, trace = repetitions_with_trace(f, cons, RepetitionsConfig(ell=6, seed=seed))
+            solved = next((r.index + 1 for r in trace.rounds if not r.selected), 6)
+            assert len(events) == solved
+            for binds, r in zip(events, trace.rounds):
+                f_s = f.value(r.selected)
+                raising = [e for e in sorted(r.selected) if f.value(r.selected - {e}) > f_s]
+                expected = [frozenset()]
+                if raising:
+                    expected.append(frozenset(x for x in r.selected if x < raising[0]))
+                    grown[family] += 1
+                assert binds == expected, (family, r.index)
+    assert grown["coverage"] == 0 and grown["cut"] > 0
+    assert traces and all(held is not None and t.context is None for t, held in traces)
+
+
+@pytest.mark.parametrize("family", ["modular", "coverage", "cut"])
+def test_grid_weight_rounds_match_the_plain_round_loop(family):
+    # non-dyadic weights with ties, mixed-sign for modular: f of a round's
+    # set is the run context's running sum, so the records must match the
+    # plain loop exactly and the best value within rounding. The solver
+    # never keeps a negative modular weight, so only the cuts drop edges:
+    # the refining instance on grid links (0.7, 0.7, 1.1, 1.1, 1.1) takes
+    # {0, 1, 2}, from which dropping 0 gains 0.3
+    rng = rng_for(29)
+    signs = (1.0, -1.0) if family == "modular" else (1.0,)
+
+    def grid(n):
+        return [WEIGHT_GRID[i] * signs[j] for i, j in zip(
+            rng.integers(len(WEIGHT_GRID), size=n), rng.integers(len(signs), size=n)
+        )]
+
+    cases = [solver_instance(seed, families=(family,)) for seed in range(15)]
+    cases = [(cons, regridded(f, grid)) for cons, f in cases]
+    if family == "cut":
+        cons, f = refining_instance()
+        cases.append((cons, regridded(f, lambda n: [0.7, 0.7, 1.1, 1.1, 1.1])))
+    dropped = 0
+    for cons, f in cases:
+        for run_seed in range(6):
+            config = RepetitionsConfig(ell=6, epsilon=0.5, seed=run_seed)
+            best, trace = repetitions_with_trace(f, cons, config)
+            ref_best, ref = reference_repetitions(f, cons, config)
+            assert round_facts(trace) == round_facts(ref)
+            got, want = f.value(best), f.value(ref_best)
+            assert _leq(got, want) and _leq(want, got), run_seed
+            dropped += sum(r.refined != r.selected for r in trace.rounds)
+    assert (dropped > 0) == (family == "cut")
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.one_of(
@@ -361,9 +441,9 @@ def test_alphas_build_no_numpy_bit_generator(monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a numpy object was built for a draw")
 
-        def counted(f, edge_set, rng):
+        def counted(f, edge_set, rng, context=None):
             coins.append(CountedDraws(rng))
-            return refine(f, edge_set, coins[-1])
+            return refine(f, edge_set, coins[-1], context)
 
         with monkeypatch.context() as patched:
             for name in ("SeedSequence", "PCG64", "Generator"):
@@ -499,6 +579,23 @@ def test_a_monotone_set_binds_one_context_and_asks_no_gain():
     assert bases == [edge_set]
     assert f.calls - calls == 2  # the bind, and the whole-set value above
     assert draws.count == 0
+
+
+def test_a_handed_context_is_moved_and_no_other_is_taken():
+    # on the refining instance's cut, dropping 0 from {0, 1, 2} gains 1:
+    # a handed context on the set answers as a bound one and ends on T;
+    # one of another set or another objective is refused
+    _, f = refining_instance()
+    edge_set = frozenset({0, 1, 2})
+    expected = [double_greedy(f, edge_set, rng_for(seed)) for seed in range(10)]
+    handed = [f.context(edge_set) for _ in expected]
+    bases = bound_bases(f)
+    got = [double_greedy(f, edge_set, rng_for(seed), ctx) for seed, ctx in enumerate(handed)]
+    assert got == expected and [ctx.base for ctx in handed] == [t for t, _ in expected]
+    assert edge_set not in bases and {t for t, _ in expected} != {edge_set}
+    for other, base in [(f, {0, 1}), (CutObjective(f.links), edge_set)]:
+        with pytest.raises(ValueError, match="value context of f on edge_set"):
+            double_greedy(f, edge_set, rng_for(0), other.context(base))
 
 
 def desk_objectives():
