@@ -7,7 +7,7 @@ vertex copy per (element, matroid) pair.
 
 ``KParityConstraint.context`` answers feasibility queries around one
 edge set, the way the solver's scans ask them: what if these edges were
-added and those removed. ``apply`` moves that set by such a change.
+added and those removed. ``move`` moves that set by such a change.
 """
 
 from dataclasses import dataclass
@@ -119,17 +119,17 @@ class FeasibilityContext:
 
     ``feasible(add, remove)`` answers ``cons.feasible((edge_set - remove)
     | add)`` and counts one query on the constraint, like that call.
-    ``apply(add, remove=())`` moves the edge set to that set, and refuses
-    a move that does not fit it as ``ValueContext.apply`` does. Binding
-    and moving count no query. Binding builds the matroid context of
-    the edge set's vertices, ``apply`` moves it (``MatroidContext.moved``),
-    and an unknown edge id raises ValueError there, before anything moves.
+    ``move(add, remove=())`` moves the edge set to that set, and refuses
+    a move that does not fit it as ``ValueContext.move`` does, before
+    anything moves. Binding and moving count no query. Binding builds
+    the matroid context of the edge set's vertices, ``move`` moves it
+    (``MatroidContext.moved``), and an unknown edge id raises ValueError
+    there, before anything moves.
 
     ``fits(x, y=None)`` is ``feasible((x,), (y,))``, or ``feasible((x,))``
-    when y is None, and ``move(add, remove=())`` is ``apply(add, remove)``,
-    with the same answer, effect and count but no check: the hot path of
-    callers that ask only about known edges and build only moves that fit
-    the edge set. Only the public ``feasible`` and ``apply`` check.
+    when y is None, with the same answer and count but no check: the hot
+    path of the solver's scan and greedy, which ask only about known
+    edges.
     """
 
     def __init__(self, cons, edge_set):
@@ -154,11 +154,8 @@ class FeasibilityContext:
             edges[x].vertices, EMPTY if y is None else edges[y].vertices
         )
 
-    def apply(self, add, remove=()):
-        _check_move(self.edge_set, add, remove)
-        self.move(add, remove)
-
     def move(self, add, remove=()):
+        _check_move(self.edge_set, add, remove)
         cons = self.cons
         self._matroid_context = self._matroid_context.moved(
             cons.vertices_of(add), cons.vertices_of(remove) if remove else EMPTY

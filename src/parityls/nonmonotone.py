@@ -26,8 +26,9 @@ class RepetitionsConfig(SolverConfig):
         return self.ell if self.ell else math.ceil(4.0 * k ** (2.0 / 3.0))
 
 
-def double_greedy(f, edge_set, rng, context=None):
-    """Randomized double greedy over ``edge_set`` in ascending id order.
+def double_greedy(context, rng):
+    """Randomized double greedy over S, the base of the value context
+    ``context`` of f, in ascending id order.
 
     Keeps a growing set X and a shrinking set Y = S; for each element the
     inclusion probability is a'/(a' + b') with a' = max(f(e | X), 0) and
@@ -41,17 +42,14 @@ def double_greedy(f, edge_set, rng, context=None):
     later element's probability lies strictly between, to keep draw i on
     element i. So an rng that only such elements meet is never read.
 
-    Y is a value context on S that only shrinks, and each element asks
-    it b'. Y is ``context`` if given, a value context of f on S (the
-    solver run's own, which the wrapper below hands on), and double
-    greedy moves it to T; else double greedy binds Y itself. a' is asked
-    only where b' > 0: X is bound at the first such element, on Y's base
-    below it (the elements kept so far), and from then on grows with
-    each element taken. X ends equal to Y, so T is Y's base; when
-    nothing is dropped it equals ``edge_set``, and is it if Y was bound
-    on a frozenset. Since a' is not asked where b' = 0, a
-    NaN a' there takes e, where a loop asking it would drop e; the
-    shipped families reject non-finite weights and never give one.
+    Y is ``context``, which only shrinks: each element asks it b', and
+    double greedy moves it to T. a' is asked only where b' > 0: X is
+    bound at the first such element, on Y's base below it (the elements
+    kept so far), and from then on grows with each element taken. X
+    ends equal to Y, so T is Y's base, and is S itself when nothing is
+    dropped. Since a' is not asked where b' = 0, a NaN a' there takes e,
+    where a loop asking it would drop e; the shipped families reject
+    non-finite weights and never give one.
 
     A monotone f (``f.monotone``) has b' = 0 for every element, exactly:
     coverage's remove gains are whole units and a non-negative modular
@@ -59,28 +57,23 @@ def double_greedy(f, edge_set, rng, context=None):
     read, and double greedy returns S from Y alone, asking no gain.
 
     Returns (T, f(S)). f(S) is Y's value before its first move, so a
-    caller that needs f(S) asks no whole-set query for it. At a bind,
-    every shipped family and the generic context compute it as
-    ``f.value(S)`` does. A handed family context that the run moved
-    carries f(S) as the running sum of its moves' gains (see
-    ValueContext): bit for bit ``f.value(S)`` on integer weights, within
-    the last ulps on float ones. The b' asked of it are the bound
-    context's, bit for bit, since they read the same integer tables (cut
-    ``single``, coverage ``counts``, the modular weights) or, in the
-    generic context, whole-set values.
+    caller that needs f(S) asks no whole-set query for it. A context
+    just bound on S, by any shipped family or the generic context,
+    holds it as ``f.value(S)`` computes it. A family context that was
+    moved to S, as a solver run's is, carries f(S) as the running sum of
+    its moves' gains (see ValueContext): bit for bit ``f.value(S)`` on
+    integer weights, within the last ulps on float ones. The b' asked of
+    it are a bound context's, bit for bit, since they read the same
+    integer tables (cut ``single``, coverage ``counts``, the modular
+    weights) or, in the generic context, whole-set values.
     """
-    if context is None:
-        high = f.context(edge_set)
-    elif context.f is not f or context.base != edge_set:
-        raise ValueError("double greedy needs a value context of f on edge_set")
-    else:
-        high = context
+    high, f = context, context.f
     value = high.value
     if f.monotone:  # b' = 0 throughout (see above)
         return high.base, value
     low = None  # X, bound at the first element with b' > 0
     owed = 0  # draws of decided elements not yet taken from rng
-    for e in sorted(edge_set):
+    for e in sorted(high.base):
         b = max(high.gain((), (e,)), 0.0)
         if b == 0.0:
             p = 1.0
@@ -170,7 +163,7 @@ def repetitions_with_trace(f, cons, config: RepetitionsConfig):
         # the restricted copy counts its own queries; charge them to cons
         cons.feasibility_calls += restricted.feasibility_calls
         context, run_trace.context = run_trace.context, None
-        refined, f_selected = double_greedy(f, selected, Stream(pooled, 2 * i + 1), context)
+        refined, f_selected = double_greedy(context, Stream(pooled, 2 * i + 1))
         trace.rounds.append(
             RoundRecord(i, run_trace.alpha, selected, refined, ground)
         )

@@ -1,9 +1,10 @@
 """Set-function value oracles, desk-scale submodularity/monotonicity
 checkers and the concrete test families (modular, coverage, cut).
 
-``ValueOracle.context`` answers marginal queries around one fixed edge
-set, the way the solver's scans, greedy and double greedy ask them: what
-f would gain if these edges were added and those removed.
+``ValueOracle.context`` answers marginal queries around one edge set,
+the way the solver's scans, greedy and double greedy ask them: what f
+would gain if these edges were added and those removed. ``move`` moves
+that set by such a change.
 """
 
 import math
@@ -20,7 +21,7 @@ class ValueOracle:
     ``value(S)`` evaluates one whole set. ``context(S)`` fixes S and
     answers marginals around it (see ValueContext). Binding a context
     counts one query, as ``value(S)`` does, and so does each of its
-    ``gain``, ``gain_of``, ``apply`` and ``move`` calls; ``gains(edges)``
+    ``gain``, ``gain_of`` and ``move`` calls; ``gains(edges)``
     counts one query per edge it is given, as many as ``gain((x,))`` for
     each of them would. A subclass defines ``_value`` and may override
     ``_context`` with a cheaper incremental context.
@@ -46,7 +47,7 @@ class ValueOracle:
         return self._value(frozenset(edge_set))
 
     def context(self, edge_set) -> "ValueContext":
-        """Marginal queries around the fixed edge set ``edge_set``."""
+        """Marginal queries around the edge set ``edge_set``."""
         self.calls += 1
         return self._context(frozenset(edge_set))
 
@@ -94,28 +95,27 @@ class ValueContext:
     """Value queries around one base edge set of an oracle.
 
     ``value`` is f(base). ``gain(add, remove=())`` is
-    f((base - remove) | add) - f(base), and ``apply(add, remove=())``
+    f((base - remove) | add) - f(base), and ``move(add, remove=())``
     moves the base to that set. Each call counts one query on the
     oracle. A move that adds an edge of the base, removes one outside
-    it or names an edge twice raises ValueError. ``gains(edges)`` is
-    the list of one-edge add gains ``gain((x,))`` for x in ``edges``,
-    bit for bit, and counts ``len(edges)`` queries; an edge of the base
-    raises ValueError as ``gain`` does.
+    it or names an edge twice raises ValueError; a refused ``move``
+    counts no query and leaves the context as it was. ``gains(edges)``
+    is the list of one-edge add gains ``gain((x,))`` for x in
+    ``edges``, bit for bit, and counts ``len(edges)`` queries; an edge
+    of the base raises ValueError as ``gain`` does.
 
-    ``gain_of(x)`` is ``gain((x,))`` and ``move(add, remove=())`` is
-    ``apply(add, remove)``, with the same answer, effect and count but
-    no check of the move: the hot path of callers that build only moves
-    that fit the base (the solver, greedy and double greedy). Only the
-    public ``gain``, ``gains`` and ``apply`` check.
+    ``gain_of(x)`` is ``gain((x,))``, with the same answer and count
+    but no check that x lies outside the base: the hot path of the
+    solver's scan, which asks only about such edges.
 
     This generic context evaluates ``f._value`` on each whole new set,
-    and ``apply`` evaluates the new base rather than adding up gains, so
+    and ``move`` evaluates the new base rather than adding up gains, so
     an oracle without its own context sees the ``_value`` calls that
     whole-set queries would make. In the family contexts below, cut
     gains and coverage one-edge add and remove gains are exact integer
     sums (see ``_dyadic``) rounded once; coverage reads its one-edge add
     gains from lanes of one packed integer. Coverage's multi-edge gains
-    and the ``value`` that ``apply`` carries add floats: exact on integer
+    and the ``value`` that ``move`` carries add floats: exact on integer
     weights (sums below 2^53), within the last ulps of the whole-set
     figures on float ones.
     """
@@ -136,17 +136,14 @@ class ValueContext:
             _check_move(self.base, edges, ())  # raises at the first edge of the base
         return self._gains(edges)
 
-    def apply(self, add, remove=()):
+    def move(self, add, remove=()):
         _check_move(self.base, add, remove)
-        self.move(add, remove)
+        self.f.calls += 1
+        self._move(add, remove)
 
     def gain_of(self, x) -> float:
         self.f.calls += 1
         return self._gain((x,), ())
-
-    def move(self, add, remove=()):
-        self.f.calls += 1
-        self._move(add, remove)
 
     def _gain(self, add, remove):
         return self.f._value(self.base.difference(remove).union(add)) - self.value
@@ -160,7 +157,7 @@ class ValueContext:
 
 
 class _SummingContext(ValueContext):
-    """A family context: ``apply`` adds the move's gain to the value."""
+    """A family context: ``move`` adds the move's gain to the value."""
 
     def _move(self, add, remove):
         self.value += self._gain(add, remove)
@@ -255,7 +252,7 @@ class CoverageObjective(ValueOracle):
         return covered
 
     def _weight(self, items):
-        return sum(map(self.item_weights.__getitem__, items))
+        return sum(map(self.item_weights.__getitem__, items), 0.0)
 
     def _context(self, base):
         if self._packed is None:
@@ -283,8 +280,7 @@ class _CoverageContext(_SummingContext):
     lane stays within 0 and the units of all e's items, below its width,
     so no carry or borrow crosses lanes, and a move adds or subtracts
     one packed item integer per item it uncovers or covers. The table
-    is built at the first such question, and a context that never asks
-    one never keeps it. Removing one edge loses the units of its items
+    is built at bind. Removing one edge loses the units of its items
     that no other base edge covers, read from how many base edges cover
     each item. Other moves use the covered items, so the added edges
     gain the weight of theirs outside them, and those counts, so the
@@ -300,31 +296,23 @@ class _CoverageContext(_SummingContext):
         for e in base:
             for i in f.edge_items[e]:
                 counts[i] += 1
-        self.single = None
-
-    def _table(self):
-        f = self.f
         self.single = f._total - sum(map(f._packed.__getitem__, self.covered))
-        return self.single
 
     def _gains(self, edges):
-        single = self._table() if self.single is None else self.single
-        f = self.f
+        single, f = self.single, self.f
         lane, mask, den = f._lane, f._mask, f._den
         return [(single >> lane[x] & mask) / den for x in edges]
 
     def gain_of(self, x):
         f = self.f
         f.calls += 1
-        single = self._table() if self.single is None else self.single
-        return (single >> f._lane[x] & f._mask) / f._den
+        return (self.single >> f._lane[x] & f._mask) / f._den
 
     def _gain(self, add, remove):
         f = self.f
         if not remove and len(add) == 1:
             (x,) = add
-            single = self._table() if self.single is None else self.single
-            return (single >> f._lane[x] & f._mask) / f._den
+            return (self.single >> f._lane[x] & f._mask) / f._den
         if not add and len(remove) == 1:
             (y,) = remove
             counts, units = self.counts, f._units
@@ -362,14 +350,12 @@ class _CoverageContext(_SummingContext):
                 counts[i] -= 1
                 if not counts[i]:
                     covered.discard(i)
-                    if single is not None:
-                        single += packed[i]
+                    single += packed[i]
         for x in add:
             for i in items[x]:
                 if not counts[i]:
                     covered.add(i)
-                    if single is not None:
-                        single -= packed[i]
+                    single -= packed[i]
                 counts[i] += 1
         self.single = single
 

@@ -238,9 +238,9 @@ def find_improvement(vals, fits, current, theta, epsilon, gain, dead, after=None
     first-inserted element before the other labeling. Every feasibility
     check on (base | A) \\ N is asked of ``fits`` and every value query
     is a gain asked of ``vals``; each comparison reads a whole-set value
-    as ``vals.value`` plus that gain. The scan builds only moves that fit
-    the base, so the singles and swaps ask the unchecked ``gain_of`` and
-    ``fits``. The scan binds and moves nothing.
+    as ``vals.value`` plus that gain. The scan asks only about edges
+    outside the base, so the singles and swaps ask the unchecked
+    ``gain_of`` and ``fits``. The scan binds and moves nothing.
     Returns None at a local optimum. ``gain`` is the run's memo of
     f(base + x) - f(base): the scan reads the gains it holds, asks and
     stores those it lacks, and never empties or reorders it; after a
@@ -331,8 +331,7 @@ def _drive(f, cons, config, rng, next_level):
     would be the same edge. ``next_level(thresholds, index, top)``,
     with ``top`` the pick's gain, gives the next level index, and the
     loop runs the first-improvement local search there
-    until no move is left. Each applied move moves both contexts (their
-    unchecked ``move``: the scan builds only moves that fit), so
+    until no move is left. Each applied move moves both contexts, so
     their base is always the chosen set, and the settled set
     ``trace.final`` when a level ends. ``gain``, the memo of each edge's
     gain against that set, starts as the singleton gains, is filled by

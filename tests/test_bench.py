@@ -439,8 +439,7 @@ def test_oracle_calls_column_counts_every_query(mode, tmp_path, monkeypatch):
     # the unchecked one-edge gain, in every context class that defines it
     for cls in context_classes(ValueContext, "gain_of"):
         monkeypatch.setattr(cls, "gain_of", counting(cls.gain_of))
-    # apply checks the move and then calls move, so a wrapped move counts
-    # each applied move once, whichever of the two the caller asked
+    # each applied move counts once
     monkeypatch.setattr(ValueContext, "move", counting(ValueContext.move))
     monkeypatch.setattr(KParityConstraint, "feasible", counting(KParityConstraint.feasible))
     monkeypatch.setattr(FeasibilityContext, "feasible", counting(FeasibilityContext.feasible))

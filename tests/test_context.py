@@ -1,16 +1,15 @@
 """Independence, feasibility and value contexts: every family's context
 must answer what the whole-set oracle answers for the changed set,
 including around dependent bases, and count one query per question.
-A feasibility context moved by ``apply`` answers for the moved set, and
+A feasibility context moved by ``move`` answers for the moved set, and
 both kinds of context refuse a move that does not fit their base.
 Value gains are exact on integer weights and within 1e-9 relative on
 float weights, and one-edge cut and coverage gains are the exact gain
 rounded once on any weights; ``gains`` and the unchecked ``gain_of``
-answer what ``gain`` answers for each edge, bit for bit, ``fits`` what
-``feasible`` answers, and the unchecked ``move`` does what ``apply``
-does, with the same counts; greedy and double greedy, which ask value
-contexts, pick what their whole-set loops pick, and the drivers and
-greedy bind each kind of context once per run."""
+answer what ``gain`` answers for each edge, bit for bit, and ``fits``
+what ``feasible`` answers, with the same counts; greedy and double
+greedy, which ask value contexts, pick what their whole-set loops pick,
+and the drivers and greedy bind each kind of context once per run."""
 
 from collections import Counter
 from fractions import Fraction
@@ -222,7 +221,7 @@ def test_value_context_gain_matches_whole_set_difference(integer, data):
 
 @settings(max_examples=300, deadline=None)
 @given(integer=st.booleans(), data=st.data())
-def test_value_context_apply_chain_tracks_the_whole_set_value(integer, data):
+def test_value_context_move_chain_tracks_the_whole_set_value(integer, data):
     f = data.draw(objectives(integer))
     ground = ground_of(f)
     base = data.draw(ground_subsets(ground))
@@ -235,7 +234,7 @@ def test_value_context_apply_chain_tracks_the_whole_set_value(integer, data):
         if data.draw(st.booleans()):
             ctx.gain(add, remove)  # queries between moves reuse and drop caches
         calls = f.calls
-        ctx.apply(add, remove)
+        ctx.move(add, remove)
         assert f.calls == calls + 1
         base = (base - set(remove)) | set(add)
         assert ctx.base == base
@@ -249,7 +248,7 @@ def test_value_context_apply_chain_tracks_the_whole_set_value(integer, data):
 @given(integer=st.booleans(), data=st.data())
 def test_a_moved_context_keeps_f_of_its_base(integer, data):
     """Double greedy reads f(S) from the run's context, which the run's
-    unchecked moves carried there: after a random sequence of them, the
+    moves carried there: after a random sequence of them, the
     value is ``f.value`` of the base bit for bit on integer weights, and
     within ``_leq`` on the non-dyadic grid, mixed-sign modular included."""
     grid = st.sampled_from(WEIGHT_GRID)
@@ -307,7 +306,7 @@ def test_one_edge_gains_are_the_exact_gain_rounded_once(integer, data):
         if move is None:
             continue
         add, remove = move
-        ctx.apply(add, remove)
+        ctx.move(add, remove)
         base = (base - set(remove)) | set(add)
 
 
@@ -341,7 +340,7 @@ def test_gains_are_one_edge_gains_bit_for_bit(integer, generic, data):
         outside = data.draw(st.permutations(sorted(set(ground) - base)))
         edges = outside[: data.draw(st.integers(0, len(outside)))]
         calls = f.calls
-        got = ctx.gains(edges)  # before any gain, so it may build the table
+        got = ctx.gains(edges)
         assert f.calls == calls + len(edges)
         assert list(map(repr, got)) == [repr(ctx.gain((x,))) for x in edges]
         if base:
@@ -354,7 +353,7 @@ def test_gains_are_one_edge_gains_bit_for_bit(integer, generic, data):
         if move is None:
             continue
         add, remove = move
-        ctx.apply(add, remove)
+        ctx.move(add, remove)
         base = (base - set(remove)) | set(add)
 
 
@@ -375,10 +374,9 @@ def bad_moves(base, outside, x, y):
 def test_the_unchecked_value_path_matches_the_checked_one(integer, generic, data):
     """On integer weights and on the non-dyadic grid, in each family's
     context and in the generic one, before and after moves: ``gain_of(x)``
-    is ``gain((x,))`` bit for bit and counts one query, ``move`` leaves
-    the same base, value and tables as ``apply`` and counts one query,
-    and the public ``gain`` and ``apply`` still refuse a move that does
-    not fit the base."""
+    is ``gain((x,))`` bit for bit, counts one query and leaves the same
+    base, value and tables, and ``gain`` and ``move`` still refuse a
+    move that does not fit the base."""
     f = data.draw(objectives(integer, weight=None if integer else st.sampled_from(WEIGHT_GRID)))
     ground = ground_of(f)
     if generic:
@@ -399,14 +397,14 @@ def test_the_unchecked_value_path_matches_the_checked_one(integer, generic, data
                 with pytest.raises(ValueError):
                     ctx.gain(add, remove)
                 with pytest.raises(ValueError):
-                    ctx.apply(add, remove)
+                    ctx.move(add, remove)
         assert vars(checked) == vars(unchecked) and unchecked.base == base
         move = data.draw(moves(ground, base))
         if move is None:
             continue
         add, remove = move
         calls = f.calls
-        checked.apply(add, remove)
+        checked.move(add, remove)
         assert f.calls == calls + 1
         unchecked.move(add, remove)
         assert f.calls == calls + 2
@@ -418,10 +416,9 @@ def test_the_unchecked_value_path_matches_the_checked_one(integer, generic, data
 @given(data=st.data())
 def test_the_unchecked_feasibility_path_matches_the_checked_one(data):
     """Before and after moves, ``fits(x, y)`` is ``feasible((x,), (y,))``
-    (``feasible((x,))`` for y None) and counts one query, ``move`` leaves
-    the edge set and answers ``apply`` leaves and counts none, and the
-    public ``apply`` still refuses a move that does not fit the edge set
-    and ``feasible`` an unknown edge id."""
+    (``feasible((x,))`` for y None) and counts one query, ``move`` still
+    refuses a move that does not fit the edge set and ``feasible`` an
+    unknown edge id."""
     cons = data.draw(constraints())
     ground = cons.edge_ids
     moved = data.draw(ground_subsets(ground))
@@ -439,14 +436,14 @@ def test_the_unchecked_feasibility_path_matches_the_checked_one(data):
         for add, remove in bad_moves(moved, outside, x, y):
             for ctx in (checked, unchecked):
                 with pytest.raises(ValueError):
-                    ctx.apply(add, remove)
+                    ctx.move(add, remove)
                 assert ctx.edge_set == moved
         with pytest.raises(ValueError, match="unknown edge id"):
             unchecked.feasible((len(ground),))  # ids are 0..n-1
         add = data.draw(ground_subsets(outside))
         remove = data.draw(ground_subsets(moved))
         calls = cons.feasibility_calls
-        checked.apply(add, remove)
+        checked.move(add, remove)
         unchecked.move(add, remove)
         assert cons.feasibility_calls == calls
         moved = (moved - remove) | add
@@ -470,9 +467,9 @@ def test_cut_context_with_parallel_links_and_self_loops_exhaustively():
             add, remove = tuple(add), tuple(remove)
             ctx = f.context(base)
             assert ctx.gain(add, remove) == f.value(moved) - value, (base, add, remove)
-            ctx.apply(add, remove)
+            ctx.move(add, remove)
             assert ctx.value == f.value(moved), (base, add, remove)
-            ctx.apply(remove, add)  # and back again
+            ctx.move(remove, add)  # and back again
             assert (ctx.value, ctx.single) == (value, table), (base, add, remove)
 
 
@@ -504,12 +501,10 @@ def test_coverage_context_with_empty_and_shared_items_exhaustively(empty):
             moved = (base - remove) | add
             add, remove = tuple(add), tuple(remove)
             ctx = f.context(base)
-            if len(add) % 2:  # half the cases carry a built table through the moves
-                ctx.gains(())
             assert ctx.gain(add, remove) == f.value(moved) - value, (base, add, remove)
-            ctx.apply(add, remove)
+            ctx.move(add, remove)
             assert ctx.value == f.value(moved), (base, add, remove)
-            ctx.apply(remove, add)  # and back again
+            ctx.move(remove, add)  # and back again
             restored = (ctx.value, ctx.covered, ctx.counts)
             assert restored == (value, fresh.covered, fresh.counts), (base, add, remove)
             assert ctx.gains(outside) == gains, (base, add, remove)
@@ -538,14 +533,14 @@ def test_coverage_gains_in_wide_lanes_are_exact(empty):
 
     for base in subsets(ground):
         ctx = f.context(base)
-        check(ctx)  # builds the table, which the move below carries
-        ctx.apply(tuple(sorted(ground - base))[:2], tuple(sorted(base))[:2])
+        check(ctx)
+        ctx.move(tuple(sorted(ground - base))[:2], tuple(sorted(base))[:2])
         check(ctx)
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_constraint_context_apply_chain_tracks_the_moved_set(data):
+def test_constraint_context_move_chain_tracks_the_moved_set(data):
     cons = data.draw(constraints())
     moved = data.draw(ground_subsets(cons.edge_ids))
     ctx = cons.context(moved)
@@ -553,7 +548,7 @@ def test_constraint_context_apply_chain_tracks_the_moved_set(data):
         add = data.draw(ground_subsets(set(cons.edge_ids) - moved))
         remove = data.draw(ground_subsets(moved))
         calls = cons.feasibility_calls
-        ctx.apply(add, remove)
+        ctx.move(add, remove)
         assert cons.feasibility_calls == calls  # moving is not a query
         moved = (moved - remove) | add
         assert ctx.edge_set == moved
@@ -586,8 +581,10 @@ def test_value_context_refuses_moves_that_do_not_fit_the_base(data):
     for add, remove in bad:
         with pytest.raises(ValueError):
             ctx.gain(add, remove)
+        calls = f.calls
         with pytest.raises(ValueError):
-            ctx.apply(add, remove)
+            ctx.move(add, remove)
+        assert f.calls == calls
         assert ctx.base == base and ctx.value == value
 
 
@@ -611,8 +608,10 @@ def test_feasibility_context_refuses_moves_that_do_not_fit_the_base(data):
     probes = [(e,) for e in ground]
     answers = [fits.feasible(p) for p in probes]
     for add, remove in bad:
+        calls = cons.feasibility_calls
         with pytest.raises(ValueError):
-            fits.apply(add, remove)
+            fits.move(add, remove)
+        assert cons.feasibility_calls == calls
         assert fits.edge_set == base
         assert [fits.feasible(p) for p in probes] == answers
 
@@ -676,7 +675,7 @@ def test_greedy_and_double_greedy_match_whole_set_loops(seed, data):
     edge_set = data.draw(ground_subsets(cons.edge_ids))
     coin = st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 1.0, exclude_max=True))
     coins = data.draw(st.lists(coin, min_size=len(edge_set), max_size=len(edge_set)))
-    refined, value = double_greedy(f, edge_set, Coins(coins))
+    refined, value = double_greedy(f.context(edge_set), Coins(coins))
     assert refined == double_greedy_whole_set(f, edge_set, Coins(coins))
     assert value == f.value(edge_set)
 

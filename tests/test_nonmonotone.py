@@ -57,7 +57,7 @@ def singleton_parity(matroid):
 def test_mixed_sign_modular_is_deterministic():
     f = ModularObjective({0: 2, 1: -1})
     for seed in range(10):
-        assert double_greedy(f, {0, 1}, rng_for(seed)) == (frozenset({0}), 1.0)
+        assert double_greedy(f.context({0, 1}), rng_for(seed)) == (frozenset({0}), 1.0)
     assert double_greedy_exact_expectation(f, {0, 1}) == 2.0
 
 
@@ -65,7 +65,7 @@ def test_constant_function():
     f = Constant(3.5)
     assert double_greedy_exact_expectation(f, {0, 1, 2}) == 3.5
     zero = Constant(0.0)
-    out, value = double_greedy(zero, {0, 1}, rng_for(0))
+    out, value = double_greedy(zero.context({0, 1}), rng_for(0))
     assert zero.value(out) == value == 0.0
 
 
@@ -104,7 +104,7 @@ def test_empirical_mean_matches_exact_expectation():
     exact = double_greedy_exact_expectation(f, ground)
     rng = rng_for(2)
     runs = 10_000
-    values = np.array([f.value(double_greedy(f, ground, rng)[0]) for _ in range(runs)])
+    values = np.array([f.value(double_greedy(f.context(ground), rng)[0]) for _ in range(runs)])
     se = values.std(ddof=1) / np.sqrt(runs)
     assert abs(values.mean() - exact) <= 3 * se
 
@@ -441,9 +441,9 @@ def test_alphas_build_no_numpy_bit_generator(monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a numpy object was built for a draw")
 
-        def counted(f, edge_set, rng, context=None):
+        def counted(context, rng):
             coins.append(CountedDraws(rng))
-            return refine(f, edge_set, coins[-1], context)
+            return refine(context, coins[-1])
 
         with monkeypatch.context() as patched:
             for name in ("SeedSequence", "PCG64", "Generator"):
@@ -488,7 +488,7 @@ def test_decided_coins_are_drawn_only_before_an_undecided_one():
     # a positive modular f decides every coin (b' = 0): nothing is drawn
     draws = CountedDraws(rng_for(0))
     f = ModularObjective({0: 2, 1: 3, 2: 1})
-    assert double_greedy(f, {0, 1, 2}, draws) == ({0, 1, 2}, 6.0) and draws.count == 0
+    assert double_greedy(f.context({0, 1, 2}), draws) == ({0, 1, 2}, 6.0) and draws.count == 0
     # edges 0 and 1 gain nothing (p = 1); edge 2 is undecided (a' = b' =
     # 1) and reads draw 2, after their draws; then edge 4 is decided and
     # its draw is never taken
@@ -496,7 +496,7 @@ def test_decided_coins_are_drawn_only_before_an_undecided_one():
     for seed in range(20):
         draws = CountedDraws(rng_for(seed))
         expected = {0, 1, 2} if rng_for(seed).random(3)[2] < 0.5 else {0, 1, 4}
-        assert double_greedy(f, {0, 1, 2, 4}, draws) == (expected, 0.0)
+        assert double_greedy(f.context({0, 1, 2, 4}), draws) == (expected, 0.0)
         assert draws.count == 3
 
 
@@ -555,7 +555,7 @@ def double_greedy_cases(draw):
 def test_double_greedy_matches_the_two_context_loop(case, seed):
     f, edge_set = case
     draws, ref_draws = CountedDraws(rng_for(seed)), CountedDraws(rng_for(seed))
-    refined, value = double_greedy(f, edge_set, draws)
+    refined, value = double_greedy(f.context(edge_set), draws)
     assert refined == reference_double_greedy(f, edge_set, ref_draws)
     assert draws.count == ref_draws.count
     assert value == f.value(edge_set)  # Y's value at its bind is f(S)
@@ -574,7 +574,7 @@ def test_a_monotone_set_binds_one_context_and_asks_no_gain():
     bases = bound_bases(f)
     calls = f.calls
     draws = CountedDraws(rng_for(0))
-    refined, value = double_greedy(f, edge_set, draws)
+    refined, value = double_greedy(f.context(edge_set), draws)
     assert refined is edge_set and value == f.value(edge_set)
     assert bases == [edge_set]
     assert f.calls - calls == 2  # the bind, and the whole-set value above
@@ -583,19 +583,16 @@ def test_a_monotone_set_binds_one_context_and_asks_no_gain():
 
 def test_a_handed_context_is_moved_and_no_other_is_taken():
     # on the refining instance's cut, dropping 0 from {0, 1, 2} gains 1:
-    # a handed context on the set answers as a bound one and ends on T;
-    # one of another set or another objective is refused
+    # a handed context on the set answers as a fresh one and ends on T,
+    # and double greedy binds no other on the set
     _, f = refining_instance()
     edge_set = frozenset({0, 1, 2})
-    expected = [double_greedy(f, edge_set, rng_for(seed)) for seed in range(10)]
+    expected = [double_greedy(f.context(edge_set), rng_for(seed)) for seed in range(10)]
     handed = [f.context(edge_set) for _ in expected]
     bases = bound_bases(f)
-    got = [double_greedy(f, edge_set, rng_for(seed), ctx) for seed, ctx in enumerate(handed)]
+    got = [double_greedy(ctx, rng_for(seed)) for seed, ctx in enumerate(handed)]
     assert got == expected and [ctx.base for ctx in handed] == [t for t, _ in expected]
     assert edge_set not in bases and {t for t, _ in expected} != {edge_set}
-    for other, base in [(f, {0, 1}), (CutObjective(f.links), edge_set)]:
-        with pytest.raises(ValueError, match="value context of f on edge_set"):
-            double_greedy(f, edge_set, rng_for(0), other.context(base))
 
 
 def desk_objectives():
@@ -648,12 +645,12 @@ def test_double_greedy_asks_a_monotone_f_no_gain(monkeypatch):
             assert f.monotone
             draws = CountedDraws(rng_for(seed))
             asked.clear()
-            refined, _ = double_greedy(f, cons.edge_ids, draws)
+            refined, _ = double_greedy(f.context(cons.edge_ids), draws)
             assert asked == [] and draws.count == 0
             assert refined == frozenset(cons.edge_ids)
     # the spy sees a cut f's questions: Y's remove gain of every element
     f = CutObjective([(0, 1, 1.0), (1, 2, 2.0)])
-    double_greedy(f, {0, 1, 2}, CountedDraws(rng_for(0)))
+    double_greedy(f.context({0, 1, 2}), CountedDraws(rng_for(0)))
     assert [args for name, args in asked if name == "gain"] == [((), (e,)) for e in range(3)]
 
 
@@ -664,7 +661,7 @@ def test_one_negative_weight_runs_the_double_greedy_loop():
     edge_set = frozenset(range(4))
     calls = f.calls
     draws = CountedDraws(rng_for(0))
-    refined, value = double_greedy(f, edge_set, draws)
+    refined, value = double_greedy(f.context(edge_set), draws)
     assert refined == {0, 2, 3} and value == 4.0
     # Y's bind and its remove gain of each element; X's bind at edge 1,
     # the first with b' > 0, and its add gain of edge 1; the move that
@@ -684,12 +681,12 @@ def test_the_growing_side_is_bound_at_the_first_positive_b():
     bases = bound_bases(f)
     for seed in range(10):
         bases.clear()
-        double_greedy(f, edge_set, CountedDraws(rng_for(seed)))
+        double_greedy(f.context(edge_set), CountedDraws(rng_for(seed)))
         assert bases == [edge_set, frozenset({0, 1, 2})]
 
 
 def test_each_distinct_round_candidate_is_valued_once():
-    # f(selected) comes from double greedy's bind, so the only whole-set
+    # f(selected) is the run context's value, so the only whole-set
     # queries are of refined sets that differ from their round's set
     refined_some = unrefined = 0
     for cons, f in wrapper_cases():

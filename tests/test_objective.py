@@ -39,6 +39,15 @@ def test_coverage_marginal_excludes_shared_item():
     assert f.value({0, 1}) == 7.0
 
 
+@pytest.mark.parametrize("covers", [{0: {0, 1}, 1: {0, 2}}, {0: set()}, {}])
+def test_an_empty_cover_weighs_a_float(covers):
+    # an empty set, and a set of edges that cover no item, weigh 0.0
+    f = CoverageObjective([4.0, 1.0, 2.0], covers)
+    for s in (frozenset(), frozenset(e for e, items in covers.items() if not items)):
+        for value in (f.value(s), f.context(s).value):
+            assert type(value) is float and float.hex(value) == "0x0.0p+0"
+
+
 def test_cut_single_link():
     f = CutObjective([(0, 1, 1.0)])
     assert f.value({0}) == 1.0

@@ -359,7 +359,7 @@ def test_a_dependent_single_is_not_asked_again_until_a_removal():
     # last move that removed an edge; none of them may be asked again,
     # through the checked or the unchecked query
     feasible, fits_of = FeasibilityContext.feasible, FeasibilityContext.fits
-    apply, move = FeasibilityContext.apply, FeasibilityContext.move
+    move = FeasibilityContext.move
     dead = {}
     repeats = []
 
@@ -392,7 +392,6 @@ def test_a_dependent_single_is_not_asked_again_until_a_removal():
 
     with mock.patch.object(FeasibilityContext, "feasible", watched_feasible), \
             mock.patch.object(FeasibilityContext, "fits", watched_fits), \
-            mock.patch.object(FeasibilityContext, "apply", watching_removals(apply)), \
             mock.patch.object(FeasibilityContext, "move", watching_removals(move)):
         for seed in range(60):
             cons, f = solver_instance(seed)
@@ -987,7 +986,7 @@ def test_covered_edges_gain_exactly_nothing_on_float_item_weights():
     f = CoverageObjective([0.5, 0.3], {e: {0, 1} if e % 2 else {0} for e in range(6)})
     cons = singleton_parity(UniformMatroid(6, 6))
     vals = f.context(())
-    vals.apply((1,))
+    vals.move((1,))
     assert vals.gain((3,)) == 0.0
     config = SolverConfig(epsilon=0.1, seed=0)
     for runner in (run_reference, run_efficient):

@@ -313,9 +313,9 @@ def reference_double_greedy(f, edge_set, rng):
             owed += 1
             take = p >= 1.0
         if take:
-            low.apply((e,))
+            low.move((e,))
         else:
-            high.apply((), (e,))
+            high.move((), (e,))
     return low.base
 
 
