@@ -60,17 +60,15 @@ def greedy_baseline(f, cons):
     (ties to the smaller id), until none remains. One value and one
     feasibility context, moved by each added edge, answer the queries.
 
-    Later rounds skip what an earlier one settled: the edges ranked
-    ahead of a pick were found dependent, and stay so as the set grows,
-    and an edge whose gain was <= 0 stays so too, since f must be
-    submodular and its gains only shrink. A non-submodular f can make
-    greedy miss a pick, never return an infeasible set."""
+    Later rounds ask no gain of what an earlier one settled: the edges
+    ranked ahead of a pick were found dependent, and stay so as the set
+    only grows, and an edge whose gain was <= 0 stays so too, since f
+    must be submodular and its gains only shrink. A non-submodular f can
+    make greedy miss a pick, never return an infeasible set."""
     vals = f.context(frozenset())
     fits = cons.context(frozenset())
     gain = dict(zip(cons.edge_ids, vals.gains(cons.edge_ids)))
-    # the rank filter below drops every edge found dependent, so each
-    # pick starts an empty set of them
-    while (e := best_feasible(fits, gain, set())) is not None:
+    while (e := best_feasible(fits, gain)) is not None:
         vals.move((e,))
         fits.move((e,))
         top = gain[e]

@@ -115,29 +115,36 @@ class KParityConstraint:
 
 
 class FeasibilityContext:
-    """Feasibility queries around one edge set of a constraint.
+    """Feasibility queries around one edge set, its ``base``, of a
+    constraint.
 
-    ``feasible(add, remove)`` answers ``cons.feasible((edge_set - remove)
-    | add)`` and counts one query on the constraint, like that call.
-    ``move(add, remove=())`` moves the edge set to that set, and refuses
-    a move that does not fit it as ``ValueContext.move`` does, before
+    ``feasible(add, remove)`` answers ``cons.feasible((base - remove) |
+    add)`` and counts one query on the constraint, like that call.
+    ``move(add, remove=())`` moves the base to that set, and refuses a
+    move that does not fit it as ``ValueContext.move`` does, before
     anything moves. Binding and moving count no query. Binding builds
-    the matroid context of the edge set's vertices, ``move`` moves it
+    the matroid context of the base's vertices, ``move`` moves it
     (``MatroidContext.moved``), and an unknown edge id raises ValueError
     there, before anything moves.
 
     ``fits(x, y=None)`` is ``feasible((x,), (y,))``, or ``feasible((x,))``
-    when y is None, with the same answer and count but no check: the hot
-    path of the solver's scan and greedy, which ask only about known
-    edges.
+    when y is None, with the same answer but no check: the hot path of
+    the solver's scan and greedy, which ask only about known edges. It
+    counts one query, except that ``fits(x)`` remembers each x it finds
+    dependent and answers False for it without a query until a move
+    removes an edge. That is sound for any caller: while the base only
+    grows, base + x stays dependent, since feasibility is down-closed.
+    ``fits(x, y)`` and ``feasible`` neither read nor record the memo,
+    and ``move`` empties it only once a removing move is done.
     """
 
-    def __init__(self, cons, edge_set):
+    def __init__(self, cons, base):
         self.cons = cons
-        edge_set = frozenset(edge_set)
+        base = frozenset(base)
         # edge vertices were checked against the ground at construction
-        self._matroid_context = cons.matroid._context(cons.vertices_of(edge_set))
-        self.edge_set = edge_set
+        self._matroid_context = cons.matroid._context(cons.vertices_of(base))
+        self.base = base
+        self._dependent = set()  # single adds found dependent since the last removal
 
     def feasible(self, add, remove=()) -> bool:
         cons = self.cons
@@ -147,20 +154,27 @@ class FeasibilityContext:
         )
 
     def fits(self, x, y=None) -> bool:
+        if y is None and x in self._dependent:
+            return False
         cons = self.cons
         cons.feasibility_calls += 1
         edges = cons.edges
-        return self._matroid_context.independent_with(
+        fit = self._matroid_context.independent_with(
             edges[x].vertices, EMPTY if y is None else edges[y].vertices
         )
+        if not fit and y is None:
+            self._dependent.add(x)
+        return fit
 
     def move(self, add, remove=()):
-        _check_move(self.edge_set, add, remove)
+        _check_move(self.base, add, remove)
         cons = self.cons
         self._matroid_context = self._matroid_context.moved(
             cons.vertices_of(add), cons.vertices_of(remove) if remove else EMPTY
         )
-        self.edge_set = self.edge_set.difference(remove).union(add)
+        self.base = self.base.difference(remove).union(add)
+        if remove:
+            self._dependent.clear()
 
 
 class ProductMatroid(MatroidOracle):

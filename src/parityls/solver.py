@@ -207,26 +207,21 @@ def sample_alpha(rng):
     return 1.0 - rng.random()
 
 
-def best_feasible(fits, gain, dead):
+def best_feasible(fits, gain):
     """Greedy's pick: the first edge in (-gain, id) order with a positive
     gain that the context ``fits`` accepts, asking ``fits.fits`` until
-    one fits; else None. ``dead`` holds edges whose single add was found
-    dependent: they are skipped without a query, and each new failure is
-    added. That is sound while the base only grows, since feasibility is
-    down-closed; whoever removes an edge from the base must empty it."""
+    one fits; else None. The context answers an edge it already found
+    dependent without a query (see ``FeasibilityContext``)."""
     # two stable sorts with a C-level key: (-gain, id) order for finite gains
     for e in sorted(sorted(gain), key=gain.__getitem__, reverse=True):
         if gain[e] <= 0:
             return None
-        if e in dead:
-            continue
         if fits.fits(e):
             return e
-        dead.add(e)
     return None
 
 
-def find_improvement(vals, fits, current, theta, epsilon, gain, dead, after=None):
+def find_improvement(vals, fits, current, theta, epsilon, gain, after=None):
     """First improving move at level theta for the base that the value
     context ``vals`` and the feasibility context ``fits`` share, of
     which ``current`` is the part added at this level.
@@ -244,10 +239,7 @@ def find_improvement(vals, fits, current, theta, epsilon, gain, dead, after=None
     Returns None at a local optimum. ``gain`` is the run's memo of
     f(base + x) - f(base): the scan reads the gains it holds, asks and
     stores those it lacks, and never empties or reorders it; after a
-    None, it holds the gain of every outside edge. ``dead`` is the run's
-    set of edges whose single add was found dependent since the last
-    move that removed an edge: the singles skip them and record new
-    ones, as ``best_feasible`` does.
+    None, it holds the gain of every outside edge.
 
     Shortcuts that leave every answer as it is. The swap loop tries
     every high edge x (gain >= theta) against every y and records each
@@ -276,10 +268,8 @@ def find_improvement(vals, fits, current, theta, epsilon, gain, dead, after=None
     for x in outside[start:]:
         if x not in gain:
             gain[x] = vals.gain_of(x)
-        if gain[x] >= theta and x not in dead:
-            if fits.fits(x):
-                return Improvement(1, (x,), ())
-            dead.add(x)
+        if gain[x] >= theta and fits.fits(x):
+            return Improvement(1, (x,), ())
     if start:  # the gains the resumed singles skipped
         skipped = [x for x in outside[:start] if x not in gain]
         if skipped:
@@ -327,7 +317,7 @@ def _drive(f, cons, config, rng, next_level):
     level and after each level that applied a move; with none left the
     run ends. A level that applies no move, which only the stepwise walk
     visits, keeps its pick for the next level: it leaves ``gain`` as it
-    was and every edge ranked ahead of the pick dead, so a new pick
+    was and every edge ranked ahead of the pick dependent, so a new pick
     would be the same edge. ``next_level(thresholds, index, top)``,
     with ``top`` the pick's gain, gives the next level index, and the
     loop runs the first-improvement local search there
@@ -337,17 +327,14 @@ def _drive(f, cons, config, rng, next_level):
     gain against that set, starts as the singleton gains, is filled by
     the scans and cleared right after each applied move, and at no other
     time; so the pick reads a full memo and asks no value query.
-    ``dead``, the edges whose single add was found dependent (see
-    ``best_feasible``), is emptied only by a move that removes an edge, a
-    kind-2 or kind-3 move: while the set only grows, a dependent edge
-    stays dependent, since feasibility is down-closed. The scans and the
-    pick skip those edges without a query, which leaves every answer and
-    value query as it is. After a kind-1 move adds x, the next scan
-    resumes its singles past x (``find_improvement``'s ``after``); a new
-    level and every swap or two-for-one move start them over. The applied
-    moves are capped at (1 + 2/eps)|E|. Returns the final edge set and
-    the trace, which counts every query of the run and holds ``vals``,
-    on that set, as its ``context``.
+    ``fits`` remembers the single adds it found dependent until a kind-2
+    or kind-3 move removes an edge, so the scans and the pick ask none
+    of them again (see ``FeasibilityContext``). After a kind-1 move adds
+    x, the next scan resumes its singles past x (``find_improvement``'s
+    ``after``); a new level and every swap or two-for-one move start
+    them over. The applied moves are capped at (1 + 2/eps)|E|. Returns
+    the final edge set and the trace, which counts every query of the
+    run and holds ``vals``, on that set, as its ``context``.
     """
     value_calls_0, feas_calls_0 = f.calls, cons.feasibility_calls
     vals = f.context(frozenset())
@@ -359,8 +346,7 @@ def _drive(f, cons, config, rng, next_level):
         budget = (1.0 + 2.0 / config.epsilon) * len(cons.edge_ids)
         applied = 0
         index = 0
-        dead = set()
-        pick = best_feasible(fits, gain, dead)
+        pick = best_feasible(fits, gain)
         while pick is not None:
             index = next_level(trace.thresholds, index, gain[pick])
             theta = trace.thresholds.level(index)
@@ -368,13 +354,11 @@ def _drive(f, cons, config, rng, next_level):
             moves = []
             after = None
             while imp := find_improvement(
-                vals, fits, current, theta, config.epsilon, gain, dead, after
+                vals, fits, current, theta, config.epsilon, gain, after
             ):
                 vals.move(imp.added, imp.removed)
                 fits.move(imp.added, imp.removed)
                 gain.clear()
-                if imp.removed:
-                    dead.clear()
                 current.difference_update(imp.removed)
                 current.update(imp.added)
                 moves.append(imp)
@@ -386,7 +370,7 @@ def _drive(f, cons, config, rng, next_level):
                     )
             trace.add_level(index, moves)
             if moves:  # else the pick stays (see above)
-                pick = best_feasible(fits, gain, dead)
+                pick = best_feasible(fits, gain)
     trace.context = vals
     trace.value_calls = f.calls - value_calls_0
     trace.feasibility_calls = cons.feasibility_calls - feas_calls_0

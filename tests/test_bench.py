@@ -24,7 +24,7 @@ from parityls.kparity import (
     ProductMatroid,
     from_intersection,
 )
-from parityls.matroid import PartitionMatroid, UniformMatroid
+from parityls.matroid import MatroidContext, PartitionMatroid, UniformMatroid
 from parityls.objective import ModularObjective, ValueContext, ValueOracle
 from util import (
     WEIGHT_GRID,
@@ -421,9 +421,9 @@ def test_oracle_calls_column_counts_every_query(mode, tmp_path, monkeypatch):
 
     counted = [0]
 
-    def counting(method, size=lambda *args: 1):
+    def counting(method, size=lambda *args: 1, into=counted):
         def wrapped(*args):
-            counted[0] += size(*args)
+            into[0] += size(*args)
             return method(*args)
 
         return wrapped
@@ -443,9 +443,62 @@ def test_oracle_calls_column_counts_every_query(mode, tmp_path, monkeypatch):
     monkeypatch.setattr(ValueContext, "move", counting(ValueContext.move))
     monkeypatch.setattr(KParityConstraint, "feasible", counting(KParityConstraint.feasible))
     monkeypatch.setattr(FeasibilityContext, "feasible", counting(FeasibilityContext.feasible))
-    monkeypatch.setattr(FeasibilityContext, "fits", counting(FeasibilityContext.fits))
+    # fits counts when it asks the matroid, not when it answers a single
+    # add it remembers as dependent; a product context asks its slices'
+    asked = [0]
+    for cls in context_classes(MatroidContext, "independent_with"):
+        monkeypatch.setattr(cls, "independent_with", counting(cls.independent_with, into=asked))
+    fits = FeasibilityContext.fits
+
+    def counting_fits(self, *args):
+        before = asked[0]
+        fit = fits(self, *args)
+        counted[0] += asked[0] > before
+        return fit
+
+    monkeypatch.setattr(FeasibilityContext, "fits", counting_fits)
     solve(mode, f, cons, epsilon=0.5, seed=row["seed"])
     assert row["oracle_calls"] == counted[0] > 0
+
+
+# per mode, the value and feasibility queries of bench.solve at seed 3,
+# summed over instance seeds 0-4 (a fresh instance per mode)
+PINNED_QUERIES = [
+    (
+        "random-parity",
+        {"k": 2, "n_vertices": 56, "n_edges": 32, "matroid": "graphic", "objective": "modular"},
+        {"greedy": (2098, 160), "hybrid": (892, 518), "hybrid-reference": (892, 518),
+         "nonmonotone": (1221, 650)},
+    ),
+    (
+        "k-partition-intersection",
+        {"k": 2, "n_elements": 30, "objective": "coverage"},
+        {"greedy": (746, 45), "hybrid": (944, 101), "hybrid-reference": (944, 101),
+         "nonmonotone": (2457, 615)},
+    ),
+    (
+        "random-parity",
+        {"k": 2, "n_vertices": 40, "n_edges": 24, "matroid": "uniform", "rank": 12,
+         "objective": "cut"},
+        {"greedy": (867, 84), "hybrid": (552, 151), "hybrid-reference": (552, 151),
+         "nonmonotone": (1178, 316)},
+    ),
+]
+
+
+@pytest.mark.parametrize("kind, params, pinned", PINNED_QUERIES)
+def test_every_mode_asks_its_pinned_query_counts(kind, params, pinned):
+    got = {}
+    for mode in MODES:
+        value_calls = feasibility_calls = 0
+        for seed in range(5):
+            cons, f = generate_instance(kind, params, seed)
+            value_0, feasibility_0 = f.calls, cons.feasibility_calls
+            solve(mode, f, cons, epsilon=0.5, seed=3)
+            value_calls += f.calls - value_0
+            feasibility_calls += cons.feasibility_calls - feasibility_0
+        got[mode] = (value_calls, feasibility_calls)
+    assert got == pinned
 
 
 def test_solve_rejects_unknown_mode():

@@ -20,6 +20,7 @@ from parityls import solver
 from parityls.bench import generate_instance, greedy_baseline
 from parityls.kparity import FeasibilityContext, KParityConstraint
 from parityls.matroid import PartitionMatroid, UniformMatroid
+from parityls.nonmonotone import RepetitionsConfig, repetitions_with_trace
 from parityls.objective import CoverageObjective, CutObjective, ModularObjective, ValueOracle
 from parityls.seeding import Stream, seed_pool
 from parityls.solver import (
@@ -186,15 +187,15 @@ def test_best_feasible_takes_the_largest_gain_ties_to_the_smaller_id():
     cons = singleton_parity(UniformMatroid(5, 2))
     fits = cons.context({4})
     gain = {0: 2.0, 1: 3.0, 2: 3.0, 3: 0.0}
-    assert best_feasible(fits, gain, set()) == 1
+    assert best_feasible(fits, gain) == 1
     calls = cons.feasibility_calls
-    assert best_feasible(fits, {0: 2.0, 1: 2.0, 2: -1.0}, set()) == 0
+    assert best_feasible(fits, {0: 2.0, 1: 2.0, 2: -1.0}) == 0
     assert cons.feasibility_calls - calls == 1  # stops at the first feasible edge
-    assert best_feasible(fits, {0: 0.0, 1: -3.0}, set()) is None
-    assert best_feasible(fits, {}, set()) is None
+    assert best_feasible(fits, {0: 0.0, 1: -3.0}) is None
+    assert best_feasible(fits, {}) is None
     full = cons.context({3, 4})  # nothing fits: every positive gain is asked
     calls = cons.feasibility_calls
-    assert best_feasible(full, gain, set()) is None
+    assert best_feasible(full, gain) is None
     assert cons.feasibility_calls - calls == 3
     # the pick is the first edge of (-gain, id) order with a positive gain
     # that fits, on memos with mixed signs and ties, keyed out of id order;
@@ -209,7 +210,7 @@ def test_best_feasible_takes_the_largest_gain_ties_to_the_smaller_id():
         fits = cons.context(base)
         order = sorted(gain, key=lambda e: (-gain[e], e))
         want = next((e for e in order if gain[e] > 0 and fits.feasible((e,))), None)
-        assert best_feasible(fits, gain, set()) == want
+        assert best_feasible(fits, gain) == want
 
 
 @pytest.mark.parametrize("seed", [1.5, "3", None, True, np.float64(2.0), -1, np.int64(-2)])
@@ -342,51 +343,60 @@ def test_fast_forward_brackets_random_inputs():
 
 
 def test_dependent_singles_are_recorded_and_skipped():
+    # the context remembers each single add it found dependent: two picks
+    # and one scan on one context ask each of 0, 1 and 2 once
     cons = singleton_parity(UniformMatroid(5, 2))
     full = cons.context({3, 4})
-    dead = set()
     calls = cons.feasibility_calls
-    assert best_feasible(full, {0: 2.0, 1: 3.0, 2: 1.0}, dead) is None
-    assert dead == {0, 1, 2}
-    assert best_feasible(full, {1: 3.0}, dead) is None
-    f = ModularObjective({e: 1.0 for e in range(5)})
-    assert find_improvement(f.context({3, 4}), full, set(), 0.5, 0.5, {}, dead) is None
+    assert best_feasible(full, {0: 2.0, 1: 3.0, 2: 1.0}) is None
     assert cons.feasibility_calls - calls == 3
+    assert best_feasible(full, {1: 3.0}) is None
+    f = ModularObjective({e: 1.0 for e in range(5)})
+    assert find_improvement(f.context({3, 4}), full, set(), 0.5, 0.5, {}) is None
+    assert cons.feasibility_calls - calls == 3
+    # the remembered answers cost nothing; the checked query always asks
+    assert not any(full.fits(e) for e in (0, 1, 2))
+    assert cons.feasibility_calls - calls == 3
+    assert not full.feasible((0,))
+    assert cons.feasibility_calls - calls == 4
 
 
 def test_a_dependent_single_is_not_asked_again_until_a_removal():
     # per feasibility context, the single adds found dependent since the
-    # last move that removed an edge; none of them may be asked again,
-    # through the checked or the unchecked query
+    # last move that removed an edge; none of them may be asked of the
+    # matroid again, through the checked or the unchecked query. A call
+    # asks when it raises its constraint's count (nonmonotone's rounds
+    # ask restricted copies)
     feasible, fits_of = FeasibilityContext.feasible, FeasibilityContext.fits
     move = FeasibilityContext.move
-    dead = {}
+    dead = {}  # keyed by the context itself, so no id is reused
     repeats = []
 
-    def watch_single(self, x, fits):
-        known = dead.setdefault(id(self), set())
-        if x in known:
+    def watch_single(self, x, call):
+        calls = self.cons.feasibility_calls
+        fits = call()
+        known = dead.setdefault(self, set())
+        if x in known and self.cons.feasibility_calls > calls:
             repeats.append(x)
         if not fits:
             known.add(x)
+        return fits
 
     def watched_feasible(self, add, remove=()):
-        fits = feasible(self, add, remove)
         if len(add) == 1 and not remove:
-            watch_single(self, add[0], fits)
-        return fits
+            return watch_single(self, add[0], lambda: feasible(self, add, remove))
+        return feasible(self, add, remove)
 
     def watched_fits(self, x, y=None):
-        fits = fits_of(self, x, y)
         if y is None:
-            watch_single(self, x, fits)
-        return fits
+            return watch_single(self, x, lambda: fits_of(self, x))
+        return fits_of(self, x, y)
 
     def watching_removals(method):
         def watched(self, add, remove=()):
+            method(self, add, remove)
             if remove:
-                dead.pop(id(self), None)
-            return method(self, add, remove)
+                dead.pop(self, None)
 
         return watched
 
@@ -397,10 +407,10 @@ def test_a_dependent_single_is_not_asked_again_until_a_removal():
             cons, f = solver_instance(seed)
             for u in (0.0, 0.5, 0.9):
                 for runner in (run_reference, run_efficient):
-                    dead.clear()  # contexts of a finished run may share ids with new ones
                     runner(f, cons, SolverConfig(epsilon=0.5), rng=FixedDraw(u))
-            dead.clear()
+            repetitions_with_trace(f, cons, RepetitionsConfig(epsilon=0.5, seed=seed))
             greedy_baseline(f, cons)
+            dead.clear()
     assert repeats == []
 
 
@@ -409,14 +419,14 @@ def test_a_dependent_single_is_not_asked_again_until_a_removal():
 
 def test_kind1_found_on_empty_solution():
     f, cons = weights_531()
-    imp = find_improvement(*contexts(f, cons, frozenset()), frozenset(), 1.0, 0.5, {}, set())
+    imp = find_improvement(*contexts(f, cons, frozenset()), frozenset(), 1.0, 0.5, {})
     assert imp == Improvement(1, (0,), ())
 
 
 def test_kind2_swap_example():
     f = ModularObjective({0: 1.0, 1: 1.2})
     cons = singleton_parity(UniformMatroid(2, 1))
-    imp = find_improvement(*contexts(f, cons, {0}), {0}, 1.0, 0.1, {}, set())
+    imp = find_improvement(*contexts(f, cons, {0}), {0}, 1.0, 0.1, {})
     assert imp == Improvement(2, (1,), (0,))
     oracle = enumerate_improvements(f, cons, frozenset(), {0}, 1.0, 0.1)
     assert oracle == [Improvement(2, (1,), (0,))]
@@ -425,7 +435,7 @@ def test_kind2_swap_example():
 def test_no_improvement_at_local_optimum():
     f, cons = weights_531()
     gain = {}  # the run's memo: a None leaves every outside edge's gain in it
-    assert find_improvement(*contexts(f, cons, {0, 1}), {0, 1}, 3.0, 0.5, gain, set()) is None
+    assert find_improvement(*contexts(f, cons, {0, 1}), {0, 1}, 3.0, 0.5, gain) is None
     assert gain == {2: 1}
 
 
@@ -435,9 +445,9 @@ def test_scan_at_the_same_set_reads_the_memo():
     f, cons = weights_531()
     vals, fits = contexts(f, cons, {0, 1})
     gain = {}
-    assert find_improvement(vals, fits, {0, 1}, 3.0, 0.5, gain, set()) is None
+    assert find_improvement(vals, fits, {0, 1}, 3.0, 0.5, gain) is None
     calls = f.calls
-    assert find_improvement(vals, fits, set(), 1.5, 0.5, gain, set()) is None
+    assert find_improvement(vals, fits, set(), 1.5, 0.5, gain) is None
     assert f.calls == calls
     assert gain == {2: 1}
 
@@ -455,7 +465,7 @@ def test_kind3_labeling_tiebreak():
         matroid, [Edge(0, {0, 1}), Edge(1, {2}), Edge(2, {3})], 2
     )
     f = ModularObjective({0: 2.0, 1: 2.0, 2: 2.0})
-    imp = find_improvement(*contexts(f, cons, {0}), {0}, 2.0, 0.5, {}, set())
+    imp = find_improvement(*contexts(f, cons, {0}), {0}, 2.0, 0.5, {})
     assert imp == Improvement(3, (1, 2), (0,))
     oracle = enumerate_improvements(f, cons, frozenset(), {0}, 2.0, 0.5)
     assert oracle[0] == Improvement(3, (1, 2), (0,))
@@ -475,7 +485,7 @@ def test_scan_matches_enumeration_on_random_states():
         theta = float(rng.uniform(0.5, 8.0))
         eps = float(rng.choice([0.1, 0.5]))
         gain = {}
-        got = find_improvement(*contexts(f, cons, chosen), split, theta, eps, gain, set())
+        got = find_improvement(*contexts(f, cons, chosen), split, theta, eps, gain)
         oracle = enumerate_improvements(f, cons, chosen - split, split, theta, eps)
         assert got == (oracle[0] if oracle else None)
         if got is None:  # a failed scan leaves the gain of every outside edge
@@ -517,7 +527,7 @@ def test_scan_skips_pair_checks_through_a_dead_swap():
 
     fits.feasible, fits.fits = recording, recording_fits
     calls = cons.feasibility_calls
-    imp = find_improvement(vals, fits, {0, 4}, 2.0, 0.5, {}, set())
+    imp = find_improvement(vals, fits, {0, 4}, 2.0, 0.5, {})
     # 3 single additions and 3 x 2 swaps, then one pair check
     assert cons.feasibility_calls - calls == len(asked) == 3 + 6 + 1
     assert [q for q in asked if len(q[0]) == 2] == [((2, 3), (0,))]
@@ -575,7 +585,7 @@ def test_scan_matches_enumeration_with_ties_at_theta():
         theta = whole[positive[int(rng.integers(len(positive)))]]
         eps = float(rng.choice([0.25, 0.5]))
         gain = {}
-        got = find_improvement(*contexts(f, cons, chosen), split, theta, eps, gain, set())
+        got = find_improvement(*contexts(f, cons, chosen), split, theta, eps, gain)
         oracle = enumerate_improvements(f, cons, chosen - split, split, theta, eps)
         assert got == (oracle[0] if oracle else None)
         if got is None:
@@ -624,13 +634,14 @@ def greedy_settling_nothing(f, cons):
 )
 def test_scan_returns_the_first_enumerated_move_during_whole_runs(instance, u, eps):
     # the scan's shortcuts (high pairs only, singles resumed past the last
-    # added edge, the memo and dead sets) leave each answer of a run as the
-    # definition gives it, for the state the run is in at that scan
+    # added edge, the gain memo and the context's dependent singles) leave
+    # each answer of a run as the definition gives it, for the state the
+    # run is in at that scan
     cons, f = instance
     scan = solver.find_improvement
     scans = []
 
-    def checked(vals, fits, current, theta, epsilon, gain, dead, after=None):
+    def checked(vals, fits, current, theta, epsilon, gain, after=None):
         pairs = []
         feasible = fits.feasible
 
@@ -641,7 +652,7 @@ def test_scan_returns_the_first_enumerated_move_during_whole_runs(instance, u, e
 
         fits.feasible = recording
         try:
-            imp = scan(vals, fits, current, theta, epsilon, gain, dead, after)
+            imp = scan(vals, fits, current, theta, epsilon, gain, after)
         finally:
             del fits.feasible
         base = vals.base
@@ -712,8 +723,8 @@ def test_both_drivers_take_every_level_from_best_feasible(monkeypatch):
     # move; a level that applied none keeps its pick
     picks = []
 
-    def recorded(fits, gain, dead):
-        e = best_feasible(fits, gain, dead)
+    def recorded(fits, gain):
+        e = best_feasible(fits, gain)
         picks.append(None if e is None else gain[e])
         return e
 
