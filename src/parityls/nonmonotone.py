@@ -57,15 +57,13 @@ def double_greedy(context, rng):
     read, and double greedy returns S from Y alone, asking no gain.
 
     Returns (T, f(S)). f(S) is Y's value before its first move, so a
-    caller that needs f(S) asks no whole-set query for it. A context
-    just bound on S, by any shipped family or the generic context,
-    holds it as ``f.value(S)`` computes it. A family context that was
-    moved to S, as a solver run's is, carries f(S) as the running sum of
-    its moves' gains (see ValueContext): bit for bit ``f.value(S)`` on
-    integer weights, within the last ulps on float ones. The b' asked of
-    it are a bound context's, bit for bit, since they read the same
-    integer tables (cut ``single``, coverage ``counts``, the modular
-    weights) or, in the generic context, whole-set values.
+    caller that needs f(S) asks no whole-set query for it. Every shipped
+    family's context and the generic one hold it as ``f.value(S)``,
+    bit for bit, whether bound on S or moved there, as a solver run's
+    is (see ValueContext). The b' asked of a moved context are a bound
+    context's, bit for bit, since they read the same integer tables (cut
+    ``single``, coverage ``counts``, the modular units) or, in the
+    generic context, whole-set values.
     """
     high, f = context, context.f
     value = high.value
@@ -129,11 +127,10 @@ def repetitions_with_trace(f, cons, config: RepetitionsConfig):
     context, which ends on the round's set (``RunTrace.context``), to
     double greedy, so a round binds no value context beyond its run's
     (and double greedy's growing side, where it binds one). f of the
-    round's set is that context's value: ``f.value`` of it bit for bit
-    on integer weights, within the last ulps on float ones, where a tie
-    with the refinement may then keep the other set. Only a refinement
-    that drops something is valued as a whole set. The wrapper sets each
-    run trace's ``context`` to None once it has taken it.
+    round's set is that context's value, ``f.value`` of it bit for bit.
+    Only a refinement that drops something is valued as a whole set.
+    The wrapper sets each run trace's ``context`` to None once it has
+    taken it.
 
     Once a round selects nothing, the rounds after it are settled and
     are recorded without a solve, as (i, alpha_i, empty, empty, same

@@ -69,13 +69,20 @@ def _real(w, where, *args):
     return float(w)
 
 
-def _dyadic(weights):
+def _dyadic(weights, family):
     """Integer units and one power of two ``den`` with
     units[i] / den == weights[i] exactly (den is 1 for integer weights),
-    so sums of units are exact and ``units / den`` rounds once."""
-    ratios = [w.as_integer_ratio() for w in weights]
-    den = max((d for _, d in ratios), default=1)
-    return [n * (den // d) for n, d in ratios], den
+    so sums of units are exact and ``units / den`` rounds once. Raises
+    ValueError naming ``family`` unless the sum of the absolute weights
+    is a finite float: it bounds every value and gain the family divides."""
+    ratios = list(map(float.as_integer_ratio, weights))
+    den = max([d for _, d in ratios], default=1)
+    units = [n * (den // d) for n, d in ratios]
+    try:
+        sum(map(abs, units)) / den
+    except OverflowError:
+        raise ValueError(f"{family} weights sum to more than the largest float") from None
+    return units, den
 
 
 def _check_move(base, add, remove):
@@ -111,13 +118,12 @@ class ValueContext:
     This generic context evaluates ``f._value`` on each whole new set,
     and ``move`` evaluates the new base rather than adding up gains, so
     an oracle without its own context sees the ``_value`` calls that
-    whole-set queries would make. In the family contexts below, cut
-    gains and coverage one-edge add and remove gains are exact integer
-    sums (see ``_dyadic``) rounded once; coverage reads its one-edge add
-    gains from lanes of one packed integer. Coverage's multi-edge gains
-    and the ``value`` that ``move`` carries add floats: exact on integer
-    weights (sums below 2^53), within the last ulps of the whole-set
-    figures on float ones.
+    whole-set queries would make. The family contexts below hold f(base)
+    and each gain as exact integer sums of units (see ``_dyadic``),
+    divided once by the objective's ``den``: ``value`` is
+    ``f.value(base)`` and every gain is the exact difference rounded
+    once, bit for bit on any weights. Coverage reads its one-edge add
+    gains from lanes of one packed integer.
     """
 
     def __init__(self, f, base):
@@ -157,10 +163,18 @@ class ValueContext:
 
 
 class _SummingContext(ValueContext):
-    """A family context: ``move`` adds the move's gain to the value."""
+    """A family context: f(base) is ``units / den``; ``gain`` divides a
+    move's gain in units, ``_delta(add, remove)``, and ``move`` adds it."""
+
+    @property
+    def value(self):
+        return self.units / self.f._den
+
+    def _gain(self, add, remove):
+        return self._delta(add, remove) / self.f._den
 
     def _move(self, add, remove):
-        self.value += self._gain(add, remove)
+        self.units += self._delta(add, remove)
         self.base = self.base.difference(remove).union(add)
 
 
@@ -168,7 +182,8 @@ class ModularObjective(ValueOracle):
     """f(S) = w0 + sum of per-edge weights; marginals are constant, so the
     analysis treats this family as linear (w0 only shifts values). It is
     monotone exactly when no weight is negative, as the weights stand at
-    construction."""
+    construction. ``weights`` keeps the numbers given; f reads each as
+    its float."""
 
     linear = True
 
@@ -184,34 +199,38 @@ class ModularObjective(ValueOracle):
             if not math.isfinite(w):
                 raise ValueError(f"edge {e} has non-finite weight {w}")
         self.monotone = all(w >= 0 for w in self.weights.values())
+        (self._w0_units, *units), self._den = _dyadic(
+            [self.w0, *map(float, self.weights.values())], "modular"
+        )
+        self._units = dict(zip(self.weights, units))
 
     def _value(self, s):
-        return self.w0 + sum(self.weights[e] for e in s)
+        return math.fsum([self.w0, *map(self.weights.__getitem__, s)])
 
     def _context(self, base):
         return _ModularContext(self, base)
 
 
 class _ModularContext(_SummingContext):
-    """A gain is the added weights minus the removed ones."""
+    """A gain is the added units minus the removed ones."""
+
+    def __init__(self, f, base):
+        self.f = f
+        self.base = base
+        self.units = f._w0_units + sum(map(f._units.__getitem__, base))
 
     def _gains(self, edges):
-        weights = self.f.weights
-        return [0.0 + weights[x] for x in edges]
+        units, den = self.f._units, self.f._den
+        return [units[x] / den for x in edges]
 
     def gain_of(self, x):
         f = self.f
         f.calls += 1
-        return 0.0 + f.weights[x]
+        return f._units[x] / f._den
 
-    def _gain(self, add, remove):
-        weights = self.f.weights
-        g = 0.0
-        for x in add:
-            g += weights[x]
-        for y in remove:
-            g -= weights[y]
-        return g
+    def _delta(self, add, remove):
+        units = self.f._units
+        return sum(map(units.__getitem__, add)) - sum(map(units.__getitem__, remove))
 
 
 class CoverageObjective(ValueOracle):
@@ -237,13 +256,14 @@ class CoverageObjective(ValueOracle):
                     raise ValueError(f"edge {e} covers item id {i!r}, which is not an integer")
                 if not 0 <= i < n_items:
                     raise ValueError(f"edge {e} covers an unknown item")
-        # built by the first context: item weights as units / den, each
-        # edge's lane in the packed integers, and per item its units in the
-        # lane of every edge that covers it (see _CoverageContext)
-        self._units = self._den = self._lane = self._mask = self._packed = self._total = None
+        self._units, self._den = _dyadic(self.item_weights, "coverage")
+        # built by the first context: each edge's lane in the packed
+        # integers, and per item its units in the lane of every edge that
+        # covers it (see _CoverageContext)
+        self._lane = self._mask = self._packed = self._total = None
 
     def _value(self, s):
-        return self._weight(self._covered(s))
+        return math.fsum(map(self.item_weights.__getitem__, self._covered(s)))
 
     def _covered(self, s):
         covered = set()
@@ -251,24 +271,19 @@ class CoverageObjective(ValueOracle):
             covered |= self.edge_items[e]
         return covered
 
-    def _weight(self, items):
-        return sum(map(self.item_weights.__getitem__, items), 0.0)
-
     def _context(self, base):
         if self._packed is None:
-            units, self._den = _dyadic(self.item_weights)
-            unit = units.__getitem__
+            unit = self._units.__getitem__
             top = max((sum(map(unit, items)) for items in self.edge_items.values()), default=0)
             width = top.bit_length() + 1  # a lane never exceeds its edge's total
             self._lane = {e: k * width for k, e in enumerate(self.edge_items)}
             self._mask = (1 << width) - 1
-            lanes = [0] * len(units)
+            lanes = [0] * len(self._units)
             for e, items in self.edge_items.items():
                 bit = 1 << self._lane[e]
                 for i in items:
                     lanes[i] |= bit
-            self._units = units
-            self._packed = [n * b for n, b in zip(units, lanes)]
+            self._packed = [n * b for n, b in zip(self._units, lanes)]
             self._total = sum(self._packed)
         return _CoverageContext(self, base)
 
@@ -276,14 +291,14 @@ class CoverageObjective(ValueOracle):
 class _CoverageContext(_SummingContext):
     """Keeps ``single``, one integer whose lane for edge e (see
     ``CoverageObjective._context``) holds the units of e's items outside
-    the base's cover, so adding one edge gains that lane / den. Each
+    the base's cover, so adding one edge gains that lane. Each
     lane stays within 0 and the units of all e's items, below its width,
     so no carry or borrow crosses lanes, and a move adds or subtracts
     one packed item integer per item it uncovers or covers. The table
     is built at bind. Removing one edge loses the units of its items
     that no other base edge covers, read from how many base edges cover
     each item. Other moves use the covered items, so the added edges
-    gain the weight of theirs outside them, and those counts, so the
+    gain the units of theirs outside them, and those counts, so the
     removed edges lose the items no other base edge and no added edge
     covers."""
 
@@ -291,7 +306,7 @@ class _CoverageContext(_SummingContext):
         self.f = f
         self.base = base
         self.covered = f._covered(base)
-        self.value = f._weight(self.covered)
+        self.units = sum(map(f._units.__getitem__, self.covered))
         counts = self.counts = [0] * len(f.item_weights)
         for e in base:
             for i in f.edge_items[e]:
@@ -308,28 +323,28 @@ class _CoverageContext(_SummingContext):
         f.calls += 1
         return (self.single >> f._lane[x] & f._mask) / f._den
 
-    def _gain(self, add, remove):
+    def _delta(self, add, remove):
         f = self.f
         if not remove and len(add) == 1:
             (x,) = add
-            return (self.single >> f._lane[x] & f._mask) / f._den
+            return self.single >> f._lane[x] & f._mask
+        counts, units = self.counts, f._units
         if not add and len(remove) == 1:
             (y,) = remove
-            counts, units = self.counts, f._units
             lost = 0
             for i in f.edge_items[y]:
                 if counts[i] == 1:
                     lost += units[i]
-            return -lost / f._den
-        items, weight = f.edge_items, f.item_weights.__getitem__
+            return -lost
+        items, unit = f.edge_items, units.__getitem__
         if len(add) == 1:
             for x in add:
                 added = items[x]
         else:
             added = set().union(*map(items.__getitem__, add))
-        g = sum(map(weight, added - self.covered), 0.0)
+        g = sum(map(unit, added - self.covered))
         if remove:
-            g -= sum(map(weight, self._lost(remove) - added))
+            g -= sum(map(unit, self._lost(remove) - added))
         return g
 
     def _lost(self, remove):
@@ -367,29 +382,35 @@ class CutObjective(ValueOracle):
 
     def __init__(self, weighted_links):
         super().__init__()
-        self.links = [
+        links = [
             (u, v, float(w) if type(w) in _PLAIN else _real(w, "link ({}, {})", u, v))
             for u, v, w in weighted_links
         ]
-        for u, v, w in self.links:
+        for u, v, w in links:
             if not 0 <= w < math.inf:
                 raise ValueError(f"link ({u}, {v}) weight {w} is negative or not finite")
+        units, self._den = _dyadic([w for _, _, w in links], "cut")
+        self._links = [(u, v, n) for (u, v, _), n in zip(links, units)]
         # built by the first context: node -> (neighbours, link units), parallel
         # links merged and self-loops (never cut) left out; units at each node
-        self._adjacency = self._degree = self._den = None
+        self._adjacency = self._degree = None
+
+    @property
+    def links(self):
+        """The (u, v, weight) links, weights as floats."""
+        return [(u, v, n / self._den) for u, v, n in self._links]
 
     def _value(self, s):
-        total = 0.0
-        for u, v, w in self.links:
+        total = 0
+        for u, v, n in self._links:
             if (u in s) != (v in s):
-                total += w
-        return total
+                total += n
+        return total / self._den
 
     def _context(self, base):
         if self._adjacency is None:
-            units, self._den = _dyadic([w for _, _, w in self.links])
             rows = {}
-            for (u, v, _), n in zip(self.links, units):
+            for u, v, n in self._links:
                 if u != v:
                     for a, b in ((u, v), (v, u)):
                         row = rows.setdefault(a, {})
@@ -404,8 +425,8 @@ _NO_LINKS = ((), ())
 
 class _CutContext(_SummingContext):
     """Keeps ``single[x]``, the units of x's links to edges outside the
-    base minus those to edges inside, so adding x gains single[x] / den
-    and removing it loses that; an applied move shifts the entries of the
+    base minus those to edges inside, so adding x gains single[x] units
+    and removing it loses them; an applied move shifts the entries of the
     moved edges' neighbours. A move of several edges adds up their
     entries and mends each link between two moved edges, which stays cut
     or uncut although both entries count it as flipping."""
@@ -413,7 +434,8 @@ class _CutContext(_SummingContext):
     def __init__(self, f, base):
         self.f = f
         self.base = base
-        self.value = f._value(base) if base else 0.0
+        links = f._links if base else ()  # the empty base cuts nothing
+        self.units = sum(n for u, v, n in links if (u in base) != (v in base))
         self.single = dict(f._degree)
         self._shift(base, -2)
 
@@ -426,13 +448,13 @@ class _CutContext(_SummingContext):
         f.calls += 1
         return self.single.get(x, 0) / f._den
 
-    def _gain(self, add, remove):
-        single, den = self.single, self.f._den
+    def _delta(self, add, remove):
+        single = self.single
         if len(add) + len(remove) == 1:
             for x in add:
-                return single.get(x, 0) / den
+                return single.get(x, 0)
             for y in remove:
-                return -single.get(y, 0) / den
+                return -single.get(y, 0)
         sign = dict.fromkeys(add, 1)
         sign.update(dict.fromkeys(remove, -1))
         g = 0
@@ -441,7 +463,7 @@ class _CutContext(_SummingContext):
             for b, n in zip(*self.f._adjacency.get(a, _NO_LINKS)):
                 if b in sign:  # met from both ends
                     g -= s * sign[b] * n
-        return g / den
+        return g
 
     def _move(self, add, remove):
         super()._move(add, remove)

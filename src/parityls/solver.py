@@ -232,10 +232,11 @@ def find_improvement(vals, fits, current, theta, epsilon, gain, after=None):
     lexicographic with y from ``current``, trying the smaller id as the
     first-inserted element before the other labeling. Every feasibility
     check on (base | A) \\ N is asked of ``fits`` and every value query
-    is a gain asked of ``vals``; each comparison reads a whole-set value
-    as ``vals.value`` plus that gain. The scan asks only about edges
-    outside the base, so the singles and swaps ask the unchecked
-    ``gain_of`` and ``fits``. The scan binds and moves nothing.
+    is a gain asked of ``vals``, which the comparisons read as they are:
+    a swap needs a gain of epsilon * theta, and a pair (p, q) a gain
+    that exceeds p's by theta. The scan asks only about edges outside
+    the base, so the singles and swaps ask the unchecked ``gain_of``
+    and ``fits``. The scan binds and moves nothing.
     Returns None at a local optimum. ``gain`` is the run's memo of
     f(base + x) - f(base): the scan reads the gains it holds, asks and
     stores those it lacks, and never empties or reorders it; after a
@@ -264,7 +265,6 @@ def find_improvement(vals, fits, current, theta, epsilon, gain, after=None):
     outside = [e for e in fits.cons.edge_ids if e not in base]
     start = 0 if after is None else bisect_right(outside, after)
     removable = sorted(current)
-    f_base = vals.value
     for x in outside[start:]:
         if x not in gain:
             gain[x] = vals.gain_of(x)
@@ -285,7 +285,7 @@ def find_improvement(vals, fits, current, theta, epsilon, gain, after=None):
             if not fits.fits(x, y):
                 dead_swaps.add((x, y))
                 continue
-            if f_base + vals.gain((x,), (y,)) >= f_base + epsilon * theta:
+            if vals.gain((x,), (y,)) >= epsilon * theta:
                 return Improvement(2, (x,), (y,))
 
     for i, p in enumerate(high):
@@ -296,10 +296,10 @@ def find_improvement(vals, fits, current, theta, epsilon, gain, after=None):
                     continue
                 if not fits.feasible((p, q), (y,)):
                     continue
-                f_pair = f_base + vals.gain((p, q))
-                if f_pair - (f_base + gain[p]) >= theta:
+                g = vals.gain((p, q))
+                if g - gain[p] >= theta:
                     return Improvement(3, (p, q), (y,))
-                if f_pair - (f_base + gain[q]) >= theta:
+                if g - gain[q] >= theta:
                     return Improvement(3, (q, p), (y,))
                 break  # labelings do not depend on y; this pair is dead
     return None

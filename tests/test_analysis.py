@@ -458,7 +458,8 @@ DESK_PARITY = {"k": 2, "n_vertices": 10, "n_edges": 10, "rank": 5}
 def test_float_cut_gain_of_rounding_size_verifies():
     # the pick's exact gain is ~2e-16 where the float weights cancel, so
     # the run jumps to level 55 (threshold 1.6e-16) and adds edge 5, whose
-    # whole-set insertion weight is 0.0; the bracket must accept it
+    # insertion weight, the difference of two whole-set values each rounded
+    # once, is 4 times that; the bracket must accept it
     params = DESK_PARITY | {"matroid": "graphic", "objective": "cut"}
     cons, f = generate_instance("random-parity", params, 34)
     weights = [0.7, 0.1, 2.3, 0.3, 0.7, 0.7, 0.3, 1.1, 0.7, 0.3, 0.3]
@@ -467,7 +468,8 @@ def test_float_cut_gain_of_rounding_size_verifies():
     _, trace = solved(f, cons, seed=3)
     top = trace.iterations[-1]
     assert (top.index, top.selected) == (55, (5,))
-    assert insertion_weights(trace, f)[5] == 0.0 < top.threshold < 1e-15
+    assert insertion_weights(trace, f)[5] == 8.881784197001252e-16
+    assert 0.0 < top.threshold < 1e-15
     report = verify_run(trace, f, cons, pruned_optimum(f, cons))
     assert report.ok, [(c.name, c.violations) for c in report.failed()]
 

@@ -193,6 +193,11 @@ def test_gen_prints_to_stdout_without_out(capsys):
         ('{"constraint": {"k": 1, "matroid": {"type": "explicit", "ground": true, '
          '"independent": [[], [0]]}, "edges": [[0]]}, "objective": {"cut": {"weights": []}}}',
          "explicit ground True is not an integer >= 0"),
+        # finite link weights whose total no float holds
+        ('{"constraint": {"k": 1, "matroid": {"type": "uniform", "ground": 3, "rank": 3}, '
+         '"edges": [[0], [1], [2]]}, "objective": {"cut": {"weights": '
+         '[[0, 1, 1e308], [0, 2, 1e308], [1, 2, 1.0]]}}}',
+         "cut weights sum to more than the largest float"),
     ],
 )
 def test_malformed_instance_is_one_line_error(tmp_path, capsys, text, reason):

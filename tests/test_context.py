@@ -3,9 +3,8 @@ must answer what the whole-set oracle answers for the changed set,
 including around dependent bases, and count one query per question.
 A feasibility context moved by ``move`` answers for the moved set, and
 both kinds of context refuse a move that does not fit their base.
-Value gains are exact on integer weights and within 1e-9 relative on
-float weights, and one-edge cut and coverage gains are the exact gain
-rounded once on any weights; ``gains`` and the unchecked ``gain_of``
+Every value and every gain, of any shape, is the exact figure rounded
+once on any weights; ``gains`` and the unchecked ``gain_of``
 answer what ``gain`` answers for each edge, bit for bit, and ``fits``
 what ``feasible`` answers, with the same counts but for a single add it
 found dependent since the last removal, which it answers without a
@@ -23,7 +22,7 @@ from hypothesis import strategies as st
 
 from parityls.bench import generate_instance, greedy_baseline
 from parityls.kparity import Edge, KParityConstraint
-from parityls.matroid import GraphicMatroid, _leq
+from parityls.matroid import GraphicMatroid
 from parityls.nonmonotone import double_greedy
 from parityls.objective import (
     CoverageObjective,
@@ -240,19 +239,16 @@ def test_value_context_move_chain_tracks_the_whole_set_value(integer, data):
         assert f.calls == calls + 1
         base = (base - set(remove)) | set(add)
         assert ctx.base == base
-        if integer:
-            assert ctx.value == f.value(base)
-        else:
-            assert close(ctx.value, f.value(base))
+        assert ctx.value == f.value(base)
 
 
 @settings(max_examples=300, deadline=None)
 @given(integer=st.booleans(), data=st.data())
 def test_a_moved_context_keeps_f_of_its_base(integer, data):
     """Double greedy reads f(S) from the run's context, which the run's
-    moves carried there: after a random sequence of them, the
-    value is ``f.value`` of the base bit for bit on integer weights, and
-    within ``_leq`` on the non-dyadic grid, mixed-sign modular included."""
+    moves carried there: after a random sequence of them, the value is
+    ``f.value`` of the base bit for bit, on integer weights and on the
+    non-dyadic grid, mixed-sign modular included."""
     grid = st.sampled_from(WEIGHT_GRID)
     signed = st.builds(lambda w, s: s * w, grid, st.sampled_from((1.0, -1.0)))
     f = data.draw(objectives(integer) if integer else objectives(False, weight=grid, signed=signed))
@@ -266,15 +262,14 @@ def test_a_moved_context_keeps_f_of_its_base(integer, data):
         ctx.move(*move)
         base = (base - set(move[1])) | set(move[0])
         got, want = ctx.value, f.value(base)
-        if integer:
-            assert float(got).hex() == float(want).hex(), (base, got, want)
-        else:
-            assert _leq(got, want) and _leq(want, got), (base, got, want)
+        assert float(got).hex() == float(want).hex(), (base, got, want)
 
 
 def exact_value(f, s):
-    """f(s) of a cut or coverage objective as an exact Fraction."""
-    if isinstance(f, CutObjective):
+    """f(s) of a shipped family as an exact Fraction."""
+    if isinstance(f, ModularObjective):
+        weights = [f.w0, *(float(f.weights[e]) for e in s)]
+    elif isinstance(f, CutObjective):
         weights = [w for u, v, w in f.links if (u in s) != (v in s)]
     else:
         weights = [f.item_weights[i] for i in set().union(*map(f.edge_items.get, s))]
@@ -287,29 +282,35 @@ NON_DYADIC = (0.1, 0.3, 0.7, 2.2, 4.4, 8.8)
 
 @settings(max_examples=300, deadline=None)
 @given(integer=st.booleans(), data=st.data())
-def test_one_edge_gains_are_the_exact_gain_rounded_once(integer, data):
-    """After each applied move, every one-edge add gain and every
-    one-edge remove gain (cut and coverage) is float(exact difference)."""
+def test_every_value_and_gain_is_the_exact_figure_rounded_once(integer, data):
+    """In every family, mixed-sign modular included: f.value(S) and the
+    context's value are float(exact f(S)), and every gain of every shape
+    the contexts answer, one-edge adds and removes, two adds, swaps and
+    the applied moves, is float(exact difference), as the context moves."""
     weight = None if integer else st.one_of(st.sampled_from(NON_DYADIC), st.floats(0, 100))
-    f = data.draw(objectives(integer, ("coverage", "cut"), weight))
+    signed = None if integer else st.one_of(weight, weight.map(lambda w: -w))
+    f = data.draw(objectives(integer, weight=weight, signed=signed))
     ground = ground_of(f)
     base = data.draw(ground_subsets(ground))
     ctx = f.context(base)
     for _ in range(6):
         before = exact_value(f, base)
-        for x in ground:
-            if x not in base:
-                exact = exact_value(f, base | {x}) - before
-                assert ctx.gain((x,)) == float(exact), ("add", x, base)
-            else:
-                exact = exact_value(f, base - {x}) - before
-                assert ctx.gain((), (x,)) == float(exact), ("remove", x, base)
+        assert f.value(base) == float(before) == ctx.value, base
+        outside = [x for x in ground if x not in base]
+        shapes = [((x,), ()) for x in outside] + [((), (y,)) for y in sorted(base)]
+        shapes += [((x, z), ()) for i, x in enumerate(outside) for z in outside[i + 1:]]
+        shapes += [((x,), (y,)) for x in outside for y in sorted(base)]
+        for add, remove in shapes:
+            exact = exact_value(f, (base - set(remove)) | set(add)) - before
+            assert ctx.gain(add, remove) == float(exact), (add, remove, base)
         move = data.draw(moves(ground, base))
         if move is None:
             continue
         add, remove = move
+        after = (base - set(remove)) | set(add)
+        assert ctx.gain(add, remove) == float(exact_value(f, after) - before), (move, base)
         ctx.move(add, remove)
-        base = (base - set(remove)) | set(add)
+        base = after
 
 
 class WholeSets(ValueOracle):

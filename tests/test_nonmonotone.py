@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from parityls import nonmonotone, seeding
 from parityls.bench import generate_instance
 from parityls.kparity import KParityConstraint
-from parityls.matroid import GraphicMatroid, UniformMatroid, _leq
+from parityls.matroid import GraphicMatroid, UniformMatroid
 from parityls.nonmonotone import RepetitionsConfig, double_greedy, repetitions_with_trace
 from parityls.objective import (
     CoverageObjective,
@@ -354,8 +354,9 @@ def test_a_solved_round_binds_only_its_runs_value_context(monkeypatch):
 @pytest.mark.parametrize("family", ["modular", "coverage", "cut"])
 def test_grid_weight_rounds_match_the_plain_round_loop(family):
     # non-dyadic weights with ties, mixed-sign for modular: f of a round's
-    # set is the run context's running sum, so the records must match the
-    # plain loop exactly and the best value within rounding. The solver
+    # set is the run context's value, which is f.value of that set bit for
+    # bit, so the records and the best value must match the plain loop
+    # exactly. The solver
     # never keeps a negative modular weight, so only the cuts drop edges:
     # the refining instance on grid links (0.7, 0.7, 1.1, 1.1, 1.1) takes
     # {0, 1, 2}, from which dropping 0 gains 0.3
@@ -379,8 +380,7 @@ def test_grid_weight_rounds_match_the_plain_round_loop(family):
             best, trace = repetitions_with_trace(f, cons, config)
             ref_best, ref = reference_repetitions(f, cons, config)
             assert round_facts(trace) == round_facts(ref)
-            got, want = f.value(best), f.value(ref_best)
-            assert _leq(got, want) and _leq(want, got), run_seed
+            assert f.value(best) == f.value(ref_best), run_seed
             dropped += sum(r.refined != r.selected for r in trace.rounds)
     assert (dropped > 0) == (family == "cut")
 

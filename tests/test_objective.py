@@ -3,6 +3,7 @@ checkers on the three concrete families."""
 
 import math
 import random
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -166,6 +167,31 @@ def test_non_finite_weights_name_the_culprit(bad):
         CoverageObjective([1.0, bad], {0: {0, 1}})
     with pytest.raises(ValueError, match=r"link \(0, 2\)"):
         CutObjective([(0, 1, 1.0), (0, 2, bad)])
+
+
+def test_weights_whose_total_overflows_a_float_are_refused():
+    # each weight is finite, but no float holds the sum of their sizes,
+    # which bounds every value and gain a family divides out of its units
+    with pytest.raises(ValueError, match="modular weights sum to more than the largest float"):
+        ModularObjective({0: 1e308, 1: -1e308})
+    with pytest.raises(ValueError, match="modular weights"):
+        ModularObjective({0: 1e308}, w0=1e308)
+    with pytest.raises(ValueError, match="coverage weights"):
+        CoverageObjective([1e308, 1e308], {0: {0}, 1: {1}})
+    with pytest.raises(ValueError, match="cut weights"):
+        CutObjective([(0, 1, 1e308), (0, 2, 1e308), (1, 2, 1.0)])
+    # weights that sum to the largest float are kept, and every value and
+    # gain they give is finite
+    half = sys.float_info.max / 2
+    for f in (
+        ModularObjective({0: half, 1: -half}),
+        CoverageObjective([half, half], {0: {0}, 1: {1}}),
+        CutObjective([(0, 1, half), (0, 2, half)]),
+    ):
+        vals = f.context(())
+        vals.move((0,))
+        assert math.isfinite(vals.value) and math.isfinite(vals.gain((1,), (0,)))
+    assert f.value({0}) == sys.float_info.max  # the cut of {0} takes both links
 
 
 NOT_NUMBERS = ["3", True, None, [1.0]]

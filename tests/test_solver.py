@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parityls import solver
+from parityls import bench, solver
 from parityls.bench import generate_instance, greedy_baseline
 from parityls.kparity import FeasibilityContext, KParityConstraint
 from parityls.matroid import PartitionMatroid, UniformMatroid
@@ -35,7 +35,7 @@ from parityls.solver import (
     run_reference,
     sample_alpha,
 )
-from util import rng_for, solver_instance
+from util import regridded, rng_for, solver_instance
 
 
 def singleton_parity(matroid):
@@ -938,7 +938,7 @@ def test_overflowing_top_threshold_raises_before_any_level():
         def random(self):
             return 0.0
 
-    f = ModularObjective({0: 1e308, 1: 1e308})
+    f = ModularObjective({0: 1e308, 1: 1.0})
     cons = singleton_parity(UniformMatroid(2, 2))
     for runner in (run_reference, run_efficient):
         with pytest.raises(ValueError, match="top threshold of inf, which is not finite"):
@@ -1004,6 +1004,19 @@ def test_covered_edges_gain_exactly_nothing_on_float_item_weights():
         out, trace = runner(f, cons, config, rng=FixedDraw(0.0))
         assert out == frozenset({1})
         assert len(trace.applied_sequence()) == 1
+
+
+@pytest.mark.parametrize("mode", bench.MODES)
+def test_a_swap_below_the_ulp_of_f_is_no_gain(mode):
+    # weights 2^-1000, 0.1 and 100.0: at a level with threshold ~6.8e-302
+    # a swap of the equal-weight edges 0 and 3 gains exactly 0, below
+    # epsilon * theta; added to f(base) = 100.1 both sides would round to
+    # the same float, so a whole-set comparison took the swap back and
+    # forth until the move budget ran out
+    cons, f = generate_instance("random-parity", {"objective": "modular"}, 7)
+    f = regridded(f, lambda n: [(2**-1000, 0.1, 100.0)[i % 3] for i in range(n)])
+    out, _ = bench.solve(mode, f, cons, epsilon=0.5, seed=3)
+    assert out == frozenset({0, 1, 2})
 
 
 class RandomValues(ValueOracle):
