@@ -67,14 +67,14 @@ def greedy_baseline(f, cons):
     make greedy miss a pick, never return an infeasible set."""
     vals = f.context(frozenset())
     fits = cons.context(frozenset())
-    gain = dict(zip(cons.edge_ids, vals.gains(cons.edge_ids)))
+    gain = {x: vals.gain_of(x) for x in cons.edge_ids}
     while (e := best_feasible(fits, gain)) is not None:
         vals.move((e,))
         fits.move((e,))
         top = gain[e]
         # the edges ranked after the pick, less those with a settled gain <= 0
         left = [d for d, g in gain.items() if (g < top or g == top and d > e) and g > 0]
-        gain = dict(zip(left, vals.gains(left)))
+        gain = {x: vals.gain_of(x) for x in left}
     return vals.base
 
 
@@ -136,6 +136,8 @@ def generate_instance(kind, params, seed):
     parameters draw as they would without the checks.
     """
     params = _checked_params(kind, params, seed)
+    if "count" in params:  # only seeded_instances reads it
+        raise ValueError("unknown generator parameters ['count'] (count sizes a bench batch)")
     rng = np.random.Generator(np.random.PCG64(seed))
 
     if kind == "k-partition-intersection":
@@ -191,7 +193,8 @@ def seeded_instances(kind, params, seed):
     ``generate_instance`` at seed ``_trial_seed(seed, idx, 0)`` and named
     ``{kind}-{seed}-{idx}``. Every parameter is checked before the first
     draw, and a count below 1 is a ValueError too."""
-    count = _checked_params(kind, params, seed).get("count", 1)
+    params = _checked_params(kind, params, seed)
+    count = params.pop("count", 1)
     if count < 1:
         raise ValueError("need count >= 1")
     return [

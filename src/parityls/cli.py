@@ -239,7 +239,10 @@ def main(argv=None):
         "bench": _cmd_bench,
         "gen": _cmd_gen,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except OSError as exc:  # _load reports reads, so an --out that cannot be written
+        _fail(exc.filename or args.command, exc.strerror or exc)
 
 
 if __name__ == "__main__":

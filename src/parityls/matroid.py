@@ -30,7 +30,13 @@ def _integer(x):
 
 
 def _leq(lhs, rhs):
-    """lhs <= rhs up to the relative tolerance every check allows for rounding."""
+    """lhs <= rhs up to the relative tolerance every check allows for rounding.
+    Below 1 the slack is absolute, and the checks need that: a difference
+    of two whole-set values, each rounded once, can be far off a tiny
+    threshold. A cut run on grid weights inserts an edge of exact gain
+    about 2e-16 at threshold 1.6e-16 whose weight f(S + e) - f(S), from
+    two values near 5.7 one ulp apart, is 8.9e-16, 2.7 times the bracket's
+    2 * threshold; an exact or purely relative comparison fails that run."""
     return lhs <= rhs + REL_TOL * (1.0 + abs(lhs) + abs(rhs))
 
 

@@ -21,10 +21,9 @@ class ValueOracle:
     ``value(S)`` evaluates one whole set. ``context(S)`` fixes S and
     answers marginals around it (see ValueContext). Binding a context
     counts one query, as ``value(S)`` does, and so does each of its
-    ``gain``, ``gain_of`` and ``move`` calls; ``gains(edges)``
-    counts one query per edge it is given, as many as ``gain((x,))`` for
-    each of them would. A subclass defines ``_value`` and may override
-    ``_context`` with a cheaper incremental context.
+    ``gain``, ``gain_of`` and ``move`` calls. A subclass defines
+    ``_value`` and may override ``_context`` with a cheaper incremental
+    context.
 
     f must be submodular, as the solver's scan and greedy assume: they
     skip questions whose answer that fixes, so a non-submodular f can
@@ -63,10 +62,14 @@ _PLAIN = {float, int}  # weight types that skip _real's slower checks
 
 def _real(w, where, *args):
     """float(w) for a real number, numpy scalars included; a str, bool,
-    None or other value raises ValueError naming ``where.format(*args)``."""
+    None or other value, or a number too large for a float (an int of
+    400 digits, say), raises ValueError naming ``where.format(*args)``."""
     if type(w) not in _PLAIN and (isinstance(w, bool) or not isinstance(w, numbers.Real)):
         raise ValueError(f"{where.format(*args)} weight {w!r} is not a number")
-    return float(w)
+    try:
+        return float(w)
+    except OverflowError:
+        raise ValueError(f"{where.format(*args)} weight is too large for a float") from None
 
 
 def _dyadic(weights, family):
@@ -106,14 +109,11 @@ class ValueContext:
     moves the base to that set. Each call counts one query on the
     oracle. A move that adds an edge of the base, removes one outside
     it or names an edge twice raises ValueError; a refused ``move``
-    counts no query and leaves the context as it was. ``gains(edges)``
-    is the list of one-edge add gains ``gain((x,))`` for x in
-    ``edges``, bit for bit, and counts ``len(edges)`` queries; an edge
-    of the base raises ValueError as ``gain`` does.
+    counts no query and leaves the context as it was.
 
     ``gain_of(x)`` is ``gain((x,))``, with the same answer and count
-    but no check that x lies outside the base: the hot path of the
-    solver's scan, which asks only about such edges.
+    but no check that x lies outside the base: every caller of a
+    one-edge add gain asks it, always about such an edge.
 
     This generic context evaluates ``f._value`` on each whole new set,
     and ``move`` evaluates the new base rather than adding up gains, so
@@ -136,12 +136,6 @@ class ValueContext:
         _check_move(self.base, add, remove)
         return self._gain(add, remove)
 
-    def gains(self, edges) -> list:
-        self.f.calls += len(edges)
-        if not self.base.isdisjoint(edges):
-            _check_move(self.base, edges, ())  # raises at the first edge of the base
-        return self._gains(edges)
-
     def move(self, add, remove=()):
         _check_move(self.base, add, remove)
         self.f.calls += 1
@@ -153,9 +147,6 @@ class ValueContext:
 
     def _gain(self, add, remove):
         return self.f._value(self.base.difference(remove).union(add)) - self.value
-
-    def _gains(self, edges):
-        return [self._gain((x,), ()) for x in edges]
 
     def _move(self, add, remove):
         self.base = self.base.difference(remove).union(add)
@@ -193,11 +184,14 @@ class ModularObjective(ValueOracle):
         if not 0 <= self.w0 < math.inf:
             raise ValueError("w0 must be finite and non-negative")
         self.weights = dict(weights)
-        for e, w in self.weights.items():
-            if type(w) not in _PLAIN:
-                _real(w, "edge {}", e)
-            if not math.isfinite(w):
-                raise ValueError(f"edge {e} has non-finite weight {w}")
+        try:
+            for e, w in self.weights.items():
+                if type(w) not in _PLAIN:
+                    _real(w, "edge {}", e)
+                if not math.isfinite(w):
+                    raise ValueError(f"edge {e} has non-finite weight {w}")
+        except OverflowError:  # a plain int no float holds
+            raise ValueError(f"edge {e} weight is too large for a float") from None
         self.monotone = all(w >= 0 for w in self.weights.values())
         (self._w0_units, *units), self._den = _dyadic(
             [self.w0, *map(float, self.weights.values())], "modular"
@@ -219,10 +213,6 @@ class _ModularContext(_SummingContext):
         self.base = base
         self.units = f._w0_units + sum(map(f._units.__getitem__, base))
 
-    def _gains(self, edges):
-        units, den = self.f._units, self.f._den
-        return [units[x] / den for x in edges]
-
     def gain_of(self, x):
         f = self.f
         f.calls += 1
@@ -241,10 +231,14 @@ class CoverageObjective(ValueOracle):
 
     def __init__(self, item_weights, edge_items):
         super().__init__()
-        self.item_weights = [
-            float(w) if type(w) in _PLAIN else _real(w, "item {}", i)
-            for i, w in enumerate(item_weights)
-        ]
+        try:
+            self.item_weights = [
+                float(w) if type(w) in _PLAIN else _real(w, "item {}", i)
+                for i, w in enumerate(item_weights)
+            ]
+        except OverflowError:  # a plain int no float holds: _real names it
+            for i, w in enumerate(item_weights):
+                _real(w, "item {}", i)
         for i, w in enumerate(self.item_weights):
             if not 0 <= w < math.inf:
                 raise ValueError(f"item {i} weight {w} is negative or not finite")
@@ -295,12 +289,10 @@ class _CoverageContext(_SummingContext):
     lane stays within 0 and the units of all e's items, below its width,
     so no carry or borrow crosses lanes, and a move adds or subtracts
     one packed item integer per item it uncovers or covers. The table
-    is built at bind. Removing one edge loses the units of its items
-    that no other base edge covers, read from how many base edges cover
-    each item. Other moves use the covered items, so the added edges
-    gain the units of theirs outside them, and those counts, so the
-    removed edges lose the items no other base edge and no added edge
-    covers."""
+    is built at bind. Other moves use the covered items, so the added
+    edges gain the units of theirs outside them, and how many base edges
+    cover each item, so the removed edges lose the items no other base
+    edge and no added edge covers."""
 
     def __init__(self, f, base):
         self.f = f
@@ -313,11 +305,6 @@ class _CoverageContext(_SummingContext):
                 counts[i] += 1
         self.single = f._total - sum(map(f._packed.__getitem__, self.covered))
 
-    def _gains(self, edges):
-        single, f = self.single, self.f
-        lane, mask, den = f._lane, f._mask, f._den
-        return [(single >> lane[x] & mask) / den for x in edges]
-
     def gain_of(self, x):
         f = self.f
         f.calls += 1
@@ -328,15 +315,7 @@ class _CoverageContext(_SummingContext):
         if not remove and len(add) == 1:
             (x,) = add
             return self.single >> f._lane[x] & f._mask
-        counts, units = self.counts, f._units
-        if not add and len(remove) == 1:
-            (y,) = remove
-            lost = 0
-            for i in f.edge_items[y]:
-                if counts[i] == 1:
-                    lost += units[i]
-            return -lost
-        items, unit = f.edge_items, units.__getitem__
+        items, unit = f.edge_items, f._units.__getitem__
         if len(add) == 1:
             for x in add:
                 added = items[x]
@@ -382,10 +361,14 @@ class CutObjective(ValueOracle):
 
     def __init__(self, weighted_links):
         super().__init__()
-        links = [
-            (u, v, float(w) if type(w) in _PLAIN else _real(w, "link ({}, {})", u, v))
-            for u, v, w in weighted_links
-        ]
+        try:
+            links = [
+                (u, v, float(w) if type(w) in _PLAIN else _real(w, "link ({}, {})", u, v))
+                for u, v, w in weighted_links
+            ]
+        except OverflowError:  # a plain int no float holds: _real names it
+            for u, v, w in weighted_links:
+                _real(w, "link ({}, {})", u, v)
         for u, v, w in links:
             if not 0 <= w < math.inf:
                 raise ValueError(f"link ({u}, {v}) weight {w} is negative or not finite")
@@ -438,10 +421,6 @@ class _CutContext(_SummingContext):
         self.units = sum(n for u, v, n in links if (u in base) != (v in base))
         self.single = dict(f._degree)
         self._shift(base, -2)
-
-    def _gains(self, edges):
-        single, den = self.single, self.f._den
-        return [single.get(x, 0) / den for x in edges]
 
     def gain_of(self, x):
         f = self.f

@@ -139,10 +139,15 @@ class RunTrace:
             raise ValueError(f"epsilon {self.epsilon} does not lie in (0, 1)")
         self.thresholds = Thresholds(self.scale, self.alpha)
         # "not <= 0" so that a NaN scale is checked too
-        if not self.scale <= 0 and not math.isfinite(top := self.thresholds.level(0)):
-            raise ValueError(
-                f"scale {self.scale} gives a top threshold of {top}, which is not finite"
-            )
+        if not self.scale <= 0:
+            try:
+                top = self.thresholds.level(0)
+            except OverflowError:  # an int no float holds
+                raise ValueError("scale is too large for a float") from None
+            if not math.isfinite(top):
+                raise ValueError(
+                    f"scale {self.scale} gives a top threshold of {top}, which is not finite"
+                )
 
     def add_level(self, index, moves):
         """Append level ``index`` by replaying its ``moves`` (a list of
@@ -157,7 +162,10 @@ class RunTrace:
             raise ValueError(f"level index {index!r} is not an integer")
         if self.iterations and index <= self.iterations[-1].index:
             raise ValueError(f"level index {index} does not exceed the previous one")
-        threshold = self.thresholds.level(index)
+        try:
+            threshold = self.thresholds.level(index)
+        except OverflowError:  # an int no float holds
+            raise ValueError("level index is too large for a float") from None
         current = {}  # the level's content in insertion order
         for imp in moves:
             for y in imp.removed:
@@ -197,7 +205,7 @@ def max_singleton_marginal(vals, edge_ids):
     on the empty set. Empty grounds give (-inf, {}), which shuts the run
     down."""
     edges = sorted(edge_ids)
-    gain = dict(zip(edges, vals.gains(edges)))
+    gain = {x: vals.gain_of(x) for x in edges}
     return max(gain.values(), default=float("-inf")), gain
 
 
@@ -271,9 +279,9 @@ def find_improvement(vals, fits, current, theta, epsilon, gain, after=None):
         if gain[x] >= theta and fits.fits(x):
             return Improvement(1, (x,), ())
     if start:  # the gains the resumed singles skipped
-        skipped = [x for x in outside[:start] if x not in gain]
-        if skipped:
-            gain.update(zip(skipped, vals.gains(skipped)))
+        for x in outside[:start]:
+            if x not in gain:
+                gain[x] = vals.gain_of(x)
     if not removable:  # swaps and pairs need a level edge to remove
         return None
 

@@ -392,10 +392,11 @@ def test_experiment_validation():
 
 
 def test_seeded_instances_are_the_batch():
-    # instance idx is generate_instance's at _trial_seed(seed, idx, 0), and
-    # count is checked with every other parameter before the first draw
-    params = {"count": 3, "objective": "cut", "n_edges": 5}
-    batch = seeded_instances("random-parity", params, 8)
+    # instance idx is generate_instance's at _trial_seed(seed, idx, 0) on
+    # the other parameters, and count is checked with every other parameter
+    # before the first draw; generate_instance itself refuses count
+    params = {"objective": "cut", "n_edges": 5}
+    batch = seeded_instances("random-parity", dict(params, count=3), 8)
     assert [name for name, _, _ in batch] == [f"random-parity-8-{i}" for i in range(3)]
     for idx, (_, cons, f) in enumerate(batch):
         expected = generate_instance("random-parity", params, bench._trial_seed(8, idx, 0))
@@ -407,6 +408,8 @@ def test_seeded_instances_are_the_batch():
             seeded_instances("random-parity", {"count": count}, 0)
     with pytest.raises(ValueError, match="unknown generator parameters"):
         seeded_instances("random-parity", {"count": 0, "n_edge": 5}, 0)
+    with pytest.raises(ValueError, match=r"^unknown generator parameters \['count'\]"):
+        generate_instance("random-parity", dict(params, count=1), 8)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -421,9 +424,9 @@ def test_oracle_calls_column_counts_every_query(mode, tmp_path, monkeypatch):
 
     counted = [0]
 
-    def counting(method, size=lambda *args: 1, into=counted):
+    def counting(method, into=counted):
         def wrapped(*args):
-            into[0] += size(*args)
+            into[0] += 1
             return method(*args)
 
         return wrapped
@@ -432,10 +435,6 @@ def test_oracle_calls_column_counts_every_query(mode, tmp_path, monkeypatch):
     monkeypatch.setattr(ValueOracle, "value", counting(ValueOracle.value))
     monkeypatch.setattr(ValueOracle, "context", counting(ValueOracle.context))
     monkeypatch.setattr(ValueContext, "gain", counting(ValueContext.gain))
-    # one query per edge, as a gain of each would count
-    monkeypatch.setattr(
-        ValueContext, "gains", counting(ValueContext.gains, lambda ctx, edges: len(edges))
-    )
     # the unchecked one-edge gain, in every context class that defines it
     for cls in context_classes(ValueContext, "gain_of"):
         monkeypatch.setattr(cls, "gain_of", counting(cls.gain_of))

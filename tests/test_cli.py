@@ -198,6 +198,23 @@ def test_gen_prints_to_stdout_without_out(capsys):
          '"edges": [[0], [1], [2]]}, "objective": {"cut": {"weights": '
          '[[0, 1, 1e308], [0, 2, 1e308], [1, 2, 1.0]]}}}',
          "cut weights sum to more than the largest float"),
+        # an integer weight no float holds, in each family and as w0
+        *[
+            pytest.param(json.dumps({"constraint": {"k": 1, "matroid": {"type": "uniform",
+                         "ground": 2, "rank": 2}, "edges": [[0], [1]]}, "objective": objective}),
+                         reason, id=f"huge-{name}")
+            for name, objective, reason in [
+                ("modular", {"modular": {"weights": [[0, 1], [1, 10**400]]}},
+                 "edge 1 weight is too large for a float"),
+                ("w0", {"modular": {"weights": [[0, 1], [1, 2]], "w0": 10**400}},
+                 "w0 weight is too large for a float"),
+                ("coverage", {"coverage": {"item_weights": [1, 10**400],
+                                           "covers": [[0, [0]], [1, [1]]]}},
+                 "item 1 weight is too large for a float"),
+                ("cut", {"cut": {"weights": [[0, 1, 2], [1, 0, 10**400]]}},
+                 "link (1, 0) weight is too large for a float"),
+            ]
+        ],
     ],
 )
 def test_malformed_instance_is_one_line_error(tmp_path, capsys, text, reason):
@@ -359,6 +376,8 @@ def test_bad_generator_params_are_one_line_error(tmp_path, capsys, params, rule)
     [
         (lambda t: t["iterations"][1].update(index=3.5), "level index 3.5 is not an integer"),
         (lambda t: t["iterations"][0].update(index=True), "level index True is not an integer"),
+        (lambda t: t["iterations"][2].update(index=10**400),
+         "level index is too large for a float"),
         (lambda t: t["iterations"][0]["improvements"][0].update(kind=7),
          "level 1: move of kind 7 adding 1 and removing 0 edges is not a move"),
         (lambda t: t["iterations"][1]["improvements"][1].update(removed=[]),
@@ -392,6 +411,7 @@ def fresh_trace():
         ({"scale": -5}, "scale -5 is not positive; the empty run has no levels"),
         ({"scale": 0}, "scale 0 is not positive; the empty run has no levels"),
         ({"scale": 1e308}, "scale 1e+308 gives a top threshold of inf, which is not finite"),
+        ({"scale": 10**400}, "scale is too large for a float"),
     ],
 )
 def test_trace_with_a_bad_draw_is_one_line_error(tmp_path, capsys, draw, reason):
@@ -476,3 +496,34 @@ def test_bad_bench_count_is_one_line_error(tmp_path, capsys, params, rule):
     assert exit_info.value.code == 2
     assert capsys.readouterr().err == f"error: --params: {rule}\n"
     assert not list(tmp_path.iterdir())
+
+
+def test_gen_refuses_the_bench_batch_size(capsys):
+    # only bench --generator reads count; gen would ignore it and write one
+    # instance
+    with pytest.raises(SystemExit) as exit_info:
+        main(["gen", "--kind", "random-parity", "--params", '{"count": 5}'])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == (
+        "error: --params: unknown generator parameters ['count'] (count sizes a bench batch)\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["gen", "solve", "verify", "bench"])
+def test_out_into_a_missing_directory_is_one_line_error(tmp_path, capsys, command):
+    # verify must not end with its status 1 of failed checks, nor any
+    # command with a traceback; bench names the <out>.csv it writes first
+    out = tmp_path / "missing" / "out.json"
+    instance = str(DATA / "instance.json")
+    argv = {
+        "gen": ["gen", "--kind", "random-parity"],
+        "solve": ["solve", "--instance", instance],
+        "verify": ["verify", "--instance", instance, "--trace", str(DATA / "trace.json")],
+        "bench": ["bench", "--instance", instance],
+    }[command]
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--out", str(out)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}") and err.endswith(": No such file or directory\n")
+    assert err.count("\n") == 1

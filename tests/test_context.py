@@ -4,13 +4,13 @@ including around dependent bases, and count one query per question.
 A feasibility context moved by ``move`` answers for the moved set, and
 both kinds of context refuse a move that does not fit their base.
 Every value and every gain, of any shape, is the exact figure rounded
-once on any weights; ``gains`` and the unchecked ``gain_of``
-answer what ``gain`` answers for each edge, bit for bit, and ``fits``
-what ``feasible`` answers, with the same counts but for a single add it
-found dependent since the last removal, which it answers without a
-query; greedy and double greedy, which ask value contexts, pick what
-their whole-set loops pick, and the drivers and greedy bind each kind
-of context once per run."""
+once on any weights; the unchecked ``gain_of`` answers what ``gain``
+answers for each edge, bit for bit, and ``fits`` what ``feasible``
+answers, with the same counts but for a single add it found dependent
+since the last removal, which it answers without a query; greedy and
+double greedy, which ask value contexts, pick what their whole-set
+loops pick, and the drivers and greedy bind each kind of context once
+per run."""
 
 from collections import Counter
 from fractions import Fraction
@@ -325,41 +325,6 @@ class WholeSets(ValueOracle):
         return self.inner._value(s)
 
 
-@settings(max_examples=200, deadline=None)
-@given(integer=st.booleans(), generic=st.booleans(), data=st.data())
-def test_gains_are_one_edge_gains_bit_for_bit(integer, generic, data):
-    """On integer weights and on the non-dyadic grid, in each family's
-    context and in the generic one, as the context moves: ``gains(edges)``
-    equals ``gain((x,))`` for each edge (repr tells 0.0 from -0.0) and
-    counts len(edges) queries, and an edge of the base raises as in
-    ``gain``."""
-    f = data.draw(objectives(integer, weight=None if integer else st.sampled_from(WEIGHT_GRID)))
-    ground = ground_of(f)
-    if generic:
-        f = WholeSets(f)
-    base = data.draw(ground_subsets(ground))
-    ctx = f.context(base)
-    for _ in range(4):
-        outside = data.draw(st.permutations(sorted(set(ground) - base)))
-        edges = outside[: data.draw(st.integers(0, len(outside)))]
-        calls = f.calls
-        got = ctx.gains(edges)
-        assert f.calls == calls + len(edges)
-        assert list(map(repr, got)) == [repr(ctx.gain((x,))) for x in edges]
-        if base:
-            bad = data.draw(st.permutations(edges + [data.draw(st.sampled_from(sorted(base)))]))
-            calls = f.calls
-            with pytest.raises(ValueError, match="already in the base"):
-                ctx.gains(bad)
-            assert f.calls == calls + len(bad)
-        move = data.draw(moves(ground, base))
-        if move is None:
-            continue
-        add, remove = move
-        ctx.move(add, remove)
-        base = (base - set(remove)) | set(add)
-
-
 def bad_moves(base, outside, x, y):
     """Moves that do not fit ``base``, for y an edge of it and x one
     ``outside`` it: adding y, removing y twice, removing x and adding x
@@ -540,7 +505,7 @@ def test_coverage_context_with_empty_and_shared_items_exhaustively(empty):
         value = f.value(base)
         fresh = f.context(base)
         outside, inside = sorted(ground - base), sorted(base)
-        gains = fresh.gains(outside)
+        gains = list(map(fresh.gain_of, outside))
         losses = [fresh.gain((), (y,)) for y in inside]
         assert gains == [f.value(base | {x}) - value for x in outside], base
         assert losses == [f.value(base - {y}) - value for y in inside], base
@@ -556,7 +521,7 @@ def test_coverage_context_with_empty_and_shared_items_exhaustively(empty):
             ctx.move(remove, add)  # and back again
             restored = (ctx.value, ctx.covered, ctx.counts)
             assert restored == (value, fresh.covered, fresh.counts), (base, add, remove)
-            assert ctx.gains(outside) == gains, (base, add, remove)
+            assert list(map(ctx.gain_of, outside)) == gains, (base, add, remove)
             assert ctx.single == fresh.single, (base, add, remove)
             assert [ctx.gain((), (y,)) for y in inside] == losses, (base, add, remove)
 

@@ -321,6 +321,7 @@ def test_tampered_legacy_key_is_rejected(key, tamper):
         ({"scale": float("nan")}, "top threshold of nan, which is not finite"),
         ({"scale": -5}, "the empty run has no levels"),
         ({"scale": 0}, "the empty run has no levels"),
+        ({"scale": 10**400}, "^scale is too large for a float$"),
     ],
 )
 def test_bad_draw_is_rejected(draw, message):

@@ -636,7 +636,7 @@ def test_double_greedy_asks_a_monotone_f_no_gain(monkeypatch):
 
         monkeypatch.setattr(cls, name, watched)
 
-    for name in ("gain", "gains", "gain_of"):
+    for name in ("gain", "gain_of"):
         for cls in context_classes(ValueContext, name):
             spy(cls, name)
     for family in ("modular", "coverage"):
