@@ -320,11 +320,27 @@ def run_experiment(instances, mode, *, seed=0, trials=1, epsilon=0.5, ell=0, out
     (one per trial, CSV_COLUMNS order) and ``summary`` (per-instance
     mean/stddev of values and ratios). Rows are deterministic except for
     the wall-time column. When ``out`` is set, writes <out>.csv and
-    <out>.json.
+    <out>.json, both opened before the first instance is taken, so an
+    ``out`` that cannot be written fails before any solve.
     """
     if not _integer(trials) or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     _run_config(mode, epsilon, seed, ell)
+    if not out:
+        return _trials(instances, mode, seed, trials, epsilon, ell)
+    with (
+        open(out + ".csv", "w", encoding="utf-8", newline="") as csv_fh,
+        open(out + ".json", "w", encoding="utf-8") as json_fh,
+    ):
+        result = _trials(instances, mode, seed, trials, epsilon, ell)
+        csv_fh.write(rows_to_csv(result["rows"]))
+        json.dump(result, json_fh, indent=2, sort_keys=True)
+        json_fh.write("\n")
+    return result
+
+
+def _trials(instances, mode, seed, trials, epsilon, ell):
+    """``run_experiment``'s rows and summary, on settings it checked."""
     rows = []
     summaries = []
     for idx, (instance_id, cons, f) in enumerate(instances):
@@ -378,14 +394,7 @@ def run_experiment(instances, mode, *, seed=0, trials=1, epsilon=0.5, ell=0, out
                 "opt_value": opt_value,
             }
         )
-    result = {"rows": rows, "summary": summaries}
-    if out:
-        with open(out + ".csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write(rows_to_csv(rows))
-        with open(out + ".json", "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return result
+    return {"rows": rows, "summary": summaries}
 
 
 def _run_config(mode, epsilon, seed, ell):

@@ -10,6 +10,7 @@ edge set, the way the solver's scans ask them: what if these edges were
 added and those removed. ``move`` moves that set by such a change.
 """
 
+from bisect import insort
 from dataclasses import dataclass
 
 from .matroid import EMPTY, MatroidContext, MatroidOracle, _integer
@@ -135,7 +136,15 @@ class FeasibilityContext:
     removes an edge. That is sound for any caller: while the base only
     grows, base + x stays dependent, since feasibility is down-closed.
     ``fits(x, y)`` and ``feasible`` neither read nor record the memo,
-    and ``move`` empties it only once a removing move is done.
+    and ``move`` empties it only once a removing move is done. When x
+    lies outside the base and y is None or in it, the edges' vertex sets
+    meet the promise of ``MatroidContext.fits``, so ``fits`` asks that
+    unchecked path; any other x and y take ``independent_with``.
+
+    ``outside`` lists the constraint's edges outside the base in
+    ascending id order. It is built on its first read, and from then on
+    ``move`` keeps it so in place; a caller that never reads it, such as
+    greedy, never pays for it.
     """
 
     def __init__(self, cons, base):
@@ -144,7 +153,14 @@ class FeasibilityContext:
         # edge vertices were checked against the ground at construction
         self._matroid_context = cons.matroid._context(cons.vertices_of(base))
         self.base = base
+        self._outside = None  # built on the first read of ``outside``
         self._dependent = set()  # single adds found dependent since the last removal
+
+    @property
+    def outside(self):
+        if self._outside is None:
+            self._outside = [e for e in self.cons.edge_ids if e not in self.base]
+        return self._outside
 
     def feasible(self, add, remove=()) -> bool:
         cons = self.cons
@@ -159,9 +175,13 @@ class FeasibilityContext:
         cons = self.cons
         cons.feasibility_calls += 1
         edges = cons.edges
-        fit = self._matroid_context.independent_with(
-            edges[x].vertices, EMPTY if y is None else edges[y].vertices
-        )
+        add = edges[x].vertices
+        remove = EMPTY if y is None else edges[y].vertices
+        base = self.base
+        if x not in base and (y is None or y in base):
+            fit = self._matroid_context.fits(add, remove)
+        else:
+            fit = self._matroid_context.independent_with(add, remove)
         if not fit and y is None:
             self._dependent.add(x)
         return fit
@@ -173,6 +193,12 @@ class FeasibilityContext:
             cons.vertices_of(add), cons.vertices_of(remove) if remove else EMPTY
         )
         self.base = self.base.difference(remove).union(add)
+        outside = self._outside
+        if outside is not None:
+            for x in add:
+                outside.remove(x)
+            for y in remove:
+                insort(outside, y)
         if remove:
             self._dependent.clear()
 

@@ -300,6 +300,13 @@ class MatroidContext:
     ``_independent``. This generic form evaluates that set; the
     concrete families keep what they need about ``base`` instead.
     ``moved(add, remove)`` is the context of that set.
+
+    ``fits(add, remove=EMPTY)`` gives the same answer on the caller's
+    promise that ``add`` is disjoint from the base and ``remove`` lies
+    inside it, disjoint from ``add``: the unchecked path of one-edge
+    adds and swaps (``FeasibilityContext.fits``). This form asks
+    ``independent_with``; a family may skip the set algebra that the
+    promise makes idle.
     """
 
     def __init__(self, matroid, base):
@@ -308,6 +315,9 @@ class MatroidContext:
 
     def independent_with(self, add=EMPTY, remove=EMPTY):
         return self.matroid._independent((self.base - remove) | add)
+
+    def fits(self, add, remove=EMPTY):
+        return self.independent_with(add, remove)
 
     def moved(self, add=EMPTY, remove=EMPTY) -> "MatroidContext":
         """The context of ``(base - remove) | add``; this form builds it anew."""
@@ -362,24 +372,25 @@ class _BlockContext(MatroidContext):
 class _ForestContext(MatroidContext):
     """Graphic matroids whose base is a forest: the component label of
     every node in the base forest, and, built on first use, in the
-    forest ``base - removed`` for each removed set asked about. An
-    addition is independent iff its links join distinct components
-    without closing a cycle among themselves. ``moved`` starts from the
-    labels of ``base - removed`` and merges the components each added
-    link joins."""
+    forest ``base - removed`` for each removed set asked about, keyed by
+    that set. An addition is independent iff its links join distinct
+    components without closing a cycle among themselves. ``fits`` reads
+    the labels under the caller's own ``remove``, an edge's vertex set
+    whose hash Python keeps, and joins ``add`` on them as it is;
+    ``independent_with`` and ``moved`` first cut their sets to that
+    form. ``moved`` starts from the labels of ``base - removed`` and
+    merges the components each added link joins."""
 
     def __init__(self, matroid, base, labels):
         super().__init__(matroid, base)
         self.labels = {EMPTY: labels}
 
-    def _split(self, add, remove):
-        """The removed base vertices and the labels of the forest without them."""
-        base = self.base
-        removed = (remove & base) - add if remove else EMPTY
+    def _labels(self, removed):
+        """The labels of the forest ``base - removed``, for ``removed`` in the base."""
         labels = self.labels.get(removed)
         if labels is None:
-            labels = self.labels[removed] = _flatten(self.matroid._forest(base - removed))
-        return removed, labels
+            labels = self.labels[removed] = _flatten(self.matroid._forest(self.base - removed))
+        return labels
 
     def _join(self, labels, added):
         """Component merges of the links ``added`` on ``labels``, each
@@ -398,15 +409,20 @@ class _ForestContext(MatroidContext):
             joined[a] = b
         return joined
 
+    def fits(self, add, remove=EMPTY):
+        return self._join(self._labels(remove), add) is not None
+
     def independent_with(self, add=EMPTY, remove=EMPTY):
-        _, labels = self._split(add, remove)
-        return self._join(labels, add - self.base) is not None
+        base = self.base
+        return self.fits(add - base, (remove & base) - add if remove else EMPTY)
 
     def moved(self, add=EMPTY, remove=EMPTY):
-        removed, labels = self._split(add, remove)
-        added = add - self.base
+        base = self.base
+        added = add - base
+        removed = (remove & base) - add if remove else EMPTY
+        labels = self._labels(removed)
         joined = self._join(labels, added)
-        base = (self.base - removed) | added
+        base = (base - removed) | added
         if joined is None:  # a dependent base: the generic context
             return MatroidContext(self.matroid, base)
         if joined:

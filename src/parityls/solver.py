@@ -244,7 +244,10 @@ def find_improvement(vals, fits, current, theta, epsilon, gain, after=None):
     a swap needs a gain of epsilon * theta, and a pair (p, q) a gain
     that exceeds p's by theta. The scan asks only about edges outside
     the base, so the singles and swaps ask the unchecked ``gain_of``
-    and ``fits``. The scan binds and moves nothing.
+    and ``fits``, and a swap's ``fits(x, y)`` meets the promise of the
+    matroid layer's unchecked path. It walks those edges in ``fits.outside``,
+    the ascending list the context keeps as it moves, so a scan does not
+    build one. The scan binds and moves nothing.
     Returns None at a local optimum. ``gain`` is the run's memo of
     f(base + x) - f(base): the scan reads the gains it holds, asks and
     stores those it lacks, and never empties or reorders it; after a
@@ -269,8 +272,7 @@ def find_improvement(vals, fits, current, theta, epsilon, gain, after=None):
       those edges the memo lacks are asked only if the scan goes on to
       swaps or returns None.
     """
-    base = vals.base
-    outside = [e for e in fits.cons.edge_ids if e not in base]
+    outside = fits.outside
     start = 0 if after is None else bisect_right(outside, after)
     removable = sorted(current)
     for x in outside[start:]:

@@ -442,11 +442,13 @@ def test_oracle_calls_column_counts_every_query(mode, tmp_path, monkeypatch):
     monkeypatch.setattr(ValueContext, "move", counting(ValueContext.move))
     monkeypatch.setattr(KParityConstraint, "feasible", counting(KParityConstraint.feasible))
     monkeypatch.setattr(FeasibilityContext, "feasible", counting(FeasibilityContext.feasible))
-    # fits counts when it asks the matroid, not when it answers a single
-    # add it remembers as dependent; a product context asks its slices'
+    # fits counts when it asks the matroid, by either path, not when it
+    # answers a single add it remembers as dependent; a product context
+    # asks its slices'
     asked = [0]
-    for cls in context_classes(MatroidContext, "independent_with"):
-        monkeypatch.setattr(cls, "independent_with", counting(cls.independent_with, into=asked))
+    for name in ("independent_with", "fits"):
+        for cls in context_classes(MatroidContext, name):
+            monkeypatch.setattr(cls, name, counting(getattr(cls, name), into=asked))
     fits = FeasibilityContext.fits
 
     def counting_fits(self, *args):

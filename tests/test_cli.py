@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from parityls import bench
 from parityls.analysis import prune_down_monotone
 from parityls.bench import greedy_baseline
 from parityls.cli import main
@@ -509,10 +510,18 @@ def test_gen_refuses_the_bench_batch_size(capsys):
     )
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("bench ran a solve before it opened its --out files")
+
+
 @pytest.mark.parametrize("command", ["gen", "solve", "verify", "bench"])
-def test_out_into_a_missing_directory_is_one_line_error(tmp_path, capsys, command):
+def test_out_into_a_missing_directory_is_one_line_error(tmp_path, capsys, monkeypatch, command):
     # verify must not end with its status 1 of failed checks, nor any
-    # command with a traceback; bench names the <out>.csv it writes first
+    # command with a traceback; bench names the <out>.csv it opens first,
+    # before it solves anything or takes a brute-force reference
+    if command == "bench":
+        for name in ("solve", "brute_force_opt"):
+            monkeypatch.setattr(bench, name, refuse)
     out = tmp_path / "missing" / "out.json"
     instance = str(DATA / "instance.json")
     argv = {

@@ -1,6 +1,9 @@
 """Independence, feasibility and value contexts: every family's context
 must answer what the whole-set oracle answers for the changed set,
-including around dependent bases, and count one query per question.
+including around dependent bases, and count one query per question;
+a matroid context's unchecked ``fits`` answers as the whole-set oracle
+whenever the caller keeps its promise (adds outside the base, removals
+inside it).
 A feasibility context moved by ``move`` answers for the moved set, and
 both kinds of context refuse a move that does not fit their base.
 Every value and every gain, of any shape, is the exact figure rounded
@@ -68,14 +71,20 @@ def test_forest_context_with_parallel_links_and_self_loops_exhaustively():
                 ), (base, add, remove)
 
 
+@st.composite
+def multigraphs(draw):
+    """Graphic matroids on few nodes, so parallel links, self-loops and
+    cycles are common."""
+    n_nodes = draw(st.integers(1, 6))
+    node = st.integers(0, n_nodes - 1)
+    return GraphicMatroid(n_nodes, draw(st.lists(st.tuples(node, node), min_size=1, max_size=12)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_forest_context_moved_equals_a_fresh_context(data):
-    # random multigraphs on few nodes, so parallel links, self-loops and
-    # cycles are common; the base starts as a random forest
-    n_nodes = data.draw(st.integers(1, 6))
-    node = st.integers(0, n_nodes - 1)
-    m = GraphicMatroid(n_nodes, data.draw(st.lists(st.tuples(node, node), min_size=1, max_size=12)))
+    # the base starts as a random forest
+    m = data.draw(multigraphs())
     ground = sorted(m.ground)
     base = m.max_independent_subset(data.draw(ground_subsets(ground)))
     ctx = m.context(base)
@@ -99,6 +108,41 @@ def test_forest_context_moved_equals_a_fresh_context(data):
             assert ctx.independent_with(p_add, p_remove) == fresh.independent_with(
                 p_add, p_remove
             ), (base, p_add, p_remove)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_the_unchecked_matroid_path_answers_under_its_promise(data):
+    """``fits(add, remove)``, with ``add`` outside the base and ``remove``
+    inside it, is the whole-set answer for ``(base - remove) | add``, on
+    forests and dependent bases alike. Each question is asked twice, and
+    again after ``moved``, so that labels cached by an earlier question
+    or by the move are read; the same ``add`` meets several removals and
+    the same removal several adds."""
+    m = data.draw(st.one_of(matroids(), multigraphs()))
+    ground = sorted(m.ground)
+    base = data.draw(ground_subsets(ground))
+    if data.draw(st.booleans()):
+        base = m.max_independent_subset(base)  # a forest, for a graphic m
+    ctx = m.context(base)
+    for _ in range(data.draw(st.integers(1, 3))):
+        outside = [v for v in ground if v not in base]
+        adds = data.draw(st.lists(ground_subsets(outside), min_size=1, max_size=3))
+        removes = data.draw(st.lists(ground_subsets(sorted(base)), min_size=1, max_size=3))
+        questions = [(add, remove) for add in adds for remove in removes]
+
+        def ask():
+            for add, remove in questions:
+                assert ctx.fits(add, remove) == m._independent((base - remove) | add), (
+                    base, add, remove,
+                )
+
+        ask()
+        ask()
+        add, remove = data.draw(st.sampled_from(questions))
+        moved = ctx.moved(add, remove)
+        ask()  # the move cached the labels of its removal
+        ctx, base = moved, (base - remove) | add
 
 
 @st.composite
@@ -384,11 +428,11 @@ def test_the_unchecked_value_path_matches_the_checked_one(integer, generic, data
 @given(data=st.data())
 def test_the_unchecked_feasibility_path_matches_the_checked_one(data):
     """Before and after moves, ``fits(x, y)`` is ``feasible((x,), (y,))``
-    (``feasible((x,))`` for y None). A repeated ``fits(x)`` of a single
-    found dependent since the last removal counts no query, and every
-    other call counts one. ``move`` still refuses a move that does not
-    fit the base, and forgets nothing then, and ``feasible`` refuses an
-    unknown edge id."""
+    (``feasible((x,))`` for y None), for x and y in or outside the base.
+    A repeated ``fits(x)`` of a single found dependent since the last
+    removal counts no query, and every other call counts one. ``move``
+    still refuses a move that does not fit the base, and forgets nothing
+    then, and ``feasible`` refuses an unknown edge id."""
     cons = data.draw(constraints())
     ground = cons.edge_ids
     moved = data.draw(ground_subsets(ground))
@@ -396,7 +440,7 @@ def test_the_unchecked_feasibility_path_matches_the_checked_one(data):
     dependent = set()  # single adds found dependent since the last removal
     for _ in range(4):
         for x in ground:
-            for y in (None, *sorted(moved)):
+            for y in (None, *ground):  # y outside the base takes the checked path
                 calls = cons.feasibility_calls
                 got = unchecked.fits(x, y)
                 repeat = y is None and x in dependent
@@ -558,6 +602,8 @@ def test_constraint_context_move_chain_tracks_the_moved_set(data):
     cons = data.draw(constraints())
     moved = data.draw(ground_subsets(cons.edge_ids))
     ctx = cons.context(moved)
+    if data.draw(st.booleans()):
+        ctx.outside  # built at bind, so every move below keeps it
     for _ in range(6):
         add = data.draw(ground_subsets(set(cons.edge_ids) - moved))
         remove = data.draw(ground_subsets(moved))
@@ -566,6 +612,7 @@ def test_constraint_context_move_chain_tracks_the_moved_set(data):
         assert cons.feasibility_calls == calls  # moving is not a query
         moved = (moved - remove) | add
         assert ctx.base == moved
+        assert ctx.outside == [e for e in cons.edge_ids if e not in moved]
         queries = data.draw(
             st.lists(st.tuples(ground_subsets(cons.edge_ids), ground_subsets(cons.edge_ids)),
                      max_size=3)
@@ -619,14 +666,16 @@ def test_feasibility_context_refuses_moves_that_do_not_fit_the_base(data):
         x = data.draw(st.sampled_from(outside))
         bad.append(((), (x,)))  # removes an edge outside the base
         bad.append(((x, x), ()))  # adds an edge twice
+    bad.append(((len(ground),), ()))  # adds an unknown edge id (ids are 0..n-1)
     probes = [(e,) for e in ground]
     answers = [fits.feasible(p) for p in probes]
+    assert fits.outside == outside  # built before the refused moves
     for add, remove in bad:
         calls = cons.feasibility_calls
         with pytest.raises(ValueError):
             fits.move(add, remove)
         assert cons.feasibility_calls == calls
-        assert fits.base == base
+        assert fits.base == base and fits.outside == outside
         assert [fits.feasible(p) for p in probes] == answers
 
 
