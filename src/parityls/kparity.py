@@ -92,8 +92,12 @@ class KParityConstraint:
         return frozenset(out)
 
     def feasible(self, edge_set) -> bool:
+        """Whether the union of the edges' vertex groups is independent;
+        one query. An unknown edge id raises ValueError. The vertices were
+        checked against the ground at construction, so the matroid's
+        whole-set ``_independent`` answers without a second check."""
         self.feasibility_calls += 1
-        return self.matroid.is_independent(self.vertices_of(edge_set))
+        return self.matroid._independent(self.vertices_of(edge_set))
 
     def context(self, edge_set) -> "FeasibilityContext":
         """Feasibility queries around the fixed edge set ``edge_set``;
@@ -207,20 +211,29 @@ class ProductMatroid(MatroidOracle):
     """Matroid over element copies (x, i) that is independent iff every
     per-matroid slice {x | (x, i) selected} is independent in matroid i.
 
-    Vertex id encoding: copy i of element x is x * k + i.
+    Vertex id encoding: copy i of element x is x * k + i. Every matroid
+    must have the dense ground 0..n_elements-1, which construction
+    checks; a slice of a vertex set in the product's ground then lies in
+    that ground, and ``_independent`` asks each slice matroid's own
+    ``_independent`` with no second check.
     """
 
     def __init__(self, matroids, n_elements):
         self.matroids = list(matroids)
+        dense = frozenset(range(n_elements))
+        for m in self.matroids:
+            if m.ground != dense:
+                raise ValueError("matroids must share the dense ground set 0..n-1")
         self.n_elements = n_elements
         self.k = len(self.matroids)
         self._split = {}  # memo of _slices for sets of at most 2k vertices
         super().__init__(range(n_elements * self.k))
 
     def _independent(self, s):
-        return all(
-            m.is_independent(sl) for m, sl in zip(self.matroids, self._slices(s))
-        )
+        for m, sl in zip(self.matroids, self._slices(s)):
+            if not m._independent(sl):
+                return False
+        return True
 
     def _slices(self, s):
         """Per-matroid slices {x | x * k + i in s}, i < k, as a tuple.
@@ -243,12 +256,13 @@ class ProductMatroid(MatroidOracle):
 
 class _ProductContext(MatroidContext):
     """One context per slice matroid; a query splits its sets into
-    slices and asks each slice's context."""
+    slices and asks each slice's context. The slices of a set in the
+    product's ground lie in the slice grounds, so binding checks none."""
 
     def __init__(self, matroid, base):
         super().__init__(matroid, base)
         self.slices = [
-            m.context(sl) for m, sl in zip(matroid.matroids, matroid._slices(base))
+            m._context(sl) for m, sl in zip(matroid.matroids, matroid._slices(base))
         ]
 
     def independent_with(self, add=EMPTY, remove=EMPTY):
@@ -271,9 +285,6 @@ def from_intersection(matroids) -> KParityConstraint:
     if not matroids:
         raise ValueError("need at least one matroid")
     n = matroids[0].ground_size
-    for m in matroids:
-        if m.ground_size != n or m.ground != frozenset(range(n)):
-            raise ValueError("matroids must share the dense ground set 0..n-1")
     k = len(matroids)
     product = ProductMatroid(matroids, n)
     edges = [Edge(x, frozenset(x * k + i for i in range(k))) for x in range(n)]

@@ -153,7 +153,11 @@ class UniformMatroid(MatroidOracle):
 
 
 class PartitionMatroid(MatroidOracle):
-    """At most ``capacities[i]`` vertices from each block; blocks cover 0..n-1."""
+    """At most ``capacities[i]`` vertices from each block; blocks cover 0..n-1.
+
+    ``_block_of[v]`` is the index of v's block, a list over the dense
+    ground that ``_independent`` and the block context read.
+    """
 
     def __init__(self, blocks, capacities):
         blocks = [frozenset(b) for b in blocks]
@@ -173,17 +177,18 @@ class PartitionMatroid(MatroidOracle):
         super().__init__(ground)
         self.blocks = blocks
         self.capacities = list(capacities)
-        self._block_of = {}
+        self._block_of = [0] * len(ground)
         for idx, b in enumerate(blocks):
             for v in b:
                 self._block_of[v] = idx
 
     def _independent(self, s):
+        block_of, capacities = self._block_of, self.capacities
         counts = {}
         for v in s:
-            idx = self._block_of[v]
-            counts[idx] = counts.get(idx, 0) + 1
-            if counts[idx] > self.capacities[idx]:
+            idx = block_of[v]
+            n = counts[idx] = counts.get(idx, 0) + 1
+            if n > capacities[idx]:
                 return False
         return True
 
@@ -199,8 +204,8 @@ class GraphicMatroid(MatroidOracle):
     """
 
     def __init__(self, n_nodes, links):
-        if not _integer(n_nodes):
-            raise ValueError(f"graphic nodes {n_nodes!r} is not an integer")
+        if not _integer(n_nodes) or n_nodes < 0:
+            raise ValueError(f"graphic nodes {n_nodes!r} is not an integer >= 0")
         links = [tuple(l) for l in links]
         for u, v in links:
             if not (_integer(u) and _integer(v) and 0 <= u < n_nodes and 0 <= v < n_nodes):
@@ -216,21 +221,24 @@ class GraphicMatroid(MatroidOracle):
 
     def _forest(self, s):
         """Union-find parent array of the nodes after joining the links
-        in ``s``, or None when one of them closes a cycle."""
-        parent = list(range(self.n_nodes))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        in ``s``, or None when one of them closes a cycle. A forest has
+        fewer links than nodes, so a non-empty ``s`` of at least
+        ``n_nodes`` links is None before anything is built. Each find
+        halves its path in place; the root of u goes under the root of v."""
+        n_nodes = self.n_nodes
+        if len(s) >= n_nodes and s:
+            return None
+        parent = list(range(n_nodes))
+        links = self.links
         for i in s:
-            u, v = self.links[i]
-            ru, rv = find(u), find(v)
-            if ru == rv:
+            u, v = links[i]
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]  # binds parent[u], then u
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u == v:
                 return None
-            parent[ru] = rv
+            parent[u] = v
         return parent
 
     def _context(self, s):

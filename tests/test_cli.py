@@ -169,6 +169,10 @@ def test_gen_prints_to_stdout_without_out(capsys):
         ('{"constraint": {"k": 1, "matroid": {"type": "graphic", "nodes": 4.5, "links": '
          '[[0, 1]]}, "edges": [[0]]}, "objective": {"cut": {"weights": []}}}',
          "graphic nodes 4.5 is not an integer"),
+        # a negative node count, even with no link or edge to trip on
+        ('{"constraint": {"k": 1, "matroid": {"type": "graphic", "nodes": -4, "links": []}, '
+         '"edges": []}, "objective": {"cut": {"weights": []}}}',
+         "graphic nodes -4 is not an integer >= 0"),
         ('{"constraint": {"k": 1, "matroid": {"type": "uniform", "ground": 1, "rank": 1}, '
          '"edges": [[0]]}, "objective": {"coverage": {"item_weights": [1.0, 2.0], '
          '"covers": [[0, [1.5]]]}}}', "edge 0 covers item id 1.5, which is not an integer"),

@@ -5,9 +5,12 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from parityls.kparity import Edge, KParityConstraint, from_intersection
+from parityls.kparity import Edge, KParityConstraint, ProductMatroid, from_intersection
 from parityls.matroid import PartitionMatroid, UniformMatroid, axiom_check
+from util import matroids
 
 
 def subsets(elems):
@@ -108,8 +111,37 @@ def test_intersection_three_uniform_ranks():
 
 
 def test_intersection_mismatched_grounds_rejected():
-    with pytest.raises(ValueError):
+    message = r"^matroids must share the dense ground set 0\.\.n-1$"
+    with pytest.raises(ValueError, match=message):
         from_intersection([UniformMatroid(3, 1), UniformMatroid(4, 1)])
+    # the product itself checks, so no caller can skip it
+    with pytest.raises(ValueError, match=message):
+        ProductMatroid([UniformMatroid(3, 1), UniformMatroid(2, 1)], 3)
+
+
+def within_block_counts(m, s):
+    """Per-block count reference: a partition matroid takes at most its
+    capacity from each block, and a product of them each slice."""
+    if isinstance(m, ProductMatroid):
+        return all(
+            within_block_counts(sm, {v // m.k for v in s if v % m.k == i})
+            for i, sm in enumerate(m.matroids)
+        )
+    return all(len(s & b) <= c for b, c in zip(m.blocks, m.capacities))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.one_of(
+        matroids(max_n=4).filter(lambda m: isinstance(m, (PartitionMatroid, ProductMatroid))),
+        # capacity-0 blocks, listed out of vertex order
+        st.just(PartitionMatroid([[5, 2], [0], [4, 1, 3]], [0, 1, 0])),
+        st.just(PartitionMatroid([[3, 0], [2, 5, 1], [4]], [1, 2, 0])),
+    )
+)
+def test_product_and_partition_checks_match_block_counts(m):
+    for s in subsets(m.ground):
+        assert m._independent(s) == within_block_counts(m, s), s
 
 
 def test_product_matroid_passes_axioms():

@@ -64,6 +64,61 @@ def test_graphic_triangle_cycle():
     assert not m.is_independent({0, 1, 2})
 
 
+def forest_by_count(links, picked):
+    """A set of links is a forest iff it has no self-loop and its link
+    count is the number of nodes it touches minus its component count
+    (components by depth-first search, not union-find)."""
+    if any(links[i][0] == links[i][1] for i in picked):
+        return False
+    adjacent = {}
+    for i in picked:
+        u, v = links[i]
+        adjacent.setdefault(u, []).append(v)
+        adjacent.setdefault(v, []).append(u)
+    components, seen = 0, set()
+    for start in adjacent:
+        if start not in seen:
+            components += 1
+            todo = [start]
+            seen.add(start)
+            while todo:
+                for w in adjacent[todo.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        todo.append(w)
+    return len(picked) == len(adjacent) - components
+
+
+@st.composite
+def multigraphs(draw):
+    """0-7 nodes and up to 8 links among them; few nodes make self-loops,
+    parallel links and cycles common."""
+    n_nodes = draw(st.integers(0, 7))
+    if not n_nodes:
+        return 0, []
+    node = st.integers(0, n_nodes - 1)
+    return n_nodes, draw(st.lists(st.tuples(node, node), max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=multigraphs())
+def test_graphic_whole_set_check_matches_the_forest_count(graph):
+    n_nodes, links = graph
+    m = GraphicMatroid(n_nodes, links)
+    for picked in subsets(range(len(links))):
+        assert m.is_independent(picked) == forest_by_count(links, picked), (links, picked)
+
+
+def test_graphic_whole_set_check_at_the_rank_bound():
+    assert GraphicMatroid(0, []).is_independent(())
+    # a spanning tree of n - 1 links is independent, and n links never are
+    links = [(0, 1), (1, 2), (1, 3), (3, 4), (4, 0), (2, 2)]
+    m = GraphicMatroid(5, links)
+    assert m.is_independent({0, 1, 2, 3})
+    for picked in combinations(range(len(links)), 5):
+        assert not m.is_independent(picked), picked
+
+
 def test_out_of_range_vertex_rejected():
     m = UniformMatroid(4, 2)
     with pytest.raises(ValueError):
